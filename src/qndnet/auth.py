@@ -17,6 +17,15 @@ each round: depolarizing (uniform Pauli from {I, X, Y, Z} with probability p,
 i.e. replace-with-maximally-mixed at rate p) or dephasing (Z with
 probability p).
 
+Sessions run on Bell labels, index = 2*parity + phase, not on amplitudes.
+After any round the stored pair is exactly the measured Bell state, a Pauli
+on either qubit XORs the label with a fixed mask (I, X, Y, Z -> 0, 2, 3, 1),
+a legitimate card reads the noisy label, and a card-less attacker reads a
+uniform label (the Bell-diagonal picture of Bennett, DiVincenzo, Smolin and
+Wootters, quant-ph/9604024).  The label engine consumes the same draws, in
+the same order, as the state-vector round (_system_for, _run_round), which
+stays as the oracle behind attacker_round_distribution and the tests.
+
 Seeding: every public operation takes an int seed or a numpy Generator.
 Sweeps derive the generator for trial t at size n as default_rng((seed, n, t))
 and the enrollment generator as default_rng((seed, n)), so trials are
@@ -37,9 +46,9 @@ from .bell import (
     BellLabel,
     bell_bits,
     bell_state,
-    decode_bell,
 )
 from .statevector import (
+    CONVENTIONS,
     PAULI_X_MATRIX,
     PAULI_Y_MATRIX,
     PAULI_Z_MATRIX,
@@ -47,6 +56,7 @@ from .statevector import (
     _require_normalized,
     apply_single_qubit_matrix,
     cnot,
+    fidelity_up_to_global_phase,
     gates_to_matrix,
     hadamard,
 )
@@ -93,6 +103,16 @@ class NoiseSpec:
 NOISELESS = NoiseSpec()
 
 
+#: The four stored-pair states, by label index 2*parity + phase; built once and
+#: shared by every account, so a session recognizes them by identity.
+_BELL_PAIRS = tuple(bell_state(label) for label in BELL_DECODE_ORDER)
+_LABEL_BITS = tuple(bell_bits(label) for label in BELL_DECODE_ORDER)
+_RECORD_LABELS = {bits: index for index, bits in enumerate(_LABEL_BITS)}
+
+#: Fidelity deficit up to which a foreign pair still counts as its record's Bell state.
+_PAIR_ATOL = 1e-10
+
+
 @dataclass
 class AuthAccount:
     """Stored pairs (card qubit first, terminal qubit second) plus bit records."""
@@ -129,14 +149,18 @@ def enroll(
         if initial_labels != "random":
             raise ValueError(f"initial_labels must be a label list or 'random', got {initial_labels!r}")
         rng = np.random.default_rng(seed)
-        labels = [BELL_DECODE_ORDER[int(rng.integers(4))] for _ in range(n)]
+        indices = [int(rng.integers(4)) for _ in range(n)]
     else:
         labels = list(initial_labels)
         if len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
+        try:
+            indices = [BELL_DECODE_ORDER.index(label) for label in labels]
+        except ValueError:
+            raise ValueError(f"initial_labels must be BellLabel values, got {labels!r}") from None
     return AuthAccount(
-        pairs=[bell_state(label) for label in labels],
-        records=[bell_bits(label) for label in labels],
+        pairs=[_BELL_PAIRS[i] for i in indices],
+        records=[_LABEL_BITS[i] for i in indices],
     )
 
 
@@ -148,6 +172,10 @@ _DEPOLARIZING_PAULIS = (
     PAULI_Y_MATRIX,
     PAULI_Z_MATRIX,
 )
+# The label XOR masks of the same Paulis on either qubit of a Bell pair:
+# X flips parity, Z flips phase, Y = iXZ flips both.
+_DEPOLARIZING_MASKS = (0, 2, 3, 1)
+_DEPHASING_MASK = 1
 
 
 def _apply_noise_rng(state: StateVector, spec: NoiseSpec, rng: np.random.Generator) -> StateVector:
@@ -230,21 +258,6 @@ def _run_round(
     return (parity, phase), float(probs[outcome]), post
 
 
-def _extract_pair(post_system: np.ndarray, num_system: int, slot: int, machine: int) -> StateVector:
-    """The collapsed (slot, machine) 2-qubit factor of the post-round system state.
-
-    The Bell-basis collapse makes the state an exact product across that cut,
-    so the strongest column of the reshaped matrix is the pair state.
-    """
-    if num_system == 2:
-        return StateVector(2, post_system)
-    psi = post_system.reshape((2,) * num_system)
-    m = np.moveaxis(psi, (slot, machine), (0, 1)).reshape(4, -1)
-    col_norms = np.sum(np.abs(m) ** 2, axis=0)
-    j = int(np.argmax(col_norms))
-    return StateVector(2, m[:, j] / np.sqrt(col_norms[j]))
-
-
 def _system_for(
     attacker: AttackerModel, pair_amps: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, int, int, int]:
@@ -271,6 +284,35 @@ def _system_for(
     return np.kron(decoy, pair_amps), 4, 0, 3
 
 
+def _stored_label(pair: StateVector, record: Sequence[int]) -> int:
+    """Label index of a stored pair, which must be the Bell state its record names."""
+    try:
+        index = _RECORD_LABELS[tuple(record)]
+    except (KeyError, TypeError):
+        raise ValueError(f"record {record!r} is not a (parity, phase) bit pair") from None
+    bell = _BELL_PAIRS[index]
+    if pair is not bell and not (
+        pair.num_qubits == 2
+        and abs(fidelity_up_to_global_phase(pair, bell) - 1.0) <= _PAIR_ATOL
+    ):
+        raise ValueError(
+            f"stored pair is not the {BELL_DECODE_ORDER[index].token} state its record names"
+        )
+    return index
+
+
+def _noise_mask(spec: NoiseSpec, rng: np.random.Generator) -> int:
+    """One noise trajectory on a stored pair as a label XOR mask; draws as _apply_noise_rng."""
+    mask = 0
+    for _qubit in (0, 1):
+        if rng.random() < spec.p:
+            if spec.model == "depolarizing":
+                mask ^= _DEPOLARIZING_MASKS[int(rng.integers(4))]
+            else:
+                mask ^= _DEPHASING_MASK
+    return mask
+
+
 def verify_session(
     account: AuthAccount,
     attacker: AttackerModel = AttackerModel.LEGITIMATE,
@@ -286,30 +328,49 @@ def verify_session(
     stored pairs with the collapsed Bell states (so the account can be used
     again); rejected sessions flag the account permanently.  The classical
     password gate is a boolean: when false the session is rejected before
-    any qubit is touched.
+    any qubit is touched.  A stored pair that is not the Bell state its
+    record names is rejected with ValueError.
+
+    Each round draws, in order: the noise trajectory (_noise_mask), the
+    attacker's slot preparation (four standard normals for fresh-haar, one
+    integers(4) for guess), then the two ancilla draws random(2).  These are
+    the draws of the state-vector round, so seeded sessions agree with it bit
+    for bit; the Bell outcome does not depend on the Hadamard convention.
     """
     if account.status != "active":
         raise ValueError("account is flagged; re-enrollment creates a new account")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown Hadamard convention {convention!r}")
     if not password_ok:
         return SessionResult((), 0.0, False, tuple(account.records))
+    if not account.pairs or len(account.pairs) != len(account.records):
+        raise ValueError("an account needs at least one stored pair and one record per pair")
+    labels = [_stored_label(pair, record) for pair, record in zip(account.pairs, account.records)]
+    noisy = noise.model != "none" and noise.p != 0.0
     rng = np.random.default_rng(seed)
-    matches: list[bool] = []
-    measured: list[tuple[int, int]] = []
-    new_pairs: list[StateVector] = []
-    for pair, record in zip(account.pairs, account.records):
-        noisy = _apply_noise_rng(pair, noise, rng)
-        system, num_system, slot, machine = _system_for(attacker, noisy.amplitudes, rng)
-        bits, _, post = _run_round(system, num_system, slot, machine, convention, rng.random(2))
-        new_pairs.append(_extract_pair(post, num_system, slot, machine))
-        measured.append(bits)
-        matches.append(bits == tuple(record))
+    outcomes: list[int] = []
+    for stored in labels:
+        label = stored ^ _noise_mask(noise, rng) if noisy else stored
+        if attacker is AttackerModel.LEGITIMATE:
+            rng.random(2)  # a legitimate card reads its own label whatever the draws
+            outcomes.append(label)
+            continue
+        if attacker is AttackerModel.FRESH_HAAR:
+            rng.standard_normal(4)  # the same stream as the oracle's two standard_normal(2)
+        elif attacker is AttackerModel.RANDOM_BELL_GUESS:
+            rng.integers(4)
+        # the terminal qubit is maximally mixed: both ancilla bits are fair coins
+        parity_draw, phase_draw = rng.random(2).tolist()
+        outcomes.append((2 if parity_draw >= 0.5 else 0) + (1 if phase_draw >= 0.5 else 0))
+    matches = [outcome == label for outcome, label in zip(outcomes, labels)]
     fraction = sum(matches) / len(matches)
     accepted = fraction >= threshold
-    account.pairs = new_pairs
+    measured = [_LABEL_BITS[outcome] for outcome in outcomes]
+    account.pairs = [_BELL_PAIRS[outcome] for outcome in outcomes]
     if accepted:
-        account.records = list(measured)
+        account.records = measured
     else:
         account.status = "flagged"
     return SessionResult(tuple(matches), fraction, accepted, tuple(measured))
@@ -349,8 +410,72 @@ def attacker_round_distribution(
     return dist / len(systems)
 
 
+def _qubit_mask_distribution(noise: NoiseSpec) -> list[float]:
+    """Probabilities of the label XOR masks 0..3 that one qubit's noise applies."""
+    weights = [1.0, 0.0, 0.0, 0.0]
+    if noise.model == "none":
+        return weights
+    weights[0] -= noise.p
+    hits = _DEPOLARIZING_MASKS if noise.model == "depolarizing" else (_DEPHASING_MASK,)
+    for mask in hits:
+        weights[mask] += noise.p / len(hits)
+    return weights
+
+
+def _label_round_distribution(attacker: AttackerModel, index: int) -> np.ndarray:
+    """The label engine's noise-free outcome distribution for stored label ``index``."""
+    if attacker is AttackerModel.LEGITIMATE:
+        dist = np.zeros(4)
+        dist[index] = 1.0
+        return dist
+    return np.full(4, 0.25)
+
+
+def _round_match_probability(attacker: AttackerModel, noise: NoiseSpec) -> float:
+    """Exact probability that one round's measured bits equal the record.
+
+    A card-less attacker reads a uniform label whatever the noise.  A
+    legitimate card reads the noisy label, which equals the record iff the
+    two qubits' masks are equal: (1-p)^2 + p^2 for dephasing and
+    (1-3p/4)^2 + 3(p/4)^2 for depolarizing.
+    """
+    if attacker is not AttackerModel.LEGITIMATE:
+        return 0.25
+    return sum(w * w for w in _qubit_mask_distribution(noise))
+
+
+def _acceptance_probability(match_probabilities: Sequence[float], threshold: float) -> float:
+    """P(matches / n >= threshold) for independent rounds (a Poisson-binomial tail)."""
+    n = len(match_probabilities)
+    accepting = [k for k in range(n + 1) if k / n >= threshold]
+    if accepting[0] == 0:
+        return 1.0
+    counts = [1.0]  # counts[k] = P(k matches so far)
+    for q in match_probabilities:
+        counts = [miss * (1.0 - q) + hit * q for miss, hit in zip(counts + [0.0], [0.0] + counts)]
+    return min(1.0, sum(counts[k] for k in accepting))
+
+
+def _check_label_model(attacker: AttackerModel, indices: Iterable[int], convention: str) -> None:
+    """Raise unless the state-vector oracle agrees with the label engine on these labels."""
+    for index in sorted(set(indices)):
+        oracle = attacker_round_distribution(attacker, BELL_DECODE_ORDER[index], convention)
+        if np.max(np.abs(oracle - _label_round_distribution(attacker, index))) > 1e-9:
+            raise RuntimeError(
+                f"label engine disagrees with the state-vector round for {attacker.token} "
+                f"on {BELL_DECODE_ORDER[index].token}: {oracle}"
+            )
+
+
+def _require_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer count, got {value!r}")
+
+
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (z=3.0: the 99.7% level)."""
+    _require_count("successes", successes)
+    _require_count("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
@@ -398,22 +523,25 @@ def security_sweep(
     threshold: float = 1.0,
     convention: str = "paper",
 ) -> list[SweepRow]:
-    """Empirical acceptance rate vs the exact noiseless product, per account size.
+    """Empirical acceptance rate vs the exact one, per account size.
 
-    Each trial clones a fresh randomly enrolled account and runs one session;
-    the analytic column multiplies the per-round match probabilities from
-    attacker_round_distribution (threshold-1 semantics), so it is monotone
-    nonincreasing in n for any fixed attacker.
+    Each trial clones a fresh randomly enrolled account and runs one session.
+    The analytic column is the exact acceptance probability under the same
+    noise and threshold: the per-round match probability of the label model
+    (_round_match_probability), summed over the accepting match counts.  Each
+    row first checks the label model's noise-free round against the
+    state-vector oracle (attacker_round_distribution) on the enrolled labels.
     """
+    _require_count("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows = []
     for n in n_range:
         base = enroll(n, "random", seed=np.random.default_rng((seed, n)))
-        analytic = 1.0
-        for record in base.records:
-            dist = attacker_round_distribution(attacker, decode_bell(*record), convention)
-            analytic *= float(dist[2 * record[0] + record[1]])
+        _check_label_model(attacker, (_RECORD_LABELS[r] for r in base.records), convention)
+        analytic = _acceptance_probability(
+            [_round_match_probability(attacker, noise)] * n, threshold
+        )
         successes = 0
         for t in range(trials):
             account = base.clone()

@@ -158,7 +158,8 @@ class MeasurementResult:
 
 
 def _require_normalized(state: StateVector, where: str) -> None:
-    if abs(state.norm() - 1.0) > NORM_ATOL:
+    # written as "not <=" so that a NaN norm fails the check too
+    if not abs(state.norm() - 1.0) <= NORM_ATOL:
         raise ValueError(f"{where}: state is not normalized (norm={state.norm()!r})")
 
 
@@ -391,8 +392,8 @@ def from_dump(obj: dict) -> StateVector:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state dump: {exc}") from exc
     state = StateVector(n, amps)
-    # file dumps may be hand-written; validate with the loose tolerance
-    if abs(state.norm() - 1.0) > NORM_ATOL:
+    # file dumps may be hand-written; validate with the loose tolerance (NaN fails too)
+    if not abs(state.norm() - 1.0) <= NORM_ATOL:
         raise ValueError(f"state dump is not normalized (norm={state.norm()!r})")
     return state
 

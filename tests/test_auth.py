@@ -1,14 +1,23 @@
 """Authentication protocol tests: enrollment, sessions, attackers, noise, sweeps."""
 
+import contextlib
+import io
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qndnet import auth
 from qndnet.auth import (
     AttackerModel,
     AuthAccount,
     NOISELESS,
     NoiseSpec,
+    _acceptance_probability,
+    _apply_noise_rng,
     _branch_probabilities,
+    _round_match_probability,
     _run_round,
     _system_for,
     apply_noise,
@@ -27,16 +36,20 @@ from qndnet.bell import (
     decode_bell,
     run_bell_qnd,
 )
+from qndnet.cli import main
 from qndnet.statevector import (
     PAULI_X_MATRIX,
     PAULI_Y_MATRIX,
     PAULI_Z_MATRIX,
+    StateVector,
     fidelity_up_to_global_phase,
     random_state,
     states_close,
 )
 
 UNIFORM = np.full(4, 0.25)
+PAULIS = (np.eye(2), PAULI_X_MATRIX, PAULI_Y_MATRIX, PAULI_Z_MATRIX)
+GOLDEN = Path(__file__).parent / "data" / "golden_auth_sweeps.json"
 
 
 # -- enrollment --
@@ -69,6 +82,8 @@ def test_enroll_validation():
         enroll(2, [BellLabel.PHI_PLUS])
     with pytest.raises(ValueError):
         enroll(1, "sometimes")
+    with pytest.raises(ValueError, match="BellLabel"):
+        enroll(2, ["phi+", "psi-"])
 
 
 # -- sessions --
@@ -122,6 +137,37 @@ def test_rejected_session_flags_account():
     if flagged.status == "flagged":
         with pytest.raises(ValueError):
             verify_session(flagged, seed=2)
+
+
+def test_session_rejects_a_pair_that_is_not_its_records_bell_state():
+    account = enroll(2, [BellLabel.PHI_PLUS, BellLabel.PSI_MINUS])
+    account.pairs[1] = bell_state(BellLabel.PSI_PLUS)
+    with pytest.raises(ValueError, match="psi-"):
+        verify_session(account, seed=1)
+    account.pairs[1] = random_state(2, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        verify_session(account, seed=1)
+    account.pairs[1] = StateVector(2, 2 * bell_state(BellLabel.PSI_MINUS).amplitudes)
+    with pytest.raises(ValueError):
+        verify_session(account, seed=1)
+    account.pairs[1] = bell_state(BellLabel.PSI_MINUS)
+    account.records[0] = (2, 0)
+    with pytest.raises(ValueError):
+        verify_session(account, seed=1)
+    account.records[0] = (0, 0)
+    account.pairs.pop()
+    with pytest.raises(ValueError, match="one record per pair"):
+        verify_session(account, seed=1)
+    account.pairs, account.records = [], []
+    with pytest.raises(ValueError, match="at least one"):
+        verify_session(account, seed=1)
+
+
+def test_session_accepts_an_equal_pair_built_elsewhere():
+    # not the shared instance: the fidelity fallback recognizes it, global phase included
+    account = enroll(1, [BellLabel.PSI_PLUS])
+    account.pairs[0] = StateVector(2, 1j * bell_state(BellLabel.PSI_PLUS).amplitudes)
+    assert verify_session(account, seed=4).accepted
 
 
 def test_password_gate_rejects_without_measurement():
@@ -349,6 +395,15 @@ def test_sweep_is_seed_reproducible():
 def test_sweep_validation():
     with pytest.raises(ValueError):
         security_sweep([1], AttackerModel.FRESH_ZERO, trials=0, seed=1)
+    with pytest.raises(ValueError, match="integer count"):
+        security_sweep([1], AttackerModel.FRESH_ZERO, trials=True, seed=1)
+
+
+def test_wilson_interval_rejects_non_integer_counts():
+    for successes, trials in [(True, 1), (1, True), (0.5, 2), (1, 2.0), ("1", 2)]:
+        with pytest.raises(ValueError):
+            wilson_interval(successes, trials)
+    assert wilson_interval(np.int64(3), np.int64(10)) == wilson_interval(3, 10)
 
 
 def test_account_clone_is_independent():
@@ -357,3 +412,191 @@ def test_account_clone_is_independent():
     verify_session(twin, attacker=AttackerModel.FRESH_ZERO, threshold=0.0, seed=5)
     assert account.records == [(0, 0), (1, 0)]
     assert account.status == "active"
+
+
+# -- the label engine against the state-vector oracle --
+
+
+def _state_vector_session(account, attacker, noise, threshold, rng, convention):
+    """The session as the dense engine runs it: noise, layout, network, branch sampling."""
+    measured, matches = [], []
+    for pair, record in zip(account.pairs, account.records):
+        noisy = _apply_noise_rng(pair, noise, rng)
+        system, num_system, slot, machine = _system_for(attacker, noisy.amplitudes, rng)
+        bits, _, _ = _run_round(system, num_system, slot, machine, convention, rng.random(2))
+        measured.append(bits)
+        matches.append(bits == tuple(record))
+    return tuple(measured), tuple(matches), sum(matches) / len(matches) >= threshold
+
+
+ORACLE_NOISES = [
+    NOISELESS,
+    NoiseSpec("depolarizing", 0.1),
+    NoiseSpec("depolarizing", 1.0),
+    NoiseSpec("dephasing", 0.1),
+    NoiseSpec("dephasing", 1.0),
+]
+
+
+@pytest.mark.parametrize("noise", ORACLE_NOISES, ids=lambda s: f"{s.model}-{s.p}")
+@pytest.mark.parametrize("attacker", list(AttackerModel), ids=lambda m: m.token)
+def test_label_engine_matches_state_vector_oracle_trial_by_trial(attacker, noise):
+    seed, trials = 2024, 12
+    for convention in ("paper", "standard"):
+        for threshold in (1.0, 0.5, 0.0):
+            for n in (1, 2, 3):
+                base = enroll(n, "random", seed=np.random.default_rng((seed, n)))
+                for t in range(trials):
+                    account = base.clone()
+                    expected = _state_vector_session(
+                        base, attacker, noise, threshold, np.random.default_rng((seed, n, t)),
+                        convention,
+                    )
+                    result = verify_session(
+                        account, attacker, noise, threshold,
+                        np.random.default_rng((seed, n, t)), convention,
+                    )
+                    got = (result.updated_records, result.per_pair_match, result.accepted)
+                    assert got == expected, (convention, threshold, n, t)
+                    for pair, bits in zip(account.pairs, result.updated_records):
+                        assert states_close(pair, bell_state(decode_bell(*bits)))
+
+
+def test_pauli_noise_xors_the_bell_label():
+    # brute force: each Pauli maps every Bell state onto one Bell state, by a fixed mask
+    masks = (0, 2, 3, 1)  # I, X, Y, Z
+    for qubit in (0, 1):
+        for pauli, mask in zip(PAULIS, masks):
+            op = np.kron(pauli, np.eye(2)) if qubit == 0 else np.kron(np.eye(2), pauli)
+            for index, label in enumerate(BELL_DECODE_ORDER):
+                mapped = op @ bell_state(label).amplitudes
+                assert _bell_outcome_of(mapped) is BELL_DECODE_ORDER[index ^ mask]
+                target = bell_state(BELL_DECODE_ORDER[index ^ mask]).amplitudes
+                assert abs(np.vdot(target, mapped)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+# -- the exact analytic column --
+
+
+def _channel_match_probability(noise, label):
+    """Legitimate round match probability by an explicit Pauli-channel sum on the pair."""
+    if noise.model == "none":
+        weights = [1.0, 0.0, 0.0, 0.0]
+    elif noise.model == "dephasing":
+        weights = [1 - noise.p, 0.0, 0.0, noise.p]
+    else:
+        weights = [1 - 3 * noise.p / 4] + [noise.p / 4] * 3
+    pair = bell_state(label).amplitudes
+    total = 0.0
+    for w0, p0 in zip(weights, PAULIS):
+        for w1, p1 in zip(weights, PAULIS):
+            total += w0 * w1 * abs(np.vdot(pair, np.kron(p0, p1) @ pair)) ** 2
+    return total
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.37, 0.5, 1.0])
+@pytest.mark.parametrize("model", ["none", "depolarizing", "dephasing"])
+def test_round_match_probability_matches_the_pauli_channel(model, p):
+    noise = NoiseSpec(model, 0.0 if model == "none" else p)
+    for label in BellLabel:
+        exact = _channel_match_probability(noise, label)
+        assert _round_match_probability(AttackerModel.LEGITIMATE, noise) == pytest.approx(
+            exact, abs=1e-12
+        )
+    for attacker in AttackerModel:
+        if attacker is not AttackerModel.LEGITIMATE:
+            assert _round_match_probability(attacker, noise) == 0.25
+
+
+@pytest.mark.parametrize("attacker", list(AttackerModel), ids=lambda m: m.token)
+def test_noise_free_match_probability_matches_attacker_round_distribution(attacker):
+    for noise in (NOISELESS, NoiseSpec("depolarizing", 0.0), NoiseSpec("dephasing", 0.0)):
+        q = _round_match_probability(attacker, noise)
+        for index, label in enumerate(BELL_DECODE_ORDER):
+            for convention in ("paper", "standard"):
+                dist = attacker_round_distribution(attacker, label, convention)
+                assert q == pytest.approx(float(dist[index]), abs=1e-12)
+
+
+def test_acceptance_probability_is_the_binomial_tail():
+    from math import comb
+
+    for q in (0.0, 0.25, 0.82, 1.0):
+        for n in (1, 2, 3, 5):
+            for threshold in (0.0, 0.2, 0.5, 0.6, 1.0):
+                exact = sum(
+                    comb(n, k) * q**k * (1 - q) ** (n - k)
+                    for k in range(n + 1)
+                    if k / n >= threshold
+                )
+                assert _acceptance_probability([q] * n, threshold) == pytest.approx(exact, abs=1e-12)
+    # mixed per-round probabilities: enumerate every match pattern
+    qs = [0.9, 0.25, 0.6]
+    exact = 0.0
+    for pattern in range(8):
+        hits = [(pattern >> i) & 1 for i in range(3)]
+        weight = np.prod([q if h else 1 - q for q, h in zip(qs, hits)])
+        exact += weight if sum(hits) >= 2 else 0.0
+    assert _acceptance_probability(qs, 0.5) == pytest.approx(exact, abs=1e-12)
+
+
+def test_analytic_rate_is_exactly_one_when_every_session_accepts():
+    for noise in (NOISELESS, NoiseSpec("dephasing", 1.0)):
+        for row in security_sweep([1, 2, 3], AttackerModel.LEGITIMATE, 5, seed=3, noise=noise):
+            assert row.analytic_rate == 1.0 and row.accept_rate == 1.0
+    for attacker in AttackerModel:
+        rows = security_sweep([1, 3], attacker, 5, seed=3, threshold=0.0)
+        assert [row.analytic_rate for row in rows] == [1.0, 1.0]
+
+
+def test_noisy_analytic_rate_holds_at_high_trial_counts():
+    # the dephasing case whose analytic column used to read 1 beside an 0.82 accept rate
+    rows = security_sweep(
+        [1, 2], AttackerModel.LEGITIMATE, 20000, seed=0, noise=NoiseSpec("dephasing", 0.1)
+    )
+    assert [row.analytic_rate for row in rows] == pytest.approx([0.82, 0.82**2], abs=1e-12)
+    for row in rows:
+        assert row.wilson_low <= row.analytic_rate <= row.wilson_high
+
+
+def test_sweep_checks_the_label_model_against_the_oracle(monkeypatch):
+    skewed = np.array([0.4, 0.2, 0.2, 0.2])
+    monkeypatch.setattr(auth, "attacker_round_distribution", lambda *a, **k: skewed)
+    with pytest.raises(RuntimeError, match="state-vector"):
+        security_sweep([1], AttackerModel.FRESH_ZERO, 2, seed=1)
+
+
+# -- golden sweeps: recorded from the state-vector engine --
+
+
+@pytest.fixture(scope="module")
+def golden_runs():
+    """(recorded rows, rows printed now) for every golden CLI invocation."""
+    runs = []
+    for run in json.loads(GOLDEN.read_text())["runs"]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(run["argv"])) == 0
+        runs.append((run["rows"], json.loads(out.getvalue())))
+    return runs
+
+
+def test_golden_sweeps_match_the_state_vector_engine(golden_runs):
+    # every column but analytic_rate: the recorded one is the noiseless threshold-1 product
+    assert len(golden_runs) == 30
+    for recorded, printed in golden_runs:
+        assert [{k: v for k, v in row.items() if k != "analytic_rate"} for row in printed] == [
+            {k: v for k, v in row.items() if k != "analytic_rate"} for row in recorded
+        ]
+
+
+def test_golden_grid_accept_rates_lie_within_wilson_of_the_analytic_rate(golden_runs):
+    # attacker x noise x threshold x n; z = 4 keeps 90 seeded checks clear of chance misses
+    checked = 0
+    for _, printed in golden_runs:
+        for row in printed:
+            successes = round(row["accept_rate"] * row["trials"])
+            low, high = wilson_interval(successes, row["trials"], z=4.0)
+            assert low <= row["analytic_rate"] <= high, row
+            checked += 1
+    assert checked == 90

@@ -49,6 +49,13 @@ def test_bell_unnormalized_file_exits_1(tmp_path, capsys):
     assert code == 1 and out == "" and "error" in err
 
 
+def test_bell_nan_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"num_qubits": 2, "amplitudes": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}')
+    code, out, err = run_cli(capsys, "bell", "--input", str(path))
+    assert code == 1 and out == "" and "not normalized" in err
+
+
 def test_ghz_label_run(capsys):
     code, out, _ = run_cli(capsys, "ghz", "--n", "3", "--label=-:101", "--seed", "5")
     assert code == 0

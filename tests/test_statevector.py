@@ -358,3 +358,15 @@ def test_from_dump_rejects_unnormalized():
         from_dump({"num_qubits": 1, "amplitudes": [[1.0, 0.0], [1.0, 0.0]]})
     with pytest.raises(ValueError):
         from_dump({"num_qubits": 1, "amplitudes": [[1.0, 0.0]]})
+
+
+def test_from_dump_rejects_non_finite_amplitudes():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not normalized"):
+            from_dump({"num_qubits": 1, "amplitudes": [[bad, 0.0], [0.0, 0.0]]})
+
+
+def test_normalization_check_rejects_nan():
+    state = StateVector(1, np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="not normalized"):
+        measure_qubit(state, 0, 0.5)
