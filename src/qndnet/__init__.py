@@ -2,6 +2,8 @@
 correlation-operator spectra, and an entanglement-based authentication
 simulator with attacker models and noise."""
 
+from types import ModuleType as _ModuleType
+
 from .auth import (
     AttackerModel,
     AuthAccount,
@@ -83,5 +85,8 @@ from .statevector import (
     to_dump,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodules stay attributes of the package but are not exported names
+__all__ = sorted(
+    n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType))
+)
 __version__ = "0.1.0"

@@ -34,9 +34,8 @@ independent and reproducible, including under parallel execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,6 +46,7 @@ from .bell import (
     bell_bits,
     bell_state,
 )
+from .ghz import _branch_columns, _measure_network, _parity_network
 from .statevector import (
     CONVENTIONS,
     PAULI_X_MATRIX,
@@ -55,10 +55,7 @@ from .statevector import (
     StateVector,
     _require_normalized,
     apply_single_qubit_matrix,
-    cnot,
     fidelity_up_to_global_phase,
-    gates_to_matrix,
-    hadamard,
 )
 
 
@@ -204,39 +201,12 @@ def apply_noise(
 # -- one verification round: the Bell network on (slot, terminal) of a larger register --
 
 
-@lru_cache(maxsize=None)
-def _round_unitary(num_system: int, slot: int, machine: int, convention: str) -> np.ndarray:
-    """Dense network unitary with two ancillas appended after the system qubits.
-
-    Same gate sequence as bell_network_unitary_steps, embedded at (slot,
-    machine); cached because sessions reuse a handful of layouts.
-    """
-    a = num_system
-    gates = [
-        cnot(slot, a),
-        cnot(machine, a),
-        hadamard(slot, convention),
-        hadamard(machine, convention),
-        cnot(slot, a + 1),
-        cnot(machine, a + 1),
-        hadamard(slot, convention),
-        hadamard(machine, convention),
-    ]
-    u = gates_to_matrix(gates, num_system + 2)
-    u.flags.writeable = False
-    return u
-
-
 def _branch_probabilities(
     system_amps: np.ndarray, num_system: int, slot: int, machine: int, convention: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(4 outcome probabilities, evolved joint amplitudes); outcome = 2*parity + phase."""
-    u = _round_unitary(num_system, slot, machine, convention)
-    full = np.zeros(system_amps.size * 4, dtype=np.complex128)
-    full[0::4] = system_amps  # ancillas are the two least-significant bits, in |00>
-    evolved = u @ full
-    probs = (np.abs(evolved) ** 2).reshape(-1, 4).sum(axis=0)
-    return probs, evolved
+) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """(4 outcome probabilities, post system amplitudes per outcome); outcome = 2*parity + phase."""
+    gates = _parity_network((slot, machine), num_system, convention)
+    return _branch_columns(system_amps, gates, 2)
 
 
 def _run_round(
@@ -248,14 +218,9 @@ def _run_round(
     draws: np.ndarray,
 ) -> tuple[tuple[int, int], float, np.ndarray]:
     """Measure both ancillas sequentially; returns (bits, probability, post system)."""
-    probs, evolved = _branch_probabilities(system_amps, num_system, slot, machine, convention)
-    p_parity0 = probs[0] + probs[1]
-    parity = 0 if draws[0] < p_parity0 else 1
-    branch = probs[2 * parity : 2 * parity + 2]
-    phase = 0 if draws[1] < branch[0] / (branch[0] + branch[1]) else 1
-    outcome = 2 * parity + phase
-    post = evolved.reshape(-1, 4)[:, outcome] / np.sqrt(probs[outcome])
-    return (parity, phase), float(probs[outcome]), post
+    gates = _parity_network((slot, machine), num_system, convention)
+    bits, probability, post = _measure_network(system_amps, gates, draws)
+    return tuple(bits), probability, post
 
 
 def _system_for(
@@ -501,17 +466,7 @@ class SweepRow:
     wilson_high: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "attacker": self.attacker,
-            "noise": self.noise,
-            "p": self.p,
-            "trials": self.trials,
-            "accept_rate": self.accept_rate,
-            "analytic_rate": self.analytic_rate,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-        }
+        return asdict(self)
 
 
 def security_sweep(

@@ -1,5 +1,6 @@
-"""Nondemolition measurement in the Bell basis.
+"""Nondemolition measurement in the Bell basis: the n = 2 view of the GHZ network.
 
+The Bell states are the two-qubit GHZ states (Phi+- = +-:11, Psi+- = +-:10).
 The network acts on two data qubits (0, 1) and two ancillas (2, 3), both
 ancillas starting in |0>:
 
@@ -18,29 +19,20 @@ Under the "paper" Hadamard convention the pre-measurement joint state carries
 the input's Bell coefficients on the ancilla branches with their exact signs;
 the "standard" convention flips some branch-internal phases but leaves every
 outcome probability and decoded bit unchanged.
+
+This module keeps the Bell labels, their decoding table and the projection
+oracle.  It runs the network through the GHZ module's private helpers, not
+run_ghz_qnd, so a Bell measurement does not pay for GHZ label decoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
-from .statevector import (
-    StateVector,
-    _measure_drop_raw,
-    _require_normalized,
-    append_ancillas,
-    apply_gates,
-    cnot,
-    hadamard,
-    inner_product,
-)
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
+from .ghz import _branch_columns, _measure_network, _parity_network, decode_ghz, ghz_state
+from .statevector import StateVector, _apply_network_raw, _require_normalized, inner_product
 
 
 class BellLabel(Enum):
@@ -64,14 +56,6 @@ BELL_DECODE_ORDER = (
     BellLabel.PSI_MINUS,
 )
 
-# leading ket bits and relative sign of each Bell state
-_BELL_DEFS = {
-    BellLabel.PHI_PLUS: ("11", +1),
-    BellLabel.PHI_MINUS: ("11", -1),
-    BellLabel.PSI_PLUS: ("10", +1),
-    BellLabel.PSI_MINUS: ("10", -1),
-}
-
 
 def parse_bell_label(token: str) -> BellLabel:
     for label in BellLabel:
@@ -81,12 +65,9 @@ def parse_bell_label(token: str) -> BellLabel:
 
 
 def bell_state(label: BellLabel) -> StateVector:
-    """The two-qubit state named by ``label``, with the sign on the complement ket."""
-    bits, sign = _BELL_DEFS[label]
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[int(bits, 2)] = _SQRT_HALF
-    amps[int(bits, 2) ^ 0b11] = sign * _SQRT_HALF
-    return StateVector(2, amps)
+    """The two-qubit GHZ state with the label's bits: Phi+- = +-:11, Psi+- = +-:10."""
+    parity, phase = bell_bits(label)
+    return ghz_state(decode_ghz((parity,), phase, 2))
 
 
 def decode_bell(parity_bit: int, phase_bit: int) -> BellLabel:
@@ -113,32 +94,22 @@ class BellQndOutcome:
     post_state: StateVector
 
 
-@lru_cache(maxsize=None)
-def _network_steps(convention: str) -> tuple:
-    h = lambda t: hadamard(t, convention)  # noqa: E731
-    return (
-        cnot(0, 2),
-        cnot(1, 2),
-        h(0),
-        h(1),
-        cnot(0, 3),
-        cnot(1, 3),
-        h(0),
-        h(1),
-    )
-
-
 def bell_network_unitary_steps(convention: str = "paper") -> list:
     """The full 8-gate network over qubits (data 0, 1; ancillas 2, 3)."""
-    return list(_network_steps(convention))
+    return list(_parity_network((0, 1), 2, convention))
+
+
+def _require_pair(state: StateVector, where: str) -> None:
+    if state.num_qubits != 2:
+        raise ValueError(f"expected a 2-qubit input, got {state.num_qubits}")
+    _require_normalized(state, where)
 
 
 def bell_premeasurement_state(state: StateVector, convention: str = "paper") -> StateVector:
     """Input (2 qubits) with ancillas appended and the network applied, unmeasured."""
-    if state.num_qubits != 2:
-        raise ValueError(f"expected a 2-qubit input, got {state.num_qubits}")
-    _require_normalized(state, "bell network")
-    return apply_gates(append_ancillas(state, 2), _network_steps(convention))
+    _require_pair(state, "bell network")
+    gates = _parity_network((0, 1), 2, convention)
+    return StateVector(4, _apply_network_raw(state.amplitudes, gates, 2))
 
 
 def run_bell_qnd(
@@ -148,20 +119,21 @@ def run_bell_qnd(
 ) -> BellQndOutcome:
     """Run the network and measure both ancillas (qubit 2 first, then 3).
 
-    The outcome is deterministic given ``draws``; the joint probability of the
-    observed bits equals the squared overlap of the input with the decoded
-    Bell state, and the returned 2-qubit post state is that Bell state.
+    The outcome is deterministic given ``draws``, each in [0, 1); the joint
+    probability of the observed bits equals the squared overlap of the input
+    with the decoded Bell state, and the returned 2-qubit post state is that
+    Bell state.
     """
     if len(draws) != 2:
         raise ValueError("run_bell_qnd needs exactly two draws")
-    joint = bell_premeasurement_state(state, convention)
-    parity, p_parity, amps = _measure_drop_raw(joint.amplitudes, 2, draws[0])
-    phase, p_phase, amps = _measure_drop_raw(amps, 2, draws[1])
+    _require_pair(state, "bell network")
+    gates = _parity_network((0, 1), 2, convention)
+    (parity, phase), probability, amps = _measure_network(state.amplitudes, gates, draws)
     return BellQndOutcome(
         parity_bit=parity,
         phase_bit=phase,
         label=decode_bell(parity, phase),
-        probability=p_parity * p_phase,
+        probability=probability,
         post_state=StateVector(2, amps),
     )
 
@@ -174,17 +146,13 @@ def bell_branch_table(
     Enumerates the same evolution run_bell_qnd samples from; branches of
     (numerically) zero probability carry ``None`` as their post state.
     """
-    joint = bell_premeasurement_state(state, convention)
-    table = []
-    m = joint.amplitudes.reshape(4, 4)  # rows: data index, cols: ancilla pattern
-    for a in range(4):
-        bits = ((a >> 1) & 1, a & 1)
-        prob = float(np.sum(np.abs(m[:, a]) ** 2))
-        post = None
-        if prob > 1e-15:
-            post = StateVector(2, m[:, a] / np.sqrt(prob))
-        table.append((bits, decode_bell(*bits), prob, post))
-    return table
+    _require_pair(state, "bell network")
+    gates = _parity_network((0, 1), 2, convention)
+    probs, posts = _branch_columns(state.amplitudes, gates, 2)
+    return [
+        (bell_bits(label), label, float(prob), None if post is None else StateVector(2, post))
+        for label, prob, post in zip(BELL_DECODE_ORDER, probs, posts)
+    ]
 
 
 def bell_projection_oracle(
@@ -194,9 +162,7 @@ def bell_projection_oracle(
 
     Independent of the network code path; used to validate run_bell_qnd.
     """
-    if state.num_qubits != 2:
-        raise ValueError(f"expected a 2-qubit input, got {state.num_qubits}")
-    _require_normalized(state, "bell_projection_oracle")
+    _require_pair(state, "bell_projection_oracle")
     out = []
     for label in BELL_DECODE_ORDER:
         basis = bell_state(label)

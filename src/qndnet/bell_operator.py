@@ -24,7 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .ghz import MAX_PARTS
 from .statevector import (
+    _SQRT_HALF,
     PAULI_X_MATRIX,
     PAULI_Y_MATRIX,
     PAULI_Z_MATRIX,
@@ -89,8 +91,8 @@ def bell_operator_n(spec: BellOperatorSpec) -> np.ndarray:
     n = spec.num_particles
     if n < 3:
         raise ValueError("bell_operator_n needs n >= 3; use chsh_operator for n = 2")
-    if n > 8:
-        raise ValueError(f"n={n} exceeds the supported maximum 8")
+    if n > MAX_PARTS:
+        raise ValueError(f"n={n} exceeds the supported maximum {MAX_PARTS}")
     b = _chsh_from_pairs(spec.pairs[0], spec.pairs[1])
     bprime = _chsh_from_pairs(spec.pairs[0][::-1], spec.pairs[1][::-1])
     for a, ap in spec.pairs[2:]:
@@ -114,8 +116,7 @@ def canonical_chsh_spec() -> BellOperatorSpec:
     Collapses to sqrt2*(ZZ + XX) with eigenvalues {+-2*sqrt2, 0, 0} and the
     top eigenvector Phi+.
     """
-    s = 1.0 / np.sqrt(2.0)
-    return BellOperatorSpec(((_Z, _X), ((_Z + _X) * s, (_Z - _X) * s)))
+    return BellOperatorSpec(((_Z, _X), ((_Z + _X) * _SQRT_HALF, (_Z - _X) * _SQRT_HALF)))
 
 
 def canonical_spec(n: int) -> BellOperatorSpec:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -22,6 +23,7 @@ from .auth import (
     AttackerModel,
     NOISE_MODELS,
     NoiseSpec,
+    SweepRow,
     parse_attacker,
     security_sweep,
 )
@@ -34,7 +36,7 @@ from .bell_operator import (
     hermiticity_residual,
     spectral_radius,
 )
-from .ghz import all_canonical_labels, ghz_state, parse_ghz_label, run_ghz_qnd
+from .ghz import MAX_PARTS, all_canonical_labels, ghz_state, parse_ghz_label, run_ghz_qnd
 from .statevector import CONVENTIONS, StateVector, load_dump, random_state
 
 _BELL_TOKENS = tuple(label.value for label in BellLabel)
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     bell.add_argument("--seed", type=_seed_value, default=0)
 
     ghz = sub.add_parser("ghz", help="run one GHZ-basis nondemolition measurement")
-    ghz.add_argument("--n", type=int, required=True, help="number of data qubits (2..8)")
+    ghz.add_argument("--n", type=int, required=True, help=f"number of data qubits (2..{MAX_PARTS})")
     ghz.add_argument(
         "--label",
         type=_ghz_label,
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     ghz.add_argument("--seed", type=_seed_value, default=0)
 
     bellop = sub.add_parser("bellop", help="build a correlation operator and report its spectrum")
-    bellop.add_argument("--n", type=int, required=True, help="number of particles (2..8)")
+    bellop.add_argument("--n", type=int, required=True, help=f"number of particles (2..{MAX_PARTS})")
     bellop.add_argument(
         "--spec",
         help="JSON file {'pairs': [[[ax,ay,az],[bx,by,bz]], ...]}; default: canonical settings",
@@ -157,8 +159,8 @@ def _run_bell(args: argparse.Namespace) -> str:
 
 
 def _run_ghz(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
-    if not 2 <= args.n <= 8:
-        parser.error(f"--n must lie in [2, 8], got {args.n}")
+    if not 2 <= args.n <= MAX_PARTS:
+        parser.error(f"--n must lie in [2, {MAX_PARTS}], got {args.n}")
     if args.random_input == (args.label is not None):
         parser.error("provide exactly one of --label and --random-input")
     rng = np.random.default_rng(args.seed)
@@ -195,8 +197,8 @@ def _load_operator_spec(path: str, n: int) -> BellOperatorSpec:
 
 
 def _run_bellop(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
-    if not 2 <= args.n <= 8:
-        parser.error(f"--n must lie in [2, 8], got {args.n}")
+    if not 2 <= args.n <= MAX_PARTS:
+        parser.error(f"--n must lie in [2, {MAX_PARTS}], got {args.n}")
     spec = _load_operator_spec(args.spec, args.n) if args.spec else canonical_spec(args.n)
     observable = chsh_operator(spec) if args.n == 2 else bell_operator_n(spec)
     payload: dict = {
@@ -238,17 +240,7 @@ def _run_auth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf,
-        fieldnames=[
-            "n",
-            "attacker",
-            "noise",
-            "p",
-            "trials",
-            "accept_rate",
-            "analytic_rate",
-            "wilson_low",
-            "wilson_high",
-        ],
+        fieldnames=[field.name for field in dataclasses.fields(SweepRow)],
         lineterminator="\n",
     )
     writer.writeheader()

@@ -22,6 +22,10 @@ For n <= 6 the full n-data + n-ancilla register is simulated at once; for
 larger n each parity extraction commutes with the rest, so ancillas are
 appended, measured and dropped one at a time, keeping the live register at
 n + 1 qubits (observationally equivalent, asserted by tests).
+
+The network is built in one place (_parity_network) and run by one sampler
+(_measure_network); the Bell measurement is its n = 2 case, and the
+authentication oracle round places it on (slot, terminal) of a larger register.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ from typing import Sequence
 import numpy as np
 
 from .statevector import (
+    _SQRT_HALF,
+    GateKind,
     StateVector,
     _apply_gate_raw,
+    _apply_network_raw,
     _measure_drop_raw,
     _require_normalized,
-    append_ancillas,
     apply_gates,
     cnot,
     hadamard,
@@ -49,8 +55,6 @@ MAX_PARTS = 8
 
 #: Data-register sizes simulated with all ancillas live at once.
 FULL_REGISTER_LIMIT = 6
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -133,27 +137,77 @@ def decode_ghz(
 
 
 @lru_cache(maxsize=None)
-def _network_gates(n: int, convention: str) -> tuple:
+def _parity_network(data_qubits: tuple[int, ...], ancilla_start: int, convention: str) -> tuple:
+    """The network on ``data_qubits``, its ancillas numbered from ``ancilla_start``.
+
+    Ancilla i < n - 1 takes the parity of data qubits i and i + 1; the last
+    one takes the global parity between two Hadamard layers.
+    """
+    n = len(data_qubits)
     gates = []
     for i in range(n - 1):
-        gates.append(cnot(i, n + i))
-        gates.append(cnot(i + 1, n + i))
-    gates.extend(hadamard(i, convention) for i in range(n))
-    gates.extend(cnot(i, 2 * n - 1) for i in range(n))
-    gates.extend(hadamard(i, convention) for i in range(n))
+        gates.append(cnot(data_qubits[i], ancilla_start + i))
+        gates.append(cnot(data_qubits[i + 1], ancilla_start + i))
+    layer = [hadamard(q, convention) for q in data_qubits]
+    gates.extend(layer)
+    gates.extend(cnot(q, ancilla_start + n - 1) for q in data_qubits)
+    gates.extend(layer)
     return tuple(gates)
+
+
+def _measure_network(amps: np.ndarray, gates: Sequence, draws: Sequence[float]) -> tuple:
+    """Run the network with one ancilla per draw, then measure and drop them in order.
+
+    Returns the ancilla bits, their joint probability and the register's amplitudes.
+    """
+    joint = _apply_network_raw(amps, gates, len(draws))
+    bits, probability = [], 1.0
+    for draw in draws:
+        # each drop moves the next ancilla to the index right after the register
+        bit, prob, joint = _measure_drop_raw(joint, amps.size.bit_length() - 1, draw)
+        bits.append(bit)
+        probability *= prob
+    return bits, probability, joint
+
+
+def _branch_columns(amps: np.ndarray, gates: Sequence, num_ancillas: int) -> tuple:
+    """Per ancilla pattern: its probability and the normalized register amplitudes.
+
+    Patterns are in big-endian order; a (numerically) zero branch has None.
+    """
+    m = _apply_network_raw(amps, gates, num_ancillas).reshape(-1, 1 << num_ancillas)
+    probs = (np.abs(m) ** 2).sum(axis=0)
+    live = probs > 1e-15
+    posts = np.divide(m, np.sqrt(probs), out=np.zeros_like(m), where=live)
+    return probs, [posts[:, a] if live[a] else None for a in range(len(probs))]
 
 
 def ghz_network_gate_list(n: int, convention: str = "paper") -> list:
     """Gate list over n data qubits (0..n-1) plus n ancillas (n..2n-1).
 
     Neighbor-parity CNOT pairs, a Hadamard layer, the global-parity CNOT
-    chain, and a second Hadamard layer.  For n = 2 this is gate-for-gate the
-    Bell network.
+    chain, and a second Hadamard layer.  For n = 2 this is the Bell network.
     """
     if not 2 <= n <= MAX_PARTS:
         raise ValueError(f"n must be in [2, {MAX_PARTS}], got {n}")
-    return list(_network_gates(n, convention))
+    return list(_parity_network(tuple(range(n)), n, convention))
+
+
+@lru_cache(maxsize=None)
+def _staged_steps(n: int, convention: str) -> tuple:
+    """The network for one live ancilla at index n.
+
+    One step per ancilla: its CNOTs retargeted to index n, then the data-only
+    gates that run once it is measured and dropped.
+    """
+    steps: dict[int, tuple[list, list]] = {}
+    for gate in _parity_network(tuple(range(n)), n, convention):
+        if gate.kind is GateKind.CNOT:
+            ancilla = gate.target
+            steps.setdefault(ancilla, ([], []))[0].append(cnot(gate.control, n))
+        else:
+            steps[ancilla][1].append(gate)
+    return tuple((tuple(cnots), tuple(data_gates)) for cnots, data_gates in steps.values())
 
 
 def hadamard_layer(state: StateVector, convention: str = "standard") -> StateVector:
@@ -200,36 +254,17 @@ def run_ghz_qnd(
     if staged is None:
         staged = n > FULL_REGISTER_LIMIT
 
-    probability = 1.0
-    bits: list[int] = []
     if staged:
-
-        def _extract(amps: np.ndarray, gates: Sequence, draw: float) -> np.ndarray:
-            ext = np.zeros(amps.size * 2, dtype=np.complex128)
-            ext[0::2] = amps  # fresh ancilla in |0> at index n
-            for gate in gates:
-                ext = _apply_gate_raw(ext, n + 1, gate)
-            bit, prob, reduced = _measure_drop_raw(ext, n, draw)
+        bits, probability, amps = [], 1.0, state.amplitudes
+        for (ancilla_gates, data_gates), draw in zip(_staged_steps(n, convention), draws):
+            (bit,), prob, amps = _measure_network(amps, ancilla_gates, (draw,))
             bits.append(bit)
-            nonlocal probability
             probability *= prob
-            return reduced
-
-        amps = state.amplitudes
-        for i in range(n - 1):
-            amps = _extract(amps, (cnot(i, n), cnot(i + 1, n)), draws[i])
-        layer = [hadamard(i, convention) for i in range(n)]
-        amps = apply_gates(StateVector(n, amps), layer).amplitudes
-        amps = _extract(amps, [cnot(i, n) for i in range(n)], draws[n - 1])
-        amps = apply_gates(StateVector(n, amps), layer).amplitudes
+            for gate in data_gates:
+                amps = _apply_gate_raw(amps, n, gate)
     else:
-        joint = apply_gates(append_ancillas(state, n), _network_gates(n, convention))
-        amps = joint.amplitudes
-        for i in range(n):
-            # ancillas sit after the data; each drop moves the next one to index n
-            bit, prob, amps = _measure_drop_raw(amps, n, draws[i])
-            bits.append(bit)
-            probability *= prob
+        gates = _parity_network(tuple(range(n)), n, convention)
+        bits, probability, amps = _measure_network(state.amplitudes, gates, draws)
 
     parities = tuple(bits[:-1])
     g = _canonical_phase_bit(bits[-1], n, convention)
@@ -254,17 +289,13 @@ def ghz_branch_table(
     if n > FULL_REGISTER_LIMIT:
         raise ValueError(f"branch table needs n <= {FULL_REGISTER_LIMIT}, got {n}")
     _require_normalized(state, "ghz_branch_table")
-    joint = apply_gates(append_ancillas(state, n), ghz_network_gate_list(n, convention))
-    m = joint.amplitudes.reshape(1 << n, 1 << n)  # rows: data, cols: ancilla pattern
+    probs, posts = _branch_columns(state.amplitudes, ghz_network_gate_list(n, convention), n)
     table = []
-    for a in range(1 << n):
+    for a, (prob, post) in enumerate(zip(probs, posts)):
         raw = [(a >> (n - 1 - i)) & 1 for i in range(n)]
         bits = tuple(raw[:-1]) + (_canonical_phase_bit(raw[-1], n, convention),)
-        prob = float(np.sum(np.abs(m[:, a]) ** 2))
-        post = None
-        if prob > 1e-15:
-            post = StateVector(n, m[:, a] / np.sqrt(prob))
-        table.append((bits, decode_ghz(bits[:-1], bits[-1], n), prob, post))
+        post_state = None if post is None else StateVector(n, post)
+        table.append((bits, decode_ghz(bits[:-1], bits[-1], n), float(prob), post_state))
     return table
 
 

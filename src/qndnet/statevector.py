@@ -234,21 +234,16 @@ def _apply_gate_raw(amps: np.ndarray, n: int, gate: GateOp) -> np.ndarray:
     return _apply_single_raw(amps, n, gate.target, _SINGLE_QUBIT_MATRICES[gate.kind])
 
 
-def _measure_raw(amps: np.ndarray, qubit: int, draw: float) -> tuple[int, float, np.ndarray]:
-    m = amps.reshape(1 << qubit, 2, -1)
-    branch0 = m[:, 0, :]
-    p0 = float(np.vdot(branch0, branch0).real)
-    bit = 0 if draw < p0 else 1
-    prob = p0 if bit == 0 else 1.0 - p0
-    post = np.zeros_like(m)
-    post[:, bit, :] = m[:, bit, :] / np.sqrt(prob)
-    return bit, prob, post.reshape(-1)
-
-
 def _measure_drop_raw(
     amps: np.ndarray, qubit: int, draw: float
 ) -> tuple[int, float, np.ndarray]:
-    """Measure one qubit and remove it from the register in a single step."""
+    """Measure one qubit and remove it from the register in a single step.
+
+    The outcome is 0 iff draw < P(bit = 0); a draw outside [0, 1), NaN
+    included, is rejected because it could pick a zero-probability branch.
+    """
+    if not 0.0 <= draw < 1.0:
+        raise ValueError(f"random draw must lie in [0, 1), got {draw}")
     m = amps.reshape(1 << qubit, 2, -1)
     branch0 = m[:, 0, :].reshape(-1)
     p0 = float(np.vdot(branch0, branch0).real)
@@ -257,6 +252,18 @@ def _measure_drop_raw(
     p1 = 1.0 - p0
     branch1 = m[:, 1, :].reshape(-1)
     return 1, p1, branch1 / np.sqrt(p1)
+
+
+def _apply_network_raw(amps: np.ndarray, gates: Iterable[GateOp], num_ancillas: int) -> np.ndarray:
+    """Append ``num_ancillas`` qubits in |0> after the register, then apply ``gates``."""
+    num_qubits = (amps.size << num_ancillas).bit_length() - 1
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(f"register of {num_qubits} qubits exceeds the cap of {MAX_QUBITS}")
+    joint = np.zeros(1 << num_qubits, dtype=np.complex128)
+    joint[:: 1 << num_ancillas] = amps
+    for gate in gates:
+        joint = _apply_gate_raw(joint, num_qubits, gate)
+    return joint
 
 
 def _drop_raw(amps: np.ndarray, qubit: int, bit: int) -> np.ndarray:
@@ -279,10 +286,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 
 
 def apply_gates(state: StateVector, gates: Iterable[GateOp]) -> StateVector:
-    amps = state.amplitudes
-    for gate in gates:
-        amps = _apply_gate_raw(amps, state.num_qubits, gate)
-    return StateVector(state.num_qubits, amps)
+    return StateVector(state.num_qubits, _apply_network_raw(state.amplitudes, gates, 0))
 
 
 def apply_single_qubit_matrix(state: StateVector, qubit: int, matrix: np.ndarray) -> StateVector:
@@ -316,11 +320,11 @@ def measure_qubit(state: StateVector, qubit: int, random_draw: float) -> Measure
     """
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    if not 0.0 <= random_draw < 1.0:
-        raise ValueError(f"random draw must lie in [0, 1), got {random_draw}")
     _require_normalized(state, "measure_qubit")
-    bit, prob, post = _measure_raw(state.amplitudes, qubit, random_draw)
-    return MeasurementResult(bit, prob, StateVector(state.num_qubits, post))
+    bit, prob, kept = _measure_drop_raw(state.amplitudes, qubit, random_draw)
+    post = np.zeros((1 << qubit, 2, state.dim >> (qubit + 1)), dtype=np.complex128)
+    post[:, bit, :] = kept.reshape(1 << qubit, -1)
+    return MeasurementResult(bit, prob, StateVector(state.num_qubits, post.reshape(-1)))
 
 
 def drop_qubit(state: StateVector, qubit: int, bit: int) -> StateVector:
@@ -334,12 +338,7 @@ def append_ancillas(state: StateVector, count: int) -> StateVector:
     """Extend the register with ``count`` fresh qubits in |0>, appended last."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = state.num_qubits + count
-    if n > MAX_QUBITS:
-        raise ValueError(f"register of {n} qubits exceeds the cap of {MAX_QUBITS}")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[:: 1 << count] = state.amplitudes
-    return StateVector(n, amps)
+    return StateVector(state.num_qubits + count, _apply_network_raw(state.amplitudes, (), count))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

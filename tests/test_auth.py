@@ -231,7 +231,7 @@ def test_fresh_attacker_distribution_is_preparation_independent():
 
 
 def test_round_engine_agrees_with_reference_network():
-    # cached-unitary fast path vs run_bell_qnd on the plain 2-qubit layout
+    # the oracle round vs run_bell_qnd on the plain 2-qubit layout
     rng = np.random.default_rng(77)
     for _ in range(50):
         state = random_state(2, rng)

@@ -242,3 +242,10 @@ def test_rejects_bad_inputs():
         run_bell_qnd(bell_state(BellLabel.PHI_PLUS), "paper", (0.1,))
     with pytest.raises(ValueError):
         bell_premeasurement_state(bell_state(BellLabel.PHI_PLUS), "sideways")
+
+
+@pytest.mark.parametrize("draws", [(1.0, 0.0), (0.0, 1.0), (-0.1, 0.5), (float("nan"), 0.5)])
+def test_rejects_draws_outside_unit_interval(draws):
+    # a draw of 1.0 used to select a zero-probability branch and renormalize rounding noise
+    with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
+        run_bell_qnd(bell_state(BellLabel.PHI_PLUS), "paper", draws)

@@ -1,6 +1,7 @@
 """CLI tests: outputs, exit codes, determinism, flag inventory."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +218,19 @@ def test_help_lists_every_flag():
         help_text = sub.format_help()
         for flag in expected:
             assert flag in help_text
+
+
+# stdout of seeded bell/ghz/bellop runs, recorded once; seeded output must stay byte-identical
+GOLDEN_CLI = Path(__file__).parent / "data" / "golden_cli.json"
+
+
+def test_golden_stdout_is_byte_identical(tmp_path, capsys):
+    golden = json.loads(GOLDEN_CLI.read_text())
+    dump = tmp_path / "state.json"
+    dump.write_text(json.dumps(golden["dump"]))
+    assert len(golden["runs"]) == 77
+    for run in golden["runs"]:
+        argv = [str(dump) if arg == "{dump}" else arg for arg in run["argv"]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == run["stdout"], run["argv"]

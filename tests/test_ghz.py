@@ -278,3 +278,13 @@ def test_run_rejects_bad_inputs():
         ghz_network_gate_list(9)
     with pytest.raises(ValueError):
         ghz_branch_table(random_state(7, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("staged", [False, True])
+@pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
+@pytest.mark.parametrize("position", [0, 2])
+def test_run_rejects_draws_outside_unit_interval(staged, bad, position):
+    draws = [0.5, 0.5, 0.5]
+    draws[position] = bad
+    with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
+        run_ghz_qnd(ghz_state(GhzLabel("+", "101")), "paper", draws, staged=staged)
