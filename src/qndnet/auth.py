@@ -27,9 +27,11 @@ the same order, as the state-vector round (_system_for, _run_round), which
 stays as the oracle behind attacker_round_distribution and the tests.
 
 Seeding: every public operation takes an int seed or a numpy Generator.
-Sweeps derive the generator for trial t at size n as default_rng((seed, n, t))
-and the enrollment generator as default_rng((seed, n)), so trials are
-independent and reproducible, including under parallel execution.
+A sweep draws everything for account size n from one generator,
+default_rng((seed, n)): first the enrollment, then trials 0..T-1 in order,
+each session continuing the stream where the previous one stopped.  A row is
+therefore reproducible from (seed, n) alone, whatever other sizes the sweep
+covers, but a single trial cannot be rerun without the trials before it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -421,15 +424,31 @@ def _acceptance_probability(match_probabilities: Sequence[float], threshold: flo
     return min(1.0, sum(counts[k] for k in accepting))
 
 
+#: Per oracle function: the (attacker, label index, convention) triples it has
+#: already confirmed.  Keyed weakly by the function object resolved at call
+#: time, so a replaced oracle (a wrapper, a test double) is checked afresh and
+#: a discarded one takes its entries with it.
+_CHECKED_LABELS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def _check_label_model(attacker: AttackerModel, indices: Iterable[int], convention: str) -> None:
-    """Raise unless the state-vector oracle agrees with the label engine on these labels."""
+    """Raise unless the state-vector oracle agrees with the label engine on these labels.
+
+    Each (attacker, label, convention) is checked once per oracle function
+    in a process; attacker_round_distribution itself caches nothing.
+    """
+    oracle_fn = attacker_round_distribution
+    checked = _CHECKED_LABELS.setdefault(oracle_fn, set())
     for index in sorted(set(indices)):
-        oracle = attacker_round_distribution(attacker, BELL_DECODE_ORDER[index], convention)
+        if (attacker, index, convention) in checked:
+            continue
+        oracle = oracle_fn(attacker, BELL_DECODE_ORDER[index], convention)
         if np.max(np.abs(oracle - _label_round_distribution(attacker, index))) > 1e-9:
             raise RuntimeError(
                 f"label engine disagrees with the state-vector round for {attacker.token} "
                 f"on {BELL_DECODE_ORDER[index].token}: {oracle}"
             )
+        checked.add((attacker, index, convention))
 
 
 def _require_count(name: str, value) -> None:
@@ -480,32 +499,37 @@ def security_sweep(
 ) -> list[SweepRow]:
     """Empirical acceptance rate vs the exact one, per account size.
 
-    Each trial clones a fresh randomly enrolled account and runs one session.
+    Each account size n has its own generator, default_rng((seed, n)): it
+    enrolls one random account, then each of the ``trials`` sessions runs on
+    a fresh clone of it, drawing from that generator in trial order.  Rows
+    are reproducible from (seed, n), independent of the other sizes in
+    ``n_range``; trials within a row are sequential, not separately seeded.
     The analytic column is the exact acceptance probability under the same
     noise and threshold: the per-round match probability of the label model
     (_round_match_probability), summed over the accepting match counts.  Each
     row first checks the label model's noise-free round against the
-    state-vector oracle (attacker_round_distribution) on the enrolled labels.
+    state-vector oracle (attacker_round_distribution) on the enrolled labels,
+    once per (attacker, label, convention) in a process.
     """
     _require_count("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows = []
     for n in n_range:
-        base = enroll(n, "random", seed=np.random.default_rng((seed, n)))
+        rng = np.random.default_rng((seed, n))
+        base = enroll(n, "random", seed=rng)
         _check_label_model(attacker, (_RECORD_LABELS[r] for r in base.records), convention)
         analytic = _acceptance_probability(
             [_round_match_probability(attacker, noise)] * n, threshold
         )
         successes = 0
-        for t in range(trials):
-            account = base.clone()
+        for _ in range(trials):
             result = verify_session(
-                account,
+                base.clone(),
                 attacker=attacker,
                 noise=noise,
                 threshold=threshold,
-                seed=np.random.default_rng((seed, n, t)),
+                seed=rng,
                 convention=convention,
             )
             successes += result.accepted

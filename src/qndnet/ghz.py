@@ -38,6 +38,7 @@ import numpy as np
 
 from .statevector import (
     _SQRT_HALF,
+    ZERO_BRANCH_PROB,
     GateKind,
     StateVector,
     _apply_gate_raw,
@@ -177,7 +178,7 @@ def _branch_columns(amps: np.ndarray, gates: Sequence, num_ancillas: int) -> tup
     """
     m = _apply_network_raw(amps, gates, num_ancillas).reshape(-1, 1 << num_ancillas)
     probs = (np.abs(m) ** 2).sum(axis=0)
-    live = probs > 1e-15
+    live = probs > ZERO_BRANCH_PROB
     posts = np.divide(m, np.sqrt(probs), out=np.zeros_like(m), where=live)
     return probs, [posts[:, a] if live[a] else None for a in range(len(probs))]
 

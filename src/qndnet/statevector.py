@@ -34,6 +34,10 @@ MAX_QUBITS = 14
 #: Tolerance used when checking that an input state is normalized.
 NORM_ATOL = 1e-8
 
+#: Probability at or below which a measurement branch counts as zero: it is
+#: never sampled and has no post state.
+ZERO_BRANCH_PROB = 1e-15
+
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 HADAMARD_STANDARD_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT_HALF
@@ -239,18 +243,22 @@ def _measure_drop_raw(
 ) -> tuple[int, float, np.ndarray]:
     """Measure one qubit and remove it from the register in a single step.
 
-    The outcome is 0 iff draw < P(bit = 0); a draw outside [0, 1), NaN
-    included, is rejected because it could pick a zero-probability branch.
+    The outcome is 0 iff draw < P(bit = 0), except that a branch whose
+    squared norm is at most ZERO_BRANCH_PROB (rounding residue) is never
+    selected.  A draw outside [0, 1), NaN included, is rejected.
     """
     if not 0.0 <= draw < 1.0:
         raise ValueError(f"random draw must lie in [0, 1), got {draw}")
     m = amps.reshape(1 << qubit, 2, -1)
     branch0 = m[:, 0, :].reshape(-1)
     p0 = float(np.vdot(branch0, branch0).real)
-    if draw < p0:
+    if draw < p0 and p0 > ZERO_BRANCH_PROB:
+        return 0, p0, branch0 / np.sqrt(p0)
+    branch1 = m[:, 1, :].reshape(-1)
+    # 1 - p0 also carries the register's own rounding error: test the branch itself
+    if np.vdot(branch1, branch1).real <= ZERO_BRANCH_PROB:
         return 0, p0, branch0 / np.sqrt(p0)
     p1 = 1.0 - p0
-    branch1 = m[:, 1, :].reshape(-1)
     return 1, p1, branch1 / np.sqrt(p1)
 
 
@@ -314,9 +322,9 @@ def apply_dense_operator(state: StateVector, matrix: np.ndarray) -> StateVector:
 def measure_qubit(state: StateVector, qubit: int, random_draw: float) -> MeasurementResult:
     """Projective measurement of one qubit, deterministic given the draw.
 
-    The outcome is 0 iff random_draw < P(bit = 0), so a zero-probability
-    branch can never be selected.  The post state keeps the full register
-    with the measured qubit collapsed.
+    The outcome is 0 iff random_draw < P(bit = 0), except that a branch of
+    probability at most ZERO_BRANCH_PROB is never selected.  The post state
+    keeps the full register with the measured qubit collapsed.
     """
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range")

@@ -429,6 +429,19 @@ def _state_vector_session(account, attacker, noise, threshold, rng, convention):
     return tuple(measured), tuple(matches), sum(matches) / len(matches) >= threshold
 
 
+def _oracle_sweep_accepts(n, attacker, trials, seed, noise, threshold, convention="paper"):
+    """Accepted sessions of one sweep row, run by the dense engine on the sweep's stream.
+
+    One generator per (seed, n): enrollment draws first, then trial after trial.
+    """
+    rng = np.random.default_rng((seed, n))
+    base = enroll(n, "random", seed=rng)
+    return sum(
+        _state_vector_session(base, attacker, noise, threshold, rng, convention)[2]
+        for _ in range(trials)
+    )
+
+
 ORACLE_NOISES = [
     NOISELESS,
     NoiseSpec("depolarizing", 0.1),
@@ -460,6 +473,37 @@ def test_label_engine_matches_state_vector_oracle_trial_by_trial(attacker, noise
                     assert got == expected, (convention, threshold, n, t)
                     for pair, bits in zip(account.pairs, result.updated_records):
                         assert states_close(pair, bell_state(decode_bell(*bits)))
+
+
+@pytest.mark.parametrize("noise", ORACLE_NOISES, ids=lambda s: f"{s.model}-{s.p}")
+@pytest.mark.parametrize("attacker", list(AttackerModel), ids=lambda m: m.token)
+def test_sweep_rows_match_the_state_vector_oracle_on_the_same_stream(attacker, noise):
+    seed, trials = 4242, 20
+    for convention in ("paper", "standard"):
+        for threshold in (1.0, 0.5, 0.0):
+            rows = security_sweep([1, 2, 3], attacker, trials, seed, noise, threshold, convention)
+            assert [row.n for row in rows] == [1, 2, 3]
+            for row in rows:
+                accepted = _oracle_sweep_accepts(
+                    row.n, attacker, trials, seed, noise, threshold, convention
+                )
+                assert row.accept_rate == accepted / trials, (convention, threshold, row.n)
+
+
+def test_sweep_rows_do_not_depend_on_the_other_account_sizes():
+    # each size has its own stream, so a joint sweep is the single-size sweeps side by side
+    for attacker, noise in [
+        (AttackerModel.FRESH_HAAR, NOISELESS),
+        (AttackerModel.LEGITIMATE, NoiseSpec("depolarizing", 0.3)),
+        (AttackerModel.RANDOM_BELL_GUESS, NoiseSpec("dephasing", 0.1)),
+    ]:
+        joint = security_sweep([1, 2, 3], attacker, 60, seed=5, noise=noise, threshold=0.5)
+        single = [
+            row
+            for n in (1, 2, 3)
+            for row in security_sweep([n], attacker, 60, seed=5, noise=noise, threshold=0.5)
+        ]
+        assert joint == single
 
 
 def test_pauli_noise_xors_the_bell_label():
@@ -566,7 +610,7 @@ def test_sweep_checks_the_label_model_against_the_oracle(monkeypatch):
         security_sweep([1], AttackerModel.FRESH_ZERO, 2, seed=1)
 
 
-# -- golden sweeps: recorded from the state-vector engine --
+# -- golden sweeps: accept rates recorded from the state-vector oracle session --
 
 
 @pytest.fixture(scope="module")
@@ -582,12 +626,10 @@ def golden_runs():
 
 
 def test_golden_sweeps_match_the_state_vector_engine(golden_runs):
-    # every column but analytic_rate: the recorded one is the noiseless threshold-1 product
+    # every column, byte for byte: the exact analytic column is pinned too
     assert len(golden_runs) == 30
     for recorded, printed in golden_runs:
-        assert [{k: v for k, v in row.items() if k != "analytic_rate"} for row in printed] == [
-            {k: v for k, v in row.items() if k != "analytic_rate"} for row in recorded
-        ]
+        assert printed == recorded
 
 
 def test_golden_grid_accept_rates_lie_within_wilson_of_the_analytic_rate(golden_runs):

@@ -249,3 +249,13 @@ def test_rejects_draws_outside_unit_interval(draws):
     # a draw of 1.0 used to select a zero-probability branch and renormalize rounding noise
     with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
         run_bell_qnd(bell_state(BellLabel.PHI_PLUS), "paper", draws)
+
+
+@pytest.mark.parametrize("draw", [0.0, float(np.nextafter(1.0, 0.0))])
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_extreme_draws_never_select_a_zero_probability_branch(convention, draw):
+    # the largest Generator.random() value used to read psi- at probability 7.8e-16
+    for label in BellLabel:
+        outcome = run_bell_qnd(bell_state(label), convention, (draw, draw))
+        assert outcome.label is label
+        assert outcome.probability == pytest.approx(1.0, abs=1e-12)

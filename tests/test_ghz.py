@@ -288,3 +288,16 @@ def test_run_rejects_draws_outside_unit_interval(staged, bad, position):
     draws[position] = bad
     with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
         run_ghz_qnd(ghz_state(GhzLabel("+", "101")), "paper", draws, staged=staged)
+
+
+@pytest.mark.parametrize("staged", [False, True])
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_extreme_draws_never_select_a_zero_probability_branch(convention, staged):
+    # rounding residue in a dead branch grows with n; it must never be sampled
+    top = float(np.nextafter(1.0, 0.0))
+    for n in range(2, 7):
+        for label in all_canonical_labels(n):
+            for draw in (0.0, top):
+                out = run_ghz_qnd(ghz_state(label), convention, (draw,) * n, staged=staged)
+                assert out.label == label, (n, draw)
+                assert out.probability == pytest.approx(1.0, abs=1e-12)

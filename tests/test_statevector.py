@@ -252,6 +252,18 @@ def test_measurement_statistics_match_probability():
     assert abs(hits / draws.size - p1) < 4 * se
 
 
+def test_measure_never_selects_a_zero_probability_branch():
+    # branches of weight 1e-18 and 4e-16: rounding residue, below ZERO_BRANCH_PROB
+    low = measure_qubit(StateVector(1, np.array([1e-9, 1.0])), 0, 0.0)
+    assert low.bit == 1 and low.probability == 1.0
+    residue = 4e-16
+    state = StateVector(1, np.array([np.sqrt(1.0 - residue), np.sqrt(residue)]))
+    high = measure_qubit(state, 0, float(np.nextafter(1.0, 0.0)))
+    assert high.bit == 0
+    assert high.probability == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(high.post_state.amplitudes, [1, 0], atol=1e-12)
+
+
 def test_measure_rejects_bad_inputs():
     with pytest.raises(ValueError):
         measure_qubit(StateVector(1, np.array([0.5, 0.5])), 0, 0.1)  # unnormalized
