@@ -32,17 +32,21 @@ from .statevector import (
     PAULI_Z_MATRIX,
     GateOp,
     StateVector,
-    gates_to_matrix,
+    _apply_network_raw,
 )
 
 _UNIT_ATOL = 1e-12
+
+#: Largest branch probability that counts as no support, and fidelity deficit that counts as none.
+_COMPAT_ATOL = 1e-10
 
 
 def _as_unit_vector(v: Sequence[float]) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {arr.shape}")
-    if abs(np.linalg.norm(arr) - 1.0) > _UNIT_ATOL:
+    # written as "not <=" so that a NaN component fails the check too
+    if not abs(np.linalg.norm(arr) - 1.0) <= _UNIT_ATOL:
         raise ValueError(f"direction must be a unit vector, |v|={np.linalg.norm(arr)!r}")
     arr.flags.writeable = False
     return arr
@@ -182,18 +186,19 @@ class CompatibilityReport:
     all_preserved: bool
 
 
-def _branch_kraus_operators(network: Sequence[GateOp], num_data: int) -> list[np.ndarray]:
+def _branch_kraus_operators(network: Sequence[GateOp], num_data: int) -> np.ndarray:
+    """K[m] = <m|U|0...0> on the data register, one per ancilla pattern m (big-endian).
+
+    The network runs on the d identity columns with the ancillas appended in
+    |0...0>, so only those d columns of the unitary are ever built.
+    """
     span = max((g.max_index + 1 for g in network), default=num_data)
-    if span < num_data:
-        span = num_data
-    num_anc = span - num_data
-    u = gates_to_matrix(network, span)
-    d, a = 1 << num_data, 1 << num_anc
-    blocks = u.reshape(d, a, d, a)
-    return [blocks[:, m, :, 0] for m in range(a)]
+    d = 1 << num_data
+    columns = _apply_network_raw(np.eye(d), network, max(span - num_data, 0))
+    return columns.reshape(d, -1, d).transpose(1, 0, 2)
 
 
-def _refine_degenerate(basis: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
+def _refine_degenerate(basis: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     # pick, inside a degenerate eigenspace, the basis that diagonalizes the
     # (Hermitian parts of the) restricted branch maps when they commute
     mix = np.zeros((basis.shape[1],) * 2, dtype=complex)
@@ -208,7 +213,6 @@ def qnd_compatibility_check(
     observable: np.ndarray,
     network: Sequence[GateOp],
     eigenstates: Sequence[StateVector] | None = None,
-    atol: float = 1e-10,
 ) -> CompatibilityReport:
     """Does the measurement network leave the observable's eigenstates alone?
 
@@ -255,43 +259,34 @@ def qnd_compatibility_check(
                 block = _refine_degenerate(block, kraus)
             columns.append(block)
             start = stop
-        candidate_vectors = [np.hstack(columns)[:, j] for j in range(b.shape[0])]
+        vecs = np.hstack(columns)
     else:
-        candidate_vectors = [s.amplitudes for s in eigenstates]
+        vecs = np.stack([s.amplitudes for s in eigenstates], axis=1)
 
-    reports = []
-    for vec in candidate_vectors:
-        image = b @ vec
-        eigenvalue = float(np.real(np.vdot(vec, image)))
-        residual = float(np.linalg.norm(image - eigenvalue * vec))
-        probs, fids = [], []
-        preserved = True
-        for k in kraus:
-            out = k @ vec
-            p = float(np.real(np.vdot(out, out)))
-            probs.append(p)
-            if p <= atol:
-                fids.append(float("nan"))
-                continue
-            f = abs(np.vdot(vec, out)) ** 2 / p
-            fids.append(float(f))
-            if f < 1.0 - atol:
-                preserved = False
-        if residual > 1e-8:
-            preserved = False
-        reports.append(
-            EigenstateReport(
-                eigenvalue=eigenvalue,
-                eigen_residual=residual,
-                branch_probabilities=tuple(probs),
-                self_fidelities=tuple(fids),
-                preserved=preserved,
-            )
+    # every candidate (column of vecs) under every branch map at once
+    images = b @ vecs
+    eigenvalues = np.einsum("ij,ij->j", vecs.conj(), images).real
+    residuals = np.linalg.norm(images - eigenvalues * vecs, axis=0)
+    outs = kraus @ vecs
+    probs = (np.abs(outs) ** 2).sum(axis=1)
+    supported = probs > _COMPAT_ATOL
+    overlaps = np.abs(np.einsum("ij,mij->mj", vecs.conj(), outs)) ** 2
+    fids = np.where(supported, overlaps / np.where(supported, probs, 1.0), np.nan)
+    preserved = np.all(~supported | (fids >= 1.0 - _COMPAT_ATOL), axis=0) & (residuals <= 1e-8)
+    reports = tuple(
+        EigenstateReport(
+            eigenvalue=float(eigenvalues[j]),
+            eigen_residual=float(residuals[j]),
+            branch_probabilities=tuple(probs[:, j].tolist()),
+            self_fidelities=tuple(fids[:, j].tolist()),
+            preserved=bool(preserved[j]),
         )
+        for j in range(vecs.shape[1])
+    )
 
     return CompatibilityReport(
         branches=branches,
-        eigenstates=tuple(reports),
+        eigenstates=reports,
         max_commutator=max(br.commutator_max for br in branches),
         all_preserved=all(r.preserved for r in reports),
     )

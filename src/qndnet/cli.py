@@ -71,6 +71,16 @@ def _ghz_label(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _parts_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if not 2 <= value <= MAX_PARTS:
+        raise argparse.ArgumentTypeError(f"must lie in [2, {MAX_PARTS}], got {value}")
+    return value
+
+
 def _pairs_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",")]
@@ -100,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     bell.add_argument("--seed", type=_seed_value, default=0)
 
     ghz = sub.add_parser("ghz", help="run one GHZ-basis nondemolition measurement")
-    ghz.add_argument("--n", type=int, required=True, help=f"number of data qubits (2..{MAX_PARTS})")
+    ghz.add_argument("--n", type=_parts_count, required=True, help=f"number of data qubits (2..{MAX_PARTS})")
     ghz.add_argument(
         "--label",
         type=_ghz_label,
@@ -113,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     ghz.add_argument("--seed", type=_seed_value, default=0)
 
     bellop = sub.add_parser("bellop", help="build a correlation operator and report its spectrum")
-    bellop.add_argument("--n", type=int, required=True, help=f"number of particles (2..{MAX_PARTS})")
+    bellop.add_argument("--n", type=_parts_count, required=True, help=f"number of particles (2..{MAX_PARTS})")
     bellop.add_argument(
         "--spec",
         help="JSON file {'pairs': [[[ax,ay,az],[bx,by,bz]], ...]}; default: canonical settings",
@@ -159,8 +169,6 @@ def _run_bell(args: argparse.Namespace) -> str:
 
 
 def _run_ghz(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
-    if not 2 <= args.n <= MAX_PARTS:
-        parser.error(f"--n must lie in [2, {MAX_PARTS}], got {args.n}")
     if args.random_input == (args.label is not None):
         parser.error("provide exactly one of --label and --random-input")
     rng = np.random.default_rng(args.seed)
@@ -196,9 +204,7 @@ def _load_operator_spec(path: str, n: int) -> BellOperatorSpec:
     return BellOperatorSpec(pairs)
 
 
-def _run_bellop(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
-    if not 2 <= args.n <= MAX_PARTS:
-        parser.error(f"--n must lie in [2, {MAX_PARTS}], got {args.n}")
+def _run_bellop(args: argparse.Namespace) -> str:
     spec = _load_operator_spec(args.spec, args.n) if args.spec else canonical_spec(args.n)
     observable = chsh_operator(spec) if args.n == 2 else bell_operator_n(spec)
     payload: dict = {
@@ -258,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "ghz":
             output = _run_ghz(args, parser)
         elif args.command == "bellop":
-            output = _run_bellop(args, parser)
+            output = _run_bellop(args)
         else:
             output = _run_auth(args, parser)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

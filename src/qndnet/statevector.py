@@ -205,6 +205,7 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
 
 
 # -- raw-array kernels (shared by the network modules; avoid per-gate wrapping) --
+# They act on axis 0; trailing axes (an operator's columns) ride along unchanged.
 
 
 def _apply_single_raw(amps: np.ndarray, n: int, target: int, u: np.ndarray) -> np.ndarray:
@@ -214,7 +215,7 @@ def _apply_single_raw(amps: np.ndarray, n: int, target: int, u: np.ndarray) -> n
     out = np.empty_like(m)
     out[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
     out[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
-    return out.reshape(-1)
+    return out.reshape(amps.shape)
 
 
 @lru_cache(maxsize=None)
@@ -263,11 +264,11 @@ def _measure_drop_raw(
 
 
 def _apply_network_raw(amps: np.ndarray, gates: Iterable[GateOp], num_ancillas: int) -> np.ndarray:
-    """Append ``num_ancillas`` qubits in |0> after the register, then apply ``gates``."""
-    num_qubits = (amps.size << num_ancillas).bit_length() - 1
+    """Append ``num_ancillas`` qubits in |0> after the register (axis 0), then apply ``gates``."""
+    num_qubits = (len(amps) << num_ancillas).bit_length() - 1
     if num_qubits > MAX_QUBITS:
         raise ValueError(f"register of {num_qubits} qubits exceeds the cap of {MAX_QUBITS}")
-    joint = np.zeros(1 << num_qubits, dtype=np.complex128)
+    joint = np.zeros((1 << num_qubits,) + amps.shape[1:], dtype=np.complex128)
     joint[:: 1 << num_ancillas] = amps
     for gate in gates:
         joint = _apply_gate_raw(joint, num_qubits, gate)
@@ -369,16 +370,8 @@ def states_close(a: StateVector, b: StateVector, atol: float = 1e-10) -> bool:
 
 
 def gates_to_matrix(gates: Sequence[GateOp], num_qubits: int) -> np.ndarray:
-    """Dense unitary of a gate list (column-by-column application)."""
-    dim = 1 << num_qubits
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        col = np.zeros(dim, dtype=np.complex128)
-        col[j] = 1.0
-        for gate in gates:
-            col = _apply_gate_raw(col, num_qubits, gate)
-        u[:, j] = col
-    return u
+    """Dense unitary of a gate list: the network run on the identity's columns at once."""
+    return _apply_network_raw(np.eye(1 << num_qubits), gates, 0)
 
 
 # -- JSON dump format: {"num_qubits": n, "amplitudes": [[re, im], ...]} --
@@ -393,15 +386,16 @@ def to_dump(state: StateVector) -> dict:
 
 def from_dump(obj: dict) -> StateVector:
     try:
-        n = int(obj["num_qubits"])
+        n = obj["num_qubits"]
         pairs = obj["amplitudes"]
         amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state dump: {exc}") from exc
+    # bool is an int subclass; a float or a string would be silently truncated or parsed
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"malformed state dump: num_qubits must be an integer, got {n!r}")
     state = StateVector(n, amps)
-    # file dumps may be hand-written; validate with the loose tolerance (NaN fails too)
-    if not abs(state.norm() - 1.0) <= NORM_ATOL:
-        raise ValueError(f"state dump is not normalized (norm={state.norm()!r})")
+    _require_normalized(state, "state dump")
     return state
 
 

@@ -1,5 +1,7 @@
 """Correlation-operator tests: spectra, recursion structure, branch compatibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,16 @@ from qndnet.bell_operator import (
     qnd_compatibility_check,
     spectral_radius,
 )
-from qndnet.ghz import GhzLabel, ghz_state
+from qndnet.ghz import GhzLabel, ghz_network_gate_list, ghz_state
 from qndnet.statevector import (
     PAULI_X_MATRIX,
     PAULI_Y_MATRIX,
     PAULI_Z_MATRIX,
     StateVector,
+    cnot,
+    gates_to_matrix,
+    hadamard,
+    random_state,
 )
 
 X_DIR = np.array([1.0, 0.0, 0.0])
@@ -88,6 +94,15 @@ def test_spec_validation():
         chsh_operator(BellOperatorSpec(((Z_DIR, X_DIR),) * 3))
     with pytest.raises(ValueError):
         bell_operator_n(BellOperatorSpec(((Z_DIR, X_DIR),) * 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_direction_is_rejected(bad):
+    direction = np.array([bad, 0.0, 1.0])
+    with pytest.raises(ValueError, match="unit vector"):
+        BellOperatorSpec(((direction, X_DIR), (Z_DIR, X_DIR)))
+    with pytest.raises(ValueError, match="unit vector"):
+        direction_operator(direction)
 
 
 def test_mermin_configuration_reaches_four():
@@ -169,3 +184,62 @@ def test_compatibility_check_validates():
         qnd_compatibility_check(np.array([[0.0, 1.0], [0.0, 0.0]]), [])
     with pytest.raises(ValueError):
         qnd_compatibility_check(np.zeros((3, 3)), [])
+
+
+def test_compatibility_report_matches_dense_unitary_loop():
+    # reference: slice K_m out of the full unitary and score each state branch by branch
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        num_data, num_anc = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        span = num_data + num_anc
+        network = []
+        for _ in range(8):
+            q = rng.permutation(span)
+            network.append(cnot(int(q[0]), int(q[1])) if span > 1 and rng.integers(2) else hadamard(int(q[0])))
+        d, a = 1 << num_data, 1 << num_anc
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        observable = (h + h.conj().T) / 2
+        states = [random_state(num_data, rng) for _ in range(3)]
+        report = qnd_compatibility_check(observable, network, eigenstates=states)
+        kraus = gates_to_matrix(network, span).reshape(d, a, d, a)[:, :, :, 0]
+        for m, branch in enumerate(report.branches):
+            k = kraus[:, m, :]
+            assert branch.commutator_max == pytest.approx(np.max(np.abs(k @ observable - observable @ k)), abs=1e-12)
+        for state, entry in zip(states, report.eigenstates):
+            vec = state.amplitudes
+            assert entry.eigenvalue == pytest.approx(np.vdot(vec, observable @ vec).real, abs=1e-12)
+            for m, (p, f) in enumerate(zip(entry.branch_probabilities, entry.self_fidelities)):
+                out = kraus[:, m, :] @ vec
+                expected_p = np.vdot(out, out).real
+                assert p == pytest.approx(expected_p, abs=1e-12)
+                if expected_p > 1e-9:
+                    assert f == pytest.approx(abs(np.vdot(vec, out)) ** 2 / expected_p, abs=1e-9)
+
+
+def canonical_observable(n):
+    spec = canonical_spec(n)
+    return chsh_operator(spec) if n == 2 else bell_operator_n(spec)
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_ghz_network_preserves_canonical_operator_eigenstates(n, convention):
+    # the paper's nonlocal claim: every branch leaves every eigenstate fixed
+    report = qnd_compatibility_check(canonical_observable(n), ghz_network_gate_list(n, convention))
+    assert report.max_commutator < 1e-10
+    assert report.all_preserved
+    assert len(report.eigenstates) == 1 << n
+
+
+def test_compatibility_check_never_builds_the_dense_unitary():
+    # at n = 6 the (d*a)^2 unitary alone is 256 MiB; the d needed columns are 4 MiB
+    observable = canonical_observable(6)
+    network = ghz_network_gate_list(6)
+    tracemalloc.start()
+    try:
+        report = qnd_compatibility_check(observable, network)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_preserved
+    assert peak < 32 * 2**20

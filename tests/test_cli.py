@@ -81,6 +81,8 @@ def test_ghz_flag_validation():
         ["ghz", "--n", "3"],
         ["ghz", "--n", "3", "--label", "+:101", "--random-input"],
         ["ghz", "--n", "9", "--random-input"],
+        ["bellop", "--n", "1"],
+        ["bellop", "--n", "9"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -114,6 +116,13 @@ def test_bellop_bad_spec_exits_1(tmp_path, capsys):
     path.write_text(json.dumps({"pairs": [[[0, 0, 2], [0, 0, 1]], [[0, 0, 1], [0, 0, 1]]]}))
     code, out, err = run_cli(capsys, "bellop", "--n", "2", "--spec", str(path))
     assert code == 1 and "error" in err
+
+
+def test_bellop_nan_direction_exits_1(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"pairs": [[[NaN, 0, 1], [0, 0, 1]], [[0, 0, 1], [0, 0, 1]]]}')
+    code, out, err = run_cli(capsys, "bellop", "--n", "2", "--spec", str(path))
+    assert code == 1 and out == "" and "unit vector" in err
 
 
 def test_auth_simulate_json(capsys):

@@ -378,6 +378,13 @@ def test_from_dump_rejects_non_finite_amplitudes():
             from_dump({"num_qubits": 1, "amplitudes": [[bad, 0.0], [0.0, 0.0]]})
 
 
+@pytest.mark.parametrize("count", [2.9, True, "2", None])
+def test_from_dump_rejects_non_integer_qubit_count(count):
+    amplitudes = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="num_qubits must be an integer"):
+        from_dump({"num_qubits": count, "amplitudes": amplitudes})
+
+
 def test_normalization_check_rejects_nan():
     state = StateVector(1, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError, match="not normalized"):
