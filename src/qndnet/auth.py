@@ -7,10 +7,15 @@ session runs the nondemolition Bell measurement on every (card-slot,
 terminal) pair and compares the measured bits against the records; matches
 leave the pairs intact, so a legitimate card can be verified indefinitely.
 
-An attacker without the card controls only the slot qubit.  Whatever is
-inserted, the terminal qubit's marginal is maximally mixed (it is entangled
-with the absent card qubit), so each round's outcome is uniform over the
-four Bell states and a full match happens with probability (1/4)^n.
+An attacker is the register it puts in front of the stored pair, slot qubit
+first: nothing for the card itself (its qubit sits in the slot), |0> or a
+random qubit for fresh-*, one half of a Bell pair for decoy and guess.  The
+AttackerModel members are named presets of that table (_SLOT_REGISTERS),
+which also lists the draws each preparation takes from the session stream.
+Whatever a card-less register holds, the terminal qubit stays maximally
+entangled with the absent card qubit, so its reduced state is I/2 (monogamy
+of entanglement: Coffman, Kundu and Wootters, quant-ph/9907047); each round
+is uniform over the four Bell states, and a full match has probability (1/4)^n.
 
 Noise is modeled by per-qubit trajectory sampling on the stored pair before
 each round: depolarizing (uniform Pauli from {I, X, Y, Z} with probability p,
@@ -20,11 +25,10 @@ probability p).
 Sessions run on Bell labels, index = 2*parity + phase, not on amplitudes.
 After any round the stored pair is exactly the measured Bell state, a Pauli
 on either qubit XORs the label with a fixed mask (I, X, Y, Z -> 0, 2, 3, 1),
-a legitimate card reads the noisy label, and a card-less attacker reads a
-uniform label (the Bell-diagonal picture of Bennett, DiVincenzo, Smolin and
-Wootters, quant-ph/9604024).  The label engine consumes the same draws, in
-the same order, as the state-vector round (_system_for, _run_round), which
-stays as the oracle behind attacker_round_distribution and the tests.
+and a legitimate card reads the noisy label (the Bell-diagonal picture of
+Bennett, DiVincenzo, Smolin and Wootters, quant-ph/9604024).  The label
+engine consumes the same draws, in the same order, as the state-vector round
+(_system_for, _run_round), the oracle behind attacker_round_distribution.
 
 Seeding: every public operation takes an int seed or a numpy Generator.
 A sweep draws everything for account size n from one generator,
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -56,14 +60,18 @@ from .statevector import (
     PAULI_Y_MATRIX,
     PAULI_Z_MATRIX,
     StateVector,
+    _apply_single_raw,
     _require_normalized,
-    apply_single_qubit_matrix,
     fidelity_up_to_global_phase,
 )
 
 
 class AttackerModel(Enum):
-    """Who feeds the card slot.  Only the slot qubit is under attacker control."""
+    """Who feeds the card slot: named presets of the slot-register table.
+
+    Each member stands for the register it puts in front of the stored pair
+    (_SLOT_REGISTERS); only the slot qubit takes part in the round.
+    """
 
     LEGITIMATE = "legitimate"
     FRESH_ZERO = "fresh-zero"
@@ -143,6 +151,7 @@ def enroll(
     seed: int | np.random.Generator = 0,
 ) -> AuthAccount:
     """Create an account with n pairs in the given (or seeded-random) Bell states."""
+    _require_count("n", n)
     if n < 1:
         raise ValueError(f"need at least one pair, got n={n}")
     if isinstance(initial_labels, str):
@@ -166,29 +175,33 @@ def enroll(
 
 # -- noise channels --
 
-_DEPOLARIZING_PAULIS = (
-    np.eye(2, dtype=complex),
-    PAULI_X_MATRIX,
-    PAULI_Y_MATRIX,
-    PAULI_Z_MATRIX,
-)
-# The label XOR masks of the same Paulis on either qubit of a Bell pair:
-# X flips parity, Z flips phase, Y = iXZ flips both.
-_DEPOLARIZING_MASKS = (0, 2, 3, 1)
-_DEPHASING_MASK = 1
+#: The Paulis by index (I, X, Y, Z), and the label XOR mask each one applies on
+#: either qubit of a Bell pair: X flips parity, Z flips phase, Y = iXZ flips both.
+_PAULIS = (np.eye(2, dtype=complex), PAULI_X_MATRIX, PAULI_Y_MATRIX, PAULI_Z_MATRIX)
+_PAULI_MASKS = (0, 2, 3, 1)
+_PAULI_Z = 3
+
+
+def _noise_paulis(spec: NoiseSpec, rng: np.random.Generator) -> list[int]:
+    """One noise trajectory on a stored pair: the Pauli index on qubit 0, then on qubit 1.
+
+    Per qubit, random() < p is a hit; a depolarizing hit then draws its Pauli
+    with integers(4), a dephasing hit is Z.  A noiseless spec draws nothing.
+    """
+    paulis = [0, 0]
+    if spec.model != "none" and spec.p != 0.0:
+        for qubit in (0, 1):
+            if rng.random() < spec.p:
+                paulis[qubit] = int(rng.integers(4)) if spec.model == "depolarizing" else _PAULI_Z
+    return paulis
 
 
 def _apply_noise_rng(state: StateVector, spec: NoiseSpec, rng: np.random.Generator) -> StateVector:
-    if spec.model == "none" or spec.p == 0.0:
-        return state
-    for qubit in (0, 1):
-        if rng.random() < spec.p:
-            if spec.model == "depolarizing":
-                matrix = _DEPOLARIZING_PAULIS[int(rng.integers(4))]
-            else:
-                matrix = PAULI_Z_MATRIX
-            state = apply_single_qubit_matrix(state, qubit, matrix)
-    return state
+    amps = state.amplitudes
+    for qubit, pauli in enumerate(_noise_paulis(spec, rng)):
+        if pauli:
+            amps = _apply_single_raw(amps, state.num_qubits, qubit, _PAULIS[pauli])
+    return state if amps is state.amplitudes else StateVector(state.num_qubits, amps)
 
 
 def apply_noise(
@@ -226,30 +239,53 @@ def _run_round(
     return tuple(bits), probability, post
 
 
+@dataclass(frozen=True)
+class _SlotRegister:
+    build: Callable  # the register put in front of the stored pair, slot qubit first
+    draw: Callable = lambda rng: None  # what ``build`` takes, drawn from the session stream
+    representatives: tuple = (None,)  # the draws attacker_round_distribution averages over
+
+
+def _haar_qubit(normals: np.ndarray) -> np.ndarray:
+    qubit = normals[:2] + 1j * normals[2:]
+    return qubit / np.linalg.norm(qubit)
+
+
+#: Every attacker as data: the register it puts in front of the stored pair.
+_SLOT_REGISTERS = {
+    AttackerModel.LEGITIMATE: _SlotRegister(lambda _: np.ones(1)),
+    AttackerModel.FRESH_ZERO: _SlotRegister(lambda _: np.array([1.0, 0.0])),
+    # the representative draw builds the qubit 0.6|0> + 0.8i|1>
+    AttackerModel.FRESH_HAAR: _SlotRegister(
+        _haar_qubit, lambda rng: rng.standard_normal(4), (np.array([0.6, 0.0, 0.0, 0.8]),)
+    ),
+    AttackerModel.ENTANGLED_DECOY: _SlotRegister(lambda _: _BELL_PAIRS[0].amplitudes),
+    AttackerModel.RANDOM_BELL_GUESS: _SlotRegister(
+        lambda index: _BELL_PAIRS[index].amplitudes, lambda rng: rng.integers(4), (0, 1, 2, 3)
+    ),
+}
+
+
+def _slot_register(attacker: AttackerModel) -> _SlotRegister:
+    try:
+        return _SLOT_REGISTERS[attacker]
+    except (KeyError, TypeError):
+        raise ValueError(f"attacker must be an AttackerModel, got {attacker!r}") from None
+
+
+def _prepend(register: np.ndarray, pair_amps: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+    """Joint state of a round, (amplitudes, num_system, slot, machine): slot 0, terminal last."""
+    system = np.kron(register, pair_amps)
+    num_system = system.size.bit_length() - 1
+    return system, num_system, 0, num_system - 1
+
+
 def _system_for(
     attacker: AttackerModel, pair_amps: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, int, int, int]:
-    """Joint pure state fed to a round: (amplitudes, num_system, slot, machine).
-
-    The stored pair is always (card qubit, terminal qubit); attackers prepend
-    their own qubits, and the absent card qubit simply stays unmeasured.
-    """
-    if attacker is AttackerModel.LEGITIMATE:
-        return pair_amps, 2, 0, 1
-    if attacker in (AttackerModel.FRESH_ZERO, AttackerModel.FRESH_HAAR):
-        if attacker is AttackerModel.FRESH_ZERO:
-            qubit = np.array([1.0, 0.0], dtype=np.complex128)
-        else:
-            qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            qubit /= np.linalg.norm(qubit)
-        return np.kron(qubit, pair_amps), 3, 0, 2
-    if attacker is AttackerModel.ENTANGLED_DECOY:
-        decoy = bell_state(BellLabel.PHI_PLUS).amplitudes
-    elif attacker is AttackerModel.RANDOM_BELL_GUESS:
-        decoy = bell_state(BELL_DECODE_ORDER[int(rng.integers(4))]).amplitudes
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled attacker {attacker}")
-    return np.kron(decoy, pair_amps), 4, 0, 3
+    """The attacker's register, drawn from ``rng``, in front of the stored pair."""
+    slot = _slot_register(attacker)
+    return _prepend(slot.build(slot.draw(rng)), pair_amps)
 
 
 def _stored_label(pair: StateVector, record: Sequence[int]) -> int:
@@ -270,15 +306,9 @@ def _stored_label(pair: StateVector, record: Sequence[int]) -> int:
 
 
 def _noise_mask(spec: NoiseSpec, rng: np.random.Generator) -> int:
-    """One noise trajectory on a stored pair as a label XOR mask; draws as _apply_noise_rng."""
-    mask = 0
-    for _qubit in (0, 1):
-        if rng.random() < spec.p:
-            if spec.model == "depolarizing":
-                mask ^= _DEPOLARIZING_MASKS[int(rng.integers(4))]
-            else:
-                mask ^= _DEPHASING_MASK
-    return mask
+    """The noise trajectory of _noise_paulis as a label XOR mask."""
+    first, second = _noise_paulis(spec, rng)
+    return _PAULI_MASKS[first] ^ _PAULI_MASKS[second]
 
 
 def verify_session(
@@ -297,14 +327,16 @@ def verify_session(
     again); rejected sessions flag the account permanently.  The classical
     password gate is a boolean: when false the session is rejected before
     any qubit is touched.  A stored pair that is not the Bell state its
-    record names is rejected with ValueError.
+    record names, or an attacker that is not an AttackerModel, is rejected
+    with ValueError before any draw.
 
-    Each round draws, in order: the noise trajectory (_noise_mask), the
-    attacker's slot preparation (four standard normals for fresh-haar, one
-    integers(4) for guess), then the two ancilla draws random(2).  These are
-    the draws of the state-vector round, so seeded sessions agree with it bit
-    for bit; the Bell outcome does not depend on the Hadamard convention.
+    Each round draws, in order: the noise trajectory (_noise_paulis), the
+    attacker's slot preparation (its _SLOT_REGISTERS draw), then the two
+    ancilla draws random(2).  These are the draws of the state-vector round,
+    so seeded sessions agree with it bit for bit; the Bell outcome does not
+    depend on the Hadamard convention.
     """
+    draw_slot = _slot_register(attacker).draw
     if account.status != "active":
         raise ValueError("account is flagged; re-enrollment creates a new account")
     if not 0.0 <= threshold <= 1.0:
@@ -321,14 +353,11 @@ def verify_session(
     outcomes: list[int] = []
     for stored in labels:
         label = stored ^ _noise_mask(noise, rng) if noisy else stored
+        draw_slot(rng)
         if attacker is AttackerModel.LEGITIMATE:
             rng.random(2)  # a legitimate card reads its own label whatever the draws
             outcomes.append(label)
             continue
-        if attacker is AttackerModel.FRESH_HAAR:
-            rng.standard_normal(4)  # the same stream as the oracle's two standard_normal(2)
-        elif attacker is AttackerModel.RANDOM_BELL_GUESS:
-            rng.integers(4)
         # the terminal qubit is maximally mixed: both ancilla bits are fair coins
         parity_draw, phase_draw = rng.random(2).tolist()
         outcomes.append((2 if parity_draw >= 0.5 else 0) + (1 if phase_draw >= 0.5 else 0))
@@ -350,53 +379,19 @@ def attacker_round_distribution(
     """Exact probabilities of the four (parity, phase) outcomes of one round.
 
     Ordered (Phi+, Phi-, Psi+, Psi-), i.e. by outcome index 2*parity + phase.
-    Computed by brute-force branch sums over the enlarged pure state, noise
-    free.  For the fresh-qubit models the distribution is preparation
-    independent (the terminal qubit's marginal is maximally mixed), so a
-    fixed representative preparation is used; the guess model averages its
-    four equally likely decoys.
+    Computed by brute-force branch sums over the attacker's register in front
+    of the pair, noise free, averaged over the table's representative draws:
+    the distribution is preparation independent for a card-less attacker
+    (the terminal qubit's marginal is maximally mixed), so fresh-haar uses
+    one fixed qubit and guess its four equally likely decoys.
     """
+    slot = _slot_register(model)
     pair = bell_state(true_pair_label).amplitudes
-    if model is AttackerModel.LEGITIMATE:
-        systems = [(pair, 2, 0, 1)]
-    elif model is AttackerModel.FRESH_ZERO:
-        systems = [(np.kron([1.0, 0.0], pair), 3, 0, 2)]
-    elif model is AttackerModel.FRESH_HAAR:
-        representative = np.array([0.6, 0.8j], dtype=np.complex128)
-        systems = [(np.kron(representative, pair), 3, 0, 2)]
-    elif model is AttackerModel.ENTANGLED_DECOY:
-        systems = [(np.kron(bell_state(BellLabel.PHI_PLUS).amplitudes, pair), 4, 0, 3)]
-    else:
-        systems = [
-            (np.kron(bell_state(guess).amplitudes, pair), 4, 0, 3)
-            for guess in BELL_DECODE_ORDER
-        ]
     dist = np.zeros(4)
-    for amps, num_system, slot, machine in systems:
-        probs, _ = _branch_probabilities(amps, num_system, slot, machine, convention)
+    for draw in slot.representatives:
+        probs, _ = _branch_probabilities(*_prepend(slot.build(draw), pair), convention)
         dist += probs
-    return dist / len(systems)
-
-
-def _qubit_mask_distribution(noise: NoiseSpec) -> list[float]:
-    """Probabilities of the label XOR masks 0..3 that one qubit's noise applies."""
-    weights = [1.0, 0.0, 0.0, 0.0]
-    if noise.model == "none":
-        return weights
-    weights[0] -= noise.p
-    hits = _DEPOLARIZING_MASKS if noise.model == "depolarizing" else (_DEPHASING_MASK,)
-    for mask in hits:
-        weights[mask] += noise.p / len(hits)
-    return weights
-
-
-def _label_round_distribution(attacker: AttackerModel, index: int) -> np.ndarray:
-    """The label engine's noise-free outcome distribution for stored label ``index``."""
-    if attacker is AttackerModel.LEGITIMATE:
-        dist = np.zeros(4)
-        dist[index] = 1.0
-        return dist
-    return np.full(4, 0.25)
+    return dist / len(slot.representatives)
 
 
 def _round_match_probability(attacker: AttackerModel, noise: NoiseSpec) -> float:
@@ -409,7 +404,13 @@ def _round_match_probability(attacker: AttackerModel, noise: NoiseSpec) -> float
     """
     if attacker is not AttackerModel.LEGITIMATE:
         return 0.25
-    return sum(w * w for w in _qubit_mask_distribution(noise))
+    weights = [1.0, 0.0, 0.0, 0.0]  # one qubit's probability of each label mask
+    if noise.model != "none":
+        weights[0] -= noise.p
+        hits = range(4) if noise.model == "depolarizing" else (_PAULI_Z,)
+        for pauli in hits:
+            weights[_PAULI_MASKS[pauli]] += noise.p / len(hits)
+    return sum(w * w for w in weights)
 
 
 def _acceptance_probability(match_probabilities: Sequence[float], threshold: float) -> float:
@@ -443,7 +444,9 @@ def _check_label_model(attacker: AttackerModel, indices: Iterable[int], conventi
         if (attacker, index, convention) in checked:
             continue
         oracle = oracle_fn(attacker, BELL_DECODE_ORDER[index], convention)
-        if np.max(np.abs(oracle - _label_round_distribution(attacker, index))) > 1e-9:
+        # the label engine: a card reads its own label, a card-less attacker a uniform one
+        label_model = np.eye(4)[index] if attacker is AttackerModel.LEGITIMATE else np.full(4, 0.25)
+        if np.max(np.abs(oracle - label_model)) > 1e-9:
             raise RuntimeError(
                 f"label engine disagrees with the state-vector round for {attacker.token} "
                 f"on {BELL_DECODE_ORDER[index].token}: {oracle}"
@@ -511,28 +514,23 @@ def security_sweep(
     state-vector oracle (attacker_round_distribution) on the enrolled labels,
     once per (attacker, label, convention) in a process.
     """
+    _slot_register(attacker)  # rejects a non-AttackerModel before any trial
     _require_count("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows = []
     for n in n_range:
+        _require_count("n", n)
         rng = np.random.default_rng((seed, n))
         base = enroll(n, "random", seed=rng)
         _check_label_model(attacker, (_RECORD_LABELS[r] for r in base.records), convention)
         analytic = _acceptance_probability(
             [_round_match_probability(attacker, noise)] * n, threshold
         )
-        successes = 0
-        for _ in range(trials):
-            result = verify_session(
-                base.clone(),
-                attacker=attacker,
-                noise=noise,
-                threshold=threshold,
-                seed=rng,
-                convention=convention,
-            )
-            successes += result.accepted
+        successes = sum(
+            verify_session(base.clone(), attacker, noise, threshold, rng, convention).accepted
+            for _ in range(trials)
+        )
         low, high = wilson_interval(successes, trials)
         rows.append(
             SweepRow(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qndnet import auth
 from qndnet.auth import (
@@ -84,6 +85,15 @@ def test_enroll_validation():
         enroll(1, "sometimes")
     with pytest.raises(ValueError, match="BellLabel"):
         enroll(2, ["phi+", "psi-"])
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", None])
+def test_account_size_must_be_an_integer_count(n):
+    with pytest.raises(ValueError, match="n must be an integer count"):
+        enroll(n)
+    with pytest.raises(ValueError, match="n must be an integer count"):
+        security_sweep([n], AttackerModel.LEGITIMATE, trials=1, seed=0)
+    assert enroll(np.int64(2)).num_pairs == 2
 
 
 # -- sessions --
@@ -259,6 +269,66 @@ def test_attacker_layouts_are_well_formed():
         assert slot != machine
 
 
+NOT_ATTACKERS = ["legitimate", "LEGITIMATE", None, 0, ["guess"]]
+
+
+@pytest.mark.parametrize("attacker", NOT_ATTACKERS, ids=repr)
+def test_session_rejects_a_non_attacker_model_before_any_draw(attacker):
+    account = enroll(2, [BellLabel.PHI_PLUS, BellLabel.PSI_MINUS])
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="attacker must be an AttackerModel"):
+        verify_session(account, attacker=attacker, seed=rng)
+    assert rng.bit_generator.state == before
+    assert account.status == "active" and account.records == [(0, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("attacker", NOT_ATTACKERS, ids=repr)
+def test_round_distribution_rejects_a_non_attacker_model(attacker):
+    with pytest.raises(ValueError, match="attacker must be an AttackerModel"):
+        attacker_round_distribution(attacker, BellLabel.PHI_PLUS)
+
+
+@pytest.mark.parametrize("attacker", NOT_ATTACKERS, ids=repr)
+def test_sweep_rejects_a_non_attacker_model_before_any_trial(attacker, monkeypatch):
+    sessions = []
+    monkeypatch.setattr(auth, "verify_session", lambda *a, **k: sessions.append(a))
+    with pytest.raises(ValueError, match="attacker must be an AttackerModel"):
+        security_sweep([1], attacker, trials=5, seed=1)
+    assert sessions == []
+
+
+_AMPLITUDE = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def attacker_registers(draw):
+    """The slot plus up to 3 more qubits: a generic entangled state or a product of qubits."""
+    size = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        factors = [draw(st.lists(_AMPLITUDE, min_size=1 << size, max_size=1 << size))]
+    else:
+        factors = [draw(st.lists(_AMPLITUDE, min_size=2, max_size=2)) for _ in range(size)]
+    register = np.ones(1, dtype=complex)
+    for factor in factors:
+        amps = np.array(factor, dtype=complex)
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        register = np.kron(register, amps / norm)
+    return register
+
+
+@settings(max_examples=200, deadline=None)
+@given(register=attacker_registers(), stored=st.sampled_from(BELL_DECODE_ORDER))
+def test_any_card_less_register_sees_a_uniform_round(register, stored):
+    # monogamy: the terminal qubit's marginal is I/2 whatever sits in front of the pair
+    system = auth._prepend(register, bell_state(stored).amplitudes)
+    assert system[1] == register.size.bit_length() + 1
+    for convention in ("paper", "standard"):
+        probs, _ = _branch_probabilities(*system, convention)
+        assert np.max(np.abs(probs - UNIFORM)) <= 1e-12, convention
+
+
 def test_parse_attacker():
     assert parse_attacker("decoy") is AttackerModel.ENTANGLED_DECOY
     with pytest.raises(ValueError):
@@ -288,6 +358,28 @@ def _bell_outcome_of(state_amps) -> BellLabel:
         for label in BELL_DECODE_ORDER
     ]
     return BELL_DECODE_ORDER[int(np.argmax(overlaps))]
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("model", ["dephasing", "depolarizing"])
+def test_apply_noise_is_the_replayed_pauli_product(model, p):
+    # the reference replays the draws on a same-seeded generator and applies kron(P0, P1)
+    spec = NoiseSpec(model, p)
+    bells = [bell_state(label) for label in BELL_DECODE_ORDER]
+    engine, replay, masks = (np.random.default_rng(2027) for _ in range(3))
+    for t in range(10_000):
+        stored = t % 4
+        noisy = apply_noise(bells[stored], spec, seed=engine)
+        drawn = []
+        for _qubit in (0, 1):
+            if replay.random() >= p:
+                drawn.append(PAULIS[0])
+            else:
+                drawn.append(PAULIS[replay.integers(4)] if model == "depolarizing" else PAULIS[3])
+        assert np.array_equal(noisy.amplitudes, np.kron(*drawn) @ bells[stored].amplitudes), t
+        label = stored ^ auth._noise_mask(spec, masks)
+        assert abs(np.vdot(bells[label].amplitudes, noisy.amplitudes)) ** 2 > 1 - 1e-12, t
+    assert engine.bit_generator.state == replay.bit_generator.state == masks.bit_generator.state
 
 
 def test_dephasing_preserves_parity():
