@@ -36,6 +36,18 @@ default_rng((seed, n)): first the enrollment, then trials 0..T-1 in order,
 each session continuing the stream where the previous one stopped.  A row is
 therefore reproducible from (seed, n) alone, whatever other sizes the sweep
 covers, but a single trial cannot be rerun without the trials before it.
+Every draw of a session is a uniform double from Generator.random(), in one
+fixed layout per round (per pair, in pair order): the noise block (none when
+noiseless; 2 hit uniforms for dephasing; 2 hit uniforms then 2 Pauli
+uniforms, Pauli = floor(4u), for depolarizing), the slot block (2 uniforms
+for fresh-haar, 1 for guess, none otherwise), then the two ancilla uniforms.
+Doubles come off the bit generator in the same order whether drawn one at a
+time or in bulk, so random((C, n, K)) holds exactly the draws of C
+consecutive sessions: a sweep runs a row as a few array operations over
+such blocks and still equals T sequential sessions on the same stream.
+(Earlier versions drew depolarizing Paulis with integers(4) only on a hit,
+fresh-haar's qubit from standard_normal(4) and guess's decoy with
+integers(4); those rows differ from theirs, the others do not.)
 """
 
 from __future__ import annotations
@@ -179,21 +191,41 @@ def enroll(
 #: either qubit of a Bell pair: X flips parity, Z flips phase, Y = iXZ flips both.
 _PAULIS = (np.eye(2, dtype=complex), PAULI_X_MATRIX, PAULI_Y_MATRIX, PAULI_Z_MATRIX)
 _PAULI_MASKS = (0, 2, 3, 1)
+_PAULI_MASK_TABLE = np.array(_PAULI_MASKS, dtype=np.uint8)
 _PAULI_Z = 3
+
+
+def _noise_draws(spec: NoiseSpec) -> int:
+    """Uniforms in a round's noise block: 0 noiseless, 2 dephasing, 4 depolarizing."""
+    if spec.model == "none" or spec.p == 0.0:
+        return 0
+    return 4 if spec.model == "depolarizing" else 2
 
 
 def _noise_paulis(spec: NoiseSpec, rng: np.random.Generator) -> list[int]:
     """One noise trajectory on a stored pair: the Pauli index on qubit 0, then on qubit 1.
 
-    Per qubit, random() < p is a hit; a depolarizing hit then draws its Pauli
-    with integers(4), a dephasing hit is Z.  A noiseless spec draws nothing.
+    The block is random(k) (_noise_draws): qubit q is hit when its uniform
+    u_q < p; a dephasing hit is Z, a depolarizing hit the Pauli floor(4 v_q)
+    of the uniform v_q that follows both hit uniforms.
     """
-    paulis = [0, 0]
-    if spec.model != "none" and spec.p != 0.0:
-        for qubit in (0, 1):
-            if rng.random() < spec.p:
-                paulis[qubit] = int(rng.integers(4)) if spec.model == "depolarizing" else _PAULI_Z
-    return paulis
+    size = _noise_draws(spec)
+    if not size:
+        return [0, 0]
+    draws = rng.random(size).tolist()
+    if size == 2:
+        return [_PAULI_Z if u < spec.p else 0 for u in draws]
+    return [int(4 * v) if u < spec.p else 0 for u, v in zip(draws[:2], draws[2:])]
+
+
+def _label_masks(spec: NoiseSpec, draws: np.ndarray) -> np.ndarray:
+    """The label XOR masks of noise blocks draws[..., :k], decoded as in _noise_paulis."""
+    hits = draws[..., :2] < spec.p
+    if spec.model == "dephasing":
+        per_qubit = hits.view(np.uint8)  # Z's mask is 1
+    else:
+        per_qubit = _PAULI_MASK_TABLE[(4 * draws[..., 2:4]).astype(np.intp)] * hits
+    return per_qubit[..., 0] ^ per_qubit[..., 1]
 
 
 def _apply_noise_rng(state: StateVector, spec: NoiseSpec, rng: np.random.Generator) -> StateVector:
@@ -242,13 +274,13 @@ def _run_round(
 @dataclass(frozen=True)
 class _SlotRegister:
     build: Callable  # the register put in front of the stored pair, slot qubit first
-    draw: Callable = lambda rng: None  # what ``build`` takes, drawn from the session stream
-    representatives: tuple = (None,)  # the draws attacker_round_distribution averages over
+    draws: int = 0  # uniforms ``build`` takes from the session stream: random(draws)
+    representatives: tuple = ((),)  # the draws attacker_round_distribution averages over
 
 
-def _haar_qubit(normals: np.ndarray) -> np.ndarray:
-    qubit = normals[:2] + 1j * normals[2:]
-    return qubit / np.linalg.norm(qubit)
+def _haar_qubit(u: Sequence[float]) -> np.ndarray:
+    """sqrt(1 - u0)|0> + sqrt(u0) e^(2 pi i u1)|1>: |amplitude of 1|^2 and phase uniform."""
+    return np.array([np.sqrt(1.0 - u[0]), np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])])
 
 
 #: Every attacker as data: the register it puts in front of the stored pair.
@@ -256,12 +288,11 @@ _SLOT_REGISTERS = {
     AttackerModel.LEGITIMATE: _SlotRegister(lambda _: np.ones(1)),
     AttackerModel.FRESH_ZERO: _SlotRegister(lambda _: np.array([1.0, 0.0])),
     # the representative draw builds the qubit 0.6|0> + 0.8i|1>
-    AttackerModel.FRESH_HAAR: _SlotRegister(
-        _haar_qubit, lambda rng: rng.standard_normal(4), (np.array([0.6, 0.0, 0.0, 0.8]),)
-    ),
+    AttackerModel.FRESH_HAAR: _SlotRegister(_haar_qubit, 2, ((0.64, 0.25),)),
     AttackerModel.ENTANGLED_DECOY: _SlotRegister(lambda _: _BELL_PAIRS[0].amplitudes),
+    # decoy floor(4u); the representatives pick each of the four once
     AttackerModel.RANDOM_BELL_GUESS: _SlotRegister(
-        lambda index: _BELL_PAIRS[index].amplitudes, lambda rng: rng.integers(4), (0, 1, 2, 3)
+        lambda u: _BELL_PAIRS[int(4 * u[0])].amplitudes, 1, ((0.0,), (0.25,), (0.5,), (0.75,))
     ),
 }
 
@@ -285,7 +316,7 @@ def _system_for(
 ) -> tuple[np.ndarray, int, int, int]:
     """The attacker's register, drawn from ``rng``, in front of the stored pair."""
     slot = _slot_register(attacker)
-    return _prepend(slot.build(slot.draw(rng)), pair_amps)
+    return _prepend(slot.build(rng.random(slot.draws)), pair_amps)
 
 
 def _stored_label(pair: StateVector, record: Sequence[int]) -> int:
@@ -305,10 +336,41 @@ def _stored_label(pair: StateVector, record: Sequence[int]) -> int:
     return index
 
 
-def _noise_mask(spec: NoiseSpec, rng: np.random.Generator) -> int:
-    """The noise trajectory of _noise_paulis as a label XOR mask."""
-    first, second = _noise_paulis(spec, rng)
-    return _PAULI_MASKS[first] ^ _PAULI_MASKS[second]
+def _round_draws(attacker: AttackerModel, noise: NoiseSpec) -> int:
+    """K, the uniforms of one round: noise block, slot block, two ancilla draws."""
+    return _noise_draws(noise) + _SLOT_REGISTERS[attacker].draws + 2
+
+
+def _run_sessions(
+    labels: np.ndarray,
+    draws: np.ndarray,
+    attacker: AttackerModel,
+    noise: NoiseSpec,
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(outcomes, matches, accepted) of C sessions on the stored labels, from (C, n, K) draws.
+
+    A legitimate card reads its label XOR the noise mask; a card-less
+    attacker reads two fair coins, the ancilla draws compared with 1/2, and
+    its noise and slot draws only advance the stream.  A session accepts
+    when matches / n >= threshold.
+    """
+    if attacker is not AttackerModel.LEGITIMATE:
+        outcomes = 2 * (draws[..., -2] >= 0.5) + (draws[..., -1] >= 0.5)
+    elif _noise_draws(noise):
+        outcomes = labels ^ _label_masks(noise, draws)
+    else:
+        outcomes = labels ^ np.zeros(draws.shape[:2], dtype=np.uint8)  # no noise: mask 0
+    matches = outcomes == labels
+    accepted = matches.sum(axis=1) / labels.size >= threshold
+    return outcomes, matches, accepted
+
+
+def _require_session_settings(threshold: float, convention: str) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown Hadamard convention {convention!r}")
 
 
 def verify_session(
@@ -330,47 +392,35 @@ def verify_session(
     record names, or an attacker that is not an AttackerModel, is rejected
     with ValueError before any draw.
 
-    Each round draws, in order: the noise trajectory (_noise_paulis), the
-    attacker's slot preparation (its _SLOT_REGISTERS draw), then the two
-    ancilla draws random(2).  These are the draws of the state-vector round,
-    so seeded sessions agree with it bit for bit; the Bell outcome does not
-    depend on the Hadamard convention.
+    The session draws random((1, n, K)): per pair, the noise block, the
+    attacker's slot block (its _SLOT_REGISTERS draws), then the two ancilla
+    uniforms, as laid out in the module's Seeding note.  These are the draws
+    of the state-vector round, taken in the same order, so seeded sessions
+    agree with it bit for bit; the Bell outcome does not depend on the
+    Hadamard convention.
     """
-    draw_slot = _slot_register(attacker).draw
+    _slot_register(attacker)  # rejects a non-AttackerModel before any draw
     if account.status != "active":
         raise ValueError("account is flagged; re-enrollment creates a new account")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown Hadamard convention {convention!r}")
+    _require_session_settings(threshold, convention)
     if not password_ok:
         return SessionResult((), 0.0, False, tuple(account.records))
     if not account.pairs or len(account.pairs) != len(account.records):
         raise ValueError("an account needs at least one stored pair and one record per pair")
-    labels = [_stored_label(pair, record) for pair, record in zip(account.pairs, account.records)]
-    noisy = noise.model != "none" and noise.p != 0.0
-    rng = np.random.default_rng(seed)
-    outcomes: list[int] = []
-    for stored in labels:
-        label = stored ^ _noise_mask(noise, rng) if noisy else stored
-        draw_slot(rng)
-        if attacker is AttackerModel.LEGITIMATE:
-            rng.random(2)  # a legitimate card reads its own label whatever the draws
-            outcomes.append(label)
-            continue
-        # the terminal qubit is maximally mixed: both ancilla bits are fair coins
-        parity_draw, phase_draw = rng.random(2).tolist()
-        outcomes.append((2 if parity_draw >= 0.5 else 0) + (1 if phase_draw >= 0.5 else 0))
-    matches = [outcome == label for outcome, label in zip(outcomes, labels)]
-    fraction = sum(matches) / len(matches)
-    accepted = fraction >= threshold
+    labels = np.array(
+        [_stored_label(pair, record) for pair, record in zip(account.pairs, account.records)]
+    )
+    draws = np.random.default_rng(seed).random((1, labels.size, _round_draws(attacker, noise)))
+    outcomes, matches, accepted = (
+        column[0].tolist() for column in _run_sessions(labels, draws, attacker, noise, threshold)
+    )
     measured = [_LABEL_BITS[outcome] for outcome in outcomes]
     account.pairs = [_BELL_PAIRS[outcome] for outcome in outcomes]
     if accepted:
         account.records = measured
     else:
         account.status = "flagged"
-    return SessionResult(tuple(matches), fraction, accepted, tuple(measured))
+    return SessionResult(tuple(matches), sum(matches) / len(matches), accepted, tuple(measured))
 
 
 def attacker_round_distribution(
@@ -491,6 +541,10 @@ class SweepRow:
         return asdict(self)
 
 
+#: Uniforms drawn at once by a sweep row (8 MiB of doubles): bounds its memory at any T.
+_CHUNK_DRAWS = 1 << 20
+
+
 def security_sweep(
     n_range: Iterable[int],
     attacker: AttackerModel,
@@ -507,30 +561,44 @@ def security_sweep(
     a fresh clone of it, drawing from that generator in trial order.  Rows
     are reproducible from (seed, n), independent of the other sizes in
     ``n_range``; trials within a row are sequential, not separately seeded.
+    Trial 0 is a verify_session call; the other trials are drawn as
+    random((C, n, K)) blocks of at most _CHUNK_DRAWS uniforms and decoded by
+    the same array engine (_run_sessions).  Since a bulk draw yields the
+    same doubles as the sessions' one-by-one draws, a row equals T
+    sequential verify_session calls on its stream, whatever the chunk size.
     The analytic column is the exact acceptance probability under the same
     noise and threshold: the per-round match probability of the label model
     (_round_match_probability), summed over the accepting match counts.  Each
     row first checks the label model's noise-free round against the
     state-vector oracle (attacker_round_distribution) on the enrolled labels,
-    once per (attacker, label, convention) in a process.
+    once per (attacker, label, convention) in a process.  A threshold outside
+    [0, 1] (NaN included) or an unknown convention raises ValueError before
+    any draw.
     """
     _slot_register(attacker)  # rejects a non-AttackerModel before any trial
     _require_count("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _require_session_settings(threshold, convention)
     rows = []
     for n in n_range:
         _require_count("n", n)
         rng = np.random.default_rng((seed, n))
         base = enroll(n, "random", seed=rng)
-        _check_label_model(attacker, (_RECORD_LABELS[r] for r in base.records), convention)
+        labels = np.array([_RECORD_LABELS[r] for r in base.records])
+        _check_label_model(attacker, labels.tolist(), convention)
         analytic = _acceptance_probability(
             [_round_match_probability(attacker, noise)] * n, threshold
         )
-        successes = sum(
+        successes = int(
             verify_session(base.clone(), attacker, noise, threshold, rng, convention).accepted
-            for _ in range(trials)
         )
+        k = _round_draws(attacker, noise)
+        chunk = max(1, _CHUNK_DRAWS // (n * k))
+        for start in range(1, trials, chunk):
+            draws = rng.random((min(chunk, trials - start), n, k))
+            accepted = _run_sessions(labels, draws, attacker, noise, threshold)[2]
+            successes += int(np.count_nonzero(accepted))
         low, high = wilson_interval(successes, trials)
         rows.append(
             SweepRow(

@@ -352,32 +352,31 @@ def test_noise_spec_validation():
         NoiseSpec("dephasing", 1.5)
 
 
+BELL_AMPLITUDES = tuple(bell_state(label).amplitudes for label in BELL_DECODE_ORDER)
+
+
 def _bell_outcome_of(state_amps) -> BellLabel:
-    overlaps = [
-        abs(np.vdot(bell_state(label).amplitudes, state_amps)) ** 2
-        for label in BELL_DECODE_ORDER
-    ]
+    overlaps = [abs(np.vdot(bell, state_amps)) ** 2 for bell in BELL_AMPLITUDES]
     return BELL_DECODE_ORDER[int(np.argmax(overlaps))]
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
 @pytest.mark.parametrize("model", ["dephasing", "depolarizing"])
 def test_apply_noise_is_the_replayed_pauli_product(model, p):
-    # the reference replays the draws on a same-seeded generator and applies kron(P0, P1)
+    # the reference replays the draws on a same-seeded generator and applies kron(P0, P1):
+    # two hit uniforms, then (depolarizing) two Pauli uniforms, Pauli = floor(4v)
     spec = NoiseSpec(model, p)
     bells = [bell_state(label) for label in BELL_DECODE_ORDER]
     engine, replay, masks = (np.random.default_rng(2027) for _ in range(3))
+    block = 4 if model == "depolarizing" else 2
     for t in range(10_000):
         stored = t % 4
         noisy = apply_noise(bells[stored], spec, seed=engine)
-        drawn = []
-        for _qubit in (0, 1):
-            if replay.random() >= p:
-                drawn.append(PAULIS[0])
-            else:
-                drawn.append(PAULIS[replay.integers(4)] if model == "depolarizing" else PAULIS[3])
+        hits = [replay.random() < p for _qubit in (0, 1)]
+        paulis = [int(4 * replay.random()) if model == "depolarizing" else 3 for _qubit in (0, 1)]
+        drawn = [PAULIS[pauli] if hit else PAULIS[0] for hit, pauli in zip(hits, paulis)]
         assert np.array_equal(noisy.amplitudes, np.kron(*drawn) @ bells[stored].amplitudes), t
-        label = stored ^ auth._noise_mask(spec, masks)
+        label = stored ^ int(auth._label_masks(spec, masks.random(block)))
         assert abs(np.vdot(bells[label].amplitudes, noisy.amplitudes)) ** 2 > 1 - 1e-12, t
     assert engine.bit_generator.state == replay.bit_generator.state == masks.bit_generator.state
 
@@ -491,6 +490,21 @@ def test_sweep_validation():
         security_sweep([1], AttackerModel.FRESH_ZERO, trials=True, seed=1)
 
 
+@pytest.mark.parametrize(
+    "threshold, convention",
+    [(float("nan"), "paper"), (1.5, "paper"), (-0.25, "paper"), (0.5, "bogus")],
+    ids=["nan", "above-1", "below-0", "unknown-convention"],
+)
+def test_sweep_rejects_bad_settings_before_any_draw(threshold, convention, monkeypatch):
+    enrolled = []
+    monkeypatch.setattr(auth, "enroll", lambda *a, **k: enrolled.append(a))
+    with pytest.raises(ValueError, match="threshold|convention"):
+        security_sweep(
+            [1, 2], AttackerModel.FRESH_ZERO, 10, 1, threshold=threshold, convention=convention
+        )
+    assert enrolled == []
+
+
 def test_wilson_interval_rejects_non_integer_counts():
     for successes, trials in [(True, 1), (1, True), (0.5, 2), (1, 2.0), ("1", 2)]:
         with pytest.raises(ValueError):
@@ -596,6 +610,65 @@ def test_sweep_rows_do_not_depend_on_the_other_account_sizes():
             for row in security_sweep([n], attacker, 60, seed=5, noise=noise, threshold=0.5)
         ]
         assert joint == single
+
+
+# -- array-drawn rows: a row is T sequential sessions on its stream --
+
+
+def _sequential_sweep_accepts(n, attacker, trials, seed, noise, threshold):
+    """Accepted sessions of one sweep row, one verify_session call per trial."""
+    rng = np.random.default_rng((seed, n))
+    base = enroll(n, "random", seed=rng)
+    return sum(
+        verify_session(base.clone(), attacker, noise, threshold, rng).accepted
+        for _ in range(trials)
+    )
+
+
+@pytest.mark.parametrize("noise", ORACLE_NOISES, ids=lambda s: f"{s.model}-{s.p}")
+@pytest.mark.parametrize("attacker", list(AttackerModel), ids=lambda m: m.token)
+def test_sweep_rows_equal_sequential_sessions_on_the_same_stream(attacker, noise):
+    seed, trials = 808, 64
+    for threshold in (1.0, 0.5, 0.0):
+        rows = security_sweep([1, 2, 3], attacker, trials, seed, noise, threshold)
+        for row in rows:
+            accepted = _sequential_sweep_accepts(row.n, attacker, trials, seed, noise, threshold)
+            assert row.accept_rate == accepted / trials, (threshold, row.n)
+
+
+@pytest.mark.parametrize("attacker", list(AttackerModel), ids=lambda m: m.token)
+def test_sweep_rows_do_not_depend_on_the_chunk_size(attacker, monkeypatch):
+    # at 7 uniforms a chunk holds at most three sessions, so a row spans many chunks
+    cases = [(noise, threshold) for noise in ORACLE_NOISES[:4] for threshold in (1.0, 0.5)]
+    whole = [security_sweep([1, 2, 3], attacker, 50, 31, noise, t) for noise, t in cases]
+    monkeypatch.setattr(auth, "_CHUNK_DRAWS", 7)
+    assert [security_sweep([1, 2, 3], attacker, 50, 31, noise, t) for noise, t in cases] == whole
+
+
+def test_a_million_fresh_zero_trials_at_n6_meet_the_exact_rate():
+    # (1/4)^6 ~ 2.4e-4: about 244 accepted sessions, visible only at this trial count
+    (row,) = security_sweep([6], AttackerModel.FRESH_ZERO, 1_000_000, seed=13)
+    assert row.analytic_rate == 0.25**6
+    low, high = wilson_interval(round(row.accept_rate * row.trials), row.trials, z=4.0)
+    assert low <= 0.25**6 <= high
+
+
+@pytest.mark.parametrize(
+    "attacker", [AttackerModel.FRESH_HAAR, AttackerModel.LEGITIMATE], ids=lambda m: m.token
+)
+def test_a_million_trial_row_at_n8_runs_in_bounded_memory(attacker):
+    # K = 8 uniforms per round; drawn all at once, the row would take 512 MB
+    import tracemalloc
+
+    noise = NoiseSpec("depolarizing", 0.1)
+    tracemalloc.start()
+    try:
+        (row,) = security_sweep([8], attacker, 1_000_000, seed=17, noise=noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    assert row.wilson_low <= row.analytic_rate <= row.wilson_high
 
 
 def test_pauli_noise_xors_the_bell_label():
