@@ -65,7 +65,7 @@ from .bell import (
     bell_bits,
     bell_state,
 )
-from .ghz import _branch_columns, _measure_network, _parity_network
+from .ghz import _expand_schedule, _parity_network, _run_schedule
 from .statevector import (
     CONVENTIONS,
     PAULI_X_MATRIX,
@@ -105,6 +105,9 @@ def parse_attacker(token: str) -> AttackerModel:
 
 NOISE_MODELS = ("none", "depolarizing", "dephasing")
 
+#: Types accepted as a real number; NoiseSpec also rejects bool, a subclass of int.
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -116,8 +119,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.model not in NOISE_MODELS:
             raise ValueError(f"noise model must be one of {NOISE_MODELS}, got {self.model!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"noise probability must lie in [0, 1], got {self.p}")
+        if isinstance(self.p, bool) or not isinstance(self.p, _REAL_TYPES) or not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"noise probability must be a real number in [0, 1], got {self.p!r}")
 
 
 NOISELESS = NoiseSpec()
@@ -253,8 +256,9 @@ def _branch_probabilities(
     system_amps: np.ndarray, num_system: int, slot: int, machine: int, convention: str
 ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """(4 outcome probabilities, post system amplitudes per outcome); outcome = 2*parity + phase."""
-    gates = _parity_network((slot, machine), num_system, convention)
-    return _branch_columns(system_amps, gates, 2)
+    steps = _parity_network((slot, machine), num_system, convention, False)
+    table = _expand_schedule(system_amps, steps)
+    return np.array([prob for _, prob, _ in table]), [post for _, _, post in table]
 
 
 def _run_round(
@@ -266,8 +270,8 @@ def _run_round(
     draws: np.ndarray,
 ) -> tuple[tuple[int, int], float, np.ndarray]:
     """Measure both ancillas sequentially; returns (bits, probability, post system)."""
-    gates = _parity_network((slot, machine), num_system, convention)
-    bits, probability, post = _measure_network(system_amps, gates, draws)
+    steps = _parity_network((slot, machine), num_system, convention, False)
+    bits, probability, post = _run_schedule(system_amps, steps, draws)
     return tuple(bits), probability, post
 
 
@@ -511,6 +515,8 @@ def _require_count(name: str, value) -> None:
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (z=3.0: the 99.7% level)."""
+    if not (isinstance(z, _REAL_TYPES) and 0.0 < z < np.inf):
+        raise ValueError(f"z must be a finite positive number, got {z!r}")
     _require_count("successes", successes)
     _require_count("trials", trials)
     if trials < 1:

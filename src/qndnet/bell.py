@@ -21,8 +21,8 @@ the "standard" convention flips some branch-internal phases but leaves every
 outcome probability and decoded bit unchanged.
 
 This module keeps the Bell labels, their decoding table and the projection
-oracle.  It runs the network through the GHZ module's private helpers, not
-run_ghz_qnd, so a Bell measurement does not pay for GHZ label decoding.
+oracle.  It runs the GHZ module's n = 2 schedule through the same walker and
+expander as run_ghz_qnd and ghz_branch_table, without GHZ label decoding.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .ghz import _branch_columns, _measure_network, _parity_network, decode_ghz, ghz_state
+from .ghz import (
+    _expand_schedule, _parity_network, _run_schedule, decode_ghz, ghz_network_gate_list, ghz_state
+)
 from .statevector import StateVector, _apply_network_raw, _require_normalized, inner_product
 
 
@@ -96,7 +98,7 @@ class BellQndOutcome:
 
 def bell_network_unitary_steps(convention: str = "paper") -> list:
     """The full 8-gate network over qubits (data 0, 1; ancillas 2, 3)."""
-    return list(_parity_network((0, 1), 2, convention))
+    return ghz_network_gate_list(2, convention)
 
 
 def _require_pair(state: StateVector, where: str) -> None:
@@ -108,7 +110,7 @@ def _require_pair(state: StateVector, where: str) -> None:
 def bell_premeasurement_state(state: StateVector, convention: str = "paper") -> StateVector:
     """Input (2 qubits) with ancillas appended and the network applied, unmeasured."""
     _require_pair(state, "bell network")
-    gates = _parity_network((0, 1), 2, convention)
+    gates = bell_network_unitary_steps(convention)
     return StateVector(4, _apply_network_raw(state.amplitudes, gates, 2))
 
 
@@ -127,8 +129,8 @@ def run_bell_qnd(
     if len(draws) != 2:
         raise ValueError("run_bell_qnd needs exactly two draws")
     _require_pair(state, "bell network")
-    gates = _parity_network((0, 1), 2, convention)
-    (parity, phase), probability, amps = _measure_network(state.amplitudes, gates, draws)
+    steps = _parity_network((0, 1), 2, convention, False)
+    (parity, phase), probability, amps = _run_schedule(state.amplitudes, steps, draws)
     return BellQndOutcome(
         parity_bit=parity,
         phase_bit=phase,
@@ -147,11 +149,10 @@ def bell_branch_table(
     (numerically) zero probability carry ``None`` as their post state.
     """
     _require_pair(state, "bell network")
-    gates = _parity_network((0, 1), 2, convention)
-    probs, posts = _branch_columns(state.amplitudes, gates, 2)
+    steps = _parity_network((0, 1), 2, convention, False)
     return [
-        (bell_bits(label), label, float(prob), None if post is None else StateVector(2, post))
-        for label, prob, post in zip(BELL_DECODE_ORDER, probs, posts)
+        (bits, decode_bell(*bits), prob, None if post is None else StateVector(2, post))
+        for bits, prob, post in _expand_schedule(state.amplitudes, steps)
     ]
 
 

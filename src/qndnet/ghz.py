@@ -18,20 +18,20 @@ by n mod 2, so the runner XORs the raw global-parity ancilla with n mod 2
 before decoding; the reported phase bit is therefore canonical (0 <-> '+')
 under both conventions.
 
-For n <= 6 the full n-data + n-ancilla register is simulated at once; for
-larger n each parity extraction commutes with the rest, so ancillas are
-appended, measured and dropped one at a time, keeping the live register at
-n + 1 qubits (observationally equivalent, asserted by tests).
-
-The network is built in one place (_parity_network) and run by one sampler
-(_measure_network); the Bell measurement is its n = 2 case, and the
-authentication oracle round places it on (slot, terminal) of a larger register.
+The network is built once (_parity_network) as a schedule of steps (gates,
+ancillas): append the ancillas in |0>, run the gates, measure and drop the
+ancillas in order.  Unstaged it is one step with every ancilla live; staged
+(the default for n > FULL_REGISTER_LIMIT) each parity extraction, which
+commutes with the rest, is a one-ancilla step, so the live register stays at
+n + 1 qubits.  One walker (_run_schedule) samples every Bell, GHZ and auth
+oracle round, and one expander (_expand_schedule) builds every branch table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -39,9 +39,7 @@ import numpy as np
 from .statevector import (
     _SQRT_HALF,
     ZERO_BRANCH_PROB,
-    GateKind,
     StateVector,
-    _apply_gate_raw,
     _apply_network_raw,
     _measure_drop_raw,
     _require_normalized,
@@ -138,49 +136,64 @@ def decode_ghz(
 
 
 @lru_cache(maxsize=None)
-def _parity_network(data_qubits: tuple[int, ...], ancilla_start: int, convention: str) -> tuple:
-    """The network on ``data_qubits``, its ancillas numbered from ``ancilla_start``.
+def _parity_network(
+    data_qubits: tuple[int, ...], ancilla_start: int, convention: str, staged: bool
+) -> tuple:
+    """The network on ``data_qubits`` as a schedule of steps (gates, ancillas).
 
-    Ancilla i < n - 1 takes the parity of data qubits i and i + 1; the last
-    one takes the global parity between two Hadamard layers.
+    A step appends ``ancillas`` qubits in |0> from index ``ancilla_start``,
+    runs ``gates``, then measures and drops those ancillas in order.  Ancilla
+    i < n - 1 takes the parity of data qubits i and i + 1; the last one takes
+    the global parity between two Hadamard layers.  Unstaged, this is one
+    step with all n ancillas live; staged, each ancilla's CNOT run targets
+    ``ancilla_start`` in a step of its own and each layer is a 0-ancilla step.
     """
     n = len(data_qubits)
-    gates = []
-    for i in range(n - 1):
-        gates.append(cnot(data_qubits[i], ancilla_start + i))
-        gates.append(cnot(data_qubits[i + 1], ancilla_start + i))
-    layer = [hadamard(q, convention) for q in data_qubits]
-    gates.extend(layer)
-    gates.extend(cnot(q, ancilla_start + n - 1) for q in data_qubits)
-    gates.extend(layer)
-    return tuple(gates)
+    layer = tuple(hadamard(q, convention) for q in data_qubits)
+    controls = [data_qubits[i : i + 2] for i in range(n - 1)] + [data_qubits]
+    runs = [
+        tuple(cnot(q, ancilla_start + (0 if staged else i)) for q in qubits)
+        for i, qubits in enumerate(controls)
+    ]
+    steps = [(run, 1) for run in runs[:-1]] + [(layer, 0), (runs[-1], 1), (layer, 0)]
+    return tuple(steps) if staged else ((sum((gates for gates, _ in steps), ()), n),)
 
 
-def _measure_network(amps: np.ndarray, gates: Sequence, draws: Sequence[float]) -> tuple:
-    """Run the network with one ancilla per draw, then measure and drop them in order.
+def _run_schedule(amps: np.ndarray, steps: Sequence, draws: Sequence[float]) -> tuple:
+    """Walk a schedule, measuring each ancilla with the next draw.
 
     Returns the ancilla bits, their joint probability and the register's amplitudes.
     """
-    joint = _apply_network_raw(amps, gates, len(draws))
-    bits, probability = [], 1.0
-    for draw in draws:
-        # each drop moves the next ancilla to the index right after the register
-        bit, prob, joint = _measure_drop_raw(joint, amps.size.bit_length() - 1, draw)
-        bits.append(bit)
-        probability *= prob
-    return bits, probability, joint
+    bits, probability, draws = [], 1.0, iter(draws)
+    for gates, ancillas in steps:
+        register = amps.size.bit_length() - 1
+        amps = _apply_network_raw(amps, gates, ancillas)
+        for _ in range(ancillas):
+            # each drop moves the next ancilla to the index right after the register
+            bit, prob, amps = _measure_drop_raw(amps, register, next(draws))
+            bits.append(bit)
+            probability *= prob
+    return bits, probability, amps
 
 
-def _branch_columns(amps: np.ndarray, gates: Sequence, num_ancillas: int) -> tuple:
-    """Per ancilla pattern: its probability and the normalized register amplitudes.
+def _expand_schedule(amps: np.ndarray, steps: Sequence) -> list:
+    """Every branch of a schedule: (ancilla bits, probability, normalized register).
 
-    Patterns are in big-endian order; a (numerically) zero branch has None.
+    Branches come in big-endian bit order; a (numerically) zero branch has None.
     """
-    m = _apply_network_raw(amps, gates, num_ancillas).reshape(-1, 1 << num_ancillas)
-    probs = (np.abs(m) ** 2).sum(axis=0)
-    live = probs > ZERO_BRANCH_PROB
-    posts = np.divide(m, np.sqrt(probs), out=np.zeros_like(m), where=live)
-    return probs, [posts[:, a] if live[a] else None for a in range(len(probs))]
+    branches = [((), amps)]
+    for gates, ancillas in steps:
+        grown = []
+        for bits, node in branches:
+            joint = _apply_network_raw(node, gates, ancillas).reshape(-1, 1 << ancillas)
+            for a, pattern in enumerate(product((0, 1), repeat=ancillas)):
+                grown.append((bits + pattern, joint[:, a]))
+        branches = grown
+    table = []
+    for bits, node in branches:
+        prob = float(np.vdot(node, node).real)
+        table.append((bits, prob, node / np.sqrt(prob) if prob > ZERO_BRANCH_PROB else None))
+    return table
 
 
 def ghz_network_gate_list(n: int, convention: str = "paper") -> list:
@@ -191,24 +204,8 @@ def ghz_network_gate_list(n: int, convention: str = "paper") -> list:
     """
     if not 2 <= n <= MAX_PARTS:
         raise ValueError(f"n must be in [2, {MAX_PARTS}], got {n}")
-    return list(_parity_network(tuple(range(n)), n, convention))
-
-
-@lru_cache(maxsize=None)
-def _staged_steps(n: int, convention: str) -> tuple:
-    """The network for one live ancilla at index n.
-
-    One step per ancilla: its CNOTs retargeted to index n, then the data-only
-    gates that run once it is measured and dropped.
-    """
-    steps: dict[int, tuple[list, list]] = {}
-    for gate in _parity_network(tuple(range(n)), n, convention):
-        if gate.kind is GateKind.CNOT:
-            ancilla = gate.target
-            steps.setdefault(ancilla, ([], []))[0].append(cnot(gate.control, n))
-        else:
-            steps[ancilla][1].append(gate)
-    return tuple((tuple(cnots), tuple(data_gates)) for cnots, data_gates in steps.values())
+    ((gates, _),) = _parity_network(tuple(range(n)), n, convention, False)
+    return list(gates)
 
 
 def hadamard_layer(state: StateVector, convention: str = "standard") -> StateVector:
@@ -234,6 +231,17 @@ def _canonical_phase_bit(raw: int, n: int, convention: str) -> int:
     return raw ^ (n & 1) if convention == "paper" else raw
 
 
+def _ghz_schedule(state: StateVector, convention: str, staged: bool | None, where: str) -> tuple:
+    """The schedule for a checked 2..MAX_PARTS-qubit input (staged by default above the limit)."""
+    n = state.num_qubits
+    if not 2 <= n <= MAX_PARTS:
+        raise ValueError(f"input must have 2..{MAX_PARTS} qubits, got {n}")
+    _require_normalized(state, where)
+    if staged is None:
+        staged = n > FULL_REGISTER_LIMIT
+    return _parity_network(tuple(range(n)), n, convention, bool(staged))
+
+
 def run_ghz_qnd(
     state: StateVector,
     convention: str = "paper",
@@ -243,30 +251,16 @@ def run_ghz_qnd(
     """Measure the register in the GHZ basis without demolishing basis states.
 
     Consumes one draw per ancilla: the n-1 neighbor parities in order, then
-    the global parity.  ``staged`` controls ancilla reuse (default: automatic,
-    staged for n > 6); both modes give identical outcomes for equal draws.
+    the global parity.  ``staged`` only picks the schedule (default:
+    automatic, staged for n > FULL_REGISTER_LIMIT); both give identical
+    outcomes for equal draws.  It stays until the benchmark's per-layer
+    probe stops timing the two schedules apart.
     """
     n = state.num_qubits
-    if not 2 <= n <= MAX_PARTS:
-        raise ValueError(f"input must have 2..{MAX_PARTS} qubits, got {n}")
+    steps = _ghz_schedule(state, convention, staged, "ghz network")
     if len(draws) != n:
         raise ValueError(f"run_ghz_qnd needs {n} draws, got {len(draws)}")
-    _require_normalized(state, "ghz network")
-    if staged is None:
-        staged = n > FULL_REGISTER_LIMIT
-
-    if staged:
-        bits, probability, amps = [], 1.0, state.amplitudes
-        for (ancilla_gates, data_gates), draw in zip(_staged_steps(n, convention), draws):
-            (bit,), prob, amps = _measure_network(amps, ancilla_gates, (draw,))
-            bits.append(bit)
-            probability *= prob
-            for gate in data_gates:
-                amps = _apply_gate_raw(amps, n, gate)
-    else:
-        gates = _parity_network(tuple(range(n)), n, convention)
-        bits, probability, amps = _measure_network(state.amplitudes, gates, draws)
-
+    bits, probability, amps = _run_schedule(state.amplitudes, steps, draws)
     parities = tuple(bits[:-1])
     g = _canonical_phase_bit(bits[-1], n, convention)
     return GhzQndOutcome(
@@ -283,20 +277,16 @@ def ghz_branch_table(
 ) -> list[tuple[tuple[int, ...], GhzLabel, float, StateVector | None]]:
     """All 2**n ancilla branches: (bits with canonical phase, label, probability, post state).
 
-    Full-register enumeration of the evolution run_ghz_qnd samples from;
-    limited to n <= 6 where all ancillas fit live.
+    Enumerates the schedule run_ghz_qnd samples from by default; n = 2..MAX_PARTS.
     """
     n = state.num_qubits
-    if n > FULL_REGISTER_LIMIT:
-        raise ValueError(f"branch table needs n <= {FULL_REGISTER_LIMIT}, got {n}")
-    _require_normalized(state, "ghz_branch_table")
-    probs, posts = _branch_columns(state.amplitudes, ghz_network_gate_list(n, convention), n)
     table = []
-    for a, (prob, post) in enumerate(zip(probs, posts)):
-        raw = [(a >> (n - 1 - i)) & 1 for i in range(n)]
-        bits = tuple(raw[:-1]) + (_canonical_phase_bit(raw[-1], n, convention),)
+    for raw, prob, post in _expand_schedule(
+        state.amplitudes, _ghz_schedule(state, convention, None, "ghz_branch_table")
+    ):
+        bits = raw[:-1] + (_canonical_phase_bit(raw[-1], n, convention),)
         post_state = None if post is None else StateVector(n, post)
-        table.append((bits, decode_ghz(bits[:-1], bits[-1], n), float(prob), post_state))
+        table.append((bits, decode_ghz(bits[:-1], bits[-1], n), prob, post_state))
     return table
 
 

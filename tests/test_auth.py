@@ -352,6 +352,12 @@ def test_noise_spec_validation():
         NoiseSpec("dephasing", 1.5)
 
 
+@pytest.mark.parametrize("p", [True, False, "0.1", None, 0.1j, float("nan")])
+def test_noise_spec_rejects_non_real_probability(p):
+    with pytest.raises(ValueError, match="noise probability"):
+        NoiseSpec("depolarizing", p)
+
+
 BELL_AMPLITUDES = tuple(bell_state(label).amplitudes for label in BELL_DECODE_ORDER)
 
 
@@ -510,6 +516,12 @@ def test_wilson_interval_rejects_non_integer_counts():
         with pytest.raises(ValueError):
             wilson_interval(successes, trials)
     assert wilson_interval(np.int64(3), np.int64(10)) == wilson_interval(3, 10)
+
+
+@pytest.mark.parametrize("z", [-1.0, 0.0, float("nan"), float("inf"), "3"])
+def test_wilson_interval_rejects_bad_z(z):
+    with pytest.raises(ValueError, match="z must be"):
+        wilson_interval(3, 10, z=z)
 
 
 def test_account_clone_is_independent():

@@ -215,10 +215,10 @@ def test_projection_oracle_basics():
 
 
 @pytest.mark.parametrize("convention", ["paper", "standard"])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 8])
 def test_branch_table_matches_oracle(convention, n):
     rng = np.random.default_rng(1000 * n)
-    for _ in range(50):
+    for _ in range(50 if n <= 4 else 3):
         state = random_state(n, rng)
         oracle = dict(ghz_projection_oracle(state))
         for bits, label, probability, post in ghz_branch_table(state, convention):
@@ -227,14 +227,28 @@ def test_branch_table_matches_oracle(convention, n):
                 assert fidelity_up_to_global_phase(post, ghz_state(label)) > 1 - 1e-10
 
 
-def test_staged_equals_full_for_same_draws():
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_sampled_probability_equals_its_table_row(convention):
+    # the walker (run_ghz_qnd) against the expander (ghz_branch_table) on one schedule
+    rng = np.random.default_rng(2718)
+    for n in range(2, 9):
+        for _ in range(3):
+            state = random_state(n, rng)
+            rows = {label: probability for _, label, probability, _ in ghz_branch_table(state, convention)}
+            for _ in range(5):
+                out = run_ghz_qnd(state, convention, rng.random(n))
+                assert abs(out.probability - rows[out.label]) < 1e-12, n
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_staged_equals_full_for_same_draws(convention):
     rng = np.random.default_rng(321)
-    for n in (3, 4, 5, 6):
+    for n in (2, 3, 4, 5, 6):
         for _ in range(10):
             state = random_state(n, rng)
             draws = rng.random(n)
-            full = run_ghz_qnd(state, "paper", draws, staged=False)
-            staged = run_ghz_qnd(state, "paper", draws, staged=True)
+            full = run_ghz_qnd(state, convention, draws, staged=False)
+            staged = run_ghz_qnd(state, convention, draws, staged=True)
             assert full.part_parity_bits == staged.part_parity_bits
             assert full.global_parity_bit == staged.global_parity_bit
             assert abs(full.probability - staged.probability) < 1e-12
@@ -276,8 +290,9 @@ def test_run_rejects_bad_inputs():
         run_ghz_qnd(StateVector(2, np.array([1.0, 1.0, 0, 0])), "paper", (0.1, 0.2))
     with pytest.raises(ValueError):
         ghz_network_gate_list(9)
-    with pytest.raises(ValueError):
-        ghz_branch_table(random_state(7, np.random.default_rng(0)))
+    for n in (1, 9):
+        with pytest.raises(ValueError):
+            ghz_branch_table(random_state(n, np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("staged", [False, True])
@@ -295,7 +310,7 @@ def test_run_rejects_draws_outside_unit_interval(staged, bad, position):
 def test_extreme_draws_never_select_a_zero_probability_branch(convention, staged):
     # rounding residue in a dead branch grows with n; it must never be sampled
     top = float(np.nextafter(1.0, 0.0))
-    for n in range(2, 7):
+    for n in range(2, 9 if staged else 7):
         for label in all_canonical_labels(n):
             for draw in (0.0, top):
                 out = run_ghz_qnd(ghz_state(label), convention, (draw,) * n, staged=staged)
