@@ -65,7 +65,7 @@ from .bell import (
     bell_bits,
     bell_state,
 )
-from .ghz import _expand_schedule, _parity_network, _run_schedule
+from .ghz import _Node, _parity_network
 from .statevector import (
     CONVENTIONS,
     PAULI_X_MATRIX,
@@ -257,7 +257,7 @@ def _branch_probabilities(
 ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """(4 outcome probabilities, post system amplitudes per outcome); outcome = 2*parity + phase."""
     steps = _parity_network((slot, machine), num_system, convention, False)
-    table = _expand_schedule(system_amps, steps)
+    table = _Node(system_amps, steps).expand()
     return np.array([prob for _, prob, _ in table]), [post for _, _, post in table]
 
 
@@ -271,7 +271,7 @@ def _run_round(
 ) -> tuple[tuple[int, int], float, np.ndarray]:
     """Measure both ancillas sequentially; returns (bits, probability, post system)."""
     steps = _parity_network((slot, machine), num_system, convention, False)
-    bits, probability, post = _run_schedule(system_amps, steps, draws)
+    bits, probability, post = _Node(system_amps, steps).walk(draws)
     return tuple(bits), probability, post
 
 

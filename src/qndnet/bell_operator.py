@@ -27,6 +27,7 @@ import numpy as np
 from .ghz import MAX_PARTS
 from .statevector import (
     _SQRT_HALF,
+    MAX_QUBITS,
     PAULI_X_MATRIX,
     PAULI_Y_MATRIX,
     PAULI_Z_MATRIX,
@@ -226,6 +227,9 @@ def qnd_compatibility_check(
     eigenspaces are refined against the branch maps); pass explicit states to
     pin the basis under test.
     """
+    span = max((g.max_index + 1 for g in network), default=0)
+    if span > MAX_QUBITS:
+        raise ValueError(f"network spans {span} qubits > MAX_QUBITS; GHZ checks reach n <= {MAX_QUBITS // 2}")
     b = np.asarray(observable, dtype=np.complex128)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(f"observable must be square, got shape {b.shape}")

@@ -23,8 +23,10 @@ ancillas): append the ancillas in |0>, run the gates, measure and drop the
 ancillas in order.  Unstaged it is one step with every ancilla live; staged
 (the default for n > FULL_REGISTER_LIMIT) each parity extraction, which
 commutes with the rest, is a one-ancilla step, so the live register stays at
-n + 1 qubits.  One walker (_run_schedule) samples every Bell, GHZ and auth
-oracle round, and one expander (_expand_schedule) builds every branch table.
+n + 1 qubits.  Every measurement runs on one branch tree over a schedule
+(_Node, built on first visit): a shot walks it, a branch table expands it.
+The last state's tree stays in one slot (_state_tree), so repeated shots of a
+state run no network; auth oracle rounds build a fresh tree each.
 """
 
 from __future__ import annotations
@@ -38,11 +40,14 @@ import numpy as np
 
 from .statevector import (
     _SQRT_HALF,
+    MAX_QUBITS,
     ZERO_BRANCH_PROB,
     StateVector,
     _apply_network_raw,
-    _measure_drop_raw,
+    _collapse_raw,
+    _pick_bit,
     _require_normalized,
+    _split_raw,
     apply_gates,
     cnot,
     hadamard,
@@ -159,41 +164,66 @@ def _parity_network(
     return tuple(steps) if staged else ((sum((gates for gates, _ in steps), ()), n),)
 
 
-def _run_schedule(amps: np.ndarray, steps: Sequence, draws: Sequence[float]) -> tuple:
-    """Walk a schedule, measuring each ancilla with the next draw.
+class _Node:
+    """The register after a prefix of ancilla bits, ``pending`` ancillas live (0: a leaf).
 
-    Returns the ancilla bits, their joint probability and the register's amplitudes.
+    ``prob`` is the probability of the bit that led here.  Threads filling
+    one child at once build equal nodes, so either may stay.
     """
-    bits, probability, draws = [], 1.0, iter(draws)
-    for gates, ancillas in steps:
-        register = amps.size.bit_length() - 1
-        amps = _apply_network_raw(amps, gates, ancillas)
-        for _ in range(ancillas):
-            # each drop moves the next ancilla to the index right after the register
-            bit, prob, amps = _measure_drop_raw(amps, register, next(draws))
-            bits.append(bit)
-            probability *= prob
-    return bits, probability, amps
+
+    __slots__ = ("prob", "amps", "steps", "at", "pending", "p0", "live1", "m", "children")
+
+    def __init__(self, amps: np.ndarray, steps: Sequence, at: int = 0, pending: int = 0, prob: float = 1.0):
+        while not pending and at < len(steps):  # 0-ancilla steps run on to the next ancilla
+            gates, pending = steps[at]
+            amps = _apply_network_raw(amps, gates, pending)
+            at += 1
+        self.prob, self.amps, self.steps, self.at, self.pending = prob, amps, steps, at, pending
+        if pending:  # the next ancilla sits right after the register
+            self.p0, self.live1, self.m = _split_raw(amps, amps.size.bit_length() - 1 - pending)
+            self.children = [None, None]
+
+    def child(self, bit: int) -> "_Node":
+        if self.children[bit] is None:
+            prob, kept = _collapse_raw(self.m, bit, self.p0)
+            self.children[bit] = _Node(kept, self.steps, self.at, self.pending - 1, prob)
+        return self.children[bit]
+
+    def walk(self, draws: Sequence[float]) -> tuple:
+        """One shot, a draw per ancilla: (bits, joint probability, register amplitudes)."""
+        node, bits, probability, draws = self, [], 1.0, iter(draws)
+        while node.pending:
+            bits.append(_pick_bit(node.p0, node.live1, next(draws)))
+            node = node.child(bits[-1])
+            probability *= node.prob
+        return bits, probability, node.amps
+
+    def expand(self) -> list:
+        """Each leaf, bits big-endian: (bits, probability, register or None at <= ZERO_BRANCH_PROB)."""
+        def rows(node, bits, prob, left):
+            if node is None or not left:
+                post = None if prob <= ZERO_BRANCH_PROB else node.amps
+                return [(bits + tail, prob, post) for tail in product((0, 1), repeat=left)]
+            weights = (node.p0, 1.0 - node.p0 if node.live1 else 0.0)
+            live = [node.child(bit) if w > ZERO_BRANCH_PROB else None for bit, w in enumerate(weights)]
+            return [row for bit, child in enumerate(live)
+                    for row in rows(child, bits + (bit,), prob * child.prob if child else 0.0, left - 1)]
+
+        return rows(self, (), 1.0, sum(ancillas for _, ancillas in self.steps))
 
 
-def _expand_schedule(amps: np.ndarray, steps: Sequence) -> list:
-    """Every branch of a schedule: (ancilla bits, probability, normalized register).
+#: (state, schedule, root) of the last state measured: one tree, 3.2 MiB fully expanded at n = 8.
+#: It holds the state, so an ``is`` match cannot be a reused id; one tuple assignment replaces it.
+_last_tree: tuple = (None, None, None)
 
-    Branches come in big-endian bit order; a (numerically) zero branch has None.
-    """
-    branches = [((), amps)]
-    for gates, ancillas in steps:
-        grown = []
-        for bits, node in branches:
-            joint = _apply_network_raw(node, gates, ancillas).reshape(-1, 1 << ancillas)
-            for a, pattern in enumerate(product((0, 1), repeat=ancillas)):
-                grown.append((bits + pattern, joint[:, a]))
-        branches = grown
-    table = []
-    for bits, node in branches:
-        prob = float(np.vdot(node, node).real)
-        table.append((bits, prob, node / np.sqrt(prob) if prob > ZERO_BRANCH_PROB else None))
-    return table
+
+def _state_tree(state: StateVector, steps: Sequence) -> _Node:
+    global _last_tree
+    last_state, last_steps, root = _last_tree
+    if last_state is not state or last_steps is not steps:
+        root = _Node(state.amplitudes, steps)
+        _last_tree = (state, steps, root)
+    return root
 
 
 def ghz_network_gate_list(n: int, convention: str = "paper") -> list:
@@ -236,9 +266,11 @@ def _ghz_schedule(state: StateVector, convention: str, staged: bool | None, wher
     n = state.num_qubits
     if not 2 <= n <= MAX_PARTS:
         raise ValueError(f"input must have 2..{MAX_PARTS} qubits, got {n}")
-    _require_normalized(state, where)
     if staged is None:
         staged = n > FULL_REGISTER_LIMIT
+    elif not staged and 2 * n > MAX_QUBITS:
+        raise ValueError(f"staged=False needs 2n <= MAX_QUBITS qubits, so n <= {MAX_QUBITS // 2}; got {n}")
+    _require_normalized(state, where)
     return _parity_network(tuple(range(n)), n, convention, bool(staged))
 
 
@@ -251,16 +283,16 @@ def run_ghz_qnd(
     """Measure the register in the GHZ basis without demolishing basis states.
 
     Consumes one draw per ancilla: the n-1 neighbor parities in order, then
-    the global parity.  ``staged`` only picks the schedule (default:
-    automatic, staged for n > FULL_REGISTER_LIMIT); both give identical
-    outcomes for equal draws.  It stays until the benchmark's per-layer
-    probe stops timing the two schedules apart.
+    the global parity.  ``staged`` only picks the schedule (default: automatic,
+    staged for n > FULL_REGISTER_LIMIT); both give identical outcomes for equal
+    draws, and ``staged=False`` reaches n <= 7 (2n <= MAX_QUBITS).  It stays
+    until the benchmark's per-layer probe stops timing the two schedules apart.
     """
     n = state.num_qubits
     steps = _ghz_schedule(state, convention, staged, "ghz network")
     if len(draws) != n:
         raise ValueError(f"run_ghz_qnd needs {n} draws, got {len(draws)}")
-    bits, probability, amps = _run_schedule(state.amplitudes, steps, draws)
+    bits, probability, amps = _state_tree(state, steps).walk(draws)
     parities = tuple(bits[:-1])
     g = _canonical_phase_bit(bits[-1], n, convention)
     return GhzQndOutcome(
@@ -277,13 +309,12 @@ def ghz_branch_table(
 ) -> list[tuple[tuple[int, ...], GhzLabel, float, StateVector | None]]:
     """All 2**n ancilla branches: (bits with canonical phase, label, probability, post state).
 
-    Enumerates the schedule run_ghz_qnd samples from by default; n = 2..MAX_PARTS.
+    Expands the tree run_ghz_qnd samples from by default (shots equal rows); n = 2..MAX_PARTS.
     """
     n = state.num_qubits
+    steps = _ghz_schedule(state, convention, None, "ghz_branch_table")
     table = []
-    for raw, prob, post in _expand_schedule(
-        state.amplitudes, _ghz_schedule(state, convention, None, "ghz_branch_table")
-    ):
+    for raw, prob, post in _state_tree(state, steps).expand():
         bits = raw[:-1] + (_canonical_phase_bit(raw[-1], n, convention),)
         post_state = None if post is None else StateVector(n, post)
         table.append((bits, decode_ghz(bits[:-1], bits[-1], n), prob, post_state))

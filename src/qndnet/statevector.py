@@ -239,28 +239,32 @@ def _apply_gate_raw(amps: np.ndarray, n: int, gate: GateOp) -> np.ndarray:
     return _apply_single_raw(amps, n, gate.target, _SINGLE_QUBIT_MATRICES[gate.kind])
 
 
-def _measure_drop_raw(
-    amps: np.ndarray, qubit: int, draw: float
-) -> tuple[int, float, np.ndarray]:
-    """Measure one qubit and remove it from the register in a single step.
+def _split_raw(amps: np.ndarray, qubit: int) -> tuple[float, bool, np.ndarray]:
+    """P(bit = 0), whether branch 1 outweighs ZERO_BRANCH_PROB, and the (2**qubit, 2, rest) view."""
+    m = amps.reshape(1 << qubit, 2, -1)
+    branch0, branch1 = m[:, 0, :].reshape(-1), m[:, 1, :].reshape(-1)
+    # 1 - p0 also carries the register's own rounding error: weigh branch 1 itself
+    return float(np.vdot(branch0, branch0).real), bool(np.vdot(branch1, branch1).real > ZERO_BRANCH_PROB), m
 
-    The outcome is 0 iff draw < P(bit = 0), except that a branch whose
-    squared norm is at most ZERO_BRANCH_PROB (rounding residue) is never
-    selected.  A draw outside [0, 1), NaN included, is rejected.
-    """
+
+def _pick_bit(p0: float, live1: bool, draw: float) -> int:
+    """0 iff draw < p0, but a branch of weight <= ZERO_BRANCH_PROB is never picked; draw in [0, 1)."""
     if not 0.0 <= draw < 1.0:
         raise ValueError(f"random draw must lie in [0, 1), got {draw}")
-    m = amps.reshape(1 << qubit, 2, -1)
-    branch0 = m[:, 0, :].reshape(-1)
-    p0 = float(np.vdot(branch0, branch0).real)
-    if draw < p0 and p0 > ZERO_BRANCH_PROB:
-        return 0, p0, branch0 / np.sqrt(p0)
-    branch1 = m[:, 1, :].reshape(-1)
-    # 1 - p0 also carries the register's own rounding error: test the branch itself
-    if np.vdot(branch1, branch1).real <= ZERO_BRANCH_PROB:
-        return 0, p0, branch0 / np.sqrt(p0)
-    p1 = 1.0 - p0
-    return 1, p1, branch1 / np.sqrt(p1)
+    return 0 if (draw < p0 and p0 > ZERO_BRANCH_PROB) or not live1 else 1
+
+
+def _collapse_raw(m: np.ndarray, bit: int, p0: float) -> tuple[float, np.ndarray]:
+    """The branch's probability and its normalized amplitudes with the qubit dropped."""
+    prob = p0 if bit == 0 else 1.0 - p0
+    return prob, m[:, bit, :].reshape(-1) / np.sqrt(prob)
+
+
+def _measure_drop_raw(amps: np.ndarray, qubit: int, draw: float) -> tuple[int, float, np.ndarray]:
+    """Measure one qubit and remove it from the register in a single step."""
+    p0, live1, m = _split_raw(amps, qubit)
+    bit = _pick_bit(p0, live1, draw)
+    return (bit, *_collapse_raw(m, bit, p0))
 
 
 def _apply_network_raw(amps: np.ndarray, gates: Iterable[GateOp], num_ancillas: int) -> np.ndarray:

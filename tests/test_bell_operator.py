@@ -231,6 +231,12 @@ def test_ghz_network_preserves_canonical_operator_eigenstates(n, convention):
     assert len(report.eigenstates) == 1 << n
 
 
+def test_compatibility_check_rejects_networks_beyond_the_register_cap():
+    # the n = 8 network spans 16 qubits; the check reaches n = 7 (2n <= MAX_QUBITS)
+    with pytest.raises(ValueError, match=r"spans 16 qubits.*reach n <= 7"):
+        qnd_compatibility_check(canonical_observable(8), ghz_network_gate_list(8))
+
+
 def test_compatibility_check_never_builds_the_dense_unitary():
     # at n = 6 the (d*a)^2 unitary alone is 256 MiB; the d needed columns are 4 MiB
     observable = canonical_observable(6)

@@ -1,12 +1,19 @@
 """GHZ network tests: parity identities, non-demolition, oracle equivalence."""
 
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qndnet.bell import BellLabel, bell_network_unitary_steps, bell_state
 from qndnet.ghz import (
+    FULL_REGISTER_LIMIT,
     GhzLabel,
+    _parity_network,
     all_canonical_labels,
     decode_ghz,
     ghz_bits,
@@ -19,8 +26,11 @@ from qndnet.ghz import (
     run_ghz_qnd,
 )
 from qndnet.statevector import (
+    MAX_QUBITS,
     GateKind,
     StateVector,
+    _apply_network_raw,
+    _measure_drop_raw,
     apply_gates,
     fidelity_up_to_global_phase,
     make_basis_state,
@@ -316,3 +326,102 @@ def test_extreme_draws_never_select_a_zero_probability_branch(convention, staged
                 out = run_ghz_qnd(ghz_state(label), convention, (draw,) * n, staged=staged)
                 assert out.label == label, (n, draw)
                 assert out.probability == pytest.approx(1.0, abs=1e-12)
+
+
+def test_unstaged_schedule_rejects_registers_beyond_the_cap():
+    # all 2n qubits live: n = 8 needs 16 > MAX_QUBITS, named before any other check or run
+    for state in (random_state(8, np.random.default_rng(0)), StateVector(8, np.ones(256))):
+        with pytest.raises(ValueError, match=r"staged=False .* n <= 7"):
+            run_ghz_qnd(state, "paper", (0.5,) * 8, staged=False)
+
+
+# -- the branch tree against the per-shot schedule walker it replaced --
+
+
+def reference_walk(amps, steps, draws):
+    """Run each step, then measure and drop its ancillas one by one."""
+    bits, probability, draws = [], 1.0, iter(draws)
+    for gates, ancillas in steps:
+        register = amps.size.bit_length() - 1
+        amps = _apply_network_raw(amps, gates, ancillas)
+        for _ in range(ancillas):
+            bit, prob, amps = _measure_drop_raw(amps, register, next(draws))
+            bits.append(bit)
+            probability *= prob
+    return bits, probability, amps
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_tree_shots_equal_reference_walker(n, convention):
+    rng = np.random.default_rng(4000 + n)
+    states = [random_state(n, rng) for _ in range(3)]
+    tables = [
+        {bits: (probability, post) for bits, _, probability, post in ghz_branch_table(s, convention)}
+        for s in states
+    ]
+    for staged in (False, True) if 2 * n <= MAX_QUBITS else (True,):
+        steps = _parity_network(tuple(range(n)), n, convention, staged)
+        # repeated shots of one state, then shots interleaved across three (each evicts the slot)
+        for k in [0] * 12 + [0, 1, 2] * 8:
+            draws = rng.random(n)
+            out = run_ghz_qnd(states[k], convention, draws, staged=staged)
+            bits, probability, amps = reference_walk(states[k].amplitudes, steps, draws)
+            phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
+            assert out.part_parity_bits + (out.global_parity_bit,) == tuple(bits[:-1]) + (phase,)
+            assert out.probability == probability
+            assert np.array_equal(out.post_state.amplitudes, amps)
+            if staged == (n > FULL_REGISTER_LIMIT):
+                row_probability, row_post = tables[k][tuple(bits[:-1]) + (phase,)]
+                assert out.probability == row_probability
+                assert np.array_equal(out.post_state.amplitudes, row_post.amplitudes)
+
+
+def test_branch_tree_memo_holds_one_tree():
+    # eight n = 8 states measured in turn, then a full table: only the last tree stays
+    rng = np.random.default_rng(88)
+    states = [random_state(8, rng) for _ in range(8)]
+    shots = rng.random((8, 80, 8))
+    run_ghz_qnd(random_state(8, rng), "paper", shots[0, 0])  # fills the schedule and kernel caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for state, draws in zip(states, shots):
+            for d in draws:
+                run_ghz_qnd(state, "paper", d)
+        ghz_branch_table(states[0])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 5 * 2**20
+
+
+def test_threads_sharing_the_tree_slot_match_single_threaded():
+    # two workers on their own states, in lockstep shot by shot, evict each other's tree
+    rng = np.random.default_rng(99)
+    jobs = [(random_state(6, rng), rng.random((300, 6))) for _ in range(2)]
+    lockstep = None
+
+    def measure(state, draws):
+        out = []
+        for d in draws:
+            if lockstep is not None:
+                lockstep.wait(timeout=60)
+            out.append(run_ghz_qnd(state, "paper", d))
+        return out
+
+    reference = [measure(*job) for job in jobs]
+    lockstep = threading.Barrier(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(2e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(measure, *job) for job in jobs]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(results, reference):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.label, a.probability) == (b.label, b.probability)
+            assert np.array_equal(a.post_state.amplitudes, b.post_state.amplitudes)
