@@ -105,8 +105,12 @@ def parse_attacker(token: str) -> AttackerModel:
 
 NOISE_MODELS = ("none", "depolarizing", "dephasing")
 
-#: Types accepted as a real number; NoiseSpec also rejects bool, a subclass of int.
 _REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _is_real(value) -> bool:
+    """The one type check on a real-valued setting: one of _REAL_TYPES, but not bool (an int)."""
+    return isinstance(value, _REAL_TYPES) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.model not in NOISE_MODELS:
             raise ValueError(f"noise model must be one of {NOISE_MODELS}, got {self.model!r}")
-        if isinstance(self.p, bool) or not isinstance(self.p, _REAL_TYPES) or not 0.0 <= self.p <= 1.0:
+        if not (_is_real(self.p) and 0.0 <= self.p <= 1.0):
             raise ValueError(f"noise probability must be a real number in [0, 1], got {self.p!r}")
 
 
@@ -371,8 +375,8 @@ def _run_sessions(
 
 
 def _require_session_settings(threshold: float, convention: str) -> None:
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    if not (_is_real(threshold) and 0.0 <= threshold <= 1.0):
+        raise ValueError(f"threshold must be a real number in [0, 1], got {threshold!r}")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown Hadamard convention {convention!r}")
 
@@ -515,7 +519,7 @@ def _require_count(name: str, value) -> None:
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (z=3.0: the 99.7% level)."""
-    if not (isinstance(z, _REAL_TYPES) and 0.0 < z < np.inf):
+    if not (_is_real(z) and 0.0 < z < np.inf):
         raise ValueError(f"z must be a finite positive number, got {z!r}")
     _require_count("successes", successes)
     _require_count("trials", trials)

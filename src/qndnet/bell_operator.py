@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ghz import MAX_PARTS
+from .ghz import _require_parts
 from .statevector import (
     _SQRT_HALF,
     MAX_QUBITS,
@@ -96,8 +96,7 @@ def bell_operator_n(spec: BellOperatorSpec) -> np.ndarray:
     n = spec.num_particles
     if n < 3:
         raise ValueError("bell_operator_n needs n >= 3; use chsh_operator for n = 2")
-    if n > MAX_PARTS:
-        raise ValueError(f"n={n} exceeds the supported maximum {MAX_PARTS}")
+    _require_parts(n)
     b = _chsh_from_pairs(spec.pairs[0], spec.pairs[1])
     bprime = _chsh_from_pairs(spec.pairs[0][::-1], spec.pairs[1][::-1])
     for a, ap in spec.pairs[2:]:

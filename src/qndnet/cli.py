@@ -36,7 +36,7 @@ from .bell_operator import (
     hermiticity_residual,
     spectral_radius,
 )
-from .ghz import MAX_PARTS, all_canonical_labels, ghz_state, parse_ghz_label, run_ghz_qnd
+from .ghz import MAX_PARTS, _require_parts, all_canonical_labels, ghz_state, parse_ghz_label, run_ghz_qnd
 from .statevector import CONVENTIONS, StateVector, load_dump, random_state
 
 _BELL_TOKENS = tuple(label.value for label in BellLabel)
@@ -74,10 +74,9 @@ def _ghz_label(text: str):
 def _parts_count(text: str) -> int:
     try:
         value = int(text)
+        _require_parts(value)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-    if not 2 <= value <= MAX_PARTS:
-        raise argparse.ArgumentTypeError(f"must lie in [2, {MAX_PARTS}], got {value}")
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
 
 

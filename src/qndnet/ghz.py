@@ -61,6 +61,12 @@ MAX_PARTS = 8
 FULL_REGISTER_LIMIT = 6
 
 
+def _require_parts(n: int) -> None:
+    """The one range check on a part count, shared by the GHZ, operator and CLI entry points."""
+    if not 2 <= n <= MAX_PARTS:
+        raise ValueError(f"n must lie in [2, {MAX_PARTS}], got {n}")
+
+
 @dataclass(frozen=True)
 class GhzLabel:
     """Sign ('+' or '-') and canonical bitstring (leading bit 1) of a GHZ state."""
@@ -97,8 +103,7 @@ def parse_ghz_label(token: str) -> GhzLabel:
 
 def all_canonical_labels(n: int) -> list[GhzLabel]:
     """All 2**n canonical labels for n parts, bitstrings ascending, '+' before '-'."""
-    if not 2 <= n <= MAX_PARTS:
-        raise ValueError(f"n must be in [2, {MAX_PARTS}], got {n}")
+    _require_parts(n)
     labels = []
     for value in range(1 << (n - 1)):
         bits = "1" + format(value, f"0{n - 1}b")
@@ -110,8 +115,7 @@ def all_canonical_labels(n: int) -> list[GhzLabel]:
 def ghz_state(label: GhzLabel) -> StateVector:
     """(|x> + sign*|x_bar>)/sqrt2 for the canonical bitstring x of ``label``."""
     n = label.n
-    if n > MAX_PARTS:
-        raise ValueError(f"n={n} exceeds the supported maximum {MAX_PARTS}")
+    _require_parts(n)
     amps = np.zeros(1 << n, dtype=np.complex128)
     index = int(label.bits, 2)
     amps[index] = _SQRT_HALF
@@ -167,35 +171,35 @@ def _parity_network(
 class _Node:
     """The register after a prefix of ancilla bits, ``pending`` ancillas live (0: a leaf).
 
-    ``prob`` is the probability of the bit that led here.  Threads filling
-    one child at once build equal nodes, so either may stay.
+    ``weights`` are the next ancilla's branch weights (_split_raw).  Threads
+    filling one child at once build equal nodes, so either may stay.
     """
 
-    __slots__ = ("prob", "amps", "steps", "at", "pending", "p0", "live1", "m", "children")
+    __slots__ = ("amps", "steps", "at", "pending", "weights", "m", "children")
 
-    def __init__(self, amps: np.ndarray, steps: Sequence, at: int = 0, pending: int = 0, prob: float = 1.0):
+    def __init__(self, amps: np.ndarray, steps: Sequence, at: int = 0, pending: int = 0):
         while not pending and at < len(steps):  # 0-ancilla steps run on to the next ancilla
             gates, pending = steps[at]
             amps = _apply_network_raw(amps, gates, pending)
             at += 1
-        self.prob, self.amps, self.steps, self.at, self.pending = prob, amps, steps, at, pending
+        self.amps, self.steps, self.at, self.pending = amps, steps, at, pending
         if pending:  # the next ancilla sits right after the register
-            self.p0, self.live1, self.m = _split_raw(amps, amps.size.bit_length() - 1 - pending)
+            self.weights, self.m = _split_raw(amps, amps.size.bit_length() - 1 - pending)
             self.children = [None, None]
 
     def child(self, bit: int) -> "_Node":
         if self.children[bit] is None:
-            prob, kept = _collapse_raw(self.m, bit, self.p0)
-            self.children[bit] = _Node(kept, self.steps, self.at, self.pending - 1, prob)
+            kept = _collapse_raw(self.m, bit, self.weights)
+            self.children[bit] = _Node(kept, self.steps, self.at, self.pending - 1)
         return self.children[bit]
 
     def walk(self, draws: Sequence[float]) -> tuple:
         """One shot, a draw per ancilla: (bits, joint probability, register amplitudes)."""
         node, bits, probability, draws = self, [], 1.0, iter(draws)
         while node.pending:
-            bits.append(_pick_bit(node.p0, node.live1, next(draws)))
+            bits.append(_pick_bit(node.weights, next(draws)))
+            probability *= node.weights[bits[-1]]
             node = node.child(bits[-1])
-            probability *= node.prob
         return bits, probability, node.amps
 
     def expand(self) -> list:
@@ -204,10 +208,8 @@ class _Node:
             if node is None or not left:
                 post = None if prob <= ZERO_BRANCH_PROB else node.amps
                 return [(bits + tail, prob, post) for tail in product((0, 1), repeat=left)]
-            weights = (node.p0, 1.0 - node.p0 if node.live1 else 0.0)
-            live = [node.child(bit) if w > ZERO_BRANCH_PROB else None for bit, w in enumerate(weights)]
-            return [row for bit, child in enumerate(live)
-                    for row in rows(child, bits + (bit,), prob * child.prob if child else 0.0, left - 1)]
+            return [row for bit, w in enumerate(node.weights)
+                    for row in rows(node.child(bit) if w else None, bits + (bit,), prob * w, left - 1)]
 
         return rows(self, (), 1.0, sum(ancillas for _, ancillas in self.steps))
 
@@ -232,8 +234,7 @@ def ghz_network_gate_list(n: int, convention: str = "paper") -> list:
     Neighbor-parity CNOT pairs, a Hadamard layer, the global-parity CNOT
     chain, and a second Hadamard layer.  For n = 2 this is the Bell network.
     """
-    if not 2 <= n <= MAX_PARTS:
-        raise ValueError(f"n must be in [2, {MAX_PARTS}], got {n}")
+    _require_parts(n)
     ((gates, _),) = _parity_network(tuple(range(n)), n, convention, False)
     return list(gates)
 
@@ -264,8 +265,7 @@ def _canonical_phase_bit(raw: int, n: int, convention: str) -> int:
 def _ghz_schedule(state: StateVector, convention: str, staged: bool | None, where: str) -> tuple:
     """The schedule for a checked 2..MAX_PARTS-qubit input (staged by default above the limit)."""
     n = state.num_qubits
-    if not 2 <= n <= MAX_PARTS:
-        raise ValueError(f"input must have 2..{MAX_PARTS} qubits, got {n}")
+    _require_parts(n)
     if staged is None:
         staged = n > FULL_REGISTER_LIMIT
     elif not staged and 2 * n > MAX_QUBITS:
@@ -324,13 +324,10 @@ def ghz_branch_table(
 def ghz_projection_oracle(state: StateVector) -> list[tuple[GhzLabel, float]]:
     """Brute-force GHZ decomposition by inner products against all 2**n basis states.
 
-    Independent of the network path; probabilities sum to 1 within 1e-10.
+    Independent of the network path; probabilities sum to the input's squared norm.
     """
-    n = state.num_qubits
-    if n > MAX_PARTS:
-        raise ValueError(f"oracle bound is n <= {MAX_PARTS}, got {n}")
     _require_normalized(state, "ghz_projection_oracle")
     return [
         (label, abs(inner_product(ghz_state(label), state)) ** 2)
-        for label in all_canonical_labels(n)
+        for label in all_canonical_labels(state.num_qubits)  # checks 2 <= n <= MAX_PARTS
     ]

@@ -34,8 +34,8 @@ MAX_QUBITS = 14
 #: Tolerance used when checking that an input state is normalized.
 NORM_ATOL = 1e-8
 
-#: Probability at or below which a measurement branch counts as zero: it is
-#: never sampled and has no post state.
+#: Weight at or below which a measurement branch is dead (never sampled, no
+#: post state); _split_raw alone applies it to a branch.
 ZERO_BRANCH_PROB = 1e-15
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -239,32 +239,31 @@ def _apply_gate_raw(amps: np.ndarray, n: int, gate: GateOp) -> np.ndarray:
     return _apply_single_raw(amps, n, gate.target, _SINGLE_QUBIT_MATRICES[gate.kind])
 
 
-def _split_raw(amps: np.ndarray, qubit: int) -> tuple[float, bool, np.ndarray]:
-    """P(bit = 0), whether branch 1 outweighs ZERO_BRANCH_PROB, and the (2**qubit, 2, rest) view."""
+def _split_raw(amps: np.ndarray, qubit: int) -> tuple[tuple[float, float], np.ndarray]:
+    """Each branch's own squared norm, 0.0 if dead (<= ZERO_BRANCH_PROB), and the (2**qubit, 2, rest) view."""
     m = amps.reshape(1 << qubit, 2, -1)
     branch0, branch1 = m[:, 0, :].reshape(-1), m[:, 1, :].reshape(-1)
-    # 1 - p0 also carries the register's own rounding error: weigh branch 1 itself
-    return float(np.vdot(branch0, branch0).real), bool(np.vdot(branch1, branch1).real > ZERO_BRANCH_PROB), m
+    w0, w1 = float(np.vdot(branch0, branch0).real), float(np.vdot(branch1, branch1).real)
+    return (w0 if w0 > ZERO_BRANCH_PROB else 0.0, w1 if w1 > ZERO_BRANCH_PROB else 0.0), m
 
 
-def _pick_bit(p0: float, live1: bool, draw: float) -> int:
-    """0 iff draw < p0, but a branch of weight <= ZERO_BRANCH_PROB is never picked; draw in [0, 1)."""
+def _pick_bit(weights: tuple[float, float], draw: float) -> int:
+    """0 iff draw < weights[0] or branch 1 is dead; draw in [0, 1)."""
     if not 0.0 <= draw < 1.0:
         raise ValueError(f"random draw must lie in [0, 1), got {draw}")
-    return 0 if (draw < p0 and p0 > ZERO_BRANCH_PROB) or not live1 else 1
+    return 0 if draw < weights[0] or not weights[1] else 1
 
 
-def _collapse_raw(m: np.ndarray, bit: int, p0: float) -> tuple[float, np.ndarray]:
-    """The branch's probability and its normalized amplitudes with the qubit dropped."""
-    prob = p0 if bit == 0 else 1.0 - p0
-    return prob, m[:, bit, :].reshape(-1) / np.sqrt(prob)
+def _collapse_raw(m: np.ndarray, bit: int, weights: tuple[float, float]) -> np.ndarray:
+    """The branch's amplitudes with the qubit dropped, divided by the branch's own norm."""
+    return m[:, bit, :].reshape(-1) / np.sqrt(weights[bit])
 
 
 def _measure_drop_raw(amps: np.ndarray, qubit: int, draw: float) -> tuple[int, float, np.ndarray]:
     """Measure one qubit and remove it from the register in a single step."""
-    p0, live1, m = _split_raw(amps, qubit)
-    bit = _pick_bit(p0, live1, draw)
-    return (bit, *_collapse_raw(m, bit, p0))
+    weights, m = _split_raw(amps, qubit)
+    bit = _pick_bit(weights, draw)
+    return bit, weights[bit], _collapse_raw(m, bit, weights)
 
 
 def _apply_network_raw(amps: np.ndarray, gates: Iterable[GateOp], num_ancillas: int) -> np.ndarray:
@@ -327,9 +326,10 @@ def apply_dense_operator(state: StateVector, matrix: np.ndarray) -> StateVector:
 def measure_qubit(state: StateVector, qubit: int, random_draw: float) -> MeasurementResult:
     """Projective measurement of one qubit, deterministic given the draw.
 
-    The outcome is 0 iff random_draw < P(bit = 0), except that a branch of
-    probability at most ZERO_BRANCH_PROB is never selected.  The post state
-    keeps the full register with the measured qubit collapsed.
+    A branch's probability is its own squared norm; its post state, divided by
+    that norm, keeps the full register with the measured qubit collapsed and
+    can be measured again.  The outcome is 0 iff random_draw < P(bit = 0), but
+    a branch of probability at most ZERO_BRANCH_PROB is never selected.
     """
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range")

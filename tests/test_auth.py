@@ -498,8 +498,8 @@ def test_sweep_validation():
 
 @pytest.mark.parametrize(
     "threshold, convention",
-    [(float("nan"), "paper"), (1.5, "paper"), (-0.25, "paper"), (0.5, "bogus")],
-    ids=["nan", "above-1", "below-0", "unknown-convention"],
+    [(float("nan"), "paper"), (1.5, "paper"), (-0.25, "paper"), (True, "paper"), (0.5, "bogus")],
+    ids=["nan", "above-1", "below-0", "bool", "unknown-convention"],
 )
 def test_sweep_rejects_bad_settings_before_any_draw(threshold, convention, monkeypatch):
     enrolled = []
@@ -518,7 +518,7 @@ def test_wilson_interval_rejects_non_integer_counts():
     assert wilson_interval(np.int64(3), np.int64(10)) == wilson_interval(3, 10)
 
 
-@pytest.mark.parametrize("z", [-1.0, 0.0, float("nan"), float("inf"), "3"])
+@pytest.mark.parametrize("z", [-1.0, 0.0, float("nan"), float("inf"), "3", True])
 def test_wilson_interval_rejects_bad_z(z):
     with pytest.raises(ValueError, match="z must be"):
         wilson_interval(3, 10, z=z)

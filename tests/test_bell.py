@@ -28,6 +28,9 @@ from qndnet.statevector import (
 
 S2 = 1.0 / np.sqrt(2.0)
 
+#: Input norms: exact, and off by 9e-9, which NORM_ATOL (1e-8) still accepts.
+NORMS = [1.0, 1.0 - 9e-9, 1.0 + 9e-9]
+
 # frozen amplitude vectors (big-endian index order 00, 01, 10, 11)
 BELL_AMPLITUDES = {
     BellLabel.PHI_PLUS: [S2, 0, 0, S2],
@@ -151,6 +154,18 @@ def test_repeated_measurement_is_nondemolition():
         assert fidelity_up_to_global_phase(state, bell_state(label)) > 1 - 1e-10
 
 
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_repeat_on_random_post_state_gives_the_same_label(convention, norm):
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        out = run_bell_qnd(StateVector(2, random_state(2, rng).amplitudes * norm), convention, rng.random(2))
+        assert abs(out.post_state.norm() - 1.0) <= 1e-12
+        again = run_bell_qnd(out.post_state, convention, rng.random(2))
+        assert again.label is out.label
+        assert again.probability == pytest.approx(1.0, abs=1e-12)
+
+
 def test_uniform_superposition_collapses_to_each_component():
     state = state_from_bell_coefficients([0.5, 0.5, 0.5, 0.5])
     table = bell_branch_table(state, "paper")
@@ -199,15 +214,18 @@ def test_projection_oracle_basics():
         assert sum(p for _, p, _ in results) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("norm", NORMS)
 @pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_network_matches_projection_oracle(convention):
+def test_network_matches_projection_oracle(convention, norm):
     rng = np.random.default_rng(47)
     for _ in range(200):
-        state = random_state(2, rng)
+        state = StateVector(2, random_state(2, rng).amplitudes * norm)
         oracle = {label: (p, post) for label, p, post in bell_projection_oracle(state)}
         for bits, label, probability, post in bell_branch_table(state, convention):
             expected_p, expected_post = oracle[label]
-            assert abs(probability - expected_p) < 1e-10
+            assert abs(probability - expected_p) < 1e-12
+            if post is not None:
+                assert abs(post.norm() - 1.0) <= (1e-14 if norm == 1.0 else 1e-12)
             if probability > 1e-9:
                 assert fidelity_up_to_global_phase(post, expected_post) > 1 - 1e-10
 

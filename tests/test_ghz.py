@@ -224,17 +224,39 @@ def test_projection_oracle_basics():
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
+#: Input norms: exact, and off by 9e-9, which NORM_ATOL (1e-8) still accepts.
+NORMS = [1.0, 1.0 - 9e-9, 1.0 + 9e-9]
+
+
+@pytest.mark.parametrize("norm", NORMS)
 @pytest.mark.parametrize("convention", ["paper", "standard"])
-@pytest.mark.parametrize("n", [2, 3, 4, 7, 8])
-def test_branch_table_matches_oracle(convention, n):
+@pytest.mark.parametrize("n", range(2, 9))
+def test_branch_table_matches_oracle(convention, n, norm):
     rng = np.random.default_rng(1000 * n)
     for _ in range(50 if n <= 4 else 3):
-        state = random_state(n, rng)
+        state = StateVector(n, random_state(n, rng).amplitudes * norm)
         oracle = dict(ghz_projection_oracle(state))
         for bits, label, probability, post in ghz_branch_table(state, convention):
-            assert abs(probability - oracle[label]) < 1e-10
+            assert abs(probability - oracle[label]) < 1e-12
+            if post is not None:
+                assert abs(post.norm() - 1.0) <= (1e-14 if norm == 1.0 else 1e-12)
             if probability > 1e-9:
                 assert fidelity_up_to_global_phase(post, ghz_state(label)) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_repeat_on_post_state_gives_the_same_label(convention, n, norm):
+    rng = np.random.default_rng(700 + n)
+    for _ in range(10):
+        out = run_ghz_qnd(StateVector(n, random_state(n, rng).amplitudes * norm), convention, rng.random(n))
+        for _ in range(3):
+            assert abs(out.post_state.norm() - 1.0) <= 1e-12
+            again = run_ghz_qnd(out.post_state, convention, rng.random(n))
+            assert again.label == out.label
+            assert again.probability == pytest.approx(1.0, abs=1e-12)
+            out = again
 
 
 @pytest.mark.parametrize("convention", ["paper", "standard"])

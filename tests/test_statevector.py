@@ -242,6 +242,22 @@ def test_measure_middle_qubit_collapse():
     assert again.probability == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("norm", [1.0, 1.0 - 9e-9, 1.0 + 9e-9])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_measurement_repeats_on_its_post_state(n, norm):
+    # inputs off by 9e-9 are accepted (NORM_ATOL = 1e-8); each branch is normalized by its own
+    # norm, so the post state is normalized and measuring it again repeats the bit
+    rng = np.random.default_rng(600 + n)
+    for qubit in range(n):
+        for _ in range(5):
+            state = StateVector(n, random_state(n, rng).amplitudes * norm)
+            result = measure_qubit(state, qubit, rng.random())
+            assert abs(result.post_state.norm() - 1.0) <= (1e-14 if norm == 1.0 else 1e-12)
+            again = measure_qubit(result.post_state, qubit, rng.random())
+            assert again.bit == result.bit
+            assert again.probability == pytest.approx(1.0, abs=1e-12)
+
+
 def test_measurement_statistics_match_probability():
     state = StateVector(1, np.array([0.6, 0.8]))
     rng = np.random.default_rng(99)
