@@ -54,8 +54,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -260,7 +260,7 @@ def _branch_probabilities(
     system_amps: np.ndarray, num_system: int, slot: int, machine: int, convention: str
 ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """(4 outcome probabilities, post system amplitudes per outcome); outcome = 2*parity + phase."""
-    steps = _parity_network((slot, machine), num_system, convention, False)
+    steps = _parity_network((slot, machine), num_system, convention, None)
     table = _Node(system_amps, steps).expand()
     return np.array([prob for _, prob, _ in table]), [post for _, _, post in table]
 
@@ -274,7 +274,7 @@ def _run_round(
     draws: np.ndarray,
 ) -> tuple[tuple[int, int], float, np.ndarray]:
     """Measure both ancillas sequentially; returns (bits, probability, post system)."""
-    steps = _parity_network((slot, machine), num_system, convention, False)
+    steps = _parity_network((slot, machine), num_system, convention, None)
     bits, probability, post = _Node(system_amps, steps).walk(draws)
     return tuple(bits), probability, post
 
@@ -483,33 +483,28 @@ def _acceptance_probability(match_probabilities: Sequence[float], threshold: flo
     return min(1.0, sum(counts[k] for k in accepting))
 
 
-#: Per oracle function: the (attacker, label index, convention) triples it has
-#: already confirmed.  Keyed weakly by the function object resolved at call
-#: time, so a replaced oracle (a wrapper, a test double) is checked afresh and
-#: a discarded one takes its entries with it.
-_CHECKED_LABELS: WeakKeyDictionary = WeakKeyDictionary()
+@lru_cache(maxsize=None)
+def _check_label(oracle_fn: Callable, attacker: AttackerModel, index: int, convention: str) -> None:
+    """Raise unless ``oracle_fn`` agrees with the label engine on one label (a pass is memoized)."""
+    oracle = oracle_fn(attacker, BELL_DECODE_ORDER[index], convention)
+    # the label engine: a card reads its own label, a card-less attacker a uniform one
+    label_model = np.eye(4)[index] if attacker is AttackerModel.LEGITIMATE else np.full(4, 0.25)
+    if np.max(np.abs(oracle - label_model)) > 1e-9:
+        raise RuntimeError(
+            f"label engine disagrees with the state-vector round for {attacker.token} "
+            f"on {BELL_DECODE_ORDER[index].token}: {oracle}"
+        )
 
 
 def _check_label_model(attacker: AttackerModel, indices: Iterable[int], convention: str) -> None:
     """Raise unless the state-vector oracle agrees with the label engine on these labels.
 
-    Each (attacker, label, convention) is checked once per oracle function
-    in a process; attacker_round_distribution itself caches nothing.
+    The oracle is resolved at call time, so a replaced one (a wrapper, a test
+    double) is checked afresh; each (oracle, attacker, label, convention) passes
+    once per process, and attacker_round_distribution itself caches nothing.
     """
-    oracle_fn = attacker_round_distribution
-    checked = _CHECKED_LABELS.setdefault(oracle_fn, set())
     for index in sorted(set(indices)):
-        if (attacker, index, convention) in checked:
-            continue
-        oracle = oracle_fn(attacker, BELL_DECODE_ORDER[index], convention)
-        # the label engine: a card reads its own label, a card-less attacker a uniform one
-        label_model = np.eye(4)[index] if attacker is AttackerModel.LEGITIMATE else np.full(4, 0.25)
-        if np.max(np.abs(oracle - label_model)) > 1e-9:
-            raise RuntimeError(
-                f"label engine disagrees with the state-vector round for {attacker.token} "
-                f"on {BELL_DECODE_ORDER[index].token}: {oracle}"
-            )
-        checked.add((attacker, index, convention))
+        _check_label(attacker_round_distribution, attacker, index, convention)
 
 
 def _require_count(name: str, value) -> None:

@@ -129,7 +129,7 @@ def run_bell_qnd(
     if len(draws) != 2:
         raise ValueError("run_bell_qnd needs exactly two draws")
     _require_pair(state, "bell network")
-    steps = _parity_network((0, 1), 2, convention, False)
+    steps = _parity_network((0, 1), 2, convention, None)
     (parity, phase), probability, amps = _state_tree(state, steps).walk(draws)
     return BellQndOutcome(
         parity_bit=parity,
@@ -149,7 +149,7 @@ def bell_branch_table(
     (numerically) zero probability carry ``None`` as their post state.
     """
     _require_pair(state, "bell network")
-    steps = _parity_network((0, 1), 2, convention, False)
+    steps = _parity_network((0, 1), 2, convention, None)
     return [
         (bits, decode_bell(*bits), prob, None if post is None else StateVector(2, post))
         for bits, prob, post in _state_tree(state, steps).expand()

@@ -8,7 +8,7 @@ operator is
 
 and larger operators follow the Mermin-Klyshko recursion
 
-    B_n  = B_{n-1) (x) (a_n.s + a_n'.s)/2  +  B'_{n-1} (x) (a_n.s - a_n'.s)/2
+    B_n  = B_{n-1} (x) (a_n.s + a_n'.s)/2  +  B'_{n-1} (x) (a_n.s - a_n'.s)/2
 
 where B' is B with every primed and unprimed direction exchanged.  These are
 Hermitian; the spectral radius of B_2 never exceeds 2*sqrt(2) (the Tsirelson
@@ -34,6 +34,7 @@ from .statevector import (
     GateOp,
     StateVector,
     _apply_network_raw,
+    _require_normalized,
 )
 
 _UNIT_ATOL = 1e-12
@@ -85,18 +86,15 @@ def _chsh_from_pairs(first: tuple, second: tuple) -> np.ndarray:
 
 
 def chsh_operator(spec: BellOperatorSpec) -> np.ndarray:
-    """The 4x4 two-particle operator for the given direction pairs."""
+    """The 4x4 two-particle operator: bell_operator_n restricted to exactly 2 pairs."""
     if spec.num_particles != 2:
         raise ValueError(f"chsh_operator needs exactly 2 pairs, got {spec.num_particles}")
-    return _chsh_from_pairs(spec.pairs[0], spec.pairs[1])
+    return bell_operator_n(spec)
 
 
 def bell_operator_n(spec: BellOperatorSpec) -> np.ndarray:
-    """The recursive n-particle operator, n >= 3 (use chsh_operator for n = 2)."""
-    n = spec.num_particles
-    if n < 3:
-        raise ValueError("bell_operator_n needs n >= 3; use chsh_operator for n = 2")
-    _require_parts(n)
+    """The Mermin-Klyshko operator, n = 2..MAX_PARTS: CHSH is the base case, n = 2 takes no step."""
+    _require_parts(spec.num_particles)
     b = _chsh_from_pairs(spec.pairs[0], spec.pairs[1])
     bprime = _chsh_from_pairs(spec.pairs[0][::-1], spec.pairs[1][::-1])
     for a, ap in spec.pairs[2:]:
@@ -131,8 +129,7 @@ def canonical_spec(n: int) -> BellOperatorSpec:
     attained exactly on (|0...0> + |1...1>)/sqrt2.  For n = 2 returns the
     CHSH setting above.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _require_parts(n)
     if n == 2:
         return canonical_chsh_spec()
     # scalar Mermin-Klyshko recursion on the span {|0..0>, |1..1>} with
@@ -232,12 +229,18 @@ def qnd_compatibility_check(
     b = np.asarray(observable, dtype=np.complex128)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(f"observable must be square, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("observable has non-finite entries")
     res = hermiticity_residual(b)
     if res > 1e-9:
         raise ValueError(f"observable is not Hermitian (residual {res})")
     num_data = int(b.shape[0]).bit_length() - 1
     if 1 << num_data != b.shape[0]:
         raise ValueError(f"observable dimension {b.shape[0]} is not a power of two")
+    for state in eigenstates or ():
+        if state.num_qubits != num_data:
+            raise ValueError(f"eigenstate has {state.num_qubits} qubits, the observable acts on {num_data}")
+        _require_normalized(state, "qnd_compatibility_check")
 
     kraus = _branch_kraus_operators(network, num_data)
     num_anc = (len(kraus) - 1).bit_length()

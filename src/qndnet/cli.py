@@ -32,7 +32,6 @@ from .bell_operator import (
     BellOperatorSpec,
     bell_operator_n,
     canonical_spec,
-    chsh_operator,
     hermiticity_residual,
     spectral_radius,
 )
@@ -110,12 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ghz = sub.add_parser("ghz", help="run one GHZ-basis nondemolition measurement")
     ghz.add_argument("--n", type=_parts_count, required=True, help=f"number of data qubits (2..{MAX_PARTS})")
-    ghz.add_argument(
+    ghz_input = ghz.add_mutually_exclusive_group(required=True)
+    ghz_input.add_argument(
         "--label",
         type=_ghz_label,
         help="input GHZ state, e.g. '+:10110' (write --label=-:10110 for '-' states)",
     )
-    ghz.add_argument(
+    ghz_input.add_argument(
         "--random-input", action="store_true", help="measure a seeded random input state"
     )
     ghz.add_argument("--convention", choices=CONVENTIONS, default="paper")
@@ -150,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_bell(args: argparse.Namespace) -> str:
     if isinstance(args.input, Path):
         state = load_dump(args.input)
-        if state.num_qubits != 2:
-            raise ValueError(f"bell input must have 2 qubits, got {state.num_qubits}")
     else:
         state = bell_state(args.input)
     rng = np.random.default_rng(args.seed)
@@ -168,8 +166,6 @@ def _run_bell(args: argparse.Namespace) -> str:
 
 
 def _run_ghz(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
-    if args.random_input == (args.label is not None):
-        parser.error("provide exactly one of --label and --random-input")
     rng = np.random.default_rng(args.seed)
     if args.random_input:
         state = random_state(args.n, rng)
@@ -205,7 +201,7 @@ def _load_operator_spec(path: str, n: int) -> BellOperatorSpec:
 
 def _run_bellop(args: argparse.Namespace) -> str:
     spec = _load_operator_spec(args.spec, args.n) if args.spec else canonical_spec(args.n)
-    observable = chsh_operator(spec) if args.n == 2 else bell_operator_n(spec)
+    observable = bell_operator_n(spec)
     payload: dict = {
         "n": args.n,
         "dimension": 1 << args.n,

@@ -21,7 +21,7 @@ under both conventions.
 The network is built once (_parity_network) as a schedule of steps (gates,
 ancillas): append the ancillas in |0>, run the gates, measure and drop the
 ancillas in order.  Unstaged it is one step with every ancilla live; staged
-(the default for n > FULL_REGISTER_LIMIT) each parity extraction, which
+(the default above FULL_REGISTER_LIMIT parts) each parity extraction, which
 commutes with the rest, is a one-ancilla step, so the live register stays at
 n + 1 qubits.  Every measurement runs on one branch tree over a schedule
 (_Node, built on first visit): a shot walks it, a branch table expands it.
@@ -146,7 +146,7 @@ def decode_ghz(
 
 @lru_cache(maxsize=None)
 def _parity_network(
-    data_qubits: tuple[int, ...], ancilla_start: int, convention: str, staged: bool
+    data_qubits: tuple[int, ...], ancilla_start: int, convention: str, staged: bool | None
 ) -> tuple:
     """The network on ``data_qubits`` as a schedule of steps (gates, ancillas).
 
@@ -156,8 +156,13 @@ def _parity_network(
     the global parity between two Hadamard layers.  Unstaged, this is one
     step with all n ancillas live; staged, each ancilla's CNOT run targets
     ``ancilla_start`` in a step of its own and each layer is a 0-ancilla step.
+    ``staged=None`` applies the one schedule rule, staged iff n > FULL_REGISTER_LIMIT,
+    and returns the same cached schedule as the explicit choice, so every caller
+    of one network (Bell, GHZ, the auth round, the flat gate list) shares one object.
     """
     n = len(data_qubits)
+    if staged is None:
+        return _parity_network(data_qubits, ancilla_start, convention, n > FULL_REGISTER_LIMIT)
     layer = tuple(hadamard(q, convention) for q in data_qubits)
     controls = [data_qubits[i : i + 2] for i in range(n - 1)] + [data_qubits]
     runs = [
@@ -263,15 +268,13 @@ def _canonical_phase_bit(raw: int, n: int, convention: str) -> int:
 
 
 def _ghz_schedule(state: StateVector, convention: str, staged: bool | None, where: str) -> tuple:
-    """The schedule for a checked 2..MAX_PARTS-qubit input (staged by default above the limit)."""
+    """The schedule for a checked 2..MAX_PARTS-qubit input (``staged`` as _parity_network takes it)."""
     n = state.num_qubits
     _require_parts(n)
-    if staged is None:
-        staged = n > FULL_REGISTER_LIMIT
-    elif not staged and 2 * n > MAX_QUBITS:
+    if staged is not None and not staged and 2 * n > MAX_QUBITS:
         raise ValueError(f"staged=False needs 2n <= MAX_QUBITS qubits, so n <= {MAX_QUBITS // 2}; got {n}")
     _require_normalized(state, where)
-    return _parity_network(tuple(range(n)), n, convention, bool(staged))
+    return _parity_network(tuple(range(n)), n, convention, staged)
 
 
 def run_ghz_qnd(
@@ -283,8 +286,8 @@ def run_ghz_qnd(
     """Measure the register in the GHZ basis without demolishing basis states.
 
     Consumes one draw per ancilla: the n-1 neighbor parities in order, then
-    the global parity.  ``staged`` only picks the schedule (default: automatic,
-    staged for n > FULL_REGISTER_LIMIT); both give identical outcomes for equal
+    the global parity.  ``staged`` only picks the schedule (default: the rule
+    in _parity_network); both give identical outcomes for equal
     draws, and ``staged=False`` reaches n <= 7 (2n <= MAX_QUBITS).  It stays
     until the benchmark's per-layer probe stops timing the two schedules apart.
     """

@@ -16,6 +16,8 @@ from qndnet.bell import (
     parse_bell_label,
     run_bell_qnd,
 )
+from qndnet import ghz as ghz_module
+from qndnet.ghz import ghz_branch_table, ghz_state, run_ghz_qnd
 from qndnet.statevector import (
     GateKind,
     StateVector,
@@ -277,3 +279,32 @@ def test_extreme_draws_never_select_a_zero_probability_branch(convention, draw):
         outcome = run_bell_qnd(bell_state(label), convention, (draw, draw))
         assert outcome.label is label
         assert outcome.probability == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_bell_is_the_n2_case_of_ghz(convention):
+    # same input and draws: equal bits, == probabilities, equal post states, row by row
+    rng = np.random.default_rng(77)
+    states = [bell_state(label) for label in BellLabel] + [random_state(2, rng) for _ in range(20)]
+    for state in states:
+        twin = StateVector(2, state.amplitudes)  # its own tree: the GHZ side reruns the network
+        for draws in rng.random((4, 2)):
+            bell = run_bell_qnd(state, convention, draws)
+            ghz = run_ghz_qnd(twin, convention, draws)
+            assert (bell.parity_bit, bell.phase_bit) == ghz.part_parity_bits + (ghz.global_parity_bit,)
+            assert np.array_equal(bell_state(bell.label).amplitudes, ghz_state(ghz.label).amplitudes)
+            assert bell.probability == ghz.probability
+            assert np.array_equal(bell.post_state.amplitudes, ghz.post_state.amplitudes)
+        for (bits, label, prob, post), (g_bits, g_label, g_prob, g_post) in zip(
+            bell_branch_table(state, convention), ghz_branch_table(twin, convention), strict=True
+        ):
+            assert bits == g_bits and prob == g_prob
+            assert np.array_equal(bell_state(label).amplitudes, ghz_state(g_label).amplitudes)
+            assert (post is None) == (g_post is None)
+            assert post is None or np.array_equal(post.amplitudes, g_post.amplitudes)
+    # one schedule rule: Bell and n = 2 GHZ, default or all-live, share one schedule, so one tree
+    run_bell_qnd(states[-1], convention)
+    root = ghz_module._last_tree[2]
+    for staged in (None, False):
+        run_ghz_qnd(states[-1], convention, (0.0, 0.0), staged=staged)
+        assert ghz_module._last_tree[2] is root

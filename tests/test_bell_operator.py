@@ -45,6 +45,12 @@ def random_spec(rng, n=2) -> BellOperatorSpec:
     return BellOperatorSpec(tuple((random_unit(rng), random_unit(rng)) for _ in range(n)))
 
 
+def chsh_formula(spec):
+    """a(x)b + a(x)b' + a'(x)b - a'(x)b', written out from the two direction pairs."""
+    (a, ap), (b, bp) = ((direction_operator(u), direction_operator(v)) for u, v in spec.pairs)
+    return np.kron(a, b) + np.kron(a, bp) + np.kron(ap, b) - np.kron(ap, bp)
+
+
 def test_direction_operator_axes():
     np.testing.assert_allclose(direction_operator(X_DIR), PAULI_X_MATRIX, atol=0)
     np.testing.assert_allclose(direction_operator(Y_DIR), PAULI_Y_MATRIX, atol=0)
@@ -92,8 +98,24 @@ def test_spec_validation():
         BellOperatorSpec(((Z_DIR, Z_DIR),))
     with pytest.raises(ValueError):
         chsh_operator(BellOperatorSpec(((Z_DIR, X_DIR),) * 3))
-    with pytest.raises(ValueError):
-        bell_operator_n(BellOperatorSpec(((Z_DIR, X_DIR),) * 2))
+    two_pairs = BellOperatorSpec(((Z_DIR, X_DIR),) * 2)
+    assert np.array_equal(bell_operator_n(two_pairs), chsh_formula(two_pairs))
+
+
+def test_chsh_is_the_base_case_of_the_recursion():
+    # n = 2 takes no recursion step: the operator is the CHSH array bit for bit
+    rng = np.random.default_rng(1964)
+    for spec in [canonical_chsh_spec()] + [random_spec(rng) for _ in range(50)]:
+        expected = chsh_formula(spec)
+        assert np.array_equal(bell_operator_n(spec), expected)
+        assert np.array_equal(chsh_operator(spec), expected)
+
+
+def test_part_count_range_is_checked_once():
+    nine = BellOperatorSpec(((Z_DIR, X_DIR),) * 9)
+    for build in (lambda: bell_operator_n(nine), lambda: canonical_spec(9), lambda: canonical_spec(1)):
+        with pytest.raises(ValueError, match=r"n must lie in \[2, 8\]"):
+            build()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -184,6 +206,17 @@ def test_compatibility_check_validates():
         qnd_compatibility_check(np.array([[0.0, 1.0], [0.0, 0.0]]), [])
     with pytest.raises(ValueError):
         qnd_compatibility_check(np.zeros((3, 3)), [])
+    observable = chsh_operator(canonical_chsh_spec())
+    network = bell_network_unitary_steps("paper")
+    for bad in (np.nan, np.inf):
+        broken = observable.copy()
+        broken[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qnd_compatibility_check(broken, network)
+    with pytest.raises(ValueError, match="3 qubits"):
+        qnd_compatibility_check(observable, network, eigenstates=[random_state(3, np.random.default_rng(1))])
+    with pytest.raises(ValueError, match="not normalized"):
+        qnd_compatibility_check(observable, network, eigenstates=[StateVector(2, np.array([1.0, 1.0, 0, 0]))])
 
 
 def test_compatibility_report_matches_dense_unitary_loop():

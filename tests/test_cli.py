@@ -59,6 +59,13 @@ def test_bell_nan_file_exits_1(tmp_path, capsys):
     assert code == 1 and out == "" and "not normalized" in err
 
 
+def test_bell_three_qubit_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(to_dump(random_state(3, np.random.default_rng(4)))))
+    code, out, err = run_cli(capsys, "bell", "--input", str(path))
+    assert code == 1 and out == "" and "2-qubit" in err
+
+
 def test_ghz_label_run(capsys):
     code, out, _ = run_cli(capsys, "ghz", "--n", "3", "--label=-:101", "--seed", "5")
     assert code == 0
