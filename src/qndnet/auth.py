@@ -65,7 +65,7 @@ from .bell import (
     bell_bits,
     bell_state,
 )
-from .ghz import _Node, _parity_network
+from .ghz import _branches, _parity_network, _table_rows, _walk
 from .statevector import (
     CONVENTIONS,
     PAULI_X_MATRIX,
@@ -239,7 +239,7 @@ def _apply_noise_rng(state: StateVector, spec: NoiseSpec, rng: np.random.Generat
     amps = state.amplitudes
     for qubit, pauli in enumerate(_noise_paulis(spec, rng)):
         if pauli:
-            amps = _apply_single_raw(amps, state.num_qubits, qubit, _PAULIS[pauli])
+            amps = _apply_single_raw(amps[None].copy(), state.num_qubits, qubit, _PAULIS[pauli])[0]
     return state if amps is state.amplitudes else StateVector(state.num_qubits, amps)
 
 
@@ -261,7 +261,7 @@ def _branch_probabilities(
 ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """(4 outcome probabilities, post system amplitudes per outcome); outcome = 2*parity + phase."""
     steps = _parity_network((slot, machine), num_system, convention, None)
-    table = _Node(system_amps, steps).expand()
+    table = _table_rows(*_branches(system_amps, steps))
     return np.array([prob for _, prob, _ in table]), [post for _, _, post in table]
 
 
@@ -275,7 +275,7 @@ def _run_round(
 ) -> tuple[tuple[int, int], float, np.ndarray]:
     """Measure both ancillas sequentially; returns (bits, probability, post system)."""
     steps = _parity_network((slot, machine), num_system, convention, None)
-    bits, probability, post = _Node(system_amps, steps).walk(draws)
+    bits, probability, post = _walk(*_branches(system_amps, steps, draws), draws)
     return tuple(bits), probability, post
 
 

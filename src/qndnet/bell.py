@@ -21,8 +21,8 @@ the "standard" convention flips some branch-internal phases but leaves every
 outcome probability and decoded bit unchanged.
 
 This module keeps the Bell labels, their decoding table and the projection
-oracle.  It runs the GHZ module's n = 2 schedule on the same memoized
-branch tree as run_ghz_qnd and ghz_branch_table, without GHZ label decoding.
+oracle.  It runs the GHZ module's n = 2 schedule on the same level builder
+and memo slot as run_ghz_qnd and ghz_branch_table, without label decoding.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Sequence
 
 from .ghz import (
-    _parity_network, _state_tree, decode_ghz, ghz_network_gate_list, ghz_state
+    _parity_network, _state_table, _table_rows, _walk, decode_ghz, ghz_network_gate_list, ghz_state
 )
 from .statevector import StateVector, _apply_network_raw, _require_normalized, inner_product
 
@@ -130,14 +130,8 @@ def run_bell_qnd(
         raise ValueError("run_bell_qnd needs exactly two draws")
     _require_pair(state, "bell network")
     steps = _parity_network((0, 1), 2, convention, None)
-    (parity, phase), probability, amps = _state_tree(state, steps).walk(draws)
-    return BellQndOutcome(
-        parity_bit=parity,
-        phase_bit=phase,
-        label=decode_bell(parity, phase),
-        probability=probability,
-        post_state=StateVector(2, amps),
-    )
+    (parity, phase), probability, amps = _walk(*_state_table(state, steps, draws), draws)
+    return BellQndOutcome(parity, phase, decode_bell(parity, phase), probability, StateVector(2, amps))
 
 
 def bell_branch_table(
@@ -152,7 +146,7 @@ def bell_branch_table(
     steps = _parity_network((0, 1), 2, convention, None)
     return [
         (bits, decode_bell(*bits), prob, None if post is None else StateVector(2, post))
-        for bits, prob, post in _state_tree(state, steps).expand()
+        for bits, prob, post in _table_rows(*_state_table(state, steps))
     ]
 
 

@@ -191,7 +191,7 @@ def _branch_kraus_operators(network: Sequence[GateOp], num_data: int) -> np.ndar
     """
     span = max((g.max_index + 1 for g in network), default=num_data)
     d = 1 << num_data
-    columns = _apply_network_raw(np.eye(d), network, max(span - num_data, 0))
+    columns = _apply_network_raw(np.eye(d)[None], network, max(span - num_data, 0))[0]
     return columns.reshape(d, -1, d).transpose(1, 0, 2)
 
 

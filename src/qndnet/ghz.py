@@ -23,10 +23,11 @@ ancillas): append the ancillas in |0>, run the gates, measure and drop the
 ancillas in order.  Unstaged it is one step with every ancilla live; staged
 (the default above FULL_REGISTER_LIMIT parts) each parity extraction, which
 commutes with the rest, is a one-ancilla step, so the live register stays at
-n + 1 qubits.  Every measurement runs on one branch tree over a schedule
-(_Node, built on first visit): a shot walks it, a branch table expands it.
-The last state's tree stays in one slot (_state_tree), so repeated shots of a
-state run no network; auth oracle rounds build a fresh tree each.
+n + 1 qubits.  One level builder (_branches) runs every measurement, one array
+pass per depth over all live bit prefixes.  A state's first shot builds its path
+and keeps only the memo slot (state, schedule); a repeat, or a branch table,
+expands every branch once, and later shots walk that table (_state_table).
+Auth oracle rounds build unmemoized tables.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .statevector import (
     MAX_QUBITS,
     ZERO_BRANCH_PROB,
     StateVector,
+    _apply_gate_raw,
     _apply_network_raw,
     _collapse_raw,
     _pick_bit,
@@ -173,64 +175,72 @@ def _parity_network(
     return tuple(steps) if staged else ((sum((gates for gates, _ in steps), ()), n),)
 
 
-class _Node:
-    """The register after a prefix of ancilla bits, ``pending`` ancillas live (0: a leaf).
+def _branches(amps: np.ndarray, steps: Sequence, draws: Sequence[float] | None = None) -> tuple:
+    """(weights, leaves) of ``steps`` on ``amps``, one array pass per depth over the live prefixes.
 
-    ``weights`` are the next ancilla's branch weights (_split_raw).  Threads
-    filling one child at once build equal nodes, so either may stay.
-    """
-
-    __slots__ = ("amps", "steps", "at", "pending", "weights", "m", "children")
-
-    def __init__(self, amps: np.ndarray, steps: Sequence, at: int = 0, pending: int = 0):
-        while not pending and at < len(steps):  # 0-ancilla steps run on to the next ancilla
-            gates, pending = steps[at]
-            amps = _apply_network_raw(amps, gates, pending)
-            at += 1
-        self.amps, self.steps, self.at, self.pending = amps, steps, at, pending
-        if pending:  # the next ancilla sits right after the register
-            self.weights, self.m = _split_raw(amps, amps.size.bit_length() - 1 - pending)
-            self.children = [None, None]
-
-    def child(self, bit: int) -> "_Node":
-        if self.children[bit] is None:
-            kept = _collapse_raw(self.m, bit, self.weights)
-            self.children[bit] = _Node(kept, self.steps, self.at, self.pending - 1)
-        return self.children[bit]
-
-    def walk(self, draws: Sequence[float]) -> tuple:
-        """One shot, a draw per ancilla: (bits, joint probability, register amplitudes)."""
-        node, bits, probability, draws = self, [], 1.0, iter(draws)
-        while node.pending:
-            bits.append(_pick_bit(node.weights, next(draws)))
-            probability *= node.weights[bits[-1]]
-            node = node.child(bits[-1])
-        return bits, probability, node.amps
-
-    def expand(self) -> list:
-        """Each leaf, bits big-endian: (bits, probability, register or None at <= ZERO_BRANCH_PROB)."""
-        def rows(node, bits, prob, left):
-            if node is None or not left:
-                post = None if prob <= ZERO_BRANCH_PROB else node.amps
-                return [(bits + tail, prob, post) for tail in product((0, 1), repeat=left)]
-            return [row for bit, w in enumerate(node.weights)
-                    for row in rows(node.child(bit) if w else None, bits + (bit,), prob * w, left - 1)]
-
-        return rows(self, (), 1.0, sum(ancillas for _, ancillas in self.steps))
+    weights[k][i] is ancilla k's (w0, w1) after the k-bit prefix i (big-endian; None if dead),
+    leaves[i] the register after bits i.  With ``draws`` only their path is built."""
+    rows, live, weights = amps[None], [0], []
+    for gates, ancillas in steps:
+        qubit = rows.shape[1].bit_length() - 1  # the step's ancillas sit from here on
+        rows = _apply_network_raw(rows, (), ancillas)
+        for gate in gates:  # rebinding frees each gate's input before the next one runs
+            rows = _apply_gate_raw(rows, qubit + ancillas, gate)
+        for _ in range(ancillas):
+            level = [None] * (1 << len(weights))
+            for r, i in enumerate(live):
+                level[i] = _split_raw(rows[r], qubit)[0]
+            if draws is None:  # every branch: one copy splits the rows, one division normalizes them
+                kept = [2 * r + bit for r, i in enumerate(live) for bit in (0, 1) if level[i][bit]]
+                rows = np.ascontiguousarray(rows.reshape(len(live), 1 << qubit, 2, -1).swapaxes(1, 2))
+                rows = rows.reshape(2 * len(live), -1)
+                rows = rows[kept] if len(kept) < len(rows) else rows  # dead branches leave
+                rows /= np.sqrt([level[live[k >> 1]][k & 1] for k in kept])[:, None]
+                live = [2 * live[k >> 1] + (k & 1) for k in kept]
+            else:  # the drawn branch alone, collapsed as measure_qubit collapses it
+                bit = _pick_bit(level[live[0]], draws[len(weights)])
+                rows = _collapse_raw(rows.reshape(1 << qubit, 2, -1), bit, level[live[0]])[None]
+                live = [2 * live[0] + bit]
+            weights.append(level)
+    return weights, dict(zip(live, rows))
 
 
-#: (state, schedule, root) of the last state measured: one tree, 3.2 MiB fully expanded at n = 8.
-#: It holds the state, so an ``is`` match cannot be a reused id; one tuple assignment replaces it.
-_last_tree: tuple = (None, None, None)
+def _walk(weights: list, leaves: dict, draws: Sequence[float]) -> tuple:
+    """One shot on a branch table, a draw per ancilla: (bits, joint probability, register amplitudes)."""
+    bits, probability, i = [], 1.0, 0
+    for level, draw in zip(weights, draws):
+        bit = _pick_bit(level[i], draw)
+        bits.append(bit)
+        probability *= level[i][bit]
+        i = 2 * i + bit
+    return bits, probability, leaves[i]
 
 
-def _state_tree(state: StateVector, steps: Sequence) -> _Node:
-    global _last_tree
-    last_state, last_steps, root = _last_tree
+def _table_rows(weights: list, leaves: dict) -> list:
+    """Each leaf, bits big-endian: (bits, probability, register or None at <= ZERO_BRANCH_PROB)."""
+    probs = [1.0]
+    for level in weights:
+        probs = [p * w for p, pair in zip(probs, level) for w in pair or (0.0, 0.0)]
+    return [(bits, p, None if p <= ZERO_BRANCH_PROB else leaves[i])
+            for i, (bits, p) in enumerate(zip(product((0, 1), repeat=len(weights)), probs))]
+
+
+#: (state, schedule, table or None before a repeat) of the last state measured; held, so ``is`` is safe.
+_last_table: tuple = (None, None, None)
+
+
+def _state_table(state: StateVector, steps: Sequence, draws: Sequence[float] | None = None) -> tuple:
+    """A first shot (``draws``) builds its path and keeps the slot; a repeat or a table call, the table."""
+    global _last_table
+    last_state, last_steps, table = _last_table
     if last_state is not state or last_steps is not steps:
-        root = _Node(state.amplitudes, steps)
-        _last_tree = (state, steps, root)
-    return root
+        _last_table, table = (state, steps, None), None
+        if draws is not None:
+            return _branches(state.amplitudes, steps, draws)
+    if table is None:
+        table = _branches(state.amplitudes, steps)
+        _last_table = (state, steps, table)
+    return table
 
 
 def ghz_network_gate_list(n: int, convention: str = "paper") -> list:
@@ -295,16 +305,10 @@ def run_ghz_qnd(
     steps = _ghz_schedule(state, convention, staged, "ghz network")
     if len(draws) != n:
         raise ValueError(f"run_ghz_qnd needs {n} draws, got {len(draws)}")
-    bits, probability, amps = _state_tree(state, steps).walk(draws)
+    bits, probability, amps = _walk(*_state_table(state, steps, draws), draws)
     parities = tuple(bits[:-1])
     g = _canonical_phase_bit(bits[-1], n, convention)
-    return GhzQndOutcome(
-        part_parity_bits=parities,
-        global_parity_bit=g,
-        label=decode_ghz(parities, g, n),
-        probability=probability,
-        post_state=StateVector(n, amps),
-    )
+    return GhzQndOutcome(parities, g, decode_ghz(parities, g, n), probability, StateVector(n, amps))
 
 
 def ghz_branch_table(
@@ -312,16 +316,14 @@ def ghz_branch_table(
 ) -> list[tuple[tuple[int, ...], GhzLabel, float, StateVector | None]]:
     """All 2**n ancilla branches: (bits with canonical phase, label, probability, post state).
 
-    Expands the tree run_ghz_qnd samples from by default (shots equal rows); n = 2..MAX_PARTS.
+    Expands the table run_ghz_qnd samples from by default (shots equal rows); n = 2..MAX_PARTS.
     """
     n = state.num_qubits
     steps = _ghz_schedule(state, convention, None, "ghz_branch_table")
-    table = []
-    for raw, prob, post in _state_tree(state, steps).expand():
-        bits = raw[:-1] + (_canonical_phase_bit(raw[-1], n, convention),)
-        post_state = None if post is None else StateVector(n, post)
-        table.append((bits, decode_ghz(bits[:-1], bits[-1], n), prob, post_state))
-    return table
+    rows = [(raw[:-1] + (_canonical_phase_bit(raw[-1], n, convention),), prob, post)
+            for raw, prob, post in _table_rows(*_state_table(state, steps))]
+    return [(bits, decode_ghz(bits[:-1], bits[-1], n), prob, None if post is None else StateVector(n, post))
+            for bits, prob, post in rows]
 
 
 def ghz_projection_oracle(state: StateVector) -> list[tuple[GhzLabel, float]]:

@@ -114,6 +114,12 @@ def pauli_x(target: int) -> GateOp:
     return GateOp(GateKind.PAULI_X, target=target)
 
 
+def _require_qubits(num_qubits: int) -> None:
+    """The one range check on a register size, made before any 2**num_qubits array is built."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Immutable amplitude vector over the 2**num_qubits computational basis."""
@@ -122,10 +128,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits}"
-            )
+        _require_qubits(self.num_qubits)
         arr = np.array(self.amplitudes, dtype=np.complex128, copy=True)
         if arr.shape != (1 << self.num_qubits,):
             raise ValueError(
@@ -191,6 +194,7 @@ def basis_index(bits: Sequence[int]) -> int:
 
 def make_basis_state(num_qubits: int, bits: str | Iterable[int]) -> StateVector:
     """Computational-basis state |bits>, e.g. make_basis_state(3, "101")."""
+    _require_qubits(num_qubits)
     seq = _as_bits(bits, num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[basis_index(seq)] = 1.0
@@ -199,23 +203,24 @@ def make_basis_state(num_qubits: int, bits: str | Iterable[int]) -> StateVector:
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-like random pure state (normalized complex Gaussian amplitudes)."""
+    _require_qubits(num_qubits)
     dim = 1 << num_qubits
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(num_qubits, amps / np.linalg.norm(amps))
 
 
 # -- raw-array kernels (shared by the network modules; avoid per-gate wrapping) --
-# They act on axis 0; trailing axes (an operator's columns) ride along unchanged.
+# Gates act on axis 1 of (registers, 2**n, columns...) arrays and may overwrite it: pass an owned one.
 
 
 def _apply_single_raw(amps: np.ndarray, n: int, target: int, u: np.ndarray) -> np.ndarray:
-    # big-endian: qubit `target` is the middle axis of (2**target, 2, rest)
-    m = amps.reshape(1 << target, 2, -1)
+    # big-endian: qubit `target` is the middle axis of (registers * 2**target, 2, rest)
+    m = amps.reshape(len(amps) << target, 2, -1)
     a0, a1 = m[:, 0, :], m[:, 1, :]
-    out = np.empty_like(m)
-    out[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
-    out[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
-    return out.reshape(amps.shape)
+    new0 = u[0, 0] * a0 + u[0, 1] * a1
+    a1[...] = u[1, 0] * a0 + u[1, 1] * a1
+    a0[...] = new0
+    return m.reshape(amps.shape)
 
 
 @lru_cache(maxsize=None)
@@ -227,15 +232,11 @@ def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
     return src
 
 
-def _apply_cnot_raw(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    return amps[_cnot_permutation(n, control, target)]
-
-
 def _apply_gate_raw(amps: np.ndarray, n: int, gate: GateOp) -> np.ndarray:
     if gate.max_index >= n:
         raise ValueError(f"gate {gate} out of range for {n} qubits")
     if gate.kind is GateKind.CNOT:
-        return _apply_cnot_raw(amps, n, gate.control, gate.target)
+        return amps.take(_cnot_permutation(n, gate.control, gate.target), axis=1)
     return _apply_single_raw(amps, n, gate.target, _SINGLE_QUBIT_MATRICES[gate.kind])
 
 
@@ -267,15 +268,16 @@ def _measure_drop_raw(amps: np.ndarray, qubit: int, draw: float) -> tuple[int, f
 
 
 def _apply_network_raw(amps: np.ndarray, gates: Iterable[GateOp], num_ancillas: int) -> np.ndarray:
-    """Append ``num_ancillas`` qubits in |0> after the register (axis 0), then apply ``gates``."""
-    num_qubits = (len(amps) << num_ancillas).bit_length() - 1
+    """Append ``num_ancillas`` qubits in |0> after each register (1-D ``amps``: one), then apply ``gates``."""
+    rows = amps if amps.ndim > 1 else amps[None]
+    num_qubits = (rows.shape[1] << num_ancillas).bit_length() - 1
     if num_qubits > MAX_QUBITS:
         raise ValueError(f"register of {num_qubits} qubits exceeds the cap of {MAX_QUBITS}")
-    joint = np.zeros((1 << num_qubits,) + amps.shape[1:], dtype=np.complex128)
-    joint[:: 1 << num_ancillas] = amps
+    joint = np.zeros((len(rows), 1 << num_qubits) + rows.shape[2:], dtype=np.complex128)
+    joint[:, :: 1 << num_ancillas] = rows
     for gate in gates:
         joint = _apply_gate_raw(joint, num_qubits, gate)
-    return joint
+    return joint if amps.ndim > 1 else joint[0]
 
 
 def _drop_raw(amps: np.ndarray, qubit: int, bit: int) -> np.ndarray:
@@ -294,7 +296,8 @@ def _drop_raw(amps: np.ndarray, qubit: int, bit: int) -> np.ndarray:
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate; returns a new state with the same norm (within 1e-12)."""
-    return StateVector(state.num_qubits, _apply_gate_raw(state.amplitudes, state.num_qubits, gate))
+    amps = _apply_gate_raw(state.amplitudes[None].copy(), state.num_qubits, gate)
+    return StateVector(state.num_qubits, amps[0])
 
 
 def apply_gates(state: StateVector, gates: Iterable[GateOp]) -> StateVector:
@@ -308,7 +311,8 @@ def apply_single_qubit_matrix(state: StateVector, qubit: int, matrix: np.ndarray
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    return StateVector(state.num_qubits, _apply_single_raw(state.amplitudes, state.num_qubits, qubit, m))
+    amps = _apply_single_raw(state.amplitudes[None].copy(), state.num_qubits, qubit, m)
+    return StateVector(state.num_qubits, amps[0])
 
 
 def apply_dense_operator(state: StateVector, matrix: np.ndarray) -> StateVector:
@@ -375,7 +379,7 @@ def states_close(a: StateVector, b: StateVector, atol: float = 1e-10) -> bool:
 
 def gates_to_matrix(gates: Sequence[GateOp], num_qubits: int) -> np.ndarray:
     """Dense unitary of a gate list: the network run on the identity's columns at once."""
-    return _apply_network_raw(np.eye(1 << num_qubits), gates, 0)
+    return _apply_network_raw(np.eye(1 << num_qubits)[None], gates, 0)[0]
 
 
 # -- JSON dump format: {"num_qubits": n, "amplitudes": [[re, im], ...]} --

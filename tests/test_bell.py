@@ -287,7 +287,7 @@ def test_bell_is_the_n2_case_of_ghz(convention):
     rng = np.random.default_rng(77)
     states = [bell_state(label) for label in BellLabel] + [random_state(2, rng) for _ in range(20)]
     for state in states:
-        twin = StateVector(2, state.amplitudes)  # its own tree: the GHZ side reruns the network
+        twin = StateVector(2, state.amplitudes)  # its own memo slot: the GHZ side reruns the network
         for draws in rng.random((4, 2)):
             bell = run_bell_qnd(state, convention, draws)
             ghz = run_ghz_qnd(twin, convention, draws)
@@ -302,9 +302,13 @@ def test_bell_is_the_n2_case_of_ghz(convention):
             assert np.array_equal(bell_state(label).amplitudes, ghz_state(g_label).amplitudes)
             assert (post is None) == (g_post is None)
             assert post is None or np.array_equal(post.amplitudes, g_post.amplitudes)
-    # one schedule rule: Bell and n = 2 GHZ, default or all-live, share one schedule, so one tree
+    # one schedule rule: Bell and n = 2 GHZ, default or all-live, share one schedule, so one
+    # memo slot: their shots keep its (state, schedule), and the repeat's table stays put
     run_bell_qnd(states[-1], convention)
-    root = ghz_module._last_tree[2]
+    state, steps, _ = ghz_module._last_table
+    tables = []
     for staged in (None, False):
         run_ghz_qnd(states[-1], convention, (0.0, 0.0), staged=staged)
-        assert ghz_module._last_tree[2] is root
+        assert ghz_module._last_table[0] is state and ghz_module._last_table[1] is steps
+        tables.append(ghz_module._last_table[2])
+    assert tables[0] is not None and tables[1] is tables[0]

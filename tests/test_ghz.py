@@ -357,7 +357,7 @@ def test_unstaged_schedule_rejects_registers_beyond_the_cap():
             run_ghz_qnd(state, "paper", (0.5,) * 8, staged=False)
 
 
-# -- the branch tree against the per-shot schedule walker it replaced --
+# -- the level builder against the per-shot schedule walker --
 
 
 def reference_walk(amps, steps, draws):
@@ -399,8 +399,39 @@ def test_tree_shots_equal_reference_walker(n, convention):
                 assert np.array_equal(out.post_state.amplitudes, row_post.amplitudes)
 
 
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_path_to_table_switch_equals_reference_walker(n, convention):
+    # shot -> table -> shots and table -> shots on one state: the first shot's path, the
+    # expansion on the repeat and the walks on the table; GHZ basis states carry their
+    # dead branches across the switch under both extreme draws
+    rng = np.random.default_rng(5000 + n)
+    steps = _parity_network(tuple(range(n)), n, convention, None)
+    labels = all_canonical_labels(n)
+    top = float(np.nextafter(1.0, 0.0))
+    cases = [(random_state(n, rng).amplitudes, None, None) for _ in range(2)]
+    for label in (labels[k] for k in rng.choice(len(labels), 2)):
+        cases += [(ghz_state(label).amplitudes, draw, label) for draw in (0.0, top)]
+    for amps, draw, label in cases:
+        for table_first in (False, True):
+            state = StateVector(n, amps)  # a new object: the memo slot starts over
+            shots = [rng.random(n) if draw is None else np.full(n, draw) for _ in range(3)]
+            outs = [] if table_first else [run_ghz_qnd(state, convention, shots[0])]
+            table = {bits: (prob, post) for bits, _, prob, post in ghz_branch_table(state, convention)}
+            outs += [run_ghz_qnd(state, convention, d) for d in shots[len(outs):]]
+            for out, d in zip(outs, shots, strict=True):
+                bits, probability, post = reference_walk(amps, steps, d)
+                phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
+                key = tuple(bits[:-1]) + (phase,)
+                assert out.part_parity_bits + (out.global_parity_bit,) == key
+                assert out.probability == probability == table[key][0]
+                assert np.array_equal(out.post_state.amplitudes, post)
+                assert np.array_equal(table[key][1].amplitudes, post)
+                assert label is None or out.label == label
+
+
 def test_branch_tree_memo_holds_one_tree():
-    # eight n = 8 states measured in turn, then a full table: only the last tree stays
+    # eight n = 8 states measured in turn, then a full table: only the last table stays
     rng = np.random.default_rng(88)
     states = [random_state(8, rng) for _ in range(8)]
     shots = rng.random((8, 80, 8))
@@ -415,11 +446,28 @@ def test_branch_tree_memo_holds_one_tree():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held < 5 * 2**20
+    assert held <= 3.2 * 2**20
+
+
+def test_cold_n8_table_peaks_under_3_mib():
+    # one pass per depth frees each depth's rows before the next: the whole expansion,
+    # the memoized table and the returned rows stay under 3 MiB at once
+    rng = np.random.default_rng(89)
+    ghz_branch_table(random_state(8, rng))  # fills the schedule and kernel caches
+    run_ghz_qnd(random_state(2, rng), "paper", (0.5, 0.5))  # the slot lets go of that table
+    state = random_state(8, rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ghz_branch_table(state)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_threads_sharing_the_tree_slot_match_single_threaded():
-    # two workers on their own states, in lockstep shot by shot, evict each other's tree
+    # two workers on their own states, in lockstep shot by shot, evict each other's memo slot
     rng = np.random.default_rng(99)
     jobs = [(random_state(6, rng), rng.random((300, 6))) for _ in range(2)]
     lockstep = None

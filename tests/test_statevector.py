@@ -119,6 +119,17 @@ def test_basis_state_errors():
         make_basis_state(0, "")
 
 
+@pytest.mark.parametrize("n", [-1, 0, 15, 40])
+def test_qubit_count_is_checked_before_any_allocation(n):
+    # 40 qubits would ask for 8 TiB (16 TiB for the basis state) before the StateVector check ran
+    rng = np.random.default_rng(0)
+    for build in (lambda: random_state(n, rng), lambda: make_basis_state(n, "0" * max(n, 0))):
+        with pytest.raises(ValueError, match=r"num_qubits must be in \[1, 14\]"):
+            build()
+    with pytest.raises(ValueError, match=r"num_qubits must be in \[1, 14\]"):
+        StateVector(n, np.ones(1))
+
+
 def test_cap_is_at_least_twelve():
     assert MAX_QUBITS >= 12
     make_basis_state(12, "0" * 12)
