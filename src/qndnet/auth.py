@@ -275,8 +275,9 @@ def _run_round(
 ) -> tuple[tuple[int, int], float, np.ndarray]:
     """Measure both ancillas sequentially; returns (bits, probability, post system)."""
     steps = _parity_network((slot, machine), num_system, convention, None)
-    bits, probability, post = _walk(*_branches(system_amps, steps, draws), draws)
-    return tuple(bits), probability, post
+    weights, leaves = _branches(system_amps, steps, draws)
+    bits, probability, leaf = _walk(weights, draws)
+    return tuple(bits), probability, leaves[leaf]
 
 
 @dataclass(frozen=True)

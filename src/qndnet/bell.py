@@ -22,7 +22,9 @@ outcome probability and decoded bit unchanged.
 
 This module keeps the Bell labels, their decoding table and the projection
 oracle.  It runs the GHZ module's n = 2 schedule on the same level builder
-and memo slot as run_ghz_qnd and ghz_branch_table, without label decoding.
+and memo slot as run_ghz_qnd and ghz_branch_table, without GHZ label
+decoding: the slot's table keeps Bell outcomes apart from GHZ ones, each
+finished once per leaf.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .ghz import (
-    _parity_network, _state_table, _table_rows, _walk, decode_ghz, ghz_network_gate_list, ghz_state
+    _parity_network, _shot, _state_table, _table_rows, decode_ghz, ghz_network_gate_list, ghz_state
 )
 from .statevector import StateVector, _apply_network_raw, _require_normalized, inner_product
 
@@ -96,6 +100,12 @@ class BellQndOutcome:
     post_state: StateVector
 
 
+def _finish_bell(bits: list, probability: float, amps: np.ndarray) -> BellQndOutcome:
+    """The Bell leaf finisher: decoded label and 2-qubit post state."""
+    parity, phase = bits
+    return BellQndOutcome(parity, phase, decode_bell(parity, phase), probability, StateVector(2, amps))
+
+
 def bell_network_unitary_steps(convention: str = "paper") -> list:
     """The full 8-gate network over qubits (data 0, 1; ancillas 2, 3)."""
     return ghz_network_gate_list(2, convention)
@@ -124,14 +134,14 @@ def run_bell_qnd(
     The outcome is deterministic given ``draws``, each in [0, 1); the joint
     probability of the observed bits equals the squared overlap of the input
     with the decoded Bell state, and the returned 2-qubit post state is that
-    Bell state.
+    Bell state.  Repeated shots of one state that reach the same leaf may
+    return the same immutable outcome object.
     """
     if len(draws) != 2:
         raise ValueError("run_bell_qnd needs exactly two draws")
     _require_pair(state, "bell network")
     steps = _parity_network((0, 1), 2, convention, None)
-    (parity, phase), probability, amps = _walk(*_state_table(state, steps, draws), draws)
-    return BellQndOutcome(parity, phase, decode_bell(parity, phase), probability, StateVector(2, amps))
+    return _shot(state, steps, draws, _finish_bell)
 
 
 def bell_branch_table(
@@ -146,7 +156,7 @@ def bell_branch_table(
     steps = _parity_network((0, 1), 2, convention, None)
     return [
         (bits, decode_bell(*bits), prob, None if post is None else StateVector(2, post))
-        for bits, prob, post in _table_rows(*_state_table(state, steps))
+        for bits, prob, post in _table_rows(*_state_table(state, steps)[:2])
     ]
 
 

@@ -49,7 +49,7 @@ def _as_unit_vector(v: Sequence[float]) -> np.ndarray:
         raise ValueError(f"direction must be a 3-vector, got shape {arr.shape}")
     # written as "not <=" so that a NaN component fails the check too
     if not abs(np.linalg.norm(arr) - 1.0) <= _UNIT_ATOL:
-        raise ValueError(f"direction must be a unit vector, |v|={np.linalg.norm(arr)!r}")
+        raise ValueError(f"direction must be a unit vector, |v|={float(np.linalg.norm(arr))!r}")
     arr.flags.writeable = False
     return arr
 

@@ -27,7 +27,9 @@ n + 1 qubits.  One level builder (_branches) runs every measurement, one array
 pass per depth over all live bit prefixes.  A state's first shot builds its path
 and keeps only the memo slot (state, schedule); a repeat, or a branch table,
 expands every branch once, and later shots walk that table (_state_table).
-Auth oracle rounds build unmemoized tables.
+The table also keeps each leaf's finished outcome, built by the first shot that
+reaches it, per outcome kind (_shot), so later shots to that leaf return it.
+Auth rounds build unmemoized paths and tables.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,6 +79,8 @@ class GhzLabel:
     bits: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.sign, str) or not isinstance(self.bits, str):
+            raise ValueError(f"sign and bits must be strings, got {self.sign!r} and {self.bits!r}")
         if self.sign not in ("+", "-"):
             raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
         if len(self.bits) < 2:
@@ -205,15 +209,15 @@ def _branches(amps: np.ndarray, steps: Sequence, draws: Sequence[float] | None =
     return weights, dict(zip(live, rows))
 
 
-def _walk(weights: list, leaves: dict, draws: Sequence[float]) -> tuple:
-    """One shot on a branch table, a draw per ancilla: (bits, joint probability, register amplitudes)."""
+def _walk(weights: list, draws: Sequence[float]) -> tuple:
+    """One shot on a branch table, a draw per ancilla: (bits, joint probability, leaf index)."""
     bits, probability, i = [], 1.0, 0
     for level, draw in zip(weights, draws):
         bit = _pick_bit(level[i], draw)
         bits.append(bit)
         probability *= level[i][bit]
         i = 2 * i + bit
-    return bits, probability, leaves[i]
+    return bits, probability, i
 
 
 def _table_rows(weights: list, leaves: dict) -> list:
@@ -230,17 +234,34 @@ _last_table: tuple = (None, None, None)
 
 
 def _state_table(state: StateVector, steps: Sequence, draws: Sequence[float] | None = None) -> tuple:
-    """A first shot (``draws``) builds its path and keeps the slot; a repeat or a table call, the table."""
+    """(weights, leaves, finished) for ``state``: a first shot (``draws``) builds its path, with
+    finished None, and keeps the slot; a repeat or a table call, the table with its finished leaves."""
     global _last_table
     last_state, last_steps, table = _last_table
     if last_state is not state or last_steps is not steps:
         _last_table, table = (state, steps, None), None
         if draws is not None:
-            return _branches(state.amplitudes, steps, draws)
+            return *_branches(state.amplitudes, steps, draws), None
     if table is None:
-        table = _branches(state.amplitudes, steps)
+        table = (*_branches(state.amplitudes, steps), {})
         _last_table = (state, steps, table)
     return table
+
+
+def _shot(state: StateVector, steps: Sequence, draws: Sequence[float], finish: Callable, *args) -> object:
+    """One shot: walk the slot's table (or a fresh state's path) and finish the leaf it reaches.
+
+    ``finish(bits, probability, amplitudes, *args)`` builds the outcome.  A table keeps it by
+    (finish, leaf), so ``args`` must follow from ``steps`` (a convention does), and Bell and
+    n = 2 GHZ, which share steps, keep their own; a later shot to that leaf returns it."""
+    weights, leaves, finished = _state_table(state, steps, draws)
+    bits, probability, i = _walk(weights, draws)
+    if finished is None:
+        return finish(bits, probability, leaves[i], *args)
+    outcome = finished.get((finish, i))
+    if outcome is None:
+        outcome = finished[finish, i] = finish(bits, probability, leaves[i], *args)
+    return outcome
 
 
 def ghz_network_gate_list(n: int, convention: str = "paper") -> list:
@@ -277,6 +298,14 @@ def _canonical_phase_bit(raw: int, n: int, convention: str) -> int:
     return raw ^ (n & 1) if convention == "paper" else raw
 
 
+def _finish_ghz(bits: list, probability: float, amps: np.ndarray, convention: str) -> GhzQndOutcome:
+    """The GHZ leaf finisher: canonical phase bit, decoded label, post state."""
+    n = len(bits)
+    parities = tuple(bits[:-1])
+    g = _canonical_phase_bit(bits[-1], n, convention)
+    return GhzQndOutcome(parities, g, decode_ghz(parities, g, n), probability, StateVector(n, amps))
+
+
 def _ghz_schedule(state: StateVector, convention: str, staged: bool | None, where: str) -> tuple:
     """The schedule for a checked 2..MAX_PARTS-qubit input (``staged`` as _parity_network takes it)."""
     n = state.num_qubits
@@ -300,15 +329,14 @@ def run_ghz_qnd(
     in _parity_network); both give identical outcomes for equal
     draws, and ``staged=False`` reaches n <= 7 (2n <= MAX_QUBITS).  It stays
     until the benchmark's per-layer probe stops timing the two schedules apart.
+    Repeated shots of one state that reach the same leaf may return the same
+    immutable outcome object.
     """
     n = state.num_qubits
     steps = _ghz_schedule(state, convention, staged, "ghz network")
     if len(draws) != n:
         raise ValueError(f"run_ghz_qnd needs {n} draws, got {len(draws)}")
-    bits, probability, amps = _walk(*_state_table(state, steps, draws), draws)
-    parities = tuple(bits[:-1])
-    g = _canonical_phase_bit(bits[-1], n, convention)
-    return GhzQndOutcome(parities, g, decode_ghz(parities, g, n), probability, StateVector(n, amps))
+    return _shot(state, steps, draws, _finish_ghz, convention)
 
 
 def ghz_branch_table(
@@ -321,7 +349,7 @@ def ghz_branch_table(
     n = state.num_qubits
     steps = _ghz_schedule(state, convention, None, "ghz_branch_table")
     rows = [(raw[:-1] + (_canonical_phase_bit(raw[-1], n, convention),), prob, post)
-            for raw, prob, post in _table_rows(*_state_table(state, steps))]
+            for raw, prob, post in _table_rows(*_state_table(state, steps)[:2])]
     return [(bits, decode_ghz(bits[:-1], bits[-1], n), prob, None if post is None else StateVector(n, post))
             for bits, prob, post in rows]
 

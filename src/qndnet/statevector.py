@@ -296,8 +296,10 @@ def _drop_raw(amps: np.ndarray, qubit: int, bit: int) -> np.ndarray:
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate; returns a new state with the same norm (within 1e-12)."""
-    amps = _apply_gate_raw(state.amplitudes[None].copy(), state.num_qubits, gate)
-    return StateVector(state.num_qubits, amps[0])
+    amps = state.amplitudes[None]
+    if gate.kind is not GateKind.CNOT:  # the single-qubit kernel overwrites its input; a CNOT's take does not
+        amps = amps.copy()
+    return StateVector(state.num_qubits, _apply_gate_raw(amps, state.num_qubits, gate)[0])
 
 
 def apply_gates(state: StateVector, gates: Iterable[GateOp]) -> StateVector:

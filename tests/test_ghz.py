@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ def test_non_canonical_labels_rejected():
         GhzLabel("+", "1")
     with pytest.raises(ValueError):
         parse_ghz_label("+?101")
+
+
+@pytest.mark.parametrize(
+    "sign, bits", [("+", ["1", "0"]), ("+", ("1", "0")), ("+", 101), ("+", b"10"), (["+"], "10"), (1, "10")]
+)
+def test_labels_take_only_strings(sign, bits):
+    with pytest.raises(ValueError, match="must be strings"):
+        GhzLabel(sign, bits)
 
 
 def test_label_token_roundtrip():
@@ -428,6 +437,48 @@ def test_path_to_table_switch_equals_reference_walker(n, convention):
                 assert np.array_equal(out.post_state.amplitudes, post)
                 assert np.array_equal(table[key][1].amplitudes, post)
                 assert label is None or out.label == label
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_repeat_visits_return_the_first_visits_outcome(n):
+    # the same draws twice over: the table finishes a leaf on its first visit, and every
+    # repeat visit returns that outcome, which equals the reference walker's shot
+    rng = np.random.default_rng(6000 + n)
+    for convention in ("paper", "standard"):
+        steps = _parity_network(tuple(range(n)), n, convention, None)
+        state = random_state(n, rng)
+        shots = rng.random((12, n))
+        finished = {}
+        for k, draws in enumerate(np.concatenate([shots, shots])):
+            out = run_ghz_qnd(state, convention, draws)
+            bits, probability, post = reference_walk(state.amplitudes, steps, draws)
+            phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
+            assert out.part_parity_bits + (out.global_parity_bit,) == tuple(bits[:-1]) + (phase,)
+            assert out.label == decode_ghz(bits[:-1], phase, n)
+            assert out.probability == probability
+            assert out.post_state.amplitudes.tobytes() == post.tobytes()
+            if k > 0:  # shot 0 builds a fresh state's path and keeps nothing
+                assert finished.setdefault(tuple(bits), out) is out
+        assert len(finished) < 2 * len(shots) - 1
+
+
+def test_finished_n8_leaves_stay_under_3_2_mib():
+    # draws of 0.0 or just below 1 pick each bit outright, so 256 shots reach every leaf of
+    # a random n = 8 state: the slot then holds its table and one outcome per leaf
+    rng = np.random.default_rng(90)
+    top = float(np.nextafter(1.0, 0.0))
+    shots = [np.array(d) for d in product((0.0, top), repeat=8)]
+    run_ghz_qnd(random_state(8, rng), "paper", shots[0])  # fills the schedule and kernel caches
+    state = random_state(8, rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        labels = {run_ghz_qnd(state, "paper", d).label for d in shots + shots[:1]}
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(labels) >= 240
+    assert held <= 3.2 * 2**20
 
 
 def test_branch_tree_memo_holds_one_tree():

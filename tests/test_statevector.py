@@ -152,6 +152,17 @@ def test_cnot_flips_target_when_control_set():
     np.testing.assert_allclose(state.amplitudes, make_basis_state(2, "01").amplitudes, atol=0)
 
 
+@pytest.mark.parametrize("n, control, target", [(2, 1, 0), (4, 0, 3), (12, 5, 2)])
+def test_cnot_leaves_its_input_and_permutes_the_amplitudes(n, control, target):
+    state = random_state(n, np.random.default_rng(n))
+    before = state.amplitudes.tobytes()
+    out = apply_gate(state, cnot(control, target))
+    assert state.amplitudes.tobytes() == before
+    # ket k takes the amplitude of k with the target flipped iff the control is set
+    flip = [k ^ ((k >> (n - 1 - control)) & 1) << (n - 1 - target) for k in range(1 << n)]
+    assert out.amplitudes.tobytes() == state.amplitudes[flip].tobytes()
+
+
 def test_hadamard_paper_action():
     plus = apply_gate(make_basis_state(1, "1"), hadamard(0, "paper"))
     np.testing.assert_allclose(plus.amplitudes, [S2, S2], atol=1e-15)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the GHZ branch engine: cold table, fresh shot, warm shot.
+"""Per-layer timings of the GHZ branch engine: cold table, fresh, warm and repeat shots.
 
     python3 tools/branch_layers.py SRC_DIR [SRC_DIR ...] [--states 40] [--seed 0]
 
@@ -9,7 +9,9 @@ the order alternating) and prints one JSON object: for each source and each
 n = 2..8, the median and quartiles, in microseconds, of
 * ``cold_table``: ghz_branch_table on a freshly built random state;
 * ``fresh_shot``: the first run_ghz_qnd on a freshly built random state;
-* ``warm_shot``: run_ghz_qnd on a state whose table is already built.
+* ``warm_shot``: run_ghz_qnd on a state whose table is already built;
+* ``repeat_shot``: run_ghz_qnd again with the warm shot's draws, so it
+  reaches a leaf the table has already visited.
 Every source sees the same amplitudes and draws; BLAS runs on one thread.
 """
 
@@ -29,7 +31,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-LAYERS = ("cold_table", "fresh_shot", "warm_shot")
+LAYERS = ("cold_table", "fresh_shot", "warm_shot", "repeat_shot")
 
 
 def load(src: str, name: str):
@@ -52,11 +54,14 @@ def time_layers(qn, n: int, amps: np.ndarray, draws: np.ndarray) -> dict[str, fl
     start = time.perf_counter()
     qn.run_ghz_qnd(state, "paper", draws[0])
     warm = time.perf_counter() - start
+    start = time.perf_counter()
+    qn.run_ghz_qnd(state, "paper", draws[0])
+    repeat = time.perf_counter() - start
     state = qn.StateVector(n, amps)
     start = time.perf_counter()
     qn.run_ghz_qnd(state, "paper", draws[1])
     fresh = time.perf_counter() - start
-    return {"cold_table": cold, "fresh_shot": fresh, "warm_shot": warm}
+    return {"cold_table": cold, "fresh_shot": fresh, "warm_shot": warm, "repeat_shot": repeat}
 
 
 def quartiles(samples: list[float]) -> dict[str, float]:
