@@ -17,10 +17,9 @@ entangled with the absent card qubit, so its reduced state is I/2 (monogamy
 of entanglement: Coffman, Kundu and Wootters, quant-ph/9907047); each round
 is uniform over the four Bell states, and a full match has probability (1/4)^n.
 
-Noise is modeled by per-qubit trajectory sampling on the stored pair before
-each round: depolarizing (uniform Pauli from {I, X, Y, Z} with probability p,
-i.e. replace-with-maximally-mixed at rate p) or dephasing (Z with
-probability p).
+Noise is per-qubit trajectory sampling on the stored pair before each round.
+A model is its entry in _NOISE_HITS, the Paulis that a hit (probability p)
+applies, one drawn uniformly: {I, X, Y, Z} for depolarizing, Z for dephasing.
 
 Sessions run on Bell labels, index = 2*parity + phase, not on amplitudes.
 After any round the stored pair is exactly the measured Bell state, a Pauli
@@ -37,10 +36,10 @@ each session continuing the stream where the previous one stopped.  A row is
 therefore reproducible from (seed, n) alone, whatever other sizes the sweep
 covers, but a single trial cannot be rerun without the trials before it.
 Every draw of a session is a uniform double from Generator.random(), in one
-fixed layout per round (per pair, in pair order): the noise block (none when
-noiseless; 2 hit uniforms for dephasing; 2 hit uniforms then 2 Pauli
-uniforms, Pauli = floor(4u), for depolarizing), the slot block (2 uniforms
-for fresh-haar, 1 for guess, none otherwise), then the two ancilla uniforms.
+fixed layout per round (per pair, in pair order): the noise block (2 hit
+uniforms, then 2 Pauli uniforms, hits[floor(len(hits) u)], if a hit has a
+choice; none if p = 0 or hits is empty), the slot block (2 uniforms for
+fresh-haar, 1 for guess, none otherwise), then the two ancilla uniforms.
 Doubles come off the bit generator in the same order whether drawn one at a
 time or in bulk, so random((C, n, K)) holds exactly the draws of C
 consecutive sessions: a sweep runs a row as a few array operations over
@@ -73,6 +72,7 @@ from .statevector import (
     PAULI_Z_MATRIX,
     StateVector,
     _apply_single_raw,
+    _is_integer,
     _require_normalized,
     fidelity_up_to_global_phase,
 )
@@ -103,14 +103,14 @@ def parse_attacker(token: str) -> AttackerModel:
     raise ValueError(f"unknown attacker model {token!r}")
 
 
-NOISE_MODELS = ("none", "depolarizing", "dephasing")
-
-_REAL_TYPES = (int, float, np.integer, np.floating)
+#: Every noise model as data: the Paulis (I, X, Y, Z = 0..3) a hit applies, one drawn uniformly.
+_NOISE_HITS = {"none": (), "depolarizing": (0, 1, 2, 3), "dephasing": (3,)}
+NOISE_MODELS = tuple(_NOISE_HITS)
 
 
 def _is_real(value) -> bool:
-    """The one type check on a real-valued setting: one of _REAL_TYPES, but not bool (an int)."""
-    return isinstance(value, _REAL_TYPES) and not isinstance(value, bool)
+    """The one type check on a real-valued setting: an integer (not bool) or a float."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
 
 
 @dataclass(frozen=True)
@@ -197,47 +197,41 @@ def enroll(
 #: The Paulis by index (I, X, Y, Z), and the label XOR mask each one applies on
 #: either qubit of a Bell pair: X flips parity, Z flips phase, Y = iXZ flips both.
 _PAULIS = (np.eye(2, dtype=complex), PAULI_X_MATRIX, PAULI_Y_MATRIX, PAULI_Z_MATRIX)
-_PAULI_MASKS = (0, 2, 3, 1)
-_PAULI_MASK_TABLE = np.array(_PAULI_MASKS, dtype=np.uint8)
-_PAULI_Z = 3
+_PAULI_MASKS = np.array((0, 2, 3, 1), dtype=np.uint8)
+#: Each model's hits as Pauli indices and as label masks, built once for _noise_paulis.
+_HIT_PAULIS = {model: np.array(hits, dtype=np.uint8) for model, hits in _NOISE_HITS.items()}
+_HIT_MASKS = {model: _PAULI_MASKS[paulis] for model, paulis in _HIT_PAULIS.items()}
 
 
 def _noise_draws(spec: NoiseSpec) -> int:
-    """Uniforms in a round's noise block: 0 noiseless, 2 dephasing, 4 depolarizing."""
-    if spec.model == "none" or spec.p == 0.0:
-        return 0
-    return 4 if spec.model == "depolarizing" else 2
+    """Uniforms in a round's noise block: 2 hit ones, plus 2 Pauli ones if a hit has a choice."""
+    hits = _NOISE_HITS[spec.model]
+    return 0 if not hits or spec.p == 0.0 else 4 if len(hits) > 1 else 2
 
 
-def _noise_paulis(spec: NoiseSpec, rng: np.random.Generator) -> list[int]:
-    """One noise trajectory on a stored pair: the Pauli index on qubit 0, then on qubit 1.
+def _noise_paulis(spec: NoiseSpec, draws: np.ndarray, values: dict = _HIT_PAULIS) -> np.ndarray:
+    """The Paulis (..., 2) on qubits 0 and 1 from one block or (C, n, K) blocks draws[..., :k].
 
-    The block is random(k) (_noise_draws): qubit q is hit when its uniform
-    u_q < p; a dephasing hit is Z, a depolarizing hit the Pauli floor(4 v_q)
-    of the uniform v_q that follows both hit uniforms.
+    Qubit q is hit when u_q < p and then takes hits[floor(len(hits) v_q)], v_q the
+    Pauli uniform after both hit uniforms (no choice: hits[0]), as its ``values``
+    entry (index, or _HIT_MASKS' label mask); no hit is 0, I's index and mask alike.
     """
-    size = _noise_draws(spec)
-    if not size:
-        return [0, 0]
-    draws = rng.random(size).tolist()
-    if size == 2:
-        return [_PAULI_Z if u < spec.p else 0 for u in draws]
-    return [int(4 * v) if u < spec.p else 0 for u, v in zip(draws[:2], draws[2:])]
+    if not _noise_draws(spec):
+        return np.zeros(draws.shape[:-1] + (2,), dtype=np.uint8)
+    hits = values[spec.model]
+    picks = hits[(len(hits) * draws[..., 2:4]).astype(np.intp)] if len(hits) > 1 else hits[0]
+    return (draws[..., :2] < spec.p) * picks
 
 
 def _label_masks(spec: NoiseSpec, draws: np.ndarray) -> np.ndarray:
-    """The label XOR masks of noise blocks draws[..., :k], decoded as in _noise_paulis."""
-    hits = draws[..., :2] < spec.p
-    if spec.model == "dephasing":
-        per_qubit = hits.view(np.uint8)  # Z's mask is 1
-    else:
-        per_qubit = _PAULI_MASK_TABLE[(4 * draws[..., 2:4]).astype(np.intp)] * hits
+    """The label XOR masks of noise blocks draws[..., :k]: both qubits' Pauli masks XORed."""
+    per_qubit = _noise_paulis(spec, draws, _HIT_MASKS)
     return per_qubit[..., 0] ^ per_qubit[..., 1]
 
 
 def _apply_noise_rng(state: StateVector, spec: NoiseSpec, rng: np.random.Generator) -> StateVector:
     amps = state.amplitudes
-    for qubit, pauli in enumerate(_noise_paulis(spec, rng)):
+    for qubit, pauli in enumerate(_noise_paulis(spec, rng.random(_noise_draws(spec))).tolist()):
         if pauli:
             amps = _apply_single_raw(amps[None].copy(), state.num_qubits, qubit, _PAULIS[pauli])[0]
     return state if amps is state.amplitudes else StateVector(state.num_qubits, amps)
@@ -366,10 +360,8 @@ def _run_sessions(
     """
     if attacker is not AttackerModel.LEGITIMATE:
         outcomes = 2 * (draws[..., -2] >= 0.5) + (draws[..., -1] >= 0.5)
-    elif _noise_draws(noise):
-        outcomes = labels ^ _label_masks(noise, draws)
     else:
-        outcomes = labels ^ np.zeros(draws.shape[:2], dtype=np.uint8)  # no noise: mask 0
+        outcomes = labels ^ _label_masks(noise, draws)
     matches = outcomes == labels
     accepted = matches.sum(axis=1) / labels.size >= threshold
     return outcomes, matches, accepted
@@ -458,15 +450,13 @@ def _round_match_probability(attacker: AttackerModel, noise: NoiseSpec) -> float
 
     A card-less attacker reads a uniform label whatever the noise.  A
     legitimate card reads the noisy label, which equals the record iff the
-    two qubits' masks are equal: (1-p)^2 + p^2 for dephasing and
-    (1-3p/4)^2 + 3(p/4)^2 for depolarizing.
+    two qubits' masks are equal; a hit moves p / len(hits) onto each Pauli's mask.
     """
     if attacker is not AttackerModel.LEGITIMATE:
         return 0.25
     weights = [1.0, 0.0, 0.0, 0.0]  # one qubit's probability of each label mask
-    if noise.model != "none":
-        weights[0] -= noise.p
-        hits = range(4) if noise.model == "depolarizing" else (_PAULI_Z,)
+    if hits := _NOISE_HITS[noise.model]:
+        weights[0] -= noise.p  # once, not p / len(hits) per Pauli, so the rate keeps its last bits
         for pauli in hits:
             weights[_PAULI_MASKS[pauli]] += noise.p / len(hits)
     return sum(w * w for w in weights)
@@ -509,7 +499,7 @@ def _check_label_model(attacker: AttackerModel, indices: Iterable[int], conventi
 
 
 def _require_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer count, got {value!r}")
 
 

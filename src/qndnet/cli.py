@@ -24,6 +24,7 @@ from .auth import (
     NOISE_MODELS,
     NoiseSpec,
     SweepRow,
+    _require_session_settings,
     parse_attacker,
     security_sweep,
 )
@@ -35,7 +36,7 @@ from .bell_operator import (
     hermiticity_residual,
     spectral_radius,
 )
-from .ghz import MAX_PARTS, _require_parts, all_canonical_labels, ghz_state, parse_ghz_label, run_ghz_qnd
+from .ghz import MAX_PARTS, _require_parts, ghz_projection_oracle, ghz_state, parse_ghz_label, run_ghz_qnd
 from .statevector import CONVENTIONS, StateVector, load_dump, random_state
 
 _BELL_TOKENS = tuple(label.value for label in BellLabel)
@@ -213,27 +214,25 @@ def _run_bellop(args: argparse.Namespace) -> str:
         payload["eigenvalues"] = [float(v) for v in values]
         # the extremal-|eigenvalue| vector, preferring the top of the spectrum
         top = vectors[:, -1 if abs(values[-1]) >= abs(values[0]) else 0]
-        top_state = StateVector(args.n, top)
-        payload["top_eigenvector_overlaps"] = {
-            label.token: float(abs(np.vdot(ghz_state(label).amplitudes, top_state.amplitudes)) ** 2)
-            for label in all_canonical_labels(args.n)
-        }
+        overlaps = ghz_projection_oracle(StateVector(args.n, top))
+        payload["top_eigenvector_overlaps"] = {label.token: float(p) for label, p in overlaps}
     return json.dumps(payload, sort_keys=True)
 
 
 def _run_auth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
     if args.trials < 1:
         parser.error("--trials must be >= 1")
-    if not 0.0 <= args.p <= 1.0:
-        parser.error("--p must lie in [0, 1]")
-    if not 0.0 <= args.threshold <= 1.0:
-        parser.error("--threshold must lie in [0, 1]")
+    try:  # the library's own limits, checked before any draw
+        noise = NoiseSpec(args.noise, args.p)
+        _require_session_settings(args.threshold, "paper")  # the sweep's convention
+    except ValueError as exc:
+        parser.error(str(exc))
     rows = security_sweep(
         args.pairs,
         attacker=parse_attacker(args.attacker),
         trials=args.trials,
         seed=args.seed,
-        noise=NoiseSpec(args.noise, args.p),
+        noise=noise,
         threshold=args.threshold,
     )
     if args.out == "json":

@@ -74,6 +74,11 @@ def hadamard_kind(convention: str) -> GateKind:
     raise ValueError(f"unknown Hadamard convention {convention!r}")
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool (an int subclass)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GateOp:
     """A single gate application: ``kind`` on ``target``, CNOT also has ``control``."""
@@ -85,11 +90,15 @@ class GateOp:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, GateKind):
             raise ValueError(f"kind must be a GateKind, got {self.kind!r}")
+        if not _is_integer(self.target):
+            raise ValueError(f"target must be an integer, got {self.target!r}")
         if self.target < 0:
             raise ValueError(f"negative target index {self.target}")
         if self.kind is GateKind.CNOT:
             if self.control is None:
                 raise ValueError("CNOT requires a control index")
+            if not _is_integer(self.control):
+                raise ValueError(f"control must be an integer, got {self.control!r}")
             if self.control < 0:
                 raise ValueError(f"negative control index {self.control}")
             if self.control == self.target:
@@ -115,7 +124,9 @@ def pauli_x(target: int) -> GateOp:
 
 
 def _require_qubits(num_qubits: int) -> None:
-    """The one range check on a register size, made before any 2**num_qubits array is built."""
+    """The one check on a register size, made before any 2**num_qubits array is built."""
+    if not _is_integer(num_qubits):
+        raise ValueError(f"num_qubits must be an integer, got {num_qubits!r}")
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
 
@@ -286,7 +297,7 @@ def _drop_raw(amps: np.ndarray, qubit: int, bit: int) -> np.ndarray:
     residue = float(np.linalg.norm(m[:, 1 - bit, :]))
     if residue > 1e-9:
         raise ValueError(
-            f"cannot drop qubit {qubit}: opposite branch still carries weight {residue}"
+            f"cannot drop qubit {qubit}: opposite branch still carries norm {residue}"
         )
     return kept
 
@@ -381,6 +392,7 @@ def states_close(a: StateVector, b: StateVector, atol: float = 1e-10) -> bool:
 
 def gates_to_matrix(gates: Sequence[GateOp], num_qubits: int) -> np.ndarray:
     """Dense unitary of a gate list: the network run on the identity's columns at once."""
+    _require_qubits(num_qubits)
     return _apply_network_raw(np.eye(1 << num_qubits)[None], gates, 0)[0]
 
 
@@ -401,9 +413,6 @@ def from_dump(obj: dict) -> StateVector:
         amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state dump: {exc}") from exc
-    # bool is an int subclass; a float or a string would be silently truncated or parsed
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"malformed state dump: num_qubits must be an integer, got {n!r}")
     state = StateVector(n, amps)
     _require_normalized(state, "state dump")
     return state

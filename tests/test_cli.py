@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qndnet import cli
 from qndnet.bell import bell_projection_oracle, bell_state
 from qndnet.cli import build_parser, main
 from qndnet.ghz import ghz_projection_oracle, ghz_state
@@ -166,11 +167,19 @@ def test_auth_simulate_csv(capsys):
     assert fields[0] == "1" and fields[1] == "decoy" and fields[2] == "dephasing"
 
 
-def test_auth_flag_validation():
+def test_auth_flag_validation(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a rejected flag reached the sweep")
+
+    monkeypatch.setattr(cli, "security_sweep", no_sweep)  # exit 2 comes before any draw
     for argv in (
         ["auth", "simulate", "--pairs", "0", "--trials", "10"],
         ["auth", "simulate", "--pairs", "1", "--trials", "0"],
         ["auth", "simulate", "--pairs", "1", "--trials", "10", "--p", "1.5"],
+        ["auth", "simulate", "--pairs", "1", "--trials", "10", "--p", "nan"],
+        ["auth", "simulate", "--pairs", "1", "--trials", "10", "--noise", "none", "--p", "-0.5"],
+        ["auth", "simulate", "--pairs", "1", "--trials", "10", "--threshold", "nan"],
+        ["auth", "simulate", "--pairs", "1", "--trials", "10", "--threshold", "1.5"],
         ["auth", "simulate", "--pairs", "1", "--trials", "10", "--attacker", "mallory"],
         ["auth", "simulate", "--pairs", "1", "--trials", "10", "--seed", "-1"],
     ):

@@ -123,7 +123,11 @@ def test_basis_state_errors():
 def test_qubit_count_is_checked_before_any_allocation(n):
     # 40 qubits would ask for 8 TiB (16 TiB for the basis state) before the StateVector check ran
     rng = np.random.default_rng(0)
-    for build in (lambda: random_state(n, rng), lambda: make_basis_state(n, "0" * max(n, 0))):
+    for build in (
+        lambda: random_state(n, rng),
+        lambda: make_basis_state(n, "0" * max(n, 0)),
+        lambda: gates_to_matrix([], n),  # 15 qubits asked np.eye for 8 GiB
+    ):
         with pytest.raises(ValueError, match=r"num_qubits must be in \[1, 14\]"):
             build()
     with pytest.raises(ValueError, match=r"num_qubits must be in \[1, 14\]"):
@@ -198,6 +202,19 @@ def test_gate_errors():
         cnot(1, 1)
     with pytest.raises(ValueError):
         GateOp(GateKind.PAULI_X, target=0, control=1)
+    # indices are integers when the gate is built, not when it is applied; True is not qubit 1
+    for build, name in (
+        (lambda: hadamard(1.5), "target"),
+        (lambda: hadamard(True), "target"),
+        (lambda: pauli_x("0"), "target"),
+        (lambda: cnot(0, True), "target"),
+        (lambda: cnot(1.0, 0), "control"),
+        (lambda: cnot(False, 1), "control"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            build()
+    flipped = apply_gate(make_basis_state(2, "10"), cnot(np.int64(0), np.int32(1)))
+    assert np.array_equal(flipped.amplitudes, make_basis_state(2, "11").amplitudes)
 
 
 def test_apply_gate_matches_kron_oracle():
@@ -368,8 +385,12 @@ def test_append_and_drop_ancillas():
 
 def test_drop_qubit_rejects_entangled_qubit():
     phi_plus = StateVector(2, np.array([S2, 0, 0, S2]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="opposite branch still carries norm 0.70"):
         drop_qubit(phi_plus, 1, 0)
+    # the reported figure is the branch's norm (1e-8), not its weight (1e-16)
+    nearly_zero = StateVector(2, np.array([np.sqrt(1 - 1e-16), 0, 1e-8, 0]))
+    with pytest.raises(ValueError, match="carries norm 1e-08"):
+        drop_qubit(nearly_zero, 0, 0)
 
 
 def test_apply_single_qubit_matrix_arbitrary():
@@ -416,11 +437,17 @@ def test_from_dump_rejects_non_finite_amplitudes():
             from_dump({"num_qubits": 1, "amplitudes": [[bad, 0.0], [0.0, 0.0]]})
 
 
-@pytest.mark.parametrize("count", [2.9, True, "2", None])
+@pytest.mark.parametrize("count", [2.9, 2.0, True, "2", None])
 def test_from_dump_rejects_non_integer_qubit_count(count):
     amplitudes = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     with pytest.raises(ValueError, match="num_qubits must be an integer"):
         from_dump({"num_qubits": count, "amplitudes": amplitudes})
+    # the check is the register's own: a state built directly rejects the same counts
+    with pytest.raises(ValueError, match="num_qubits must be an integer"):
+        StateVector(count, np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="num_qubits must be an integer"):
+        StateVector(True, np.array([1.0, 0.0]))
+    assert StateVector(np.int64(2), np.array([1.0, 0.0, 0.0, 0.0])).num_qubits == 2
 
 
 def test_normalization_check_rejects_nan():

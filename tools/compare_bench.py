@@ -9,9 +9,13 @@ workload in BENCHMARK.json, pair i runs ``perfbench/run.py --seed i`` in both
 checkouts, the parent first in even pairs and the change first in odd ones,
 and keeps the end-to-end metrics of the last line.  For each metric the file
 gives the median and quartiles of each side, the change's median over the
-parent's, and in how many pairs the change was better.  The per-layer part
-runs tools/branch_layers.py on both checkouts at once (one process, state by
-state) --layer-runs times, and gives the median of the runs' medians.
+parent's, in how many pairs the change was better, and ``beyond_bound``:
+whether the change's median is worse than the parent's by more than the
+metric's BENCHMARK.json bound (each such metric is also listed under
+``beyond_bound`` and printed).  Each workload reports failed/attempted
+operations per side.  The per-layer part runs tools/branch_layers.py on both
+checkouts at once (one process, state by state) --layer-runs times, and gives
+the median of the runs' medians; --layer-runs 0 skips it.
 """
 
 from __future__ import annotations
@@ -68,16 +72,27 @@ def main() -> None:
             name, higher = metric["name"], metric["better"] == "higher"
             parent = [r[name] for r in runs["parent"]]
             change = [r[name] for r in runs["change"]]
+            ratio = statistics.median(change) / statistics.median(parent)
             metrics[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
+                "bound": metric["bound"],
                 "parent": summary(parent),
                 "change": summary(change),
-                "change_over_parent": statistics.median(change) / statistics.median(parent),
+                "change_over_parent": ratio,
                 "pairs_change_better": sum((c > p) if higher else (c < p) for p, c in zip(parent, change)),
+                "beyond_bound": ratio < 1 - metric["bound"] if higher else ratio > 1 + metric["bound"],
             }
-        failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
-        end_to_end[workload] = {"metrics": metrics, "failed": failed, "runs": runs}
+        beyond = [name for name, m in metrics.items() if m["beyond_bound"]]
+        if beyond:
+            print(workload, "worse than the parent beyond the bound:", *beyond, file=sys.stderr)
+        operations = {
+            side: {key: sum(r[key] for r in runs[side]) for key in ("failed", "attempted")}
+            for side in runs
+        }
+        end_to_end[workload] = {
+            "metrics": metrics, "beyond_bound": beyond, "operations": operations, "runs": runs,
+        }
 
     # both sides in one process, state by state, so a slower minute slows both alike
     srcs = {side: str(path / "src") for side, path in sides.items()}
@@ -86,7 +101,7 @@ def main() -> None:
         for run in range(args.layer_runs)
     ]
     per_layer = {}
-    for n, kinds in layer_runs[0][srcs["parent"]].items():
+    for n, kinds in (layer_runs[0][srcs["parent"]] if layer_runs else {}).items():
         for kind in kinds:
             parent = statistics.median(r[srcs["parent"]][n][kind]["median"] for r in layer_runs)
             change = statistics.median(r[srcs["change"]][n][kind]["median"] for r in layer_runs)
