@@ -72,7 +72,7 @@ from .statevector import (
     PAULI_Z_MATRIX,
     StateVector,
     _apply_single_raw,
-    _is_integer,
+    _require_int,
     _require_normalized,
     fidelity_up_to_global_phase,
 )
@@ -110,12 +110,12 @@ NOISE_MODELS = tuple(_NOISE_HITS)
 
 def _is_real(value) -> bool:
     """The one type check on a real-valued setting: an integer (not bool) or a float."""
-    return _is_integer(value) or isinstance(value, (float, np.floating))
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-qubit, per-session trajectory noise on the stored pair."""
+    """Per-qubit, per-session trajectory noise on the stored pair; a model without hits takes p = 0 only."""
 
     model: str = "none"
     p: float = 0.0
@@ -125,6 +125,8 @@ class NoiseSpec:
             raise ValueError(f"noise model must be one of {NOISE_MODELS}, got {self.model!r}")
         if not (_is_real(self.p) and 0.0 <= self.p <= 1.0):
             raise ValueError(f"noise probability must be a real number in [0, 1], got {self.p!r}")
+        if self.p and not _NOISE_HITS[self.model]:
+            raise ValueError(f"noise model {self.model!r} takes no probability, got p={self.p!r}")
 
 
 NOISELESS = NoiseSpec()
@@ -170,9 +172,7 @@ def enroll(
     seed: int | np.random.Generator = 0,
 ) -> AuthAccount:
     """Create an account with n pairs in the given (or seeded-random) Bell states."""
-    _require_count("n", n)
-    if n < 1:
-        raise ValueError(f"need at least one pair, got n={n}")
+    _require_int("n", n, 1)
     if isinstance(initial_labels, str):
         if initial_labels != "random":
             raise ValueError(f"initial_labels must be a label list or 'random', got {initial_labels!r}")
@@ -498,21 +498,12 @@ def _check_label_model(attacker: AttackerModel, indices: Iterable[int], conventi
         _check_label(attacker_round_distribution, attacker, index, convention)
 
 
-def _require_count(name: str, value) -> None:
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer count, got {value!r}")
-
-
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (z=3.0: the 99.7% level)."""
     if not (_is_real(z) and 0.0 < z < np.inf):
         raise ValueError(f"z must be a finite positive number, got {z!r}")
-    _require_count("successes", successes)
-    _require_count("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"successes {successes} outside [0, {trials}]")
+    _require_int("trials", trials, 1)
+    _require_int("successes", successes, 0, trials)
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -568,17 +559,15 @@ def security_sweep(
     row first checks the label model's noise-free round against the
     state-vector oracle (attacker_round_distribution) on the enrolled labels,
     once per (attacker, label, convention) in a process.  A threshold outside
-    [0, 1] (NaN included) or an unknown convention raises ValueError before
-    any draw.
+    [0, 1] (NaN included), an unknown convention, a bad trial count or any
+    bad account size in ``n_range`` raises ValueError before any draw.
     """
     _slot_register(attacker)  # rejects a non-AttackerModel before any trial
-    _require_count("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_int("trials", trials, 1)
     _require_session_settings(threshold, convention)
+    sizes = [_require_int("n", n, 1) for n in n_range]  # every size before the first row
     rows = []
-    for n in n_range:
-        _require_count("n", n)
+    for n in sizes:
         rng = np.random.default_rng((seed, n))
         base = enroll(n, "random", seed=rng)
         labels = np.array([_RECORD_LABELS[r] for r in base.records])

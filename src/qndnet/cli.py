@@ -37,20 +37,29 @@ from .bell_operator import (
     spectral_radius,
 )
 from .ghz import MAX_PARTS, _require_parts, ghz_projection_oracle, ghz_state, parse_ghz_label, run_ghz_qnd
-from .statevector import CONVENTIONS, StateVector, load_dump, random_state
+from .statevector import CONVENTIONS, StateVector, _require_int, load_dump, random_state
 
 _BELL_TOKENS = tuple(label.value for label in BellLabel)
 _ATTACKER_TOKENS = tuple(model.value for model in AttackerModel)
 
 
-def _seed_value(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from exc
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
+def _arg(parse):
+    """An argparse type from a parser that raises ValueError: a bad value exits 2 with its message."""
+
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return checked
+
+
+_seed_value = _arg(lambda text: _require_int("seed", int(text), 0, 2**64 - 1))
+_trials_count = _arg(lambda text: _require_int("trials", int(text), 1))
+_parts_count = _arg(lambda text: _require_parts(int(text)))
+_pairs_list = _arg(lambda text: [_require_int("account size", int(part), 1) for part in text.split(",")])
+_ghz_label = _arg(parse_ghz_label)
 
 
 def _bell_input(text: str):
@@ -62,32 +71,6 @@ def _bell_input(text: str):
     raise argparse.ArgumentTypeError(
         f"{text!r} is neither a Bell label ({'/'.join(_BELL_TOKENS)}) nor an existing file"
     )
-
-
-def _ghz_label(text: str):
-    try:
-        return parse_ghz_label(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parts_count(text: str) -> int:
-    try:
-        value = int(text)
-        _require_parts(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return value
-
-
-def _pairs_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--pairs wants an integer or comma list, got {text!r}") from exc
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("--pairs entries must be >= 1")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,13 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
     auth_sub = auth.add_subparsers(dest="auth_command", required=True)
     simulate = auth_sub.add_parser("simulate", help="Monte Carlo acceptance sweep")
     simulate.add_argument("--pairs", type=_pairs_list, required=True, help="account size, or comma list")
-    simulate.add_argument("--trials", type=int, required=True)
+    simulate.add_argument("--trials", type=_trials_count, required=True)
     simulate.add_argument("--attacker", choices=_ATTACKER_TOKENS, default="legitimate")
     simulate.add_argument("--noise", choices=NOISE_MODELS, default="none")
     simulate.add_argument("--p", type=float, default=0.0, help="per-qubit noise probability")
     simulate.add_argument("--threshold", type=float, default=1.0)
     simulate.add_argument("--seed", type=_seed_value, default=0)
     simulate.add_argument("--out", choices=("json", "csv"), default="json")
+    # each subcommand runs its own function and reports a value error under its own usage line
+    for command, run in ((bell, _run_bell), (ghz, _run_ghz), (bellop, _run_bellop), (simulate, _run_auth)):
+        command.set_defaults(run=run, error=command.error)
     return parser
 
 
@@ -166,13 +152,13 @@ def _run_bell(args: argparse.Namespace) -> str:
     )
 
 
-def _run_ghz(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
+def _run_ghz(args: argparse.Namespace) -> str:
     rng = np.random.default_rng(args.seed)
     if args.random_input:
         state = random_state(args.n, rng)
     else:
         if args.label.n != args.n:
-            parser.error(f"--label has {args.label.n} bits but --n is {args.n}")
+            args.error(f"--label has {args.label.n} bits but --n is {args.n}")
         state = ghz_state(args.label)
     outcome = run_ghz_qnd(state, args.convention, rng.random(args.n))
     return json.dumps(
@@ -219,14 +205,12 @@ def _run_bellop(args: argparse.Namespace) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _run_auth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
+def _run_auth(args: argparse.Namespace) -> str:
     try:  # the library's own limits, checked before any draw
         noise = NoiseSpec(args.noise, args.p)
         _require_session_settings(args.threshold, "paper")  # the sweep's convention
     except ValueError as exc:
-        parser.error(str(exc))
+        args.error(str(exc))
     rows = security_sweep(
         args.pairs,
         attacker=parse_attacker(args.attacker),
@@ -250,17 +234,9 @@ def _run_auth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "bell":
-            output = _run_bell(args)
-        elif args.command == "ghz":
-            output = _run_ghz(args, parser)
-        elif args.command == "bellop":
-            output = _run_bellop(args)
-        else:
-            output = _run_auth(args, parser)
+        output = args.run(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

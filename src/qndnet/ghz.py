@@ -50,6 +50,7 @@ from .statevector import (
     _apply_network_raw,
     _collapse_raw,
     _pick_bit,
+    _require_int,
     _require_normalized,
     _split_raw,
     apply_gates,
@@ -65,10 +66,9 @@ MAX_PARTS = 8
 FULL_REGISTER_LIMIT = 6
 
 
-def _require_parts(n: int) -> None:
+def _require_parts(n: int) -> int:
     """The one range check on a part count, shared by the GHZ, operator and CLI entry points."""
-    if not 2 <= n <= MAX_PARTS:
-        raise ValueError(f"n must lie in [2, {MAX_PARTS}], got {n}")
+    return _require_int("n", n, 2, MAX_PARTS)
 
 
 @dataclass(frozen=True)

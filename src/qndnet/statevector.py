@@ -74,9 +74,15 @@ def hadamard_kind(convention: str) -> GateKind:
     raise ValueError(f"unknown Hadamard convention {convention!r}")
 
 
-def _is_integer(value) -> bool:
-    """An int or numpy integer, but not a bool (an int subclass)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _require_int(name: str, value, low: int, high: int | None = None) -> int:
+    """The one integer check: an int or numpy integer, never a bool, in [low, high]; high=None: no cap."""
+    # a plain int, the case on every shot, costs one type test
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name} must be an integer count or index, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -90,17 +96,9 @@ class GateOp:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, GateKind):
             raise ValueError(f"kind must be a GateKind, got {self.kind!r}")
-        if not _is_integer(self.target):
-            raise ValueError(f"target must be an integer, got {self.target!r}")
-        if self.target < 0:
-            raise ValueError(f"negative target index {self.target}")
+        _require_int("target", self.target, 0)
         if self.kind is GateKind.CNOT:
-            if self.control is None:
-                raise ValueError("CNOT requires a control index")
-            if not _is_integer(self.control):
-                raise ValueError(f"control must be an integer, got {self.control!r}")
-            if self.control < 0:
-                raise ValueError(f"negative control index {self.control}")
+            _require_int("control", self.control, 0)
             if self.control == self.target:
                 raise ValueError("control and target must differ")
         elif self.control is not None:
@@ -125,10 +123,7 @@ def pauli_x(target: int) -> GateOp:
 
 def _require_qubits(num_qubits: int) -> None:
     """The one check on a register size, made before any 2**num_qubits array is built."""
-    if not _is_integer(num_qubits):
-        raise ValueError(f"num_qubits must be an integer, got {num_qubits!r}")
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
+    _require_int("num_qubits", num_qubits, 1, MAX_QUBITS)
 
 
 @dataclass(frozen=True)
@@ -187,9 +182,7 @@ def _as_bits(bits: str | Iterable[int], expected: int) -> tuple[int, ...]:
             raise ValueError(f"bitstring may only contain 0/1, got {bits!r}")
         seq = tuple(int(c) for c in bits)
     else:
-        seq = tuple(int(b) for b in bits)
-        if not all(b in (0, 1) for b in seq):
-            raise ValueError(f"bits must be 0 or 1, got {seq}")
+        seq = tuple(_require_int("bit", b, 0, 1) for b in bits)
     if len(seq) != expected:
         raise ValueError(f"expected {expected} bits, got {len(seq)}")
     return seq
@@ -281,7 +274,7 @@ def _measure_drop_raw(amps: np.ndarray, qubit: int, draw: float) -> tuple[int, f
 def _apply_network_raw(amps: np.ndarray, gates: Iterable[GateOp], num_ancillas: int) -> np.ndarray:
     """Append ``num_ancillas`` qubits in |0> after each register (1-D ``amps``: one), then apply ``gates``."""
     rows = amps if amps.ndim > 1 else amps[None]
-    num_qubits = (rows.shape[1] << num_ancillas).bit_length() - 1
+    num_qubits = rows.shape[1].bit_length() - 1 + num_ancillas
     if num_qubits > MAX_QUBITS:
         raise ValueError(f"register of {num_qubits} qubits exceeds the cap of {MAX_QUBITS}")
     joint = np.zeros((len(rows), 1 << num_qubits) + rows.shape[2:], dtype=np.complex128)
@@ -322,8 +315,7 @@ def apply_single_qubit_matrix(state: StateVector, qubit: int, matrix: np.ndarray
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
+    _require_int("qubit", qubit, 0, state.num_qubits - 1)
     amps = _apply_single_raw(state.amplitudes[None].copy(), state.num_qubits, qubit, m)
     return StateVector(state.num_qubits, amps[0])
 
@@ -348,8 +340,7 @@ def measure_qubit(state: StateVector, qubit: int, random_draw: float) -> Measure
     can be measured again.  The outcome is 0 iff random_draw < P(bit = 0), but
     a branch of probability at most ZERO_BRANCH_PROB is never selected.
     """
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
+    _require_int("qubit", qubit, 0, state.num_qubits - 1)
     _require_normalized(state, "measure_qubit")
     bit, prob, kept = _measure_drop_raw(state.amplitudes, qubit, random_draw)
     post = np.zeros((1 << qubit, 2, state.dim >> (qubit + 1)), dtype=np.complex128)
@@ -361,13 +352,14 @@ def drop_qubit(state: StateVector, qubit: int, bit: int) -> StateVector:
     """Remove a qubit known to be in |bit> (e.g. a measured ancilla)."""
     if state.num_qubits < 2:
         raise ValueError("cannot drop the last qubit")
+    _require_int("qubit", qubit, 0, state.num_qubits - 1)
+    _require_int("bit", bit, 0, 1)
     return StateVector(state.num_qubits - 1, _drop_raw(state.amplitudes, qubit, bit))
 
 
 def append_ancillas(state: StateVector, count: int) -> StateVector:
     """Extend the register with ``count`` fresh qubits in |0>, appended last."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _require_int("count", count, 1, MAX_QUBITS - state.num_qubits)
     return StateVector(state.num_qubits + count, _apply_network_raw(state.amplitudes, (), count))
 
 

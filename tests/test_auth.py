@@ -352,6 +352,15 @@ def test_noise_spec_validation():
         NoiseSpec("dephasing", 1.5)
 
 
+def test_noise_model_without_hits_takes_no_probability():
+    for p in (0.5, 1.0, 1e-12, 1):
+        with pytest.raises(ValueError, match="'none' takes no probability"):
+            NoiseSpec("none", p)
+    assert NoiseSpec("none", 0) == NoiseSpec("none", 0.0) == NOISELESS
+    for model in ("depolarizing", "dephasing"):
+        assert NoiseSpec(model, 0.5).p == 0.5
+
+
 @pytest.mark.parametrize("p", [True, False, "0.1", None, 0.1j, float("nan")])
 def test_noise_spec_rejects_non_real_probability(p):
     with pytest.raises(ValueError, match="noise probability"):
@@ -494,6 +503,14 @@ def test_sweep_validation():
         security_sweep([1], AttackerModel.FRESH_ZERO, trials=0, seed=1)
     with pytest.raises(ValueError, match="integer count"):
         security_sweep([1], AttackerModel.FRESH_ZERO, trials=True, seed=1)
+
+
+def test_sweep_checks_every_account_size_before_the_first_row(monkeypatch):
+    sessions = []
+    monkeypatch.setattr(auth, "verify_session", lambda *a, **k: sessions.append(a))
+    with pytest.raises(ValueError, match=r"n must be >= 1, got 0"):
+        security_sweep([1, 0], AttackerModel.FRESH_ZERO, 10**6, 0)
+    assert sessions == []
 
 
 @pytest.mark.parametrize(

@@ -114,7 +114,7 @@ def test_chsh_is_the_base_case_of_the_recursion():
 def test_part_count_range_is_checked_once():
     nine = BellOperatorSpec(((Z_DIR, X_DIR),) * 9)
     for build in (lambda: bell_operator_n(nine), lambda: canonical_spec(9), lambda: canonical_spec(1)):
-        with pytest.raises(ValueError, match=r"n must lie in \[2, 8\]"):
+        with pytest.raises(ValueError, match=r"n must be in \[2, 8\]"):
             build()
 
 

@@ -178,6 +178,7 @@ def test_auth_flag_validation(monkeypatch):
         ["auth", "simulate", "--pairs", "1", "--trials", "10", "--p", "1.5"],
         ["auth", "simulate", "--pairs", "1", "--trials", "10", "--p", "nan"],
         ["auth", "simulate", "--pairs", "1", "--trials", "10", "--noise", "none", "--p", "-0.5"],
+        ["auth", "simulate", "--pairs", "1", "--trials", "10", "--p", "0.5"],
         ["auth", "simulate", "--pairs", "1", "--trials", "10", "--threshold", "nan"],
         ["auth", "simulate", "--pairs", "1", "--trials", "10", "--threshold", "1.5"],
         ["auth", "simulate", "--pairs", "1", "--trials", "10", "--attacker", "mallory"],
@@ -186,6 +187,22 @@ def test_auth_flag_validation(monkeypatch):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["auth", "simulate", "--pairs", "1", "--trials", "10", "--p", "1.5"], "usage: qnd auth simulate"),
+        (["auth", "simulate", "--pairs", "1", "--trials", "10", "--threshold", "2"], "usage: qnd auth simulate"),
+        (["ghz", "--n", "3", "--label", "+:10"], "usage: qnd ghz"),
+    ],
+)
+def test_value_errors_print_the_subcommand_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(usage + " ")
 
 
 def test_unknown_flag_exits_2():
