@@ -29,7 +29,9 @@ Bennett, DiVincenzo, Smolin and Wootters, quant-ph/9604024).  The label
 engine consumes the same draws, in the same order, as the state-vector round
 (_system_for, _run_round), the oracle behind attacker_round_distribution.
 
-Seeding: every public operation takes an int seed or a numpy Generator.
+Seeding: every public operation takes an int seed or a numpy Generator (a
+sweep, an int seed only); an integer seed goes through the one integer check,
+so a bool, a float or a negative seed raises ValueError before any draw.
 A sweep draws everything for account size n from one generator,
 default_rng((seed, n)): first the enrollment, then trials 0..T-1 in order,
 each session continuing the stream where the previous one stopped.  A row is
@@ -132,6 +134,11 @@ class NoiseSpec:
 NOISELESS = NoiseSpec()
 
 
+def _require_seed(seed: int | np.random.Generator) -> int | np.random.Generator:
+    """A numpy Generator as it is, or an integer seed >= 0 (not a bool) through the one integer check."""
+    return seed if isinstance(seed, np.random.Generator) else _require_int("seed", seed, 0)
+
+
 #: The four stored-pair states, by label index 2*parity + phase; built once and
 #: shared by every account, so a session recognizes them by identity.
 _BELL_PAIRS = tuple(bell_state(label) for label in BELL_DECODE_ORDER)
@@ -140,6 +147,9 @@ _RECORD_LABELS = {bits: index for index, bits in enumerate(_LABEL_BITS)}
 
 #: Fidelity deficit up to which a foreign pair still counts as its record's Bell state.
 _PAIR_ATOL = 1e-10
+
+#: Largest gap between the state-vector oracle and the label engine on one outcome probability.
+_ORACLE_ATOL = 1e-9
 
 
 @dataclass
@@ -173,6 +183,7 @@ def enroll(
 ) -> AuthAccount:
     """Create an account with n pairs in the given (or seeded-random) Bell states."""
     _require_int("n", n, 1)
+    _require_seed(seed)
     if isinstance(initial_labels, str):
         if initial_labels != "random":
             raise ValueError(f"initial_labels must be a label list or 'random', got {initial_labels!r}")
@@ -244,7 +255,7 @@ def apply_noise(
     if joint_state.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {joint_state.num_qubits}")
     _require_normalized(joint_state, "apply_noise")
-    return _apply_noise_rng(joint_state, spec, np.random.default_rng(seed))
+    return _apply_noise_rng(joint_state, spec, np.random.default_rng(_require_seed(seed)))
 
 
 # -- one verification round: the Bell network on (slot, terminal) of a larger register --
@@ -256,7 +267,7 @@ def _branch_probabilities(
     """(4 outcome probabilities, post system amplitudes per outcome); outcome = 2*parity + phase."""
     steps = _parity_network((slot, machine), num_system, convention, None)
     table = _table_rows(*_branches(system_amps, steps))
-    return np.array([prob for _, prob, _ in table]), [post for _, _, post in table]
+    return np.array([prob for prob, _ in table]), [post for _, post in table]
 
 
 def _run_round(
@@ -270,8 +281,8 @@ def _run_round(
     """Measure both ancillas sequentially; returns (bits, probability, post system)."""
     steps = _parity_network((slot, machine), num_system, convention, None)
     weights, leaves = _branches(system_amps, steps, draws)
-    bits, probability, leaf = _walk(weights, draws)
-    return tuple(bits), probability, leaves[leaf]
+    probability, leaf = _walk(weights, draws)
+    return divmod(leaf, 2), probability, leaves[leaf]
 
 
 @dataclass(frozen=True)
@@ -391,7 +402,8 @@ def verify_session(
     password gate is a boolean: when false the session is rejected before
     any qubit is touched.  A stored pair that is not the Bell state its
     record names, or an attacker that is not an AttackerModel, is rejected
-    with ValueError before any draw.
+    with ValueError before any draw, and so is a seed that is neither a
+    Generator nor an integer >= 0 (a bool included).
 
     The session draws random((1, n, K)): per pair, the noise block, the
     attacker's slot block (its _SLOT_REGISTERS draws), then the two ancilla
@@ -401,6 +413,7 @@ def verify_session(
     Hadamard convention.
     """
     _slot_register(attacker)  # rejects a non-AttackerModel before any draw
+    _require_seed(seed)
     if account.status != "active":
         raise ValueError("account is flagged; re-enrollment creates a new account")
     _require_session_settings(threshold, convention)
@@ -480,7 +493,7 @@ def _check_label(oracle_fn: Callable, attacker: AttackerModel, index: int, conve
     oracle = oracle_fn(attacker, BELL_DECODE_ORDER[index], convention)
     # the label engine: a card reads its own label, a card-less attacker a uniform one
     label_model = np.eye(4)[index] if attacker is AttackerModel.LEGITIMATE else np.full(4, 0.25)
-    if np.max(np.abs(oracle - label_model)) > 1e-9:
+    if np.max(np.abs(oracle - label_model)) > _ORACLE_ATOL:
         raise RuntimeError(
             f"label engine disagrees with the state-vector round for {attacker.token} "
             f"on {BELL_DECODE_ORDER[index].token}: {oracle}"
@@ -559,11 +572,13 @@ def security_sweep(
     row first checks the label model's noise-free round against the
     state-vector oracle (attacker_round_distribution) on the enrolled labels,
     once per (attacker, label, convention) in a process.  A threshold outside
-    [0, 1] (NaN included), an unknown convention, a bad trial count or any
-    bad account size in ``n_range`` raises ValueError before any draw.
+    [0, 1] (NaN included), an unknown convention, a bad trial count, a seed
+    that is not an integer >= 0 or any bad account size in ``n_range`` raises
+    ValueError before any draw.
     """
     _slot_register(attacker)  # rejects a non-AttackerModel before any trial
     _require_int("trials", trials, 1)
+    _require_int("seed", seed, 0)
     _require_session_settings(threshold, convention)
     sizes = [_require_int("n", n, 1) for n in n_range]  # every size before the first row
     rows = []

@@ -22,23 +22,25 @@ outcome probability and decoded bit unchanged.
 
 This module keeps the Bell labels, their decoding table and the projection
 oracle.  It runs the GHZ module's n = 2 schedule on the same level builder
-and memo slot as run_ghz_qnd and ghz_branch_table, without GHZ label
-decoding: the slot's table keeps Bell outcomes apart from GHZ ones, each
-finished once per leaf.
+and memo slot as run_ghz_qnd and ghz_branch_table: the slot's table keeps
+Bell outcomes apart from GHZ ones, each finished once per leaf from the Bell
+view of the n = 2 label table (_bell_labels), with no decoding per shot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .ghz import (
-    _parity_network, _shot, _state_table, _table_rows, decode_ghz, ghz_network_gate_list, ghz_state
+    _ghz_labels, _parity_network, _shot, _state_table, _table_rows, decode_ghz, ghz_network_gate_list,
+    ghz_state,
 )
-from .statevector import StateVector, _apply_network_raw, _require_normalized, inner_product
+from .statevector import StateVector, _apply_network_raw, _require_int, _require_normalized, inner_product
 
 
 class BellLabel(Enum):
@@ -77,9 +79,9 @@ def bell_state(label: BellLabel) -> StateVector:
 
 
 def decode_bell(parity_bit: int, phase_bit: int) -> BellLabel:
-    """Ancilla bits -> Bell label (total bijection)."""
-    if parity_bit not in (0, 1) or phase_bit not in (0, 1):
-        raise ValueError(f"bits must be 0 or 1, got ({parity_bit}, {phase_bit})")
+    """Ancilla bits (ints, not bools) -> Bell label (total bijection)."""
+    _require_int("parity bit", parity_bit, 0, 1)
+    _require_int("phase bit", phase_bit, 0, 1)
     return BELL_DECODE_ORDER[2 * parity_bit + phase_bit]
 
 
@@ -100,10 +102,16 @@ class BellQndOutcome:
     post_state: StateVector
 
 
-def _finish_bell(bits: list, probability: float, amps: np.ndarray) -> BellQndOutcome:
-    """The Bell leaf finisher: decoded label and 2-qubit post state."""
-    parity, phase = bits
-    return BellQndOutcome(parity, phase, decode_bell(parity, phase), probability, StateVector(2, amps))
+@lru_cache(maxsize=None)
+def _bell_labels(convention: str) -> tuple:
+    """Each n = 2 leaf's (parity, phase, Bell label): the Bell view of the GHZ label table."""
+    return tuple((p, g, decode_bell(p, g)) for (p,), g, _ in _ghz_labels(2, convention))
+
+
+def _finish_bell(leaf: int, probability: float, amps: np.ndarray, convention: str) -> BellQndOutcome:
+    """The Bell leaf finisher: the leaf's Bell label entry and its sealed register, adopted."""
+    parity, phase, label = _bell_labels(convention)[leaf]
+    return BellQndOutcome(parity, phase, label, probability, StateVector._adopt(2, amps))
 
 
 def bell_network_unitary_steps(convention: str = "paper") -> list:
@@ -141,7 +149,7 @@ def run_bell_qnd(
         raise ValueError("run_bell_qnd needs exactly two draws")
     _require_pair(state, "bell network")
     steps = _parity_network((0, 1), 2, convention, None)
-    return _shot(state, steps, draws, _finish_bell)
+    return _shot(state, steps, draws, _finish_bell, convention)
 
 
 def bell_branch_table(
@@ -154,9 +162,10 @@ def bell_branch_table(
     """
     _require_pair(state, "bell network")
     steps = _parity_network((0, 1), 2, convention, None)
+    rows = _table_rows(*_state_table(state, steps)[:2])
     return [
-        (bits, decode_bell(*bits), prob, None if post is None else StateVector(2, post))
-        for bits, prob, post in _table_rows(*_state_table(state, steps)[:2])
+        ((parity, phase), label, prob, None if post is None else StateVector._adopt(2, post))
+        for (parity, phase, label), (prob, post) in zip(_bell_labels(convention), rows)
     ]
 
 

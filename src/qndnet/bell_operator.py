@@ -42,6 +42,15 @@ _UNIT_ATOL = 1e-12
 #: Largest branch probability that counts as no support, and fidelity deficit that counts as none.
 _COMPAT_ATOL = 1e-10
 
+#: Largest |B - B^dagger| entry an observable may have and still count as Hermitian.
+_HERMITIAN_ATOL = 1e-9
+
+#: Eigenvalues closer than this share one degenerate eigenspace.
+_DEGENERACY_ATOL = 1e-8
+
+#: Largest |B v - lambda v| of a candidate that still counts as an eigenstate.
+_EIGEN_RESIDUAL_ATOL = 1e-8
+
 
 def _as_unit_vector(v: Sequence[float]) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
@@ -232,7 +241,7 @@ def qnd_compatibility_check(
     if not np.isfinite(b).all():
         raise ValueError("observable has non-finite entries")
     res = hermiticity_residual(b)
-    if res > 1e-9:
+    if res > _HERMITIAN_ATOL:
         raise ValueError(f"observable is not Hermitian (residual {res})")
     num_data = int(b.shape[0]).bit_length() - 1
     if 1 << num_data != b.shape[0]:
@@ -258,7 +267,7 @@ def qnd_compatibility_check(
         start = 0
         while start < len(vals):
             stop = start + 1
-            while stop < len(vals) and abs(vals[stop] - vals[start]) < 1e-8:
+            while stop < len(vals) and abs(vals[stop] - vals[start]) < _DEGENERACY_ATOL:
                 stop += 1
             block = vecs[:, start:stop]
             if stop - start > 1:
@@ -278,7 +287,8 @@ def qnd_compatibility_check(
     supported = probs > _COMPAT_ATOL
     overlaps = np.abs(np.einsum("ij,mij->mj", vecs.conj(), outs)) ** 2
     fids = np.where(supported, overlaps / np.where(supported, probs, 1.0), np.nan)
-    preserved = np.all(~supported | (fids >= 1.0 - _COMPAT_ATOL), axis=0) & (residuals <= 1e-8)
+    preserved = np.all(~supported | (fids >= 1.0 - _COMPAT_ATOL), axis=0)
+    preserved &= residuals <= _EIGEN_RESIDUAL_ATOL
     reports = tuple(
         EigenstateReport(
             eigenvalue=float(eigenvalues[j]),

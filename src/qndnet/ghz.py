@@ -30,6 +30,14 @@ expands every branch once, and later shots walk that table (_state_table).
 The table also keeps each leaf's finished outcome, built by the first shot that
 reaches it, per outcome kind (_shot), so later shots to that leaf return it.
 Auth rounds build unmemoized paths and tables.
+
+A leaf is finished from one label table per (n, convention), built once and
+indexed by leaf (_ghz_labels: neighbor parities, canonical phase bit and
+label), so no shot or table row decodes bits.  The level builder seals its
+last rows (read-only, their base too) before it hands out a leaf, so a
+finished outcome or table row adopts its leaf as the post state without a
+copy (StateVector._adopt).  Draws given as an ndarray are read as Python
+floats once per walk; each is still range-checked.
 """
 
 from __future__ import annotations
@@ -139,11 +147,12 @@ def ghz_bits(label: GhzLabel) -> tuple[tuple[int, ...], int]:
 def decode_ghz(
     part_parity_bits: Sequence[int], global_parity_bit: int, n: int
 ) -> GhzLabel:
-    """Rebuild the canonical label from n-1 neighbor parities and the phase bit."""
+    """Rebuild the canonical label from n-1 neighbor parities and the phase bit (ints, not bools)."""
     if len(part_parity_bits) != n - 1:
         raise ValueError(f"expected {n - 1} parity bits, got {len(part_parity_bits)}")
-    if global_parity_bit not in (0, 1) or not all(b in (0, 1) for b in part_parity_bits):
-        raise ValueError("bits must be 0 or 1")
+    for b in part_parity_bits:
+        _require_int("parity bit", b, 0, 1)
+    _require_int("phase bit", global_parity_bit, 0, 1)
     x = [1]
     for p in part_parity_bits:
         x.append(x[-1] ^ p)
@@ -183,7 +192,8 @@ def _branches(amps: np.ndarray, steps: Sequence, draws: Sequence[float] | None =
     """(weights, leaves) of ``steps`` on ``amps``, one array pass per depth over the live prefixes.
 
     weights[k][i] is ancilla k's (w0, w1) after the k-bit prefix i (big-endian; None if dead),
-    leaves[i] the register after bits i.  With ``draws`` only their path is built."""
+    leaves[i] the register after bits i, a read-only view of a read-only block.  With ``draws``
+    only their path is built."""
     rows, live, weights = amps[None], [0], []
     for gates, ancillas in steps:
         qubit = rows.shape[1].bit_length() - 1  # the step's ancillas sit from here on
@@ -206,27 +216,31 @@ def _branches(amps: np.ndarray, steps: Sequence, draws: Sequence[float] | None =
                 rows = _collapse_raw(rows.reshape(1 << qubit, 2, -1), bit, level[live[0]])[None]
                 live = [2 * live[0] + bit]
             weights.append(level)
+    if rows.base is not None:  # sealed before any leaf view is taken, so no leaf can be made writable
+        rows.base.flags.writeable = False
+    rows.flags.writeable = False
     return weights, dict(zip(live, rows))
 
 
 def _walk(weights: list, draws: Sequence[float]) -> tuple:
-    """One shot on a branch table, a draw per ancilla: (bits, joint probability, leaf index)."""
-    bits, probability, i = [], 1.0, 0
+    """One shot on a branch table, a draw per ancilla: (joint probability, leaf index)."""
+    if isinstance(draws, np.ndarray):  # Python floats, once: numpy scalars compare slower
+        draws = draws.tolist()
+    probability, i = 1.0, 0
     for level, draw in zip(weights, draws):
-        bit = _pick_bit(level[i], draw)
-        bits.append(bit)
-        probability *= level[i][bit]
+        pair = level[i]
+        bit = _pick_bit(pair, draw)
+        probability *= pair[bit]
         i = 2 * i + bit
-    return bits, probability, i
+    return probability, i
 
 
 def _table_rows(weights: list, leaves: dict) -> list:
-    """Each leaf, bits big-endian: (bits, probability, register or None at <= ZERO_BRANCH_PROB)."""
+    """Each leaf by index (bits big-endian): (probability, register or None at <= ZERO_BRANCH_PROB)."""
     probs = [1.0]
     for level in weights:
         probs = [p * w for p, pair in zip(probs, level) for w in pair or (0.0, 0.0)]
-    return [(bits, p, None if p <= ZERO_BRANCH_PROB else leaves[i])
-            for i, (bits, p) in enumerate(zip(product((0, 1), repeat=len(weights)), probs))]
+    return [(p, None if p <= ZERO_BRANCH_PROB else leaves[i]) for i, p in enumerate(probs)]
 
 
 #: (state, schedule, table or None before a repeat) of the last state measured; held, so ``is`` is safe.
@@ -251,16 +265,16 @@ def _state_table(state: StateVector, steps: Sequence, draws: Sequence[float] | N
 def _shot(state: StateVector, steps: Sequence, draws: Sequence[float], finish: Callable, *args) -> object:
     """One shot: walk the slot's table (or a fresh state's path) and finish the leaf it reaches.
 
-    ``finish(bits, probability, amplitudes, *args)`` builds the outcome.  A table keeps it by
-    (finish, leaf), so ``args`` must follow from ``steps`` (a convention does), and Bell and
-    n = 2 GHZ, which share steps, keep their own; a later shot to that leaf returns it."""
+    ``finish(leaf, probability, amplitudes, *args)`` builds the outcome.  A table keeps it by
+    (finish, leaf), so ``args`` must follow from ``steps`` (n and a convention do), and Bell
+    and n = 2 GHZ, which share steps, keep their own; a later shot to that leaf returns it."""
     weights, leaves, finished = _state_table(state, steps, draws)
-    bits, probability, i = _walk(weights, draws)
+    probability, i = _walk(weights, draws)
     if finished is None:
-        return finish(bits, probability, leaves[i], *args)
+        return finish(i, probability, leaves[i], *args)
     outcome = finished.get((finish, i))
     if outcome is None:
-        outcome = finished[finish, i] = finish(bits, probability, leaves[i], *args)
+        outcome = finished[finish, i] = finish(i, probability, leaves[i], *args)
     return outcome
 
 
@@ -298,12 +312,20 @@ def _canonical_phase_bit(raw: int, n: int, convention: str) -> int:
     return raw ^ (n & 1) if convention == "paper" else raw
 
 
-def _finish_ghz(bits: list, probability: float, amps: np.ndarray, convention: str) -> GhzQndOutcome:
-    """The GHZ leaf finisher: canonical phase bit, decoded label, post state."""
-    n = len(bits)
-    parities = tuple(bits[:-1])
-    g = _canonical_phase_bit(bits[-1], n, convention)
-    return GhzQndOutcome(parities, g, decode_ghz(parities, g, n), probability, StateVector(n, amps))
+@lru_cache(maxsize=None)
+def _ghz_labels(n: int, convention: str) -> tuple:
+    """Each leaf's (neighbor parities, canonical phase bit, label), by raw ancilla bits big-endian."""
+    table = []
+    for raw in product((0, 1), repeat=n):
+        g = _canonical_phase_bit(raw[-1], n, convention)
+        table.append((raw[:-1], g, decode_ghz(raw[:-1], g, n)))
+    return tuple(table)
+
+
+def _finish_ghz(leaf: int, probability: float, amps: np.ndarray, n: int, convention: str) -> GhzQndOutcome:
+    """The GHZ leaf finisher: the leaf's label-table entry and its sealed register, adopted."""
+    parities, g, label = _ghz_labels(n, convention)[leaf]
+    return GhzQndOutcome(parities, g, label, probability, StateVector._adopt(n, amps))
 
 
 def _ghz_schedule(state: StateVector, convention: str, staged: bool | None, where: str) -> tuple:
@@ -336,7 +358,7 @@ def run_ghz_qnd(
     steps = _ghz_schedule(state, convention, staged, "ghz network")
     if len(draws) != n:
         raise ValueError(f"run_ghz_qnd needs {n} draws, got {len(draws)}")
-    return _shot(state, steps, draws, _finish_ghz, convention)
+    return _shot(state, steps, draws, _finish_ghz, n, convention)
 
 
 def ghz_branch_table(
@@ -348,10 +370,9 @@ def ghz_branch_table(
     """
     n = state.num_qubits
     steps = _ghz_schedule(state, convention, None, "ghz_branch_table")
-    rows = [(raw[:-1] + (_canonical_phase_bit(raw[-1], n, convention),), prob, post)
-            for raw, prob, post in _table_rows(*_state_table(state, steps)[:2])]
-    return [(bits, decode_ghz(bits[:-1], bits[-1], n), prob, None if post is None else StateVector(n, post))
-            for bits, prob, post in rows]
+    rows = _table_rows(*_state_table(state, steps)[:2])
+    return [(parities + (g,), label, prob, None if post is None else StateVector._adopt(n, post))
+            for (parities, g, label), (prob, post) in zip(_ghz_labels(n, convention), rows)]
 
 
 def ghz_projection_oracle(state: StateVector) -> list[tuple[GhzLabel, float]]:

@@ -13,6 +13,13 @@ Two self-inverse Hadamard variants are supported:
   |0> -> (|1>-|0>)/sqrt2 (equal to X.H.X).
 
 All operations return new states; ``StateVector`` instances are immutable.
+A state's amplitudes are a read-only view of a read-only array it owns, so
+numpy refuses ``amplitudes.flags.writeable = True`` and every memo keyed by a
+state's identity (the GHZ memo slot, auth's shared Bell pairs) stays sound.
+The norm is taken once, on first use, and every normalization check reads it.
+The public constructor always copies; the measurement engine adopts a
+finished leaf of its branch table instead (``StateVector._adopt``), and such
+a state keeps that table's block of leaves alive for as long as it lives.
 Randomness is always caller-supplied (an explicit draw in [0, 1)), never
 global, so runs are reproducible and trials can be parallelized safely.
 """
@@ -37,6 +44,9 @@ NORM_ATOL = 1e-8
 #: Weight at or below which a measurement branch is dead (never sampled, no
 #: post state); _split_raw alone applies it to a branch.
 ZERO_BRANCH_PROB = 1e-15
+
+#: Norm of the opposite branch above which drop_qubit refuses to drop a qubit.
+_DROP_RESIDUE_ATOL = 1e-9
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -133,6 +143,9 @@ class StateVector:
     num_qubits: int
     amplitudes: np.ndarray
 
+    #: the norm, taken on first use (amplitudes never change)
+    _norm = None
+
     def __post_init__(self) -> None:
         _require_qubits(self.num_qubits)
         arr = np.array(self.amplitudes, dtype=np.complex128, copy=True)
@@ -142,14 +155,29 @@ class StateVector:
                 f"{self.num_qubits} qubits, got shape {arr.shape}"
             )
         arr.flags.writeable = False
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes", arr.view())  # a view of a read-only base stays read-only
+
+    @classmethod
+    def _adopt(cls, num_qubits: int, amplitudes: np.ndarray) -> "StateVector":
+        """Wrap a checked, normalized, read-only view of a read-only base without copying it."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "num_qubits", num_qubits)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor: sealed too, and no cached norm
+        # rides along onto amplitudes that a plain deepcopy would leave writable
+        return StateVector, (self.num_qubits, self.amplitudes)
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        if self._norm is None:
+            object.__setattr__(self, "_norm", float(np.linalg.norm(self.amplitudes)))
+        return self._norm
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -288,7 +316,7 @@ def _drop_raw(amps: np.ndarray, qubit: int, bit: int) -> np.ndarray:
     m = amps.reshape(1 << qubit, 2, -1)
     kept = m[:, bit, :].reshape(-1)
     residue = float(np.linalg.norm(m[:, 1 - bit, :]))
-    if residue > 1e-9:
+    if residue > _DROP_RESIDUE_ATOL:
         raise ValueError(
             f"cannot drop qubit {qubit}: opposite branch still carries norm {residue}"
         )
