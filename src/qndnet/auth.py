@@ -66,7 +66,7 @@ from .bell import (
     bell_bits,
     bell_state,
 )
-from .ghz import _branches, _parity_network, _table_rows, _walk
+from .ghz import _branches, _compiled_network, _table_rows
 from .statevector import (
     CONVENTIONS,
     PAULI_X_MATRIX,
@@ -76,6 +76,7 @@ from .statevector import (
     _apply_single_raw,
     _require_int,
     _require_normalized,
+    _walk,
     fidelity_up_to_global_phase,
 )
 
@@ -265,7 +266,7 @@ def _branch_probabilities(
     system_amps: np.ndarray, num_system: int, slot: int, machine: int, convention: str
 ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """(4 outcome probabilities, post system amplitudes per outcome); outcome = 2*parity + phase."""
-    steps = _parity_network((slot, machine), num_system, convention, None)
+    steps = _compiled_network((slot, machine), num_system, convention, None)
     table = _table_rows(*_branches(system_amps, steps))
     return np.array([prob for prob, _ in table]), [post for _, post in table]
 
@@ -279,7 +280,7 @@ def _run_round(
     draws: np.ndarray,
 ) -> tuple[tuple[int, int], float, np.ndarray]:
     """Measure both ancillas sequentially; returns (bits, probability, post system)."""
-    steps = _parity_network((slot, machine), num_system, convention, None)
+    steps = _compiled_network((slot, machine), num_system, convention, None)
     weights, leaves = _branches(system_amps, steps, draws)
     probability, leaf = _walk(weights, draws)
     return divmod(leaf, 2), probability, leaves[leaf]

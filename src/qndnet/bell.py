@@ -37,8 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .ghz import (
-    _ghz_labels, _parity_network, _shot, _state_table, _table_rows, decode_ghz, ghz_network_gate_list,
-    ghz_state,
+    _ghz_labels, _ghz_network, _shot, _state_table, _table_rows, decode_ghz, ghz_network_gate_list, ghz_state,
 )
 from .statevector import StateVector, _apply_network_raw, _require_int, _require_normalized, inner_product
 
@@ -148,7 +147,7 @@ def run_bell_qnd(
     if len(draws) != 2:
         raise ValueError("run_bell_qnd needs exactly two draws")
     _require_pair(state, "bell network")
-    steps = _parity_network((0, 1), 2, convention, None)
+    steps = _ghz_network(2, convention, None)
     return _shot(state, steps, draws, _finish_bell, convention)
 
 
@@ -161,7 +160,7 @@ def bell_branch_table(
     (numerically) zero probability carry ``None`` as their post state.
     """
     _require_pair(state, "bell network")
-    steps = _parity_network((0, 1), 2, convention, None)
+    steps = _ghz_network(2, convention, None)
     rows = _table_rows(*_state_table(state, steps)[:2])
     return [
         ((parity, phase), label, prob, None if post is None else StateVector._adopt(2, post))

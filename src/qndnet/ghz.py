@@ -23,10 +23,20 @@ ancillas): append the ancillas in |0>, run the gates, measure and drop the
 ancillas in order.  Unstaged it is one step with every ancilla live; staged
 (the default above FULL_REGISTER_LIMIT parts) each parity extraction, which
 commutes with the rest, is a one-ancilla step, so the live register stays at
-n + 1 qubits.  One level builder (_branches) runs every measurement, one array
-pass per depth over all live bit prefixes.  A state's first shot builds its path
-and keeps only the memo slot (state, schedule); a repeat, or a branch table,
-expands every branch once, and later shots walk that table (_state_table).
+n + 1 qubits.  Each step's gates are compiled once per schedule
+(_compiled_network, statevector._compile_step): the ancillas' append and a
+run of CNOTs is one take through a composed permutation, and a Hadamard run
+is one layer kernel on the float64 view, each equal to the gates run one by
+one, byte for byte.  GHZ shots look their schedule up by (n, convention,
+staged) (_ghz_network).  One level builder (_branches) runs every
+measurement, one array pass per depth over all live bit prefixes: in a
+table, each depth's branch weights and normalized branches come from one
+stacked call (statevector._split_rows) that sums what the per-register
+measurement sums, in the same layout; a path, one row per depth, is measured
+as measure_qubit measures it.  A state's first shot builds its path and
+keeps only the memo slot (state, schedule); a repeat, or a branch table,
+expands every branch once, and later shots walk that table (_state_table,
+statevector._walk).
 The table also keeps each leaf's finished outcome, built by the first shot that
 reaches it, per outcome kind (_shot), so later shots to that leaf return it.
 Auth rounds build unmemoized paths and tables.
@@ -54,13 +64,14 @@ from .statevector import (
     MAX_QUBITS,
     ZERO_BRANCH_PROB,
     StateVector,
-    _apply_gate_raw,
-    _apply_network_raw,
     _collapse_raw,
+    _compile_step,
     _pick_bit,
     _require_int,
     _require_normalized,
     _split_raw,
+    _split_rows,
+    _walk,
     apply_gates,
     cnot,
     hadamard,
@@ -188,59 +199,76 @@ def _parity_network(
     return tuple(steps) if staged else ((sum((gates for gates, _ in steps), ()), n),)
 
 
-def _branches(amps: np.ndarray, steps: Sequence, draws: Sequence[float] | None = None) -> tuple:
-    """(weights, leaves) of ``steps`` on ``amps``, one array pass per depth over the live prefixes.
+@lru_cache(maxsize=None)
+def _compiled_network(
+    data_qubits: tuple[int, ...], ancilla_start: int, convention: str, staged: bool | None
+) -> tuple:
+    """_parity_network's schedule with each step's gates compiled once: ((kernels, ancillas), ...).
 
-    weights[k][i] is ancilla k's (w0, w1) after the k-bit prefix i (big-endian; None if dead),
-    leaves[i] the register after bits i, a read-only view of a read-only block.  With ``draws``
-    only their path is built."""
+    ``staged=None`` returns the same object as the explicit choice, as _parity_network does."""
+    steps = _parity_network(data_qubits, ancilla_start, convention, staged)
+    if staged is None:  # an unstaged schedule is one step
+        return _compiled_network(data_qubits, ancilla_start, convention, len(steps) > 1)
+    return tuple((_compile_step(gates, ancillas, ancilla_start + ancillas), ancillas) for gates, ancillas in steps)
+
+
+@lru_cache(maxsize=None)
+def _ghz_network(n: int, convention: str, staged: bool | None) -> tuple:
+    """The compiled GHZ schedule on data qubits 0..n-1, looked up by (n, convention, staged).
+
+    A key is checked on its first lookup (n in 2..MAX_PARTS, and staged=False's register cap)."""
+    _require_parts(n)
+    if staged is not None and not staged and 2 * n > MAX_QUBITS:
+        raise ValueError(f"staged=False needs 2n <= MAX_QUBITS qubits, so n <= {MAX_QUBITS // 2}; got {n}")
+    return _compiled_network(tuple(range(n)), n, convention, staged)
+
+
+def _branches(amps: np.ndarray, schedule: Sequence, draws: Sequence[float] | None = None) -> tuple:
+    """(weights, leaves) of a compiled ``schedule`` on ``amps``, one array pass per depth over the live prefixes.
+
+    weights[k][j] is the weight of the (k + 1)-bit prefix j given its first k bits (big-endian; 0.0 if
+    dead or off the path), leaves[i] the register after bits i, a read-only view of a read-only block.
+    With ``draws`` only their path is built."""
     rows, live, weights = amps[None], [0], []
-    for gates, ancillas in steps:
+    for kernels, ancillas in schedule:
         qubit = rows.shape[1].bit_length() - 1  # the step's ancillas sit from here on
-        rows = _apply_network_raw(rows, (), ancillas)
-        for gate in gates:  # rebinding frees each gate's input before the next one runs
-            rows = _apply_gate_raw(rows, qubit + ancillas, gate)
+        for kernel in kernels:  # rebinding frees each kernel's input before the next one runs
+            rows = kernel(rows)
         for _ in range(ancillas):
-            level = [None] * (1 << len(weights))
-            for r, i in enumerate(live):
-                level[i] = _split_raw(rows[r], qubit)[0]
-            if draws is None:  # every branch: one copy splits the rows, one division normalizes them
-                kept = [2 * r + bit for r, i in enumerate(live) for bit in (0, 1) if level[i][bit]]
-                rows = np.ascontiguousarray(rows.reshape(len(live), 1 << qubit, 2, -1).swapaxes(1, 2))
-                rows = rows.reshape(2 * len(live), -1)
-                rows = rows[kept] if len(kept) < len(rows) else rows  # dead branches leave
-                rows /= np.sqrt([level[live[k >> 1]][k & 1] for k in kept])[:, None]
-                live = [2 * live[k >> 1] + (k & 1) for k in kept]
-            else:  # the drawn branch alone, collapsed as measure_qubit collapses it
-                bit = _pick_bit(level[live[0]], draws[len(weights)])
-                rows = _collapse_raw(rows.reshape(1 << qubit, 2, -1), bit, level[live[0]])[None]
-                live = [2 * live[0] + bit]
+            if draws is None:  # every branch, all rows in one call
+                w, rows = _split_rows(rows, qubit)
+                level = w.reshape(-1)
+                if len(live) < 1 << len(weights):  # a dead prefix's branches weigh 0.0
+                    level = np.zeros(2 << len(weights))
+                    level.reshape(-1, 2)[live] = w
+                live = level.nonzero()[0]
+                rows = rows.reshape(w.size, -1)
+                if len(live) < w.size:  # dead branches leave
+                    rows = rows[w.reshape(-1).nonzero()[0]]
+                level = level.tolist()
+            else:  # the drawn branch of the one row, measured as measure_qubit measures it
+                pair, m = _split_raw(rows[0], qubit)
+                bit = _pick_bit(pair, draws[len(weights)])
+                rows = _collapse_raw(m, bit, pair)[None]
+                i = 2 * live[0]
+                level = [0.0] * (2 << len(weights))
+                level[i : i + 2] = pair
+                live = [i + bit]
             weights.append(level)
     if rows.base is not None:  # sealed before any leaf view is taken, so no leaf can be made writable
         rows.base.flags.writeable = False
     rows.flags.writeable = False
-    return weights, dict(zip(live, rows))
-
-
-def _walk(weights: list, draws: Sequence[float]) -> tuple:
-    """One shot on a branch table, a draw per ancilla: (joint probability, leaf index)."""
-    if isinstance(draws, np.ndarray):  # Python floats, once: numpy scalars compare slower
-        draws = draws.tolist()
-    probability, i = 1.0, 0
-    for level, draw in zip(weights, draws):
-        pair = level[i]
-        bit = _pick_bit(pair, draw)
-        probability *= pair[bit]
-        i = 2 * i + bit
-    return probability, i
+    return weights, dict(zip(np.asarray(live).tolist(), rows))
 
 
 def _table_rows(weights: list, leaves: dict) -> list:
-    """Each leaf by index (bits big-endian): (probability, register or None at <= ZERO_BRANCH_PROB)."""
-    probs = [1.0]
+    """Each leaf by index (bits big-endian): (probability, register or None at <= ZERO_BRANCH_PROB).
+
+    A leaf's probability is its prefixes' weights multiplied first level first, one array product per level."""
+    probs = np.ones(1)
     for level in weights:
-        probs = [p * w for p, pair in zip(probs, level) for w in pair or (0.0, 0.0)]
-    return [(p, None if p <= ZERO_BRANCH_PROB else leaves[i]) for i, p in enumerate(probs)]
+        probs = probs.repeat(2) * level
+    return [(p, None if p <= ZERO_BRANCH_PROB else leaves[i]) for i, p in enumerate(probs.tolist())]
 
 
 #: (state, schedule, table or None before a repeat) of the last state measured; held, so ``is`` is safe.
@@ -329,13 +357,10 @@ def _finish_ghz(leaf: int, probability: float, amps: np.ndarray, n: int, convent
 
 
 def _ghz_schedule(state: StateVector, convention: str, staged: bool | None, where: str) -> tuple:
-    """The schedule for a checked 2..MAX_PARTS-qubit input (``staged`` as _parity_network takes it)."""
-    n = state.num_qubits
-    _require_parts(n)
-    if staged is not None and not staged and 2 * n > MAX_QUBITS:
-        raise ValueError(f"staged=False needs 2n <= MAX_QUBITS qubits, so n <= {MAX_QUBITS // 2}; got {n}")
+    """The compiled schedule for a checked 2..MAX_PARTS-qubit input (``staged`` as _parity_network takes it)."""
+    schedule = _ghz_network(state.num_qubits, convention, staged)
     _require_normalized(state, where)
-    return _parity_network(tuple(range(n)), n, convention, staged)
+    return schedule
 
 
 def run_ghz_qnd(

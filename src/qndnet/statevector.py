@@ -22,6 +22,12 @@ finished leaf of its branch table instead (``StateVector._adopt``), and such
 a state keeps that table's block of leaves alive for as long as it lives.
 Randomness is always caller-supplied (an explicit draw in [0, 1)), never
 global, so runs are reproducible and trials can be parallelized safely.
+
+The GHZ level builder runs each network step compiled (_compile_step: one
+take per permutation run, one float64-view kernel per Hadamard run) and
+splits many registers per call (_split_rows); each equals the gate-by-gate
+kernels and the per-register split byte for byte, and those stay as the
+general path and the tests' reference.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,7 +49,7 @@ MAX_QUBITS = 14
 NORM_ATOL = 1e-8
 
 #: Weight at or below which a measurement branch is dead (never sampled, no
-#: post state); _split_raw alone applies it to a branch.
+#: post state); _split_raw and _split_rows apply it to a branch.
 ZERO_BRANCH_PROB = 1e-15
 
 #: Norm of the opposite branch above which drop_qubit refuses to drop a qubit.
@@ -136,9 +143,12 @@ def _require_qubits(num_qubits: int) -> None:
     _require_int("num_qubits", num_qubits, 1, MAX_QUBITS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Immutable amplitude vector over the 2**num_qubits computational basis."""
+    """Immutable amplitude vector over the 2**num_qubits computational basis.
+
+    Equality is exact: the same size and equal amplitudes (so outcomes holding a
+    state compare too).  A state is not hashable."""
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -164,6 +174,11 @@ class StateVector:
         object.__setattr__(state, "num_qubits", num_qubits)
         object.__setattr__(state, "amplitudes", amplitudes)
         return state
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self.num_qubits == other.num_qubits and np.array_equal(self.amplitudes, other.amplitudes)
 
     def __reduce__(self):
         # copies and pickles go through the constructor: sealed too, and no cached norm
@@ -280,11 +295,30 @@ def _split_raw(amps: np.ndarray, qubit: int) -> tuple[tuple[float, float], np.nd
     return (w0 if w0 > ZERO_BRANCH_PROB else 0.0, w1 if w1 > ZERO_BRANCH_PROB else 0.0), m
 
 
+def _walk(weights: Sequence, draws: Sequence[float]) -> tuple[float, int]:
+    """One shot down per-level branch weights, a draw in [0, 1) per level: (joint probability, leaf).
+
+    weights[k][j] is the weight of the (k + 1)-bit prefix j (big-endian) given its first k bits.
+    The one pick rule: bit 0 iff draw < w0 or branch 1 is dead (0.0), so a dead branch is never
+    picked."""
+    if isinstance(draws, np.ndarray):  # Python floats, once: numpy scalars compare slower
+        draws = draws.tolist()
+    probability, i = 1.0, 0
+    for level, draw in zip(weights, draws):
+        i += i
+        weight = level[i]
+        if not 0.0 <= draw < 1.0:
+            raise ValueError(f"random draw must lie in [0, 1), got {draw}")
+        if draw >= weight and level[i + 1]:
+            i += 1
+            weight = level[i]
+        probability *= weight
+    return probability, i
+
+
 def _pick_bit(weights: tuple[float, float], draw: float) -> int:
-    """0 iff draw < weights[0] or branch 1 is dead; draw in [0, 1)."""
-    if not 0.0 <= draw < 1.0:
-        raise ValueError(f"random draw must lie in [0, 1), got {draw}")
-    return 0 if draw < weights[0] or not weights[1] else 1
+    """The bit _walk picks on one level of weights (w0, w1)."""
+    return _walk((weights,), (draw,))[1]
 
 
 def _collapse_raw(m: np.ndarray, bit: int, weights: tuple[float, float]) -> np.ndarray:
@@ -321,6 +355,120 @@ def _drop_raw(amps: np.ndarray, qubit: int, bit: int) -> np.ndarray:
             f"cannot drop qubit {qubit}: opposite branch still carries norm {residue}"
         )
     return kept
+
+
+# -- compiled gate runs: the level builder's kernels, each equal to its gates run one by one, byte for byte --
+# Rows are (registers, 2**n) arrays; a kernel may overwrite its input, so pass an owned one.
+
+
+#: Amplitudes per block of rows in a Hadamard layer (512 KiB, and as much again for its scratch).
+_LAYER_BLOCK = 1 << 15
+
+#: Pair blocks shorter than this many amplitudes (but longer than one) iterate down the registers.
+_SHORT_PAIR_BLOCK = 8
+
+_HADAMARD_KINDS = (GateKind.HADAMARD_PAPER, GateKind.HADAMARD_STANDARD)
+
+
+def _widen(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The rows with a zero column appended, gathered by ``perm``: a step's ancillas appended in |0>
+    and its first permutation in one take.  A -0.0 part enters as +0.0 (x + 0.0)."""
+    wide = np.empty((len(rows), rows.shape[1] + 1), dtype=np.complex128)
+    np.add(rows, 0.0, out=wide[:, :-1])
+    wide[:, -1] = 0.0
+    return wide.take(perm, axis=1)
+
+
+def _permute(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    return rows.take(perm, axis=1)
+
+
+def _hadamard_passes(rows: np.ndarray, passes: tuple) -> np.ndarray:
+    """One pass per (rest, paper, order) in turn, on the float64 view: t = s*a, then for each pair
+    block (a0, a1) of ``rest`` amplitudes, (t0 + t1, t0 - t1), or (t1 - t0, t0 + t1) in the paper form.
+
+    These are the complex kernel's sums exactly when no part of the input is -0.0, as after
+    _widen (u*a adds a signed 0*a that can only flip the sign of a zero).  ``order`` "F"
+    walks a short pair block down the registers instead, with the same sums.  Rows go through in
+    blocks of at most _LAYER_BLOCK amplitudes, each block through every pass while it is in cache."""
+    block = max(1, _LAYER_BLOCK // rows.shape[1])
+    scratch = np.empty_like(rows[:block])
+    for start in range(0, len(rows), block):
+        part = rows[start : start + block]
+        scaled = scratch[: len(part)]
+        part_floats, scaled_floats = part.view(np.float64), scaled.view(np.float64)
+        for rest, paper, order in passes:
+            np.multiply(part_floats, _SQRT_HALF, out=scaled_floats)
+            t, m = scaled.reshape(-1, 2, rest), part.reshape(-1, 2, rest)
+            if paper:
+                np.subtract(t[:, 1], t[:, 0], out=m[:, 0], order=order)
+                np.add(t[:, 0], t[:, 1], out=m[:, 1], order=order)
+            else:
+                np.add(t[:, 0], t[:, 1], out=m[:, 0], order=order)
+                np.subtract(t[:, 0], t[:, 1], out=m[:, 1], order=order)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _compile_step(gates: tuple[GateOp, ...], ancillas: int, num_qubits: int) -> tuple:
+    """A step on ``num_qubits`` qubits (its ``ancillas`` included) as kernels, functions of owned rows.
+
+    Appending the ancillas in |0> (_widen) and each run of CNOT and X gates is one take through a
+    composed permutation, the append taking the first run's place; a run of Hadamards is one
+    _hadamard_passes call."""
+    for gate in gates:
+        if gate.max_index >= num_qubits:
+            raise ValueError(f"gate {gate} out of range for {num_qubits} qubits")
+    kernels = []
+    for hadamards, run in groupby(gates, key=lambda gate: gate.kind in _HADAMARD_KINDS):
+        if hadamards:
+            passes = []
+            for gate in run:
+                rest = 1 << (num_qubits - 1 - gate.target)
+                order = "F" if 1 < rest < _SHORT_PAIR_BLOCK else "K"
+                passes.append((rest, gate.kind is GateKind.HADAMARD_PAPER, order))
+            kernels.append(partial(_hadamard_passes, passes=tuple(passes)))
+        else:
+            # x[:, p][:, q] is x[:, p[q]]: the run is one gather
+            perm = reduce(lambda p, q: p[q], (_gate_permutation(num_qubits, gate) for gate in run))
+            perm.flags.writeable = False
+            kernels.append(partial(_permute, perm=perm))
+    if not ancillas:
+        return tuple(kernels)
+    index = np.arange(1 << num_qubits)  # an index with an ancilla bit set reads the zero column
+    perm = np.where(index % (1 << ancillas), 1 << (num_qubits - ancillas), index >> ancillas)
+    if kernels and kernels[0].func is _permute:
+        perm = perm[kernels.pop(0).keywords["perm"]]
+    perm.flags.writeable = False
+    return (partial(_widen, perm=perm), *kernels)
+
+
+def _gate_permutation(n: int, gate: GateOp) -> np.ndarray:
+    """A CNOT's or X's column gather: gate(x)[:, j] == x[:, perm[j]]."""
+    if gate.kind is GateKind.CNOT:
+        return _cnot_permutation(n, gate.control, gate.target)
+    return np.arange(1 << n) ^ (1 << (n - 1 - gate.target))
+
+
+def _split_rows(rows: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's branch weights (registers, 2), 0.0 where dead, and its branches (registers, 2, rest),
+    each divided by its own norm, as a contiguous array (a dead branch, which the level builder
+    drops, is divided by sqrt(ZERO_BRANCH_PROB) instead).
+
+    The weights are _split_raw's vdot sums from one stacked matmul over the layout vdot reads: the
+    stride-2 view when ``qubit`` is the last one, else the contiguous split copy (BLAS adds strided
+    and contiguous vectors in different orders).  The division is x * (1 / norm) on the float64
+    view, numpy's complex x / norm byte for byte when no part is -0.0 (as after _widen)."""
+    m = rows.reshape(len(rows), 1 << qubit, 2, -1)
+    if m.shape[3] == 1:  # branch b of a row is row[b::2]
+        branches = m[..., 0].swapaxes(1, 2)
+    else:
+        branches = np.ascontiguousarray(m.swapaxes(1, 2)).reshape(len(rows), 2, -1)
+    w = (branches.conj()[..., None, :] @ branches[..., None]).real[..., 0, 0]
+    split = np.ascontiguousarray(branches)
+    parts = split.view(np.float64)
+    np.multiply(parts, (1.0 / np.sqrt(np.maximum(w, ZERO_BRANCH_PROB)))[..., None], out=parts)
+    return np.where(w > ZERO_BRANCH_PROB, w, 0.0), split
 
 
 # -- public operations --
