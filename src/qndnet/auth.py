@@ -33,10 +33,14 @@ Seeding: every public operation takes an int seed or a numpy Generator (a
 sweep, an int seed only); an integer seed goes through the one integer check,
 so a bool, a float or a negative seed raises ValueError before any draw.
 A sweep draws everything for account size n from one generator,
-default_rng((seed, n)): first the enrollment, then trials 0..T-1 in order,
-each session continuing the stream where the previous one stopped.  A row is
-therefore reproducible from (seed, n) alone, whatever other sizes the sweep
-covers, but a single trial cannot be rerun without the trials before it.
+default_rng((seed, n)), built as default_rng(np.array((seed, n), uint32))
+when both fit in 32 bits: SeedSequence turns each int of the tuple into its
+32-bit words, which for such a pair are that array, so the state is the same
+and only the conversion is skipped.  It draws first the enrollment, then
+trials 0..T-1 in order, each session continuing the stream where the
+previous one stopped.  A row is therefore reproducible from (seed, n) alone,
+whatever other sizes the sweep covers, but a single trial cannot be rerun
+without the trials before it.
 Every draw of a session is a uniform double from Generator.random(), in one
 fixed layout per round (per pair, in pair order): the noise block (2 hit
 uniforms, then 2 Pauli uniforms, hits[floor(len(hits) u)], if a hit has a
@@ -53,6 +57,7 @@ integers(4); those rows differ from theirs, the others do not.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
@@ -118,7 +123,11 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-qubit, per-session trajectory noise on the stored pair; a model without hits takes p = 0 only."""
+    """Per-qubit, per-session trajectory noise on the stored pair; a model without hits takes p = 0 only.
+
+    p is kept as a Python float, whatever real type it came as, so the draws,
+    the rows and the settings plan all see one value.
+    """
 
     model: str = "none"
     p: float = 0.0
@@ -130,6 +139,7 @@ class NoiseSpec:
             raise ValueError(f"noise probability must be a real number in [0, 1], got {self.p!r}")
         if self.p and not _NOISE_HITS[self.model]:
             raise ValueError(f"noise model {self.model!r} takes no probability, got p={self.p!r}")
+        object.__setattr__(self, "p", float(self.p))
 
 
 NOISELESS = NoiseSpec()
@@ -356,27 +366,68 @@ def _round_draws(attacker: AttackerModel, noise: NoiseSpec) -> int:
     return _noise_draws(noise) + _SLOT_REGISTERS[attacker].draws + 2
 
 
-def _run_sessions(
-    labels: np.ndarray,
-    draws: np.ndarray,
-    attacker: AttackerModel,
-    noise: NoiseSpec,
-    threshold: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(outcomes, matches, accepted) of C sessions on the stored labels, from (C, n, K) draws.
+#: The (parity, phase) bits of each label index, as booleans for _round_matches,
+#: and the weights that turn a (parity, phase) bit pair back into its index.
+_LABEL_BIT_ARRAY = np.array(_LABEL_BITS, dtype=bool)
+_LABEL_BIT_WEIGHTS = np.array((2, 1))
+
+
+def _measured_labels(
+    labels: np.ndarray, draws: np.ndarray, attacker: AttackerModel, noise: NoiseSpec
+) -> np.ndarray:
+    """The (C, n) labels C sessions read on the stored labels, from (C, n, K) draws.
 
     A legitimate card reads its label XOR the noise mask; a card-less
     attacker reads two fair coins, the ancilla draws compared with 1/2, and
-    its noise and slot draws only advance the stream.  A session accepts
-    when matches / n >= threshold.
+    its noise and slot draws only advance the stream.
     """
     if attacker is not AttackerModel.LEGITIMATE:
-        outcomes = 2 * (draws[..., -2] >= 0.5) + (draws[..., -1] >= 0.5)
-    else:
-        outcomes = labels ^ _label_masks(noise, draws)
-    matches = outcomes == labels
-    accepted = matches.sum(axis=1) / labels.size >= threshold
-    return outcomes, matches, accepted
+        return (draws[..., -2:] >= 0.5) @ _LABEL_BIT_WEIGHTS
+    return labels ^ _label_masks(noise, draws)
+
+
+def _round_matches(
+    labels: np.ndarray, draws: np.ndarray, attacker: AttackerModel, noise: NoiseSpec
+) -> np.ndarray:
+    """Whether each round of C sessions reads its stored label, (C, n), from (C, n, K) draws.
+
+    The same reading as _measured_labels, decoded straight to the match: a
+    card-less round matches when both ancilla bits (u >= 1/2) equal the
+    label's (parity, phase) bits, a legitimate one when its two qubits'
+    noise masks are equal (their XOR is the identity).  A session accepts
+    when its match count reaches the fewest accepting matches of its plan.
+    """
+    if attacker is not AttackerModel.LEGITIMATE:
+        bits = (draws[..., -2:] >= 0.5) == _LABEL_BIT_ARRAY[labels]
+        return bits[..., 0] & bits[..., 1]
+    if not _noise_draws(noise):
+        return np.ones(draws.shape[:-1], dtype=bool)
+    masks = _noise_paulis(noise, draws, _HIT_MASKS)
+    return masks[..., 0] == masks[..., 1]
+
+
+def _fewest_matches(n: int, threshold: float) -> int:
+    """The fewest matching rounds out of n that accept: the first k in 0..n with k / n >= threshold."""
+    return next(k for k in range(n + 1) if k / n >= threshold)
+
+
+#: Row plans kept per process; thresholds are arbitrary floats, so the memo is bounded.
+_PLAN_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _row_plan(
+    attacker: AttackerModel, noise: NoiseSpec, n: int, threshold: float
+) -> tuple[int, int, float]:
+    """(K, fewest accepting matches, exact acceptance rate) of a sweep row's settings.
+
+    Everything here follows from the settings alone, so repeated rows look
+    it up once; the draws, the chunk size and the oracle check stay outside
+    it.  A lone session takes K and the fewest matches directly: it has no
+    use for the rate, which costs O(n^2) to tabulate.
+    """
+    analytic = _acceptance_probability([_round_match_probability(attacker, noise)] * n, threshold)
+    return _round_draws(attacker, noise), _fewest_matches(n, threshold), analytic
 
 
 def _require_session_settings(threshold: float, convention: str) -> None:
@@ -400,24 +451,30 @@ def verify_session(
     Accepted sessions overwrite the records with the measured bits and the
     stored pairs with the collapsed Bell states (so the account can be used
     again); rejected sessions flag the account permanently.  The classical
-    password gate is a boolean: when false the session is rejected before
-    any qubit is touched.  A stored pair that is not the Bell state its
-    record names, or an attacker that is not an AttackerModel, is rejected
-    with ValueError before any draw, and so is a seed that is neither a
-    Generator nor an integer >= 0 (a bool included).
+    password gate is a boolean (bool or numpy bool_, anything else raises
+    ValueError): when false the session is rejected before any qubit is
+    touched.  A stored pair that is not the Bell state its record names, or
+    an attacker that is not an AttackerModel, is rejected with ValueError
+    before any draw, and so is a seed that is neither a Generator nor an
+    integer >= 0 (a bool included).
 
     The session draws random((1, n, K)): per pair, the noise block, the
     attacker's slot block (its _SLOT_REGISTERS draws), then the two ancilla
     uniforms, as laid out in the module's Seeding note.  These are the draws
     of the state-vector round, taken in the same order, so seeded sessions
     agree with it bit for bit; the Bell outcome does not depend on the
-    Hadamard convention.
+    Hadamard convention.  A round matches when the label it reads equals
+    its record's; the session accepts when its match count reaches the
+    fewest accepting matches (_fewest_matches), the rule a sweep's array
+    blocks are decoded with.
     """
     _slot_register(attacker)  # rejects a non-AttackerModel before any draw
     _require_seed(seed)
     if account.status != "active":
         raise ValueError("account is flagged; re-enrollment creates a new account")
     _require_session_settings(threshold, convention)
+    if not isinstance(password_ok, (bool, np.bool_)):
+        raise ValueError(f"password_ok must be a bool, got {password_ok!r}")
     if not password_ok:
         return SessionResult((), 0.0, False, tuple(account.records))
     if not account.pairs or len(account.pairs) != len(account.records):
@@ -426,9 +483,9 @@ def verify_session(
         [_stored_label(pair, record) for pair, record in zip(account.pairs, account.records)]
     )
     draws = np.random.default_rng(seed).random((1, labels.size, _round_draws(attacker, noise)))
-    outcomes, matches, accepted = (
-        column[0].tolist() for column in _run_sessions(labels, draws, attacker, noise, threshold)
-    )
+    outcomes = _measured_labels(labels, draws, attacker, noise)[0].tolist()
+    matches = [o == l for o, l in zip(outcomes, labels.tolist())]
+    accepted = sum(matches) >= _fewest_matches(labels.size, threshold)
     measured = [_LABEL_BITS[outcome] for outcome in outcomes]
     account.pairs = [_BELL_PAIRS[outcome] for outcome in outcomes]
     if accepted:
@@ -478,14 +535,13 @@ def _round_match_probability(attacker: AttackerModel, noise: NoiseSpec) -> float
 
 def _acceptance_probability(match_probabilities: Sequence[float], threshold: float) -> float:
     """P(matches / n >= threshold) for independent rounds (a Poisson-binomial tail)."""
-    n = len(match_probabilities)
-    accepting = [k for k in range(n + 1) if k / n >= threshold]
-    if accepting[0] == 0:
+    fewest = _fewest_matches(len(match_probabilities), threshold)
+    if fewest == 0:
         return 1.0
     counts = [1.0]  # counts[k] = P(k matches so far)
     for q in match_probabilities:
         counts = [miss * (1.0 - q) + hit * q for miss, hit in zip(counts + [0.0], [0.0] + counts)]
-    return min(1.0, sum(counts[k] for k in accepting))
+    return min(1.0, sum(counts[fewest:]))
 
 
 @lru_cache(maxsize=None)
@@ -522,7 +578,7 @@ def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float,
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     return float(max(0.0, center - half)), float(min(1.0, center + half))
 
 
@@ -540,6 +596,13 @@ class SweepRow:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _row_rng(seed: int, n: int) -> np.random.Generator:
+    """default_rng((seed, n)), given the 32-bit words SeedSequence makes of the pair when each fits in one."""
+    return np.random.default_rng(
+        np.array((seed, n), np.uint32) if seed < 1 << 32 and n < 1 << 32 else (seed, n)
+    )
 
 
 #: Uniforms drawn at once by a sweep row (8 MiB of doubles): bounds its memory at any T.
@@ -562,17 +625,24 @@ def security_sweep(
     a fresh clone of it, drawing from that generator in trial order.  Rows
     are reproducible from (seed, n), independent of the other sizes in
     ``n_range``; trials within a row are sequential, not separately seeded.
-    Trial 0 is a verify_session call; the other trials are drawn as
-    random((C, n, K)) blocks of at most _CHUNK_DRAWS uniforms and decoded by
-    the same array engine (_run_sessions).  Since a bulk draw yields the
-    same doubles as the sessions' one-by-one draws, a row equals T
-    sequential verify_session calls on its stream, whatever the chunk size.
-    The analytic column is the exact acceptance probability under the same
-    noise and threshold: the per-round match probability of the label model
-    (_round_match_probability), summed over the accepting match counts.  Each
-    row first checks the label model's noise-free round against the
-    state-vector oracle (attacker_round_distribution) on the enrolled labels,
-    once per (attacker, label, convention) in a process.  A threshold outside
+    What follows from the settings alone is planned once per (attacker,
+    noise, n, threshold) in a bounded memo (_row_plan): K, the uniforms per
+    round; the fewest accepting matches, the first k with k / n >= threshold;
+    and the analytic column, the exact acceptance probability under the same
+    noise and threshold (the label model's per-round match probability,
+    _round_match_probability, summed over the accepting match counts).  The
+    plan holds no draw, no chunk size and no oracle verdict.
+    Trial 0 is a verify_session call, so a session stays the public unit a
+    caller (or a tracer wrapping the module's functions) sees a row run; the
+    other trials are drawn as random((C, n, K)) blocks of at most
+    _CHUNK_DRAWS uniforms, decoded straight to matches (_round_matches)
+    without the labels the rounds read.  Both accept on one rule, match
+    count >= fewest, and a bulk draw yields the same doubles as the
+    sessions' one-by-one draws, so a row equals T sequential verify_session
+    calls on its stream, whatever the chunk size.  Each row first checks the
+    label model's noise-free round against the state-vector oracle
+    (attacker_round_distribution) on the enrolled labels, once per
+    (attacker, oracle, label, convention) in a process.  A threshold outside
     [0, 1] (NaN included), an unknown convention, a bad trial count, a seed
     that is not an integer >= 0 or any bad account size in ``n_range`` raises
     ValueError before any draw.
@@ -584,22 +654,19 @@ def security_sweep(
     sizes = [_require_int("n", n, 1) for n in n_range]  # every size before the first row
     rows = []
     for n in sizes:
-        rng = np.random.default_rng((seed, n))
+        rng = _row_rng(seed, n)
         base = enroll(n, "random", seed=rng)
         labels = np.array([_RECORD_LABELS[r] for r in base.records])
         _check_label_model(attacker, labels.tolist(), convention)
-        analytic = _acceptance_probability(
-            [_round_match_probability(attacker, noise)] * n, threshold
-        )
+        k, fewest, analytic = _row_plan(attacker, noise, n, threshold)
         successes = int(
             verify_session(base.clone(), attacker, noise, threshold, rng, convention).accepted
         )
-        k = _round_draws(attacker, noise)
         chunk = max(1, _CHUNK_DRAWS // (n * k))
         for start in range(1, trials, chunk):
             draws = rng.random((min(chunk, trials - start), n, k))
-            accepted = _run_sessions(labels, draws, attacker, noise, threshold)[2]
-            successes += int(np.count_nonzero(accepted))
+            matches = _round_matches(labels, draws, attacker, noise)
+            successes += int(np.count_nonzero(matches.sum(axis=1) >= fewest))
         low, high = wilson_interval(successes, trials)
         rows.append(
             SweepRow(

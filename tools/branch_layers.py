@@ -1,18 +1,25 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the GHZ branch engine: cold table, fresh, warm and repeat shots.
+"""Per-layer timings of the GHZ branch engine and of an auth sweep row.
 
     python3 tools/branch_layers.py SRC_DIR [SRC_DIR ...] [--states 40] [--seed 0]
 
 Loads qndnet once from each SRC_DIR (as separate packages in one process, so
-a parent checkout and a change are timed side by side, state by state, with
-the order alternating) and prints one JSON object: for each source and each
-n = 2..8, the median and quartiles, in microseconds, of
+a parent checkout and a change are timed side by side, sample by sample,
+with the order alternating) and prints one JSON object: for each source, the
+median and quartiles, in microseconds, of each layer of each group.  The
+groups ``ghz.n2`` .. ``ghz.n8`` hold
 * ``cold_table``: ghz_branch_table on a freshly built random state;
 * ``fresh_shot``: the first run_ghz_qnd on a freshly built random state;
 * ``warm_shot``: run_ghz_qnd on a state whose table is already built;
 * ``repeat_shot``: run_ghz_qnd again with the warm shot's draws, so it
   reaches a leaf the table has already visited.
-Every source sees the same amplitudes and draws; BLAS runs on one thread.
+The groups ``auth.legitimate-depolarizing.n3`` and ``auth.decoy.n3`` (one
+security_sweep row at n = 3, depolarizing p = 0.1 and noiseless) hold
+* ``row_fixed``: a row of one trial, its cost apart from the sessions;
+* ``per_session``: (a row of AUTH_TRIALS trials - a row of one) / (AUTH_TRIALS - 1);
+each row timed as the fastest of ROW_REPEATS back-to-back calls.
+Every source sees the same amplitudes, draws and sweep seeds, after one
+warm-up pass that fills the per-process caches; BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -32,6 +39,12 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 LAYERS = ("cold_table", "fresh_shot", "warm_shot", "repeat_shot")
+AUTH_LAYERS = ("row_fixed", "per_session")
+#: (group name, attacker token, noise model) of the timed sweep rows, all at n = 3, p = 0.1.
+AUTH_CELLS = (("legitimate-depolarizing.n3", "legitimate", "depolarizing"), ("decoy.n3", "decoy", "none"))
+AUTH_TRIALS = 2501
+#: Back-to-back calls per row and sample; the fastest is kept.
+ROW_REPEATS = 3
 
 
 def load(src: str, name: str):
@@ -64,6 +77,18 @@ def time_layers(qn, n: int, amps: np.ndarray, draws: np.ndarray) -> dict[str, fl
     return {"cold_table": cold, "fresh_shot": fresh, "warm_shot": warm, "repeat_shot": repeat}
 
 
+def time_row(qn, attacker: str, noise: str, seed: int) -> dict[str, float]:
+    spec = qn.NoiseSpec(noise, 0.1) if noise != "none" else qn.NoiseSpec()
+    model = qn.AttackerModel(attacker)
+    best = {}
+    for trials in (1, AUTH_TRIALS):
+        for _ in range(ROW_REPEATS):
+            start = time.perf_counter()
+            qn.security_sweep([3], model, trials, seed, spec)
+            best[trials] = min(best.get(trials, np.inf), time.perf_counter() - start)
+    return {"row_fixed": best[1], "per_session": (best[AUTH_TRIALS] - best[1]) / (AUTH_TRIALS - 1)}
+
+
 def quartiles(samples: list[float]) -> dict[str, float]:
     q1, q2, q3 = np.percentile(samples, [25, 50, 75])
     return {"median": round(float(q2), 2), "q1": round(float(q1), 2), "q3": round(float(q3), 2)}
@@ -77,21 +102,34 @@ def main() -> None:
     args = parser.parse_args()
     packages = [load(src, f"qndnet_{k}") for k, src in enumerate(args.src)]
     rng = np.random.default_rng(args.seed)
-    for qn in packages:  # fill the schedule and permutation caches before any timing
+    for qn in packages:  # fill the schedule, permutation, check and plan caches before any timing
         for n in range(2, 9):
             qn.ghz_branch_table(qn.random_state(n, np.random.default_rng(n)))
-    samples = {src: {f"n{n}": {layer: [] for layer in LAYERS} for n in range(2, 9)} for src in args.src}
+        for _, attacker, noise in AUTH_CELLS:  # sizes 1..8 enroll all four labels at seed 0
+            qn.security_sweep(range(1, 9), qn.AttackerModel(attacker), 2, 0)
+            time_row(qn, attacker, noise, 0)
+    order = list(zip(args.src, packages))
+    samples = {src: {} for src in args.src}
     for n in range(2, 9):
+        for src in args.src:
+            samples[src][f"ghz.n{n}"] = {layer: [] for layer in LAYERS}
         for k in range(args.states):
             amps = packages[0].random_state(n, rng).amplitudes
             draws = rng.random((2, n))
-            order = list(zip(args.src, packages))
             for src, qn in order if k % 2 == 0 else order[::-1]:
                 for layer, seconds in time_layers(qn, n, amps, draws).items():
-                    samples[src][f"n{n}"][layer].append(1e6 * seconds)
+                    samples[src][f"ghz.n{n}"][layer].append(1e6 * seconds)
+    for group, attacker, noise in AUTH_CELLS:
+        for src in args.src:
+            samples[src][f"auth.{group}"] = {layer: [] for layer in AUTH_LAYERS}
+        for k in range(args.states):
+            seed = int(rng.integers(2**31))
+            for src, qn in order if k % 2 == 0 else order[::-1]:
+                for layer, seconds in time_row(qn, attacker, noise, seed).items():
+                    samples[src][f"auth.{group}"][layer].append(1e6 * seconds)
     report = {
-        src: {n: {layer: quartiles(v) for layer, v in layers.items()} for n, layers in by_n.items()}
-        for src, by_n in samples.items()
+        src: {group: {layer: quartiles(v) for layer, v in layers.items()} for group, layers in groups.items()}
+        for src, groups in samples.items()
     }
     print(json.dumps(report))
 

@@ -14,8 +14,10 @@ whether the change's median is worse than the parent's by more than the
 metric's BENCHMARK.json bound (each such metric is also listed under
 ``beyond_bound`` and printed).  Each workload reports failed/attempted
 operations per side.  The per-layer part runs tools/branch_layers.py on both
-checkouts at once (one process, state by state) --layer-runs times, and gives
-the median of the runs' medians; --layer-runs 0 skips it.
+checkouts at once (one process, sample by sample) --layer-runs times, and
+gives the median of the runs' medians, parent and change side by side, as
+``<family>.<layer>.<group>.us`` (``ghz.cold_table.n8.us``,
+``auth.row_fixed.decoy.n3.us``); --layer-runs 0 skips it.
 """
 
 from __future__ import annotations
@@ -101,11 +103,14 @@ def main() -> None:
         for run in range(args.layer_runs)
     ]
     per_layer = {}
-    for n, kinds in (layer_runs[0][srcs["parent"]] if layer_runs else {}).items():
+    for group, kinds in (layer_runs[0][srcs["parent"]] if layer_runs else {}).items():
+        family, rest = group.split(".", 1)
         for kind in kinds:
-            parent = statistics.median(r[srcs["parent"]][n][kind]["median"] for r in layer_runs)
-            change = statistics.median(r[srcs["change"]][n][kind]["median"] for r in layer_runs)
-            per_layer[f"ghz.{kind}.{n}.us"] = {"parent": parent, "change": change, "change_over_parent": change / parent}
+            parent = statistics.median(r[srcs["parent"]][group][kind]["median"] for r in layer_runs)
+            change = statistics.median(r[srcs["change"]][group][kind]["median"] for r in layer_runs)
+            per_layer[f"{family}.{kind}.{rest}.us"] = {
+                "parent": parent, "change": change, "change_over_parent": change / parent,
+            }
 
     report = {
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
