@@ -33,14 +33,10 @@ Seeding: every public operation takes an int seed or a numpy Generator (a
 sweep, an int seed only); an integer seed goes through the one integer check,
 so a bool, a float or a negative seed raises ValueError before any draw.
 A sweep draws everything for account size n from one generator,
-default_rng((seed, n)), built as default_rng(np.array((seed, n), uint32))
-when both fit in 32 bits: SeedSequence turns each int of the tuple into its
-32-bit words, which for such a pair are that array, so the state is the same
-and only the conversion is skipped.  It draws first the enrollment, then
-trials 0..T-1 in order, each session continuing the stream where the
-previous one stopped.  A row is therefore reproducible from (seed, n) alone,
-whatever other sizes the sweep covers, but a single trial cannot be rerun
-without the trials before it.
+default_rng((seed, n)): first the enrollment, then trials 0..T-1 in order,
+each session continuing the stream where the previous one stopped.  A row is
+therefore reproducible from (seed, n) alone, whatever other sizes the sweep
+covers, but a single trial cannot be rerun without the trials before it.
 Every draw of a session is a uniform double from Generator.random(), in one
 fixed layout per round (per pair, in pair order): the noise block (2 hit
 uniforms, then 2 Pauli uniforms, hits[floor(len(hits) u)], if a hit has a
@@ -126,7 +122,7 @@ class NoiseSpec:
     """Per-qubit, per-session trajectory noise on the stored pair; a model without hits takes p = 0 only.
 
     p is kept as a Python float, whatever real type it came as, so the draws,
-    the rows and the settings plan all see one value.
+    the rows and their analytic rate all see one value.
     """
 
     model: str = "none"
@@ -366,9 +362,7 @@ def _round_draws(attacker: AttackerModel, noise: NoiseSpec) -> int:
     return _noise_draws(noise) + _SLOT_REGISTERS[attacker].draws + 2
 
 
-#: The (parity, phase) bits of each label index, as booleans for _round_matches,
-#: and the weights that turn a (parity, phase) bit pair back into its index.
-_LABEL_BIT_ARRAY = np.array(_LABEL_BITS, dtype=bool)
+#: The weights that turn a (parity, phase) bit pair into its label index.
 _LABEL_BIT_WEIGHTS = np.array((2, 1))
 
 
@@ -379,55 +373,18 @@ def _measured_labels(
 
     A legitimate card reads its label XOR the noise mask; a card-less
     attacker reads two fair coins, the ancilla draws compared with 1/2, and
-    its noise and slot draws only advance the stream.
+    its noise and slot draws only advance the stream.  This is the one
+    decoder of a session: verify_session and a sweep's array blocks both
+    compare what it reads with the stored labels.
     """
     if attacker is not AttackerModel.LEGITIMATE:
         return (draws[..., -2:] >= 0.5) @ _LABEL_BIT_WEIGHTS
     return labels ^ _label_masks(noise, draws)
 
 
-def _round_matches(
-    labels: np.ndarray, draws: np.ndarray, attacker: AttackerModel, noise: NoiseSpec
-) -> np.ndarray:
-    """Whether each round of C sessions reads its stored label, (C, n), from (C, n, K) draws.
-
-    The same reading as _measured_labels, decoded straight to the match: a
-    card-less round matches when both ancilla bits (u >= 1/2) equal the
-    label's (parity, phase) bits, a legitimate one when its two qubits'
-    noise masks are equal (their XOR is the identity).  A session accepts
-    when its match count reaches the fewest accepting matches of its plan.
-    """
-    if attacker is not AttackerModel.LEGITIMATE:
-        bits = (draws[..., -2:] >= 0.5) == _LABEL_BIT_ARRAY[labels]
-        return bits[..., 0] & bits[..., 1]
-    if not _noise_draws(noise):
-        return np.ones(draws.shape[:-1], dtype=bool)
-    masks = _noise_paulis(noise, draws, _HIT_MASKS)
-    return masks[..., 0] == masks[..., 1]
-
-
 def _fewest_matches(n: int, threshold: float) -> int:
     """The fewest matching rounds out of n that accept: the first k in 0..n with k / n >= threshold."""
     return next(k for k in range(n + 1) if k / n >= threshold)
-
-
-#: Row plans kept per process; thresholds are arbitrary floats, so the memo is bounded.
-_PLAN_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _row_plan(
-    attacker: AttackerModel, noise: NoiseSpec, n: int, threshold: float
-) -> tuple[int, int, float]:
-    """(K, fewest accepting matches, exact acceptance rate) of a sweep row's settings.
-
-    Everything here follows from the settings alone, so repeated rows look
-    it up once; the draws, the chunk size and the oracle check stay outside
-    it.  A lone session takes K and the fewest matches directly: it has no
-    use for the rate, which costs O(n^2) to tabulate.
-    """
-    analytic = _acceptance_probability([_round_match_probability(attacker, noise)] * n, threshold)
-    return _round_draws(attacker, noise), _fewest_matches(n, threshold), analytic
 
 
 def _require_session_settings(threshold: float, convention: str) -> None:
@@ -466,7 +423,7 @@ def verify_session(
     Hadamard convention.  A round matches when the label it reads equals
     its record's; the session accepts when its match count reaches the
     fewest accepting matches (_fewest_matches), the rule a sweep's array
-    blocks are decoded with.
+    blocks are accepted with.
     """
     _slot_register(attacker)  # rejects a non-AttackerModel before any draw
     _require_seed(seed)
@@ -598,13 +555,6 @@ class SweepRow:
         return asdict(self)
 
 
-def _row_rng(seed: int, n: int) -> np.random.Generator:
-    """default_rng((seed, n)), given the 32-bit words SeedSequence makes of the pair when each fits in one."""
-    return np.random.default_rng(
-        np.array((seed, n), np.uint32) if seed < 1 << 32 and n < 1 << 32 else (seed, n)
-    )
-
-
 #: Uniforms drawn at once by a sweep row (8 MiB of doubles): bounds its memory at any T.
 _CHUNK_DRAWS = 1 << 20
 
@@ -625,24 +575,21 @@ def security_sweep(
     a fresh clone of it, drawing from that generator in trial order.  Rows
     are reproducible from (seed, n), independent of the other sizes in
     ``n_range``; trials within a row are sequential, not separately seeded.
-    What follows from the settings alone is planned once per (attacker,
-    noise, n, threshold) in a bounded memo (_row_plan): K, the uniforms per
-    round; the fewest accepting matches, the first k with k / n >= threshold;
-    and the analytic column, the exact acceptance probability under the same
-    noise and threshold (the label model's per-round match probability,
-    _round_match_probability, summed over the accepting match counts).  The
-    plan holds no draw, no chunk size and no oracle verdict.
+    The analytic column is the exact acceptance probability under the same
+    noise and threshold: the label model's per-round match probability
+    (_round_match_probability), summed over the accepting match counts.
     Trial 0 is a verify_session call, so a session stays the public unit a
     caller (or a tracer wrapping the module's functions) sees a row run; the
     other trials are drawn as random((C, n, K)) blocks of at most
-    _CHUNK_DRAWS uniforms, decoded straight to matches (_round_matches)
-    without the labels the rounds read.  Both accept on one rule, match
-    count >= fewest, and a bulk draw yields the same doubles as the
-    sessions' one-by-one draws, so a row equals T sequential verify_session
-    calls on its stream, whatever the chunk size.  Each row first checks the
-    label model's noise-free round against the state-vector oracle
-    (attacker_round_distribution) on the enrolled labels, once per
-    (attacker, oracle, label, convention) in a process.  A threshold outside
+    _CHUNK_DRAWS uniforms.  Both decode with _measured_labels and accept
+    when a session's match count reaches the fewest accepting matches
+    (_fewest_matches, the first k with k / n >= threshold), and a bulk draw
+    yields the same doubles as the sessions' one-by-one draws, so a row
+    equals T sequential verify_session calls on its stream, whatever the
+    chunk size.  Each row first checks the label model's noise-free round
+    against the state-vector oracle (attacker_round_distribution) on the
+    enrolled labels, once per (attacker, oracle, label, convention) in a
+    process.  A threshold outside
     [0, 1] (NaN included), an unknown convention, a bad trial count, a seed
     that is not an integer >= 0 or any bad account size in ``n_range`` raises
     ValueError before any draw.
@@ -654,18 +601,21 @@ def security_sweep(
     sizes = [_require_int("n", n, 1) for n in n_range]  # every size before the first row
     rows = []
     for n in sizes:
-        rng = _row_rng(seed, n)
+        rng = np.random.default_rng((seed, n))
         base = enroll(n, "random", seed=rng)
         labels = np.array([_RECORD_LABELS[r] for r in base.records])
         _check_label_model(attacker, labels.tolist(), convention)
-        k, fewest, analytic = _row_plan(attacker, noise, n, threshold)
+        analytic = _acceptance_probability(
+            [_round_match_probability(attacker, noise)] * n, threshold
+        )
         successes = int(
             verify_session(base.clone(), attacker, noise, threshold, rng, convention).accepted
         )
+        k, fewest = _round_draws(attacker, noise), _fewest_matches(n, threshold)
         chunk = max(1, _CHUNK_DRAWS // (n * k))
         for start in range(1, trials, chunk):
             draws = rng.random((min(chunk, trials - start), n, k))
-            matches = _round_matches(labels, draws, attacker, noise)
+            matches = _measured_labels(labels, draws, attacker, noise) == labels
             successes += int(np.count_nonzero(matches.sum(axis=1) >= fewest))
         low, high = wilson_interval(successes, trials)
         rows.append(

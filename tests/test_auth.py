@@ -838,7 +838,7 @@ def test_golden_grid_accept_rates_lie_within_wilson_of_the_analytic_rate(golden_
     assert checked == 90
 
 
-# -- the row plan and the straight-to-matches decoder --
+# -- one decoder, one accept rule --
 
 
 def _run_sessions_reference(labels, draws, attacker, noise, threshold):
@@ -850,7 +850,7 @@ def _run_sessions_reference(labels, draws, attacker, noise, threshold):
     return (outcomes == labels).sum(axis=1) / labels.size >= threshold
 
 
-PLAN_THRESHOLDS = [0.0, 1 / 3, 0.5, 2 / 3, 0.1 + 0.2, 1.0]
+ACCEPT_THRESHOLDS = [0.0, 1 / 3, 0.5, 2 / 3, 0.1 + 0.2, 1.0]
 
 
 @pytest.mark.parametrize("noise", ORACLE_NOISES, ids=lambda s: f"{s.model}-{s.p}")
@@ -859,39 +859,22 @@ def test_decoder_accept_counts_equal_the_reference_engine(attacker, noise):
     rng = np.random.default_rng((list(AttackerModel).index(attacker), ORACLE_NOISES.index(noise)))
     for n in (1, 3, 5, 10):
         labels = rng.integers(4, size=n)
-        k = auth._round_draws(attacker, noise)
-        draws = rng.random((300, n, k))
+        draws = rng.random((300, n, auth._round_draws(attacker, noise)))
         # the decision edges: ancilla draws at and just below 1/2, hit draws at and just below p
         edges = [u for u in (0.5, np.nextafter(0.5, 0.0), noise.p, np.nextafter(noise.p, 0.0)) if u < 1.0]
-        draws[:100] = rng.choice(edges, size=(100, n, k))
-        matches = auth._round_matches(labels, draws, attacker, noise)
-        assert matches.shape == (300, n) and matches.dtype == bool
-        np.testing.assert_array_equal(matches, auth._measured_labels(labels, draws, attacker, noise) == labels)
-        for threshold in PLAN_THRESHOLDS:
-            plan_k, fewest, _ = auth._row_plan(attacker, noise, n, threshold)
-            assert plan_k == k
-            expected = _run_sessions_reference(labels, draws, attacker, noise, threshold)
-            np.testing.assert_array_equal(matches.sum(axis=1) >= fewest, expected)
+        draws[:100] = rng.choice(edges, size=draws[:100].shape)
+        read = auth._measured_labels(labels, draws, attacker, noise)
+        assert read.shape == (300, n)
+        for threshold in ACCEPT_THRESHOLDS:
+            fewest = auth._fewest_matches(n, threshold)
             assert fewest == [m for m in range(n + 1) if m / n >= threshold][0], (n, threshold)
-
-
-def test_row_plan_is_a_bounded_memo_of_the_settings():
-    info = auth._row_plan.cache_info()
-    assert info.maxsize == auth._PLAN_CACHE_SIZE and auth._PLAN_CACHE_SIZE is not None
-    noise = NoiseSpec("depolarizing", 0.1)
-    for j in range(auth._PLAN_CACHE_SIZE + 50):
-        auth._row_plan(AttackerModel.LEGITIMATE, noise, 3, j / (auth._PLAN_CACHE_SIZE + 50))
-    assert auth._row_plan.cache_info().currsize <= auth._PLAN_CACHE_SIZE
-    # the analytic entry is the exact tail the rows have always reported
-    for threshold in PLAN_THRESHOLDS:
-        q = _round_match_probability(AttackerModel.LEGITIMATE, noise)
-        plan = auth._row_plan(AttackerModel.LEGITIMATE, noise, 5, threshold)
-        assert plan[2] == _acceptance_probability([q] * 5, threshold)
+            expected = _run_sessions_reference(labels, draws, attacker, noise, threshold)
+            np.testing.assert_array_equal((read == labels).sum(axis=1) >= fewest, expected)
 
 
 def test_a_row_spans_several_chunks_when_the_chunk_is_small(monkeypatch):
     calls = []
-    decode = auth._round_matches
+    decode = auth._measured_labels
 
     def counting(labels, draws, *args):
         calls.append(draws.shape[0])
@@ -899,18 +882,12 @@ def test_a_row_spans_several_chunks_when_the_chunk_is_small(monkeypatch):
 
     noise = NoiseSpec("depolarizing", 0.1)
     whole = security_sweep([3], AttackerModel.LEGITIMATE, 50, 31, noise, 0.5)
-    monkeypatch.setattr(auth, "_round_matches", counting)
+    monkeypatch.setattr(auth, "_measured_labels", counting)
     monkeypatch.setattr(auth, "_CHUNK_DRAWS", 7)
     chunked = security_sweep([3], AttackerModel.LEGITIMATE, 50, 31, noise, 0.5)
-    # K = 6 uniforms per round at n = 3: one session per chunk for the 49 trials after trial 0
-    assert calls == [1] * 49
+    # K = 6 uniforms per round at n = 3: trial 0's session, then one session per chunk for the other 49
+    assert calls == [1] * 50
     assert chunked == whole
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, np.int64(7), np.uint64(2**63)], ids=repr)
-def test_row_generator_is_default_rng_of_seed_and_size(seed):
-    for n in (1, 3, 2**32 - 1, 2**32):
-        assert auth._row_rng(seed, n).bit_generator.state == np.random.default_rng((seed, n)).bit_generator.state
 
 
 def test_noise_spec_keeps_p_as_a_python_float():
