@@ -13,13 +13,14 @@ Two self-inverse Hadamard variants are supported:
   |0> -> (|1>-|0>)/sqrt2 (equal to X.H.X).
 
 All operations return new states; ``StateVector`` instances are immutable.
-A state's amplitudes are a read-only view of a read-only array it owns, so
-numpy refuses ``amplitudes.flags.writeable = True`` and every memo keyed by a
-state's identity (the GHZ memo slot, auth's shared Bell pairs) stays sound.
-The norm is taken once, on first use, and every normalization check reads it.
-The public constructor always copies; the measurement engine adopts a
-finished leaf of its branch table instead (``StateVector._adopt``), and such
-a state keeps that table's block of leaves alive for as long as it lives.
+A state's amplitudes are a read-only view of a read-only array over an
+immutable bytes copy, so numpy refuses ``writeable = True`` on them and on
+their ``.base``, and every memo keyed by a state's identity (the GHZ memo
+slot, auth's shared Bell pairs) stays sound.  The norm is taken once, on
+first use, and every normalization check reads it.  The public constructor
+always copies; the measurement engine adopts a finished leaf of its branch
+table instead (``StateVector._adopt``), and such a state keeps that table's
+sealed ndarray block of leaves alive for as long as it lives.
 Randomness is always caller-supplied (an explicit draw in [0, 1)), never
 global, so runs are reproducible and trials can be parallelized safely.
 
@@ -147,6 +148,13 @@ def _require_qubits(num_qubits: int) -> None:
 class StateVector:
     """Immutable amplitude vector over the 2**num_qubits computational basis.
 
+    The constructor copies its input once, into a bytes object, and holds a
+    read-only view of the read-only array over it: neither the view nor its
+    ``.base`` can be made writable.  A finished leaf of a branch table is
+    adopted instead (``_adopt``): its base is that table's sealed ndarray block
+    of leaves, which numpy would let an owner make writable again; sealing every
+    block in bytes would cost a copy per table.
+
     Equality is exact: the same size and equal amplitudes (so outcomes holding a
     state compare too).  A state is not hashable."""
 
@@ -158,14 +166,16 @@ class StateVector:
 
     def __post_init__(self) -> None:
         _require_qubits(self.num_qubits)
-        arr = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        arr = np.asarray(self.amplitudes, dtype=np.complex128)
         if arr.shape != (1 << self.num_qubits,):
             raise ValueError(
                 f"expected {1 << self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got shape {arr.shape}"
             )
-        arr.flags.writeable = False
-        object.__setattr__(self, "amplitudes", arr.view())  # a view of a read-only base stays read-only
+        # the copy is an immutable bytes object: numpy refuses to make the array over it, or a
+        # view of that array, writable again
+        sealed = np.frombuffer(arr.tobytes(), np.complex128)
+        object.__setattr__(self, "amplitudes", sealed.view())
 
     @classmethod
     def _adopt(cls, num_qubits: int, amplitudes: np.ndarray) -> "StateVector":
@@ -300,19 +310,25 @@ def _walk(weights: Sequence, draws: Sequence[float]) -> tuple[float, int]:
 
     weights[k][j] is the weight of the (k + 1)-bit prefix j (big-endian) given its first k bits.
     The one pick rule: bit 0 iff draw < w0 or branch 1 is dead (0.0), so a dead branch is never
-    picked."""
-    if isinstance(draws, np.ndarray):  # Python floats, once: numpy scalars compare slower
+    picked.  An ndarray of draws is read as Python floats once (numpy scalars compare slower); a
+    draw that is not a real number (a string, or a list, as each row of a 2-D array is) fails its
+    comparison and raises ValueError naming it, so a valid draw pays no check of its type."""
+    if isinstance(draws, np.ndarray):
         draws = draws.tolist()
+    levels = zip(weights, draws)  # outside the try: draws that are no sequence raise as they are
     probability, i = 1.0, 0
-    for level, draw in zip(weights, draws):
-        i += i
-        weight = level[i]
-        if not 0.0 <= draw < 1.0:
-            raise ValueError(f"random draw must lie in [0, 1), got {draw}")
-        if draw >= weight and level[i + 1]:
-            i += 1
+    try:
+        for level, draw in levels:
+            i += i
             weight = level[i]
-        probability *= weight
+            if not 0.0 <= draw < 1.0:
+                raise ValueError(f"random draw must lie in [0, 1), got {draw}")
+            if draw >= weight and level[i + 1]:
+                i += 1
+                weight = level[i]
+            probability *= weight
+    except TypeError:
+        raise ValueError(f"random draw must be a real number, got {draw!r}") from None
     return probability, i
 
 

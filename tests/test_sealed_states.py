@@ -135,6 +135,59 @@ def test_overwriting_a_memoized_state_is_refused():
     assert out.post_state.amplitudes.tobytes() == fresh.post_state.amplitudes.tobytes()
 
 
+
+def _constructed_states():
+    """(name, state) for a StateVector built by the public constructor, directly or inside a call."""
+    rng = np.random.default_rng(42)
+    triple = random_state(3, rng)
+    yield "StateVector", StateVector(2, [1.0, 0.0, 0.0, 0.0])
+    yield "random_state", triple
+    yield "make_basis_state", make_basis_state(3, "101")
+    yield "ghz_state", ghz_state(GhzLabel("-", "101"))
+    yield "bell_state", bell_state(BellLabel.PSI_MINUS)
+    yield "normalized", StateVector(1, [3.0, 4.0]).normalized()
+    yield "apply_gate.hadamard", apply_gate(triple, hadamard(1))
+    yield "apply_gate.cnot", apply_gate(triple, cnot(0, 2))
+    yield "apply_gates", apply_gates(triple, [hadamard(0), cnot(0, 1)])
+    yield "measure_qubit", measure_qubit(triple, 1, 0.3).post_state
+    yield "from_dump", from_dump(to_dump(triple))
+    yield "pickle", pickle.loads(pickle.dumps(triple))
+
+
+@pytest.mark.parametrize("name, state", list(_constructed_states()), ids=lambda v: v if isinstance(v, str) else "")
+def test_constructed_amplitudes_refuse_a_writable_base(name, state):
+    base = state.amplitudes.base
+    with pytest.raises(ValueError):
+        base.flags.writeable = True
+    with pytest.raises(ValueError):
+        base[0] = 0.0
+
+
+def test_overwriting_a_memoized_state_through_its_base_is_refused():
+    # the base of a constructed state's view sits over an immutable copy, so after two shots
+    # it cannot be made writable and rewritten to |000>: a third shot answers as a fresh copy does
+    rng = np.random.default_rng(2)
+    state = random_state(3, rng)
+    draws = rng.random((3, 3))
+    run_ghz_qnd(state, "paper", draws[0])
+    run_ghz_qnd(state, "paper", draws[1])
+    base = state.amplitudes.base
+    with pytest.raises(ValueError):
+        base.flags.writeable = True
+    with pytest.raises(ValueError):
+        base[:] = make_basis_state(3, "000").amplitudes
+    out = run_ghz_qnd(state, "paper", draws[2])
+    fresh = run_ghz_qnd(StateVector(3, state.amplitudes), "paper", draws[2])
+    assert (out.label, out.probability) == (fresh.label, fresh.probability)
+    assert out.post_state.amplitudes.tobytes() == fresh.post_state.amplitudes.tobytes()
+
+
+def test_constructor_copies_its_input_byte_for_byte():
+    # signed zeros and strided or non-native-order input included
+    source = np.array([-0.0, 0.6 - 0.0j, 0.8j, complex(0.0, -0.0)])
+    for given in (source, source.tolist(), np.repeat(source, 2)[::2], source.astype(">c16")):
+        assert StateVector(2, given).amplitudes.tobytes() == source.tobytes()
+
 def test_norm_is_taken_once(monkeypatch):
     real_norm = np.linalg.norm
     calls = []
