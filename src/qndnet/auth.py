@@ -287,6 +287,7 @@ def _run_round(
 ) -> tuple[tuple[int, int], float, np.ndarray]:
     """Measure both ancillas sequentially; returns (bits, probability, post system)."""
     steps = _compiled_network((slot, machine), num_system, convention, None)
+    draws = draws.tolist()  # Python floats, once: numpy scalars compare slower
     weights, leaves = _branches(system_amps, steps, draws)
     probability, leaf = _walk(weights, draws)
     return divmod(leaf, 2), probability, leaves[leaf]

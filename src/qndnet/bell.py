@@ -141,10 +141,9 @@ def run_bell_qnd(
     The outcome is deterministic given ``draws``, each in [0, 1); the joint
     probability of the observed bits equals the squared overlap of the input
     with the decoded Bell state, and the returned 2-qubit post state is that
-    Bell state.  The network is one step, so a state's first shot expands all
-    four branches at once and later shots only walk them.  Repeated shots of
-    one state that reach the same leaf may return the same immutable outcome
-    object.
+    Bell state.  A state's first shot expands all four branches at once and
+    later shots only walk them.  Repeated shots of one state that reach the
+    same leaf may return the same immutable outcome object.
     """
     if len(draws) != 2:
         raise ValueError("run_bell_qnd needs exactly two draws")

@@ -33,14 +33,12 @@ measurement, one array pass per depth over all live bit prefixes: in a
 table, each depth's branch weights and normalized branches come from one
 stacked call (statevector._split_rows) that sums what the per-register
 measurement sums, in the same layout; a path, one row per depth, is measured
-as measure_qubit measures it.  A state's first shot on a one-step schedule
-(Bell, GHZ at n <= FULL_REGISTER_LIMIT, staged=False) expands every branch
-at once, since its network runs whole before any ancilla is split; on a
-staged schedule it builds only its path and keeps the memo slot (state,
-schedule), and a repeat, or a branch table, expands every branch once.
-Later shots walk that table (_state_table, statevector._walk).  A caller
-that takes one shot per fresh state thus pays for a table at n <= 6 (about
-1.1-1.3x a path), and every multi-shot caller runs the network once.
+as measure_qubit measures it.  A state's first shot expands every branch
+at once and keeps the table in the memo slot (state, schedule, table), and
+later shots walk it (_state_table, statevector._walk), so each state runs its
+network once.  A caller that takes one shot per fresh state thus pays for a
+table rather than a path (about 1.1-1.25x at n <= 6, 4-11x at the staged
+n = 7, 8).
 The table also keeps each leaf's finished outcome, built by the first shot that
 reaches it, per outcome kind (_shot), so later shots to that leaf return it.
 Auth rounds build unmemoized paths and tables.
@@ -51,8 +49,9 @@ label), so no shot or table row decodes bits.  The level builder seals its
 last rows (read-only, their base too) before it hands out a leaf, so a
 finished outcome or table row adopts its leaf as the post state without a
 copy (StateVector._adopt).  Draws given as an ndarray are read as Python
-floats once per walk or path; each is still range-checked, and one that is
-not a real number (a row of a 2-D array included) raises ValueError.
+floats once, where a shot or an auth round takes them; each is still
+range-checked, and one that is not a real number (a row of a 2-D array
+included) raises ValueError.
 """
 
 from __future__ import annotations
@@ -234,8 +233,6 @@ def _branches(amps: np.ndarray, schedule: Sequence, draws: Sequence[float] | Non
     weights[k][j] is the weight of the (k + 1)-bit prefix j given its first k bits (big-endian; 0.0 if
     dead or off the path), leaves[i] the register after bits i, a read-only view of a read-only block.
     With ``draws`` only their path is built."""
-    if isinstance(draws, np.ndarray):  # Python floats, as _walk reads them: a 2-D array's row is a list
-        draws = draws.tolist()
     rows, live, weights = amps[None], [0], []
     for kernels, ancillas in schedule:
         qubit = rows.shape[1].bit_length() - 1  # the step's ancillas sit from here on
@@ -278,39 +275,32 @@ def _table_rows(weights: list, leaves: dict) -> list:
     return [(p, None if p <= ZERO_BRANCH_PROB else leaves[i]) for i, p in enumerate(probs.tolist())]
 
 
-#: (state, schedule, table or None before a repeat) of the last state measured; held, so ``is`` is safe.
+#: (state, schedule, table) of the last state measured; held, so ``is`` is safe.
 _last_table: tuple = (None, None, None)
 
 
-def _state_table(state: StateVector, steps: Sequence, draws: Sequence[float] | None = None) -> tuple:
-    """(weights, leaves, finished) for ``state``: the table with its finished leaves, kept in the slot.
+def _state_table(state: StateVector, steps: Sequence) -> tuple:
+    """(weights, leaves, finished) for ``state``: its table with its finished leaves, kept in the slot.
 
-    A fresh state's first shot (``draws``) on a staged schedule builds only its path, with finished
-    None, and keeps the slot for a repeat to expand; its table costs 5-15x a path.  On a one-step
-    schedule the whole network runs before any ancilla is split, so a path would cost most of the
-    table and a repeat would run the network again: that first shot expands the table at once."""
+    A fresh state expands the table on its first shot or table call, so every later one only walks it."""
     global _last_table
     last_state, last_steps, table = _last_table
     if last_state is not state or last_steps is not steps:
-        _last_table, table = (state, steps, None), None
-        if draws is not None and len(steps) > 1:
-            return *_branches(state.amplitudes, steps, draws), None
-    if table is None:
         table = (*_branches(state.amplitudes, steps), {})
         _last_table = (state, steps, table)
     return table
 
 
 def _shot(state: StateVector, steps: Sequence, draws: Sequence[float], finish: Callable, *args) -> object:
-    """One shot: walk the slot's table (or a fresh state's staged path) and finish the leaf it reaches.
+    """One shot: walk the slot's table and finish the leaf it reaches.
 
-    ``finish(leaf, probability, amplitudes, *args)`` builds the outcome.  A table keeps it by
+    ``finish(leaf, probability, amplitudes, *args)`` builds the outcome.  The table keeps it by
     (finish, leaf), so ``args`` must follow from ``steps`` (n and a convention do), and Bell
     and n = 2 GHZ, which share steps, keep their own; a later shot to that leaf returns it."""
-    weights, leaves, finished = _state_table(state, steps, draws)
+    if isinstance(draws, np.ndarray):  # Python floats, once: numpy scalars compare slower
+        draws = draws.tolist()
+    weights, leaves, finished = _state_table(state, steps)
     probability, i = _walk(weights, draws)
-    if finished is None:
-        return finish(i, probability, leaves[i], *args)
     outcome = finished.get((finish, i))
     if outcome is None:
         outcome = finished[finish, i] = finish(i, probability, leaves[i], *args)
@@ -387,10 +377,9 @@ def run_ghz_qnd(
     in _parity_network); both give identical outcomes for equal
     draws, and ``staged=False`` reaches n <= 7 (2n <= MAX_QUBITS).  It stays
     until the benchmark's per-layer probe stops timing the two schedules apart.
-    A state's first shot on the one-step schedule (n <= FULL_REGISTER_LIMIT,
-    or staged=False) expands its whole branch table, so later shots only walk
-    it; a staged first shot builds only its path.  Repeated shots of one state
-    that reach the same leaf may return the same immutable outcome object.
+    A state's first shot expands its whole branch table, so later shots only
+    walk it.  Repeated shots of one state that reach the same leaf may return
+    the same immutable outcome object.
     """
     n = state.num_qubits
     steps = _ghz_schedule(state, convention, staged, "ghz network")

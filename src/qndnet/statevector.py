@@ -310,11 +310,9 @@ def _walk(weights: Sequence, draws: Sequence[float]) -> tuple[float, int]:
 
     weights[k][j] is the weight of the (k + 1)-bit prefix j (big-endian) given its first k bits.
     The one pick rule: bit 0 iff draw < w0 or branch 1 is dead (0.0), so a dead branch is never
-    picked.  An ndarray of draws is read as Python floats once (numpy scalars compare slower); a
+    picked.  Callers pass an ndarray of draws as Python floats (numpy scalars compare slower); a
     draw that is not a real number (a string, or a list, as each row of a 2-D array is) fails its
     comparison and raises ValueError naming it, so a valid draw pays no check of its type."""
-    if isinstance(draws, np.ndarray):
-        draws = draws.tolist()
     levels = zip(weights, draws)  # outside the try: draws that are no sequence raise as they are
     probability, i = 1.0, 0
     try:

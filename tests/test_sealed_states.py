@@ -135,7 +135,6 @@ def test_overwriting_a_memoized_state_is_refused():
     assert out.post_state.amplitudes.tobytes() == fresh.post_state.amplitudes.tobytes()
 
 
-
 def _constructed_states():
     """(name, state) for a StateVector built by the public constructor, directly or inside a call."""
     rng = np.random.default_rng(42)
@@ -187,6 +186,7 @@ def test_constructor_copies_its_input_byte_for_byte():
     source = np.array([-0.0, 0.6 - 0.0j, 0.8j, complex(0.0, -0.0)])
     for given in (source, source.tolist(), np.repeat(source, 2)[::2], source.astype(">c16")):
         assert StateVector(2, given).amplitudes.tobytes() == source.tobytes()
+
 
 def test_norm_is_taken_once(monkeypatch):
     real_norm = np.linalg.norm

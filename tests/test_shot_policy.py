@@ -1,12 +1,12 @@
-"""A fresh state's first shot: one network run on a one-step schedule, a path on a staged one;
-draws that are not real numbers are refused by name."""
+"""A fresh state's first shot expands its table once, on every schedule; draws that are not
+real numbers are refused by name."""
 
 import numpy as np
 import pytest
 
 import qndnet.ghz as ghz_module
 from qndnet.bell import bell_branch_table, run_bell_qnd
-from qndnet.ghz import FULL_REGISTER_LIMIT, ghz_branch_table, run_ghz_qnd
+from qndnet.ghz import ghz_branch_table, run_ghz_qnd
 from qndnet.statevector import StateVector, random_state
 
 
@@ -35,10 +35,10 @@ def _shots(run, table, n, state, draws, expansions, **kwargs):
 
 
 @pytest.mark.parametrize("convention", ["paper", "standard"])
-@pytest.mark.parametrize("n", range(2, FULL_REGISTER_LIMIT + 1))
-def test_one_step_first_shot_keeps_its_table(n, convention, expansions):
-    # the all-live network runs whole before any ancilla is split, so the first shot expands
-    # the table once: its repeat returns the same outcome, and the branch table is not rebuilt
+@pytest.mark.parametrize("n", range(2, 9))
+def test_first_shot_keeps_its_table(n, convention, expansions):
+    # all-live (n <= 6) and staged (n = 7, 8) alike: the first shot expands the table once,
+    # its repeat returns the same outcome, and the branch table is not rebuilt
     rng = np.random.default_rng(9100 + n)
     state = random_state(n, rng)
     first, again, twin, calls = _shots(
@@ -61,31 +61,6 @@ def test_bell_first_shot_keeps_its_table(convention, expansions):
     assert twin == first and twin is not first
 
 
-def test_explicit_all_live_first_shot_keeps_its_table(expansions):
-    # the rule reads the schedule's step count, not n: staged=False at n = 7 is one step
-    rng = np.random.default_rng(9300)
-    state = random_state(7, rng)
-    draws = rng.random(7)
-    first = run_ghz_qnd(state, "paper", draws, staged=False)
-    assert run_ghz_qnd(state, "paper", draws, staged=False) is first
-    assert expansions == ["table"]
-
-
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-@pytest.mark.parametrize("n", range(FULL_REGISTER_LIMIT + 1, 9))
-def test_staged_first_shot_builds_only_its_path(n, convention, expansions):
-    # a staged table costs several paths, so a fresh state's first shot keeps nothing; the
-    # repeat expands the table and finishes the leaf anew, equal to the first outcome
-    rng = np.random.default_rng(9400 + n)
-    state = random_state(n, rng)
-    first, again, twin, calls = _shots(
-        run_ghz_qnd, ghz_branch_table, n, state, rng.random(n), expansions, convention=convention
-    )
-    assert calls == ["path", "table"]
-    assert again == first and again is not first
-    assert twin == first
-
-
 def _bad_draws(n):
     """(draws of the right length, a fragment of the error message naming what is wrong)."""
     letters = "abcdefgh"[:n]
@@ -105,7 +80,7 @@ def test_ghz_draws_that_are_not_real_numbers_raise_value_error(n):
     state = random_state(n, rng)
     for bad, named in _bad_draws(n):
         with pytest.raises(ValueError, match=f"random draw must be a real number, got {named}"):
-            run_ghz_qnd(random_state(n, rng), "paper", bad)  # a fresh state: path or table
+            run_ghz_qnd(random_state(n, rng), "paper", bad)  # a fresh state
         with pytest.raises(ValueError, match=named):
             run_ghz_qnd(state, "paper", bad)  # the slot's state
     draws = rng.random(n)
