@@ -27,7 +27,9 @@ on either qubit XORs the label with a fixed mask (I, X, Y, Z -> 0, 2, 3, 1),
 and a legitimate card reads the noisy label (the Bell-diagonal picture of
 Bennett, DiVincenzo, Smolin and Wootters, quant-ph/9604024).  The label
 engine consumes the same draws, in the same order, as the state-vector round
-(_system_for, _run_round), the oracle behind attacker_round_distribution.
+(_system_for, _run_round), the oracle behind attacker_round_distribution: the
+staged Bell network on (slot, terminal) of the larger register, expanded into
+one branch table by the GHZ module's level builder and walked as a shot walks.
 
 Seeding: every public operation takes an int seed or a numpy Generator (a
 sweep, an int seed only); an integer seed goes through the one integer check,
@@ -272,7 +274,7 @@ def _branch_probabilities(
     system_amps: np.ndarray, num_system: int, slot: int, machine: int, convention: str
 ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """(4 outcome probabilities, post system amplitudes per outcome); outcome = 2*parity + phase."""
-    steps = _compiled_network((slot, machine), num_system, convention, None)
+    steps = _compiled_network((slot, machine), num_system, convention)
     table = _table_rows(*_branches(system_amps, steps))
     return np.array([prob for prob, _ in table]), [post for _, post in table]
 
@@ -285,11 +287,10 @@ def _run_round(
     convention: str,
     draws: np.ndarray,
 ) -> tuple[tuple[int, int], float, np.ndarray]:
-    """Measure both ancillas sequentially; returns (bits, probability, post system)."""
-    steps = _compiled_network((slot, machine), num_system, convention, None)
-    draws = draws.tolist()  # Python floats, once: numpy scalars compare slower
-    weights, leaves = _branches(system_amps, steps, draws)
-    probability, leaf = _walk(weights, draws)
+    """One shot down the round's branch table, a draw per ancilla; returns (bits, probability, post system)."""
+    steps = _compiled_network((slot, machine), num_system, convention)
+    weights, leaves = _branches(system_amps, steps)
+    probability, leaf = _walk(weights, draws.tolist())  # Python floats, once: numpy scalars compare slower
     return divmod(leaf, 2), probability, leaves[leaf]
 
 

@@ -145,11 +145,9 @@ def run_bell_qnd(
     later shots only walk them.  Repeated shots of one state that reach the
     same leaf may return the same immutable outcome object.
     """
-    if len(draws) != 2:
-        raise ValueError("run_bell_qnd needs exactly two draws")
     _require_pair(state, "bell network")
-    steps = _ghz_network(2, convention, None)
-    return _shot(state, steps, draws, _finish_bell, convention)
+    steps = _ghz_network(2, convention)
+    return _shot(state, steps, draws, "run_bell_qnd", _finish_bell, convention)
 
 
 def bell_branch_table(
@@ -161,7 +159,7 @@ def bell_branch_table(
     (numerically) zero probability carry ``None`` as their post state.
     """
     _require_pair(state, "bell network")
-    steps = _ghz_network(2, convention, None)
+    steps = _ghz_network(2, convention)
     rows = _table_rows(*_state_table(state, steps)[:2])
     return [
         ((parity, phase), label, prob, None if post is None else StateVector._adopt(2, post))

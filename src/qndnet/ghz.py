@@ -20,28 +20,26 @@ under both conventions.
 
 The network is built once (_parity_network) as a schedule of steps (gates,
 ancillas): append the ancillas in |0>, run the gates, measure and drop the
-ancillas in order.  Unstaged it is one step with every ancilla live; staged
-(the default above FULL_REGISTER_LIMIT parts) each parity extraction, which
-commutes with the rest, is a one-ancilla step, so the live register stays at
-n + 1 qubits.  Each step's gates are compiled once per schedule
+ancillas in order.  Every measurement (Bell, GHZ at every n, the auth round)
+runs the staged schedule: each parity extraction, which commutes with the
+rest, is a one-ancilla step, so the live register stays at n + 1 qubits.  The
+flat gate list with all n ancillas live is kept only where a gate list is the
+contract (ghz_network_gate_list).  Each step's gates are compiled once
 (_compiled_network, statevector._compile_step): the ancillas' append and a
 run of CNOTs is one take through a composed permutation, and a Hadamard run
 is one layer kernel on the float64 view, each equal to the gates run one by
-one, byte for byte.  GHZ shots look their schedule up by (n, convention,
-staged) (_ghz_network).  One level builder (_branches) runs every
-measurement, one array pass per depth over all live bit prefixes: in a
-table, each depth's branch weights and normalized branches come from one
-stacked call (statevector._split_rows) that sums what the per-register
-measurement sums, in the same layout; a path, one row per depth, is measured
-as measure_qubit measures it.  A state's first shot expands every branch
-at once and keeps the table in the memo slot (state, schedule, table), and
-later shots walk it (_state_table, statevector._walk), so each state runs its
-network once.  A caller that takes one shot per fresh state thus pays for a
-table rather than a path (about 1.1-1.25x at n <= 6, 4-11x at the staged
-n = 7, 8).
+one, byte for byte.  GHZ shots look their schedule up by (n, convention)
+(_ghz_network).  One level builder (_branches) expands every measurement, one
+array pass per depth over all live bit prefixes: each depth's branch weights
+and normalized branches come from one stacked call (statevector._split_rows)
+that sums what the per-register measurement sums, in the same layout.  A
+state's first shot expands every branch at once and keeps the table in the
+memo slot (state, schedule, table), and later shots walk it (_state_table,
+statevector._walk), so each state runs its network once; a caller that takes
+one shot per fresh state pays for the whole table.
 The table also keeps each leaf's finished outcome, built by the first shot that
 reaches it, per outcome kind (_shot), so later shots to that leaf return it.
-Auth rounds build unmemoized paths and tables.
+Auth rounds walk and read unmemoized tables.
 
 A leaf is finished from one label table per (n, convention), built once and
 indexed by leaf (_ghz_labels: neighbor parities, canonical phase bit and
@@ -50,8 +48,9 @@ last rows (read-only, their base too) before it hands out a leaf, so a
 finished outcome or table row adopts its leaf as the post state without a
 copy (StateVector._adopt).  Draws given as an ndarray are read as Python
 floats once, where a shot or an auth round takes them; each is still
-range-checked, and one that is not a real number (a row of a 2-D array
-included) raises ValueError.
+range-checked, and one that is not a real number (a row of a 2-D array or an
+array of one value included) raises ValueError, as do draws that are no
+sequence.
 """
 
 from __future__ import annotations
@@ -65,15 +64,11 @@ import numpy as np
 
 from .statevector import (
     _SQRT_HALF,
-    MAX_QUBITS,
     ZERO_BRANCH_PROB,
     StateVector,
-    _collapse_raw,
     _compile_step,
-    _pick_bit,
     _require_int,
     _require_normalized,
-    _split_raw,
     _split_rows,
     _walk,
     apply_gates,
@@ -84,9 +79,6 @@ from .statevector import (
 
 #: Largest data-register size the module accepts (oracle scale bound).
 MAX_PARTS = 8
-
-#: Data-register sizes simulated with all ancillas live at once.
-FULL_REGISTER_LIMIT = 6
 
 
 def _require_parts(n: int) -> int:
@@ -175,24 +167,19 @@ def decode_ghz(
 
 
 @lru_cache(maxsize=None)
-def _parity_network(
-    data_qubits: tuple[int, ...], ancilla_start: int, convention: str, staged: bool | None
-) -> tuple:
+def _parity_network(data_qubits: tuple[int, ...], ancilla_start: int, convention: str, staged: bool) -> tuple:
     """The network on ``data_qubits`` as a schedule of steps (gates, ancillas).
 
     A step appends ``ancillas`` qubits in |0> from index ``ancilla_start``,
     runs ``gates``, then measures and drops those ancillas in order.  Ancilla
     i < n - 1 takes the parity of data qubits i and i + 1; the last one takes
-    the global parity between two Hadamard layers.  Unstaged, this is one
-    step with all n ancillas live; staged, each ancilla's CNOT run targets
-    ``ancilla_start`` in a step of its own and each layer is a 0-ancilla step.
-    ``staged=None`` applies the one schedule rule, staged iff n > FULL_REGISTER_LIMIT,
-    and returns the same cached schedule as the explicit choice, so every caller
-    of one network (Bell, GHZ, the auth round, the flat gate list) shares one object.
+    the global parity between two Hadamard layers.  Staged, the schedule every
+    measurement runs, each ancilla's CNOT run targets ``ancilla_start`` in a step
+    of its own and each layer is a 0-ancilla step.  Unstaged, it is one step with
+    all n ancillas live from ``ancilla_start`` on: the flat gate list of
+    ghz_network_gate_list and the operator compatibility check.
     """
     n = len(data_qubits)
-    if staged is None:
-        return _parity_network(data_qubits, ancilla_start, convention, n > FULL_REGISTER_LIMIT)
     layer = tuple(hadamard(q, convention) for q in data_qubits)
     controls = [data_qubits[i : i + 2] for i in range(n - 1)] + [data_qubits]
     runs = [
@@ -204,65 +191,44 @@ def _parity_network(
 
 
 @lru_cache(maxsize=None)
-def _compiled_network(
-    data_qubits: tuple[int, ...], ancilla_start: int, convention: str, staged: bool | None
-) -> tuple:
-    """_parity_network's schedule with each step's gates compiled once: ((kernels, ancillas), ...).
-
-    ``staged=None`` returns the same object as the explicit choice, as _parity_network does."""
-    steps = _parity_network(data_qubits, ancilla_start, convention, staged)
-    if staged is None:  # an unstaged schedule is one step
-        return _compiled_network(data_qubits, ancilla_start, convention, len(steps) > 1)
+def _compiled_network(data_qubits: tuple[int, ...], ancilla_start: int, convention: str) -> tuple:
+    """The staged schedule with each step's gates compiled once: ((kernels, ancillas), ...)."""
+    steps = _parity_network(data_qubits, ancilla_start, convention, True)
     return tuple((_compile_step(gates, ancillas, ancilla_start + ancillas), ancillas) for gates, ancillas in steps)
 
 
 @lru_cache(maxsize=None)
-def _ghz_network(n: int, convention: str, staged: bool | None) -> tuple:
-    """The compiled GHZ schedule on data qubits 0..n-1, looked up by (n, convention, staged).
-
-    A key is checked on its first lookup (n in 2..MAX_PARTS, and staged=False's register cap)."""
+def _ghz_network(n: int, convention: str) -> tuple:
+    """The compiled GHZ schedule on data qubits 0..n-1, looked up by (n, convention); n is checked once."""
     _require_parts(n)
-    if staged is not None and not staged and 2 * n > MAX_QUBITS:
-        raise ValueError(f"staged=False needs 2n <= MAX_QUBITS qubits, so n <= {MAX_QUBITS // 2}; got {n}")
-    return _compiled_network(tuple(range(n)), n, convention, staged)
+    return _compiled_network(tuple(range(n)), n, convention)
 
 
-def _branches(amps: np.ndarray, schedule: Sequence, draws: Sequence[float] | None = None) -> tuple:
+def _branches(amps: np.ndarray, schedule: Sequence) -> tuple:
     """(weights, leaves) of a compiled ``schedule`` on ``amps``, one array pass per depth over the live prefixes.
 
     weights[k][j] is the weight of the (k + 1)-bit prefix j given its first k bits (big-endian; 0.0 if
-    dead or off the path), leaves[i] the register after bits i, a read-only view of a read-only block.
-    With ``draws`` only their path is built."""
+    dead), leaves[i] the register after bits i, a read-only view of a read-only block."""
     rows, live, weights = amps[None], [0], []
     for kernels, ancillas in schedule:
         qubit = rows.shape[1].bit_length() - 1  # the step's ancillas sit from here on
         for kernel in kernels:  # rebinding frees each kernel's input before the next one runs
             rows = kernel(rows)
-        for _ in range(ancillas):
-            if draws is None:  # every branch, all rows in one call
-                w, rows = _split_rows(rows, qubit)
-                level = w.reshape(-1)
-                if len(live) < 1 << len(weights):  # a dead prefix's branches weigh 0.0
-                    level = np.zeros(2 << len(weights))
-                    level.reshape(-1, 2)[live] = w
-                live = level.nonzero()[0]
-                rows = rows.reshape(w.size, -1)
-                if len(live) < w.size:  # dead branches leave
-                    rows = rows[w.reshape(-1).nonzero()[0]]
-                level = level.tolist()
-            else:  # the drawn branch of the one row, measured as measure_qubit measures it
-                pair, m = _split_raw(rows[0], qubit)
-                bit = _pick_bit(pair, draws[len(weights)])
-                rows = _collapse_raw(m, bit, pair)[None]
-                i = 2 * live[0]
-                level = [0.0] * (2 << len(weights))
-                level[i : i + 2] = pair
-                live = [i + bit]
-            weights.append(level)
+        for _ in range(ancillas):  # every branch, all rows in one call
+            w, rows = _split_rows(rows, qubit)
+            level = w.reshape(-1)
+            if len(live) < 1 << len(weights):  # a dead prefix's branches weigh 0.0
+                level = np.zeros(2 << len(weights))
+                level.reshape(-1, 2)[live] = w
+            live = level.nonzero()[0]
+            rows = rows.reshape(w.size, -1)
+            if len(live) < w.size:  # dead branches leave
+                rows = rows[w.reshape(-1).nonzero()[0]]
+            weights.append(level.tolist())
     if rows.base is not None:  # sealed before any leaf view is taken, so no leaf can be made writable
         rows.base.flags.writeable = False
     rows.flags.writeable = False
-    return weights, dict(zip(np.asarray(live).tolist(), rows))
+    return weights, dict(zip(live.tolist(), rows))
 
 
 def _table_rows(weights: list, leaves: dict) -> list:
@@ -291,12 +257,20 @@ def _state_table(state: StateVector, steps: Sequence) -> tuple:
     return table
 
 
-def _shot(state: StateVector, steps: Sequence, draws: Sequence[float], finish: Callable, *args) -> object:
-    """One shot: walk the slot's table and finish the leaf it reaches.
+def _shot(state: StateVector, steps: Sequence, draws: Sequence[float], where: str, finish: Callable, *args) -> object:
+    """One shot of ``where``: walk the slot's table and finish the leaf it reaches.
 
-    ``finish(leaf, probability, amplitudes, *args)`` builds the outcome.  The table keeps it by
-    (finish, leaf), so ``args`` must follow from ``steps`` (n and a convention do), and Bell
-    and n = 2 GHZ, which share steps, keep their own; a later shot to that leaf returns it."""
+    ``draws`` must be a sized sequence of one draw per qubit of ``state`` (an ancilla each);
+    _walk checks each draw it reads.  ``finish(leaf, probability, amplitudes, *args)`` builds
+    the outcome.  The table keeps it by (finish, leaf), so ``args`` must follow from ``steps``
+    (n and a convention do), and Bell and n = 2 GHZ, which share steps, keep their own; a
+    later shot to that leaf returns it."""
+    n = state.num_qubits
+    try:
+        if len(draws) != n:
+            raise ValueError(f"{where} needs {n} draws, got {len(draws)}")
+    except TypeError:  # a number, None, an iterator
+        raise ValueError(f"{where} needs a sequence of {n} draws, got {draws!r}") from None
     if isinstance(draws, np.ndarray):  # Python floats, once: numpy scalars compare slower
         draws = draws.tolist()
     weights, leaves, finished = _state_table(state, steps)
@@ -357,13 +331,6 @@ def _finish_ghz(leaf: int, probability: float, amps: np.ndarray, n: int, convent
     return GhzQndOutcome(parities, g, label, probability, StateVector._adopt(n, amps))
 
 
-def _ghz_schedule(state: StateVector, convention: str, staged: bool | None, where: str) -> tuple:
-    """The compiled schedule for a checked 2..MAX_PARTS-qubit input (``staged`` as _parity_network takes it)."""
-    schedule = _ghz_network(state.num_qubits, convention, staged)
-    _require_normalized(state, where)
-    return schedule
-
-
 def run_ghz_qnd(
     state: StateVector,
     convention: str = "paper",
@@ -373,19 +340,17 @@ def run_ghz_qnd(
     """Measure the register in the GHZ basis without demolishing basis states.
 
     Consumes one draw per ancilla: the n-1 neighbor parities in order, then
-    the global parity.  ``staged`` only picks the schedule (default: the rule
-    in _parity_network); both give identical outcomes for equal
-    draws, and ``staged=False`` reaches n <= 7 (2n <= MAX_QUBITS).  It stays
-    until the benchmark's per-layer probe stops timing the two schedules apart.
+    the global parity.  Every n = 2..MAX_PARTS runs the one staged schedule.
+    ``staged`` is ignored, whatever its value: it stays only while the
+    benchmark's per-layer probe still passes it, and goes with that probe.
     A state's first shot expands its whole branch table, so later shots only
     walk it.  Repeated shots of one state that reach the same leaf may return
     the same immutable outcome object.
     """
     n = state.num_qubits
-    steps = _ghz_schedule(state, convention, staged, "ghz network")
-    if len(draws) != n:
-        raise ValueError(f"run_ghz_qnd needs {n} draws, got {len(draws)}")
-    return _shot(state, steps, draws, _finish_ghz, n, convention)
+    steps = _ghz_network(n, convention)  # checks 2 <= n <= MAX_PARTS
+    _require_normalized(state, "ghz network")
+    return _shot(state, steps, draws, "run_ghz_qnd", _finish_ghz, n, convention)
 
 
 def ghz_branch_table(
@@ -393,10 +358,11 @@ def ghz_branch_table(
 ) -> list[tuple[tuple[int, ...], GhzLabel, float, StateVector | None]]:
     """All 2**n ancilla branches: (bits with canonical phase, label, probability, post state).
 
-    Expands the table run_ghz_qnd samples from by default (shots equal rows); n = 2..MAX_PARTS.
+    Expands the table run_ghz_qnd samples from (shots equal rows); n = 2..MAX_PARTS.
     """
     n = state.num_qubits
-    steps = _ghz_schedule(state, convention, None, "ghz_branch_table")
+    steps = _ghz_network(n, convention)  # checks 2 <= n <= MAX_PARTS
+    _require_normalized(state, "ghz_branch_table")
     rows = _table_rows(*_state_table(state, steps)[:2])
     return [(parities + (g,), label, prob, None if post is None else StateVector._adopt(n, post))
             for (parities, g, label), (prob, post) in zip(_ghz_labels(n, convention), rows)]

@@ -310,24 +310,37 @@ def _walk(weights: Sequence, draws: Sequence[float]) -> tuple[float, int]:
 
     weights[k][j] is the weight of the (k + 1)-bit prefix j (big-endian) given its first k bits.
     The one pick rule: bit 0 iff draw < w0 or branch 1 is dead (0.0), so a dead branch is never
-    picked.  Callers pass an ndarray of draws as Python floats (numpy scalars compare slower); a
-    draw that is not a real number (a string, or a list, as each row of a 2-D array is) fails its
-    comparison and raises ValueError naming it, so a valid draw pays no check of its type."""
+    picked.  Callers pass an ndarray of draws as Python floats (numpy scalars compare slower).  A
+    valid Python draw answers the range test with True and pays no call; any other answer goes to
+    _draw_in_range.  A draw that is not a real number (a string, a complex, a list, as each row of
+    a 2-D array is, or an array) raises ValueError naming it."""
     levels = zip(weights, draws)  # outside the try: draws that are no sequence raise as they are
     probability, i = 1.0, 0
     try:
         for level, draw in levels:
             i += i
             weight = level[i]
-            if not 0.0 <= draw < 1.0:
-                raise ValueError(f"random draw must lie in [0, 1), got {draw}")
+            if (0.0 <= draw < 1.0) is not True and not _draw_in_range(draw):
+                break
             if draw >= weight and level[i + 1]:
                 i += 1
                 weight = level[i]
             probability *= weight
-    except TypeError:
+        else:
+            return probability, i
+    except (TypeError, ValueError):  # no order against floats, or an array's truth value
         raise ValueError(f"random draw must be a real number, got {draw!r}") from None
-    return probability, i
+    raise ValueError(f"random draw must lie in [0, 1), got {draw}")
+
+
+def _draw_in_range(draw) -> bool:
+    """_walk's range test for a draw that did not answer it with True: a numpy scalar in [0, 1) passes.
+
+    An array of one or more values raises TypeError, since a one-element array compares as its
+    element would."""
+    if getattr(draw, "ndim", 0):
+        raise TypeError(draw)
+    return bool(0.0 <= draw < 1.0)
 
 
 def _pick_bit(weights: tuple[float, float], draw: float) -> int:

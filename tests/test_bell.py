@@ -303,7 +303,7 @@ def test_bell_is_the_n2_case_of_ghz(convention):
             assert np.array_equal(bell_state(label).amplitudes, ghz_state(g_label).amplitudes)
             assert (post is None) == (g_post is None)
             assert post is None or np.array_equal(post.amplitudes, g_post.amplitudes)
-    # one schedule rule: Bell and n = 2 GHZ, default or all-live, share one schedule, so one
+    # one schedule: Bell and n = 2 GHZ, with staged= given or not, share one schedule, so one
     # memo slot: their shots keep its (state, schedule), and the repeat's table stays put
     run_bell_qnd(states[-1], convention)
     state, steps, _ = ghz_module._last_table
@@ -328,7 +328,7 @@ def test_bell_and_ghz_shots_alternate_on_one_slot(convention):
     state = random_state(2, rng)
     shots = np.concatenate([rng.random((8, 2)), np.zeros((4, 2)), rng.random((8, 2))])
     kinds = [(run_bell_qnd, BellQndOutcome), (run_ghz_qnd, GhzQndOutcome)] * len(shots)
-    # the twins' shots first: each twin evicts the slot and builds its own path
+    # the twins' shots first: each twin evicts the slot and expands its own table
     expected = [outcome_fields(run(StateVector(2, state.amplitudes), convention, d))
                 for (run, _), d in zip(kinds, np.repeat(shots, 2, axis=0))]
     for (run, kind), d, want in zip(kinds, np.repeat(shots, 2, axis=0), expected):

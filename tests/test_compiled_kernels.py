@@ -9,7 +9,6 @@ from qndnet.bell import BellQndOutcome, run_bell_qnd
 from qndnet.ghz import (
     GhzQndOutcome,
     _branches,
-    _compiled_network,
     _ghz_network,
     _parity_network,
     _table_rows,
@@ -189,7 +188,7 @@ def test_table_probabilities_equal_the_list_product(n):
     rng = np.random.default_rng(1000 + n)
     labels = all_canonical_labels(n)
     for convention in ("paper", "standard"):
-        schedule = _ghz_network(n, convention, None)
+        schedule = _ghz_network(n, convention)
         states = [random_state(n, rng)] + [ghz_state(labels[k]) for k in rng.choice(len(labels), 3)]
         for state in states:
             weights, leaves = _branches(state.amplitudes, schedule)
@@ -219,15 +218,6 @@ def test_negative_zero_parts_measure_as_their_positive_zero_twin(n):
             for (_, _, p, post), (_, _, q, twin_post) in zip(got, ghz_branch_table(twin_state, convention), strict=True):
                 assert p == q
                 assert (post is None and twin_post is None) or post.amplitudes.tobytes() == twin_post.amplitudes.tobytes()
-
-
-def test_unstaged_default_shares_the_explicit_compiled_schedule():
-    for data in ((0, 1), tuple(range(6)), tuple(range(8))):
-        n = len(data)
-        explicit = _compiled_network(data, n, "paper", n > 6)
-        assert _compiled_network(data, n, "paper", None) is explicit
-        assert _ghz_network(n, "paper", None) is explicit
-        assert len(explicit) == len(_parity_network(data, n, "paper", None))
 
 
 def test_states_and_outcomes_compare_by_value():

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from qndnet.bell import BellLabel, bell_network_unitary_steps, bell_state
 from qndnet.ghz import (
-    FULL_REGISTER_LIMIT,
     GhzLabel,
     _parity_network,
     all_canonical_labels,
@@ -282,18 +281,16 @@ def test_sampled_probability_equals_its_table_row(convention):
 
 
 @pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_staged_equals_full_for_same_draws(convention):
-    rng = np.random.default_rng(321)
-    for n in (2, 3, 4, 5, 6):
-        for _ in range(10):
-            state = random_state(n, rng)
-            draws = rng.random(n)
-            full = run_ghz_qnd(state, convention, draws, staged=False)
-            staged = run_ghz_qnd(state, convention, draws, staged=True)
-            assert full.part_parity_bits == staged.part_parity_bits
-            assert full.global_parity_bit == staged.global_parity_bit
-            assert abs(full.probability - staged.probability) < 1e-12
-            assert fidelity_up_to_global_phase(full.post_state, staged.post_state) > 1 - 1e-10
+def test_staged_keyword_is_ignored(convention):
+    # every schedule is staged: either value, by keyword or by position, gives the default's outcome
+    rng = np.random.default_rng(322)
+    for n in range(2, 9):
+        state = random_state(n, rng)
+        for draws in rng.random((3, n)):
+            default = run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws)
+            for staged in (False, True):
+                assert run_ghz_qnd(state, convention, draws, staged=staged) == default
+                assert run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws, staged) == default
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -336,34 +333,25 @@ def test_run_rejects_bad_inputs():
             ghz_branch_table(random_state(n, np.random.default_rng(0)))
 
 
-@pytest.mark.parametrize("staged", [False, True])
 @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
 @pytest.mark.parametrize("position", [0, 2])
-def test_run_rejects_draws_outside_unit_interval(staged, bad, position):
+def test_run_rejects_draws_outside_unit_interval(bad, position):
     draws = [0.5, 0.5, 0.5]
     draws[position] = bad
     with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
-        run_ghz_qnd(ghz_state(GhzLabel("+", "101")), "paper", draws, staged=staged)
+        run_ghz_qnd(ghz_state(GhzLabel("+", "101")), "paper", draws)
 
 
-@pytest.mark.parametrize("staged", [False, True])
 @pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_extreme_draws_never_select_a_zero_probability_branch(convention, staged):
+def test_extreme_draws_never_select_a_zero_probability_branch(convention):
     # rounding residue in a dead branch grows with n; it must never be sampled
     top = float(np.nextafter(1.0, 0.0))
-    for n in range(2, 9 if staged else 7):
+    for n in range(2, 9):
         for label in all_canonical_labels(n):
             for draw in (0.0, top):
-                out = run_ghz_qnd(ghz_state(label), convention, (draw,) * n, staged=staged)
+                out = run_ghz_qnd(ghz_state(label), convention, (draw,) * n)
                 assert out.label == label, (n, draw)
                 assert out.probability == pytest.approx(1.0, abs=1e-12)
-
-
-def test_unstaged_schedule_rejects_registers_beyond_the_cap():
-    # all 2n qubits live: n = 8 needs 16 > MAX_QUBITS, named before any other check or run
-    for state in (random_state(8, np.random.default_rng(0)), StateVector(8, np.ones(256))):
-        with pytest.raises(ValueError, match=r"staged=False .* n <= 7"):
-            run_ghz_qnd(state, "paper", (0.5,) * 8, staged=False)
 
 
 # -- the level builder against the per-shot schedule walker --
@@ -383,6 +371,24 @@ def reference_walk(amps, steps, draws):
 
 
 @pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_shots_equal_the_flat_gate_list_walk(convention):
+    # the staged engine against the public all-live gate list run as one step, to rounding:
+    # this ties ghz_network_gate_list to the schedule every shot runs
+    rng = np.random.default_rng(321)
+    for n in range(2, MAX_QUBITS // 2 + 1):  # all 2n qubits live at once
+        flat = ((ghz_network_gate_list(n, convention), n),)
+        for _ in range(10):
+            state = random_state(n, rng)
+            draws = rng.random(n)
+            out = run_ghz_qnd(state, convention, draws)
+            bits, probability, amps = reference_walk(state.amplitudes, flat, draws)
+            phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
+            assert out.part_parity_bits + (out.global_parity_bit,) == tuple(bits[:-1]) + (phase,)
+            assert abs(out.probability - probability) < 1e-12
+            assert fidelity_up_to_global_phase(out.post_state, StateVector(n, amps)) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tree_shots_equal_reference_walker(n, convention):
     rng = np.random.default_rng(4000 + n)
@@ -391,31 +397,29 @@ def test_tree_shots_equal_reference_walker(n, convention):
         {bits: (probability, post) for bits, _, probability, post in ghz_branch_table(s, convention)}
         for s in states
     ]
-    for staged in (False, True) if 2 * n <= MAX_QUBITS else (True,):
-        steps = _parity_network(tuple(range(n)), n, convention, staged)
-        # repeated shots of one state, then shots interleaved across three (each evicts the slot)
-        for k in [0] * 12 + [0, 1, 2] * 8:
-            draws = rng.random(n)
-            out = run_ghz_qnd(states[k], convention, draws, staged=staged)
-            bits, probability, amps = reference_walk(states[k].amplitudes, steps, draws)
-            phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
-            assert out.part_parity_bits + (out.global_parity_bit,) == tuple(bits[:-1]) + (phase,)
-            assert out.probability == probability
-            assert np.array_equal(out.post_state.amplitudes, amps)
-            if staged == (n > FULL_REGISTER_LIMIT):
-                row_probability, row_post = tables[k][tuple(bits[:-1]) + (phase,)]
-                assert out.probability == row_probability
-                assert np.array_equal(out.post_state.amplitudes, row_post.amplitudes)
+    steps = _parity_network(tuple(range(n)), n, convention, True)
+    # repeated shots of one state, then shots interleaved across three (each evicts the slot)
+    for k in [0] * 12 + [0, 1, 2] * 8:
+        draws = rng.random(n)
+        out = run_ghz_qnd(states[k], convention, draws)
+        bits, probability, amps = reference_walk(states[k].amplitudes, steps, draws)
+        phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
+        assert out.part_parity_bits + (out.global_parity_bit,) == tuple(bits[:-1]) + (phase,)
+        assert out.probability == probability
+        assert np.array_equal(out.post_state.amplitudes, amps)
+        row_probability, row_post = tables[k][tuple(bits[:-1]) + (phase,)]
+        assert out.probability == row_probability
+        assert np.array_equal(out.post_state.amplitudes, row_post.amplitudes)
 
 
 @pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_path_to_table_switch_equals_reference_walker(n, convention):
-    # shot -> table -> shots and table -> shots on one state: the first shot's path, the
-    # expansion on the repeat and the walks on the table; GHZ basis states carry their
-    # dead branches across the switch under both extreme draws
+def test_shot_first_and_table_first_equal_reference_walker(n, convention):
+    # shot -> table -> shots and table -> shots on one state: the table the first call expands
+    # and the walks on it; GHZ basis states carry their dead branches through both orders
+    # under both extreme draws
     rng = np.random.default_rng(5000 + n)
-    steps = _parity_network(tuple(range(n)), n, convention, None)
+    steps = _parity_network(tuple(range(n)), n, convention, True)
     labels = all_canonical_labels(n)
     top = float(np.nextafter(1.0, 0.0))
     cases = [(random_state(n, rng).amplitudes, None, None) for _ in range(2)]
@@ -445,7 +449,7 @@ def test_repeat_visits_return_the_first_visits_outcome(n):
     # repeat visit returns that outcome, which equals the reference walker's shot
     rng = np.random.default_rng(6000 + n)
     for convention in ("paper", "standard"):
-        steps = _parity_network(tuple(range(n)), n, convention, None)
+        steps = _parity_network(tuple(range(n)), n, convention, True)
         state = random_state(n, rng)
         shots = rng.random((12, n))
         finished = {}
@@ -457,8 +461,7 @@ def test_repeat_visits_return_the_first_visits_outcome(n):
             assert out.label == decode_ghz(bits[:-1], phase, n)
             assert out.probability == probability
             assert out.post_state.amplitudes.tobytes() == post.tobytes()
-            if k > 0:  # shot 0 builds a fresh state's path and keeps nothing
-                assert finished.setdefault(tuple(bits), out) is out
+            assert finished.setdefault(tuple(bits), out) is out  # shot 0 expands the table and keeps its leaf
         assert len(finished) < 2 * len(shots) - 1
 
 

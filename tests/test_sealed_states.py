@@ -77,16 +77,16 @@ def _public_states():
     yield "pickle", pickle.loads(pickle.dumps(triple))
     yield "ghz_state", ghz_state(GhzLabel("-", "101"))
     yield "hadamard_layer", hadamard_layer(triple)
-    yield "run_ghz_qnd.path", run_ghz_qnd(random_state(4, rng), "paper", (0.2, 0.4, 0.6, 0.8)).post_state
-    yield "run_ghz_qnd.table", run_ghz_qnd(triple, "standard", (0.1, 0.5, 0.9)).post_state
-    for n in (3, 7):  # all-live and staged schedules
+    yield "run_ghz_qnd.paper", run_ghz_qnd(random_state(4, rng), "paper", (0.2, 0.4, 0.6, 0.8)).post_state
+    yield "run_ghz_qnd.standard", run_ghz_qnd(triple, "standard", (0.1, 0.5, 0.9)).post_state
+    for n in (3, 7):  # a shallow and a deep staged table
         for k, (_, _, _, post) in enumerate(ghz_branch_table(random_state(n, rng))):
             if post is not None and k % 5 == 0:
                 yield f"ghz_branch_table.n{n}.{k}", post
     yield "bell_state", bell_state(BellLabel.PSI_MINUS)
     yield "bell_premeasurement_state", bell_premeasurement_state(pair)
-    yield "run_bell_qnd.path", run_bell_qnd(random_state(2, rng), "paper", (0.3, 0.7)).post_state
-    yield "run_bell_qnd.table", run_bell_qnd(pair, "standard", (0.6, 0.2)).post_state
+    yield "run_bell_qnd.paper", run_bell_qnd(random_state(2, rng), "paper", (0.3, 0.7)).post_state
+    yield "run_bell_qnd.standard", run_bell_qnd(pair, "standard", (0.6, 0.2)).post_state
     for k, (_, _, _, post) in enumerate(bell_branch_table(pair)):
         yield f"bell_branch_table.{k}", post
     for k, (_, _, basis) in enumerate(bell_projection_oracle(pair)):
@@ -238,23 +238,23 @@ def test_ndarray_and_list_draws_give_the_same_outcome_objects(n):
     state = random_state(n, rng)
     shots = rng.random((6, n))
     twin = run_ghz_qnd(StateVector(n, state.amplitudes), "paper", shots[0].tolist())
-    first = run_ghz_qnd(state, "paper", shots[0])  # each a fresh state's path
+    first = run_ghz_qnd(state, "paper", shots[0])  # each a fresh state's first shot, on its own table
     assert (first.label, first.global_parity_bit, first.probability) == (
         twin.label, twin.global_parity_bit, twin.probability
     )
     assert first.post_state.amplitudes.tobytes() == twin.post_state.amplitudes.tobytes()
-    for draws in shots:  # from the second shot on, one table and one outcome per leaf
+    for draws in shots:  # the first shot's table, and one outcome per leaf
         assert run_ghz_qnd(state, "paper", draws) is run_ghz_qnd(state, "paper", draws.tolist())
     if n == 2:
         pair = random_state(2, rng)
-        run_bell_qnd(pair, "paper", shots[0])  # the path; later shots read the table
+        run_bell_qnd(pair, "paper", shots[0])  # the first shot expands the table; later shots read it
         for draws in shots:
             assert run_bell_qnd(pair, "paper", draws) is run_bell_qnd(pair, "paper", draws.tolist())
 
 
 def test_ndarray_draws_are_still_range_checked():
     state = random_state(3, np.random.default_rng(8))
-    for _ in range(2):  # the path and the table
+    for _ in range(2):  # a fresh state's first shot, then a shot on its kept table
         with pytest.raises(ValueError, match="random draw"):
             run_ghz_qnd(state, "paper", np.array([0.5, 1.0, 0.5]))
         run_ghz_qnd(state, "paper", np.array([0.5, 0.5, 0.5]))
