@@ -272,11 +272,10 @@ def apply_noise(
 
 def _branch_probabilities(
     system_amps: np.ndarray, num_system: int, slot: int, machine: int, convention: str
-) -> tuple[np.ndarray, list[np.ndarray | None]]:
-    """(4 outcome probabilities, post system amplitudes per outcome); outcome = 2*parity + phase."""
+) -> np.ndarray:
+    """The 4 outcome probabilities of one round; outcome = 2*parity + phase."""
     steps = _compiled_network((slot, machine), num_system, convention)
-    table = _table_rows(*_branches(system_amps, steps))
-    return np.array([prob for prob, _ in table]), [post for _, post in table]
+    return np.array([prob for prob, _ in _table_rows(*_branches(system_amps, steps))])
 
 
 def _run_round(
@@ -470,8 +469,7 @@ def attacker_round_distribution(
     pair = bell_state(true_pair_label).amplitudes
     dist = np.zeros(4)
     for draw in slot.representatives:
-        probs, _ = _branch_probabilities(*_prepend(slot.build(draw), pair), convention)
-        dist += probs
+        dist += _branch_probabilities(*_prepend(slot.build(draw), pair), convention)
     return dist / len(slot.representatives)
 
 
@@ -514,17 +512,6 @@ def _check_label(oracle_fn: Callable, attacker: AttackerModel, index: int, conve
             f"label engine disagrees with the state-vector round for {attacker.token} "
             f"on {BELL_DECODE_ORDER[index].token}: {oracle}"
         )
-
-
-def _check_label_model(attacker: AttackerModel, indices: Iterable[int], convention: str) -> None:
-    """Raise unless the state-vector oracle agrees with the label engine on these labels.
-
-    The oracle is resolved at call time, so a replaced one (a wrapper, a test
-    double) is checked afresh; each (oracle, attacker, label, convention) passes
-    once per process, and attacker_round_distribution itself caches nothing.
-    """
-    for index in sorted(set(indices)):
-        _check_label(attacker_round_distribution, attacker, index, convention)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
@@ -606,7 +593,8 @@ def security_sweep(
         rng = np.random.default_rng((seed, n))
         base = enroll(n, "random", seed=rng)
         labels = np.array([_RECORD_LABELS[r] for r in base.records])
-        _check_label_model(attacker, labels.tolist(), convention)
+        for index in sorted(set(labels.tolist())):  # the oracle looked up now: a replaced one is checked afresh
+            _check_label(attacker_round_distribution, attacker, index, convention)
         analytic = _acceptance_probability(
             [_round_match_probability(attacker, noise)] * n, threshold
         )

@@ -21,10 +21,11 @@ the "standard" convention flips some branch-internal phases but leaves every
 outcome probability and decoded bit unchanged.
 
 This module keeps the Bell labels, their decoding table and the projection
-oracle.  It runs the GHZ module's n = 2 schedule on the same level builder
-and memo slot as run_ghz_qnd and ghz_branch_table: the slot's table keeps
-Bell outcomes apart from GHZ ones, each finished once per leaf from the Bell
-view of the n = 2 label table (_bell_labels), with no decoding per shot.
+oracle.  It runs the GHZ module's n = 2 schedule on the same level builder,
+memo slot, finisher (_shot) and row builder (_branch_rows) as run_ghz_qnd and
+ghz_branch_table, handing them BellQndOutcome and the Bell view of the n = 2
+label table (_bell_labels): the slot's table keeps Bell outcomes apart from
+GHZ ones, each finished once per leaf, with no decoding per shot.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
-from .ghz import (
-    _ghz_labels, _ghz_network, _shot, _state_table, _table_rows, decode_ghz, ghz_network_gate_list, ghz_state,
-)
+from .ghz import _branch_rows, _ghz_labels, _ghz_network, _shot, decode_ghz, ghz_network_gate_list, ghz_state
 from .statevector import StateVector, _apply_network_raw, _require_int, _require_normalized, inner_product
 
 
@@ -107,12 +104,6 @@ def _bell_labels(convention: str) -> tuple:
     return tuple((p, g, decode_bell(p, g)) for (p,), g, _ in _ghz_labels(2, convention))
 
 
-def _finish_bell(leaf: int, probability: float, amps: np.ndarray, convention: str) -> BellQndOutcome:
-    """The Bell leaf finisher: the leaf's Bell label entry and its sealed register, adopted."""
-    parity, phase, label = _bell_labels(convention)[leaf]
-    return BellQndOutcome(parity, phase, label, probability, StateVector._adopt(2, amps))
-
-
 def bell_network_unitary_steps(convention: str = "paper") -> list:
     """The full 8-gate network over qubits (data 0, 1; ancillas 2, 3)."""
     return ghz_network_gate_list(2, convention)
@@ -147,7 +138,7 @@ def run_bell_qnd(
     """
     _require_pair(state, "bell network")
     steps = _ghz_network(2, convention)
-    return _shot(state, steps, draws, "run_bell_qnd", _finish_bell, convention)
+    return _shot(state, steps, draws, "run_bell_qnd", BellQndOutcome, _bell_labels, convention)
 
 
 def bell_branch_table(
@@ -159,12 +150,7 @@ def bell_branch_table(
     (numerically) zero probability carry ``None`` as their post state.
     """
     _require_pair(state, "bell network")
-    steps = _ghz_network(2, convention)
-    rows = _table_rows(*_state_table(state, steps)[:2])
-    return [
-        ((parity, phase), label, prob, None if post is None else StateVector._adopt(2, post))
-        for (parity, phase, label), (prob, post) in zip(_bell_labels(convention), rows)
-    ]
+    return _branch_rows(state, _ghz_network(2, convention), convention, _bell_labels(convention))
 
 
 def bell_projection_oracle(

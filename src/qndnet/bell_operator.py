@@ -20,7 +20,7 @@ the ancilla networks in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -156,12 +156,25 @@ def canonical_spec(n: int) -> BellOperatorSpec:
 
 
 def hermiticity_residual(observable: np.ndarray) -> float:
-    """Max-abs deviation of a matrix from its own conjugate transpose."""
+    """Max-abs deviation of a square matrix from its own conjugate transpose; ValueError if not square."""
     m = np.asarray(observable)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"observable must be square, got shape {m.shape}")
     return float(np.max(np.abs(m - m.conj().T)))
 
 
+def _require_hermitian(observable: np.ndarray) -> None:
+    """ValueError unless ``observable`` is finite, square and Hermitian within _HERMITIAN_ATOL."""
+    if not np.isfinite(observable).all():  # a NaN residual would pass the tolerance test
+        raise ValueError("observable has non-finite entries")
+    res = hermiticity_residual(observable)
+    if res > _HERMITIAN_ATOL:
+        raise ValueError(f"observable is not Hermitian (residual {res})")
+
+
 def spectral_radius(observable: np.ndarray) -> float:
+    """Largest |eigenvalue| of a Hermitian matrix (eigvalsh reads one triangle, so others raise ValueError)."""
+    _require_hermitian(observable)
     return float(np.max(np.abs(np.linalg.eigvalsh(observable))))
 
 
@@ -218,7 +231,7 @@ def _refine_degenerate(basis: np.ndarray, kraus: np.ndarray) -> np.ndarray:
 def qnd_compatibility_check(
     observable: np.ndarray,
     network: Sequence[GateOp],
-    eigenstates: Sequence[StateVector] | None = None,
+    eigenstates: Iterable[StateVector] | None = None,
 ) -> CompatibilityReport:
     """Does the measurement network leave the observable's eigenstates alone?
 
@@ -229,23 +242,19 @@ def qnd_compatibility_check(
     measurement property in finite dimensions.
 
     Eigenstates default to the observable's eigenvectors (degenerate
-    eigenspaces are refined against the branch maps); pass explicit states to
-    pin the basis under test.
+    eigenspaces are refined against the branch maps); pass explicit states
+    (any non-empty iterable, read once) to pin the basis under test.
     """
     span = max((g.max_index + 1 for g in network), default=0)
     if span > MAX_QUBITS:
         raise ValueError(f"network spans {span} qubits > MAX_QUBITS; GHZ checks reach n <= {MAX_QUBITS // 2}")
     b = np.asarray(observable, dtype=np.complex128)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"observable must be square, got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise ValueError("observable has non-finite entries")
-    res = hermiticity_residual(b)
-    if res > _HERMITIAN_ATOL:
-        raise ValueError(f"observable is not Hermitian (residual {res})")
+    _require_hermitian(b)
     num_data = int(b.shape[0]).bit_length() - 1
     if 1 << num_data != b.shape[0]:
         raise ValueError(f"observable dimension {b.shape[0]} is not a power of two")
+    if eigenstates is not None and not (eigenstates := list(eigenstates)):  # read once: a generator is spent
+        raise ValueError("eigenstates is empty; pass None to check the observable's own eigenvectors")
     for state in eigenstates or ():
         if state.num_qubits != num_data:
             raise ValueError(f"eigenstate has {state.num_qubits} qubits, the observable acts on {num_data}")

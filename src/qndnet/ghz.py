@@ -37,16 +37,18 @@ state's first shot expands every branch at once and keeps the table in the
 memo slot (state, schedule, table), and later shots walk it (_state_table,
 statevector._walk), so each state runs its network once; a caller that takes
 one shot per fresh state pays for the whole table.
-The table also keeps each leaf's finished outcome, built by the first shot that
-reaches it, per outcome kind (_shot), so later shots to that leaf return it.
-Auth rounds walk and read unmemoized tables.
+The table also keeps each leaf's finished outcome per outcome class, built by
+the first shot that reaches it, so later shots to that leaf return it.  Bell
+and GHZ shots share one finisher (_shot): it fills the class from the leaf's
+entry of a label table, and both branch tables share one row builder
+(_branch_rows).  Auth rounds walk and read unmemoized tables.
 
-A leaf is finished from one label table per (n, convention), built once and
-indexed by leaf (_ghz_labels: neighbor parities, canonical phase bit and
-label), so no shot or table row decodes bits.  The level builder seals its
-last rows (read-only, their base too) before it hands out a leaf, so a
-finished outcome or table row adopts its leaf as the post state without a
-copy (StateVector._adopt).  Draws given as an ndarray are read as Python
+Label tables are built once per (n, convention) and indexed by leaf
+(_ghz_labels: neighbor parities, canonical phase bit and label; Bell's view
+of it for n = 2), so no shot or table row decodes bits.  The level builder
+seals its last rows (read-only, their base too) before it hands out a leaf,
+so a finished outcome or table row adopts its leaf as the post state without
+a copy (StateVector._adopt).  Draws given as an ndarray are read as Python
 floats once, where a shot or an auth round takes them; each is still
 range-checked, and one that is not a real number (a row of a 2-D array or an
 array of one value included) raises ValueError, as do draws that are no
@@ -257,14 +259,16 @@ def _state_table(state: StateVector, steps: Sequence) -> tuple:
     return table
 
 
-def _shot(state: StateVector, steps: Sequence, draws: Sequence[float], where: str, finish: Callable, *args) -> object:
+def _shot(
+    state: StateVector, steps: Sequence, draws: Sequence[float], where: str, outcome: type, labels: Callable, *key
+) -> object:
     """One shot of ``where``: walk the slot's table and finish the leaf it reaches.
 
     ``draws`` must be a sized sequence of one draw per qubit of ``state`` (an ancilla each);
-    _walk checks each draw it reads.  ``finish(leaf, probability, amplitudes, *args)`` builds
-    the outcome.  The table keeps it by (finish, leaf), so ``args`` must follow from ``steps``
-    (n and a convention do), and Bell and n = 2 GHZ, which share steps, keep their own; a
-    later shot to that leaf returns it."""
+    _walk checks each draw it reads.  A leaf is finished as ``outcome(*labels(*key)[leaf],
+    probability, post state)``, its sealed register adopted.  The table keeps it by (outcome,
+    leaf), so ``key`` must follow from ``steps`` (n and a convention do), and Bell and n = 2
+    GHZ, which share steps, keep their own; a later shot to that leaf returns it."""
     n = state.num_qubits
     try:
         if len(draws) != n:
@@ -275,10 +279,10 @@ def _shot(state: StateVector, steps: Sequence, draws: Sequence[float], where: st
         draws = draws.tolist()
     weights, leaves, finished = _state_table(state, steps)
     probability, i = _walk(weights, draws)
-    outcome = finished.get((finish, i))
-    if outcome is None:
-        outcome = finished[finish, i] = finish(i, probability, leaves[i], *args)
-    return outcome
+    done = finished.get((outcome, i))
+    if done is None:  # the label table is read only for a leaf not finished yet
+        done = finished[outcome, i] = outcome(*labels(*key)[i], probability, StateVector._adopt(n, leaves[i]))
+    return done
 
 
 def ghz_network_gate_list(n: int, convention: str = "paper") -> list:
@@ -325,10 +329,14 @@ def _ghz_labels(n: int, convention: str) -> tuple:
     return tuple(table)
 
 
-def _finish_ghz(leaf: int, probability: float, amps: np.ndarray, n: int, convention: str) -> GhzQndOutcome:
-    """The GHZ leaf finisher: the leaf's label-table entry and its sealed register, adopted."""
-    parities, g, label = _ghz_labels(n, convention)[leaf]
-    return GhzQndOutcome(parities, g, label, probability, StateVector._adopt(n, amps))
+def _branch_rows(state: StateVector, steps: Sequence, convention: str, labels: Sequence) -> list:
+    """Each leaf's (bits with canonical phase, label, probability, post state or None).
+
+    The bits come from the GHZ label table, the label from ``labels`` (last field of each entry)."""
+    n = state.num_qubits
+    rows = _table_rows(*_state_table(state, steps)[:2])
+    return [(parities + (g,), entry[-1], prob, None if post is None else StateVector._adopt(n, post))
+            for (parities, g, _), entry, (prob, post) in zip(_ghz_labels(n, convention), labels, rows)]
 
 
 def run_ghz_qnd(
@@ -350,7 +358,7 @@ def run_ghz_qnd(
     n = state.num_qubits
     steps = _ghz_network(n, convention)  # checks 2 <= n <= MAX_PARTS
     _require_normalized(state, "ghz network")
-    return _shot(state, steps, draws, "run_ghz_qnd", _finish_ghz, n, convention)
+    return _shot(state, steps, draws, "run_ghz_qnd", GhzQndOutcome, _ghz_labels, n, convention)
 
 
 def ghz_branch_table(
@@ -363,9 +371,7 @@ def ghz_branch_table(
     n = state.num_qubits
     steps = _ghz_network(n, convention)  # checks 2 <= n <= MAX_PARTS
     _require_normalized(state, "ghz_branch_table")
-    rows = _table_rows(*_state_table(state, steps)[:2])
-    return [(parities + (g,), label, prob, None if post is None else StateVector._adopt(n, post))
-            for (parities, g, label), (prob, post) in zip(_ghz_labels(n, convention), rows)]
+    return _branch_rows(state, steps, convention, _ghz_labels(n, convention))
 
 
 def ghz_projection_oracle(state: StateVector) -> list[tuple[GhzLabel, float]]:

@@ -343,11 +343,6 @@ def _draw_in_range(draw) -> bool:
     return bool(0.0 <= draw < 1.0)
 
 
-def _pick_bit(weights: tuple[float, float], draw: float) -> int:
-    """The bit _walk picks on one level of weights (w0, w1)."""
-    return _walk((weights,), (draw,))[1]
-
-
 def _collapse_raw(m: np.ndarray, bit: int, weights: tuple[float, float]) -> np.ndarray:
     """The branch's amplitudes with the qubit dropped, divided by the branch's own norm."""
     return m[:, bit, :].reshape(-1) / np.sqrt(weights[bit])
@@ -356,7 +351,7 @@ def _collapse_raw(m: np.ndarray, bit: int, weights: tuple[float, float]) -> np.n
 def _measure_drop_raw(amps: np.ndarray, qubit: int, draw: float) -> tuple[int, float, np.ndarray]:
     """Measure one qubit and remove it from the register in a single step."""
     weights, m = _split_raw(amps, qubit)
-    bit = _pick_bit(weights, draw)
+    bit = _walk((weights,), (draw,))[1]
     return bit, weights[bit], _collapse_raw(m, bit, weights)
 
 
@@ -606,6 +601,8 @@ def from_dump(obj: dict) -> StateVector:
         n = obj["num_qubits"]
         pairs = obj["amplitudes"]
         amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        if any(isinstance(part, bool) for pair in pairs for part in pair):  # complex(True) would be 1
+            raise TypeError("an amplitude part is a boolean")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state dump: {exc}") from exc
     state = StateVector(n, amps)

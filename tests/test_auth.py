@@ -236,7 +236,7 @@ def test_fresh_attacker_distribution_is_preparation_independent():
     for _ in range(20):
         qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         qubit /= np.linalg.norm(qubit)
-        probs, _ = _branch_probabilities(np.kron(qubit, pair), 3, 0, 2, "paper")
+        probs = _branch_probabilities(np.kron(qubit, pair), 3, 0, 2, "paper")
         np.testing.assert_allclose(probs, UNIFORM, atol=1e-12)
 
 
@@ -325,7 +325,7 @@ def test_any_card_less_register_sees_a_uniform_round(register, stored):
     system = auth._prepend(register, bell_state(stored).amplitudes)
     assert system[1] == register.size.bit_length() + 1
     for convention in ("paper", "standard"):
-        probs, _ = _branch_probabilities(*system, convention)
+        probs = _branch_probabilities(*system, convention)
         assert np.max(np.abs(probs - UNIFORM)) <= 1e-12, convention
 
 

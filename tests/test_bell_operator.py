@@ -135,6 +135,24 @@ def test_mermin_configuration_reaches_four():
     assert spectral_radius(operator) == pytest.approx(4.0, abs=1e-10)
 
 
+def test_spectral_helpers_reject_matrices_off_their_contract():
+    # eigvalsh reads one triangle: this matrix's true radius is 2, the lower triangle's is 1
+    with pytest.raises(ValueError, match=r"not Hermitian \(residual 3.0\)"):
+        spectral_radius(np.array([[0, 4], [1, 0]]))
+    # a NaN or inf entry gives a NaN residual, which no tolerance test rejects; eigvalsh then read 0.0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_radius(np.array([[bad, 0.0], [0.0, 1.0]]))
+    for bad in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="observable must be square"):
+            hermiticity_residual(bad)
+        with pytest.raises(ValueError, match="observable must be square"):
+            spectral_radius(bad)
+    # within the compatibility check's tolerance the radius is still read, off by the residual at most
+    nearly = np.diag([1.0, -2.0]) + np.array([[0.0, 5e-10], [0.0, 0.0]])
+    assert spectral_radius(nearly) == pytest.approx(2.0, abs=1e-9)
+
+
 def test_equal_primed_directions_drop_second_term():
     # a_k == a_k' makes the recursion collapse to B_{n-1} (x) (a_n . sigma)
     rng = np.random.default_rng(11)
@@ -218,6 +236,15 @@ def test_compatibility_check_validates():
         qnd_compatibility_check(observable, network, eigenstates=[random_state(3, np.random.default_rng(1))])
     with pytest.raises(ValueError, match="not normalized"):
         qnd_compatibility_check(observable, network, eigenstates=[StateVector(2, np.array([1.0, 1.0, 0, 0]))])
+    # no states at all, as a list or a generator, names the argument instead of failing in np.stack
+    for empty in ([], (s for s in [])):
+        with pytest.raises(ValueError, match="eigenstates is empty"):
+            qnd_compatibility_check(observable, network, eigenstates=empty)
+    # a generator is read once, so its states are both validated and checked (repr: NaN fidelities)
+    states = [bell_state(label) for label in BellLabel]
+    from_list = qnd_compatibility_check(observable, network, eigenstates=states)
+    assert len(from_list.eigenstates) == 4
+    assert repr(qnd_compatibility_check(observable, network, eigenstates=(s for s in states))) == repr(from_list)
 
 
 def test_compatibility_report_matches_dense_unitary_loop():

@@ -437,6 +437,14 @@ def test_from_dump_rejects_non_finite_amplitudes():
             from_dump({"num_qubits": 1, "amplitudes": [[bad, 0.0], [0.0, 0.0]]})
 
 
+def test_from_dump_rejects_boolean_amplitudes():
+    # complex(True, False) is 1: a JSON boolean must not load as |0>
+    for amplitudes in ([[True, False], [False, False]], [[1.0, False], [0.0, 0.0]], [[1, 0], [0, True]]):
+        with pytest.raises(ValueError, match="malformed state dump: an amplitude part is a boolean"):
+            from_dump({"num_qubits": 1, "amplitudes": amplitudes})
+    assert from_dump({"num_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}).amplitudes.tolist() == [1, 0]
+
+
 @pytest.mark.parametrize("count", [2.9, 2.0, True, "2", None])
 def test_from_dump_rejects_non_integer_qubit_count(count):
     amplitudes = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
