@@ -487,7 +487,10 @@ def _round_match_probability(attacker: AttackerModel, noise: NoiseSpec) -> float
         weights[0] -= noise.p  # once, not p / len(hits) per Pauli, so the rate keeps its last bits
         for pauli in hits:
             weights[_PAULI_MASKS[pauli]] += noise.p / len(hits)
-    return sum(w * w for w in weights)
+    probability = 0.0  # left to right: from Python 3.12 on, sum() of floats is compensated
+    for w in weights:
+        probability += w * w
+    return probability
 
 
 def _acceptance_probability(match_probabilities: Sequence[float], threshold: float) -> float:
@@ -498,7 +501,10 @@ def _acceptance_probability(match_probabilities: Sequence[float], threshold: flo
     counts = [1.0]  # counts[k] = P(k matches so far)
     for q in match_probabilities:
         counts = [miss * (1.0 - q) + hit * q for miss, hit in zip(counts + [0.0], [0.0] + counts)]
-    return min(1.0, sum(counts[fewest:]))
+    tail = 0.0  # left to right, as _round_match_probability adds
+    for count in counts[fewest:]:
+        tail += count
+    return min(1.0, tail)
 
 
 @lru_cache(maxsize=None)

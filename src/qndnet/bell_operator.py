@@ -156,10 +156,10 @@ def canonical_spec(n: int) -> BellOperatorSpec:
 
 
 def hermiticity_residual(observable: np.ndarray) -> float:
-    """Max-abs deviation of a square matrix from its own conjugate transpose; ValueError if not square."""
+    """Max-abs deviation of a square matrix from its own conjugate transpose; ValueError if not square or empty."""
     m = np.asarray(observable)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"observable must be square, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"observable must be square and non-empty, got shape {m.shape}")
     return float(np.max(np.abs(m - m.conj().T)))
 
 

@@ -29,14 +29,22 @@ contract (ghz_network_gate_list).  Each step's gates are compiled once
 run of CNOTs is one take through a composed permutation, and a Hadamard run
 is one layer kernel on the float64 view, each equal to the gates run one by
 one, byte for byte.  GHZ shots look their schedule up by (n, convention)
-(_ghz_network).  One level builder (_branches) expands every measurement, one
-array pass per depth over all live bit prefixes: each depth's branch weights
-and normalized branches come from one stacked call (statevector._split_rows)
-that sums what the per-register measurement sums, in the same layout.  A
-state's first shot expands every branch at once and keeps the table in the
-memo slot (state, schedule, table), and later shots walk it (_state_table,
-statevector._walk), so each state runs its network once; a caller that takes
-one shot per fresh state pays for the whole table.
+(_ghz_network), where the data register is the whole register, so the rows
+each layer receives are sparse: after the parity steps a row holds only a_x
+and a_x_bar, x fixed by its parity prefix, and after the global-parity split
+one value up to sign on a parity class.  There both layers are closed forms
+(_first_layer, _second_layer: a few sums per row, written through gather
+tables built once per (n, convention)), equal to the layer kernel byte for
+byte on those rows.  The auth round keeps the layer kernel, since its
+register carries the attacker's qubits.  One level builder (_branches)
+expands every measurement, one array pass per depth over all live bit
+prefixes: each depth's branch weights and normalized branches come from one
+stacked call (statevector._split_rows) that sums what the per-register
+measurement sums, in the same layout.  A state's first shot expands every
+branch at once and keeps the table in the memo slot (state, schedule, table),
+and later shots walk it (_state_table, statevector._walk), so each state runs
+its network once; a caller that takes one shot per fresh state pays for the
+whole table.
 The table also keeps each leaf's finished outcome per outcome class, built by
 the first shot that reaches it, so later shots to that leaf return it.  Bell
 and GHZ shots share one finisher (_shot): it fills the class from the leaf's
@@ -58,13 +66,14 @@ sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .statevector import (
+    _SINGLE_QUBIT_MATRICES,
     _SQRT_HALF,
     ZERO_BRANCH_PROB,
     StateVector,
@@ -76,6 +85,7 @@ from .statevector import (
     apply_gates,
     cnot,
     hadamard,
+    hadamard_kind,
     inner_product,
 )
 
@@ -201,21 +211,108 @@ def _compiled_network(data_qubits: tuple[int, ...], ancilla_start: int, conventi
 
 @lru_cache(maxsize=None)
 def _ghz_network(n: int, convention: str) -> tuple:
-    """The compiled GHZ schedule on data qubits 0..n-1, looked up by (n, convention); n is checked once."""
+    """The compiled GHZ schedule on data qubits 0..n-1, looked up by (n, convention); n is checked once.
+
+    Its two Hadamard layers are the closed forms (_first_layer, _second_layer) of the compiled ones."""
     _require_parts(n)
-    return _compiled_network(tuple(range(n)), n, convention)
+    steps = _compiled_network(tuple(range(n)), n, convention)
+    first, second = _closed_layers(n, convention)
+    return (*steps[: n - 1], (first, 0), steps[n], (second, 0))
+
+
+def _closed_layers(n: int, convention: str) -> tuple:
+    """The GHZ register's two Hadamard layers as kernels of (rows, live prefixes), with their tables.
+
+    S[y, z] is the sign of the layer's matrix entry from ket z to ket y.  A parity prefix p fixes the
+    canonical x_p; _first_layer's selector picks output y's value from (A + B, A - B, -(A + B),
+    -(A - B)) by S[y, x_p] and S[y, x_p_bar].  A leaf (p, g) reads its branch at ket g, on its parity
+    class, and _second_layer writes it to x_p with sign S[g, x_p] and to x_p_bar with S[g, x_p_bar]."""
+    size, full = 1 << n, (1 << n) - 1
+    sign = np.sign(_SINGLE_QUBIT_MATRICES[hadamard_kind(convention)].real).astype(np.int8)
+    s = reduce(np.kron, [sign] * n)
+    x = np.array([int(label.bits, 2) for _, _, label in _ghz_labels(n, convention)[::2]])
+    support = np.stack((x, full ^ x), axis=1)  # (x_p, x_p_bar) by prefix
+    select = (2 * (s[:, x] < 0) + (s[:, x] != s[:, full ^ x])).astype(np.int8)
+    leaves = support.repeat(2, axis=0)
+    parity = np.arange(size) & 1  # the ket each leaf reads: 0 or 1, on its branch's parity class
+    minus = s[parity[:, None], leaves] < 0
+    first = partial(_first_layer, n=n, support=_gather(support, size), select=_gather(select.T, 4))
+    second = partial(_second_layer, n=n, read=_gather(parity, size), write=_gather(leaves, size),
+                     signs=_gather(minus, 2))
+    return first, second
+
+
+def _offsets(local: np.ndarray, live: np.ndarray, width: int) -> np.ndarray:
+    """The entries of ``local`` (a table by prefix or leaf) for ``live``, as flat indices into (len(live), width)."""
+    return local[live] + (np.arange(len(live)) * width).reshape(-1, *[1] * (local.ndim - 1))
+
+
+def _gather(local: np.ndarray, width: int) -> tuple:
+    """(local, width, its flat indices when every row is live), all read-only."""
+    local = np.ascontiguousarray(local)
+    flat = _offsets(local, np.arange(len(local)), width)
+    local.flags.writeable = flat.flags.writeable = False
+    return local, width, flat
+
+
+def _flat(gather: tuple, live: np.ndarray) -> np.ndarray:
+    """The flat indices of ``gather``'s table for the rows of the live prefixes or leaves ``live``."""
+    local, width, flat = gather
+    return flat if len(live) == len(local) else _offsets(local, live, width)
+
+
+def _first_layer(rows: np.ndarray, live: np.ndarray, n: int, support: tuple, select: tuple) -> np.ndarray:
+    """The first Hadamard layer on rows that hold only a_x and a_x_bar, x fixed by the row's parity prefix.
+
+    Every pass multiplies each part by s and adds or subtracts it and a +0.0, so A and B are a_x and
+    a_x_bar times s n times in turn, and each output is one last sum fl(+-A +- B): A + B, 0.0 - (A + B),
+    A - B or 0.0 - (A - B), the signed zeros included.  This is _hadamard_passes byte for byte."""
+    pair = rows.reshape(-1).take(_flat(support, live))
+    parts = pair.view(np.float64)
+    for _ in range(n):
+        np.multiply(parts, _SQRT_HALF, out=parts)
+    sums = np.empty((len(pair), 4), dtype=np.complex128)
+    np.add(pair[:, 0], pair[:, 1], out=sums[:, 0])
+    np.subtract(pair[:, 0], pair[:, 1], out=sums[:, 1])
+    np.subtract(0.0, sums[:, :2], out=sums[:, 2:])
+    return sums.reshape(-1).take(_flat(select, live))
+
+
+def _second_layer(rows: np.ndarray, live: np.ndarray, n: int, read: tuple, write: tuple, signs: tuple) -> np.ndarray:
+    """The second Hadamard layer on the global-parity branches: each leaf ends as +-v at x and x_bar.
+
+    A branch holds one value v up to sign on its parity class.  The first pass pairs each ket with a
+    zero, and every later pass doubles or cancels, so v is multiplied by s once, then n - 1 times by
+    s and added to itself; a minus is 0.0 - v.  This is _hadamard_passes byte for byte."""
+    v = rows.reshape(-1).take(_flat(read, live))
+    parts = v.view(np.float64)
+    np.multiply(parts, _SQRT_HALF, out=parts)
+    for _ in range(n - 1):
+        np.multiply(parts, _SQRT_HALF, out=parts)
+        np.add(parts, parts, out=parts)
+    signed = np.empty((len(v), 2), dtype=np.complex128)
+    signed[:, 0] = v
+    np.subtract(0.0, v, out=signed[:, 1])
+    out = np.zeros((len(v), 1 << n), dtype=np.complex128)
+    out.put(_flat(write, live), signed.take(_flat(signs, live)))
+    return out
 
 
 def _branches(amps: np.ndarray, schedule: Sequence) -> tuple:
     """(weights, leaves) of a compiled ``schedule`` on ``amps``, one array pass per depth over the live prefixes.
 
-    weights[k][j] is the weight of the (k + 1)-bit prefix j given its first k bits (big-endian; 0.0 if
-    dead), leaves[i] the register after bits i, a read-only view of a read-only block."""
+    A step is (kernels, ancillas): a tuple of row kernels, or one closed-form layer of the GHZ register
+    called with the live prefixes the rows stand for.  weights[k][j] is the weight of the (k + 1)-bit
+    prefix j given its first k bits (big-endian; 0.0 if dead), leaves[i] the register after bits i, a
+    read-only view of a read-only block."""
     rows, live, weights = amps[None], [0], []
     for kernels, ancillas in schedule:
         qubit = rows.shape[1].bit_length() - 1  # the step's ancillas sit from here on
-        for kernel in kernels:  # rebinding frees each kernel's input before the next one runs
-            rows = kernel(rows)
+        if callable(kernels):
+            rows = kernels(rows, live)
+        else:
+            for kernel in kernels:  # rebinding frees each kernel's input before the next one runs
+                rows = kernel(rows)
         for _ in range(ancillas):  # every branch, all rows in one call
             w, rows = _split_rows(rows, qubit)
             level = w.reshape(-1)

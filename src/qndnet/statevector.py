@@ -28,7 +28,10 @@ The GHZ level builder runs each network step compiled (_compile_step: one
 take per permutation run, one float64-view kernel per Hadamard run) and
 splits many registers per call (_split_rows); each equals the gate-by-gate
 kernels and the per-register split byte for byte, and those stay as the
-general path and the tests' reference.
+general path and the tests' reference.  The GHZ register's own schedule
+replaces its two Hadamard layers with closed forms (ghz._first_layer,
+ghz._second_layer) that equal the float64-view kernel on the sparse rows
+those layers receive; the auth round keeps the kernel.
 """
 
 from __future__ import annotations
@@ -412,7 +415,12 @@ def _hadamard_passes(rows: np.ndarray, passes: tuple) -> np.ndarray:
     These are the complex kernel's sums exactly when no part of the input is -0.0, as after
     _widen (u*a adds a signed 0*a that can only flip the sign of a zero).  ``order`` "F"
     walks a short pair block down the registers instead, with the same sums.  Rows go through in
-    blocks of at most _LAYER_BLOCK amplitudes, each block through every pass while it is in cache."""
+    blocks of at most _LAYER_BLOCK amplitudes, each block through every pass while it is in cache.
+
+    Every compiled Hadamard run calls it: auth's round, whose register carries the attacker's
+    qubits, and any schedule built by _compile_step.  GHZ and Bell measurements do not: the GHZ
+    schedule's two layers are the closed forms ghz._first_layer and ghz._second_layer, which the
+    tests hold to this kernel byte for byte."""
     block = max(1, _LAYER_BLOCK // rows.shape[1])
     scratch = np.empty_like(rows[:block])
     for start in range(0, len(rows), block):

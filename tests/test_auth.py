@@ -1,8 +1,10 @@
 """Authentication protocol tests: enrollment, sessions, attackers, noise, sweeps."""
 
+import builtins
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -824,6 +826,23 @@ def test_golden_sweeps_match_the_state_vector_engine(golden_runs):
     assert len(golden_runs) == 30
     for recorded, printed in golden_runs:
         assert printed == recorded
+
+
+def test_analytic_rates_add_left_to_right_whatever_sum_does(monkeypatch):
+    # from Python 3.12 on, sum() of floats is compensated; the goldens hold plain left-to-right adds,
+    # so the analytic column must not go through sum(): a compensated one changes none of these
+    def rates():
+        out = []
+        for model in ("dephasing", "depolarizing"):
+            for p in (0.05, 0.1, 0.2, 0.3, 0.7):
+                q = _round_match_probability(AttackerModel.LEGITIMATE, NoiseSpec(model, p))
+                out.append(q)
+                out += [_acceptance_probability([q] * n, t) for n in (3, 5, 10) for t in (0.5, 2 / 3, 0.8)]
+        return out
+
+    want = rates()
+    monkeypatch.setattr(builtins, "sum", lambda values, start=0: math.fsum(values) + start)
+    assert rates() == want
 
 
 def test_golden_grid_accept_rates_lie_within_wilson_of_the_analytic_rate(golden_runs):

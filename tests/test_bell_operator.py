@@ -153,6 +153,21 @@ def test_spectral_helpers_reject_matrices_off_their_contract():
     assert spectral_radius(nearly) == pytest.approx(2.0, abs=1e-9)
 
 
+def test_hermiticity_residual_names_a_zero_size_observable():
+    with pytest.raises(ValueError, match=r"non-empty, got shape \(0, 0\)"):
+        hermiticity_residual(np.zeros((0, 0)))
+
+
+def test_spectral_radius_names_a_zero_size_observable():
+    with pytest.raises(ValueError, match=r"non-empty, got shape \(0, 0\)"):
+        spectral_radius(np.zeros((0, 0), dtype=complex))
+
+
+def test_compatibility_check_names_a_zero_size_observable():
+    with pytest.raises(ValueError, match=r"non-empty, got shape \(0, 0\)"):
+        qnd_compatibility_check(np.zeros((0, 0)), ghz_network_gate_list(2))
+
+
 def test_equal_primed_directions_drop_second_term():
     # a_k == a_k' makes the recursion collapse to B_{n-1} (x) (a_n . sigma)
     rng = np.random.default_rng(11)

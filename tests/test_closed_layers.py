@@ -1,0 +1,284 @@
+"""The GHZ register's closed-form Hadamard layers against the compiled passes and the gates, byte for byte."""
+
+import contextlib
+
+import numpy as np
+import pytest
+
+import qndnet.statevector as statevector
+from qndnet.auth import AttackerModel, NoiseSpec, _run_round, _system_for, attacker_round_distribution, security_sweep
+from qndnet.bell import BellLabel, bell_branch_table, bell_state, run_bell_qnd
+from qndnet.ghz import (
+    _branches,
+    _compiled_network,
+    _ghz_labels,
+    _ghz_network,
+    all_canonical_labels,
+    ghz_branch_table,
+    ghz_state,
+    run_ghz_qnd,
+)
+from qndnet.statevector import (
+    StateVector,
+    _apply_gate_raw,
+    _compile_step,
+    _split_rows,
+    hadamard,
+    random_state,
+)
+
+CONVENTIONS = ("paper", "standard")
+SUBNORMAL = (5e-324, 3e-310, 1e-308)
+
+
+def sign_matrix(n: int, convention: str) -> np.ndarray:
+    """S[y, z], the sign of the n-qubit layer's entry from ket z to ket y, from the bits of y and z:
+    (-1)^|y & z| for the standard Hadamard, (-1)^|~y & ~z| for the paper one ([[-1, 1], [1, 1]])."""
+    y, z = np.arange(1 << n)[:, None], np.arange(1 << n)[None, :]
+    both = y & z if convention == "standard" else ~y & ~z & ((1 << n) - 1)
+    ones = sum((both >> k) & 1 for k in range(n))
+    return 1 - 2 * (ones & 1)
+
+
+def canonical_x(n: int, convention: str) -> np.ndarray:
+    """The canonical bitstring of each parity prefix, from the label table's bits."""
+    return np.array([int(label.bits, 2) for _, _, label in _ghz_labels(n, convention)[::2]])
+
+
+def layer_steps(n: int, convention: str) -> tuple:
+    """(closed first, closed second, compiled first, compiled second) layer kernels of the GHZ register."""
+    closed, compiled = _ghz_network(n, convention), _compiled_network(tuple(range(n)), n, convention)
+    ((first,), _), ((second,), _) = compiled[n - 1], compiled[n + 1]
+    return closed[n - 1][0], closed[n + 1][0], first, second
+
+
+def gate_by_gate(rows: np.ndarray, n: int, convention: str) -> np.ndarray:
+    for q in range(n):
+        rows = _apply_gate_raw(rows, n, hadamard(q, convention))
+    return rows
+
+
+def pair_values(rng, n: int, count: int) -> list:
+    """(a_x, a_x_bar) per row, in every shape the parity steps can hand the first layer."""
+    a, b = rng.standard_normal((2, count)) + 1j * rng.standard_normal((2, count))
+    s = statevector._SQRT_HALF
+    cases = [
+        (a, b),  # random
+        (a, np.zeros(count, complex)),  # one of the two is zero: a basis state
+        (np.zeros(count, complex), b),
+        (np.full(count, s + 0j), np.full(count, s + 0j)),  # GHZ states: A - B or A + B cancels
+        (np.full(count, s + 0j), np.full(count, -s + 0j)),
+        (a, a),
+        (a.real + 0j, b.real + 0j),  # real states: every imaginary part is +0.0
+        (a.imag * 1j, b.imag * 1j),
+    ]
+    for re in SUBNORMAL:
+        for sign in (1.0, -1.0):
+            cases.append((np.full(count, sign * re + 0.6j), np.full(count, 3 * re + 0.8j)))
+            cases.append((np.full(count, complex(0.6, sign * re)), np.full(count, complex(-0.8, 3 * re))))
+    return cases
+
+
+def first_layer_rows(n: int, convention: str, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows as the parity steps leave them: a_x at x, a_x_bar at x_bar, every other part +0.0."""
+    x = canonical_x(n, convention)[live]
+    rows = np.zeros((len(live), 1 << n), complex)
+    rows[np.arange(len(live)), x] = a[: len(live)]
+    rows[np.arange(len(live)), ((1 << n) - 1) ^ x] = b[: len(live)]
+    return rows + 0.0  # as _widen hands them on: no -0.0 part
+
+
+def live_sets(rng, count: int) -> list:
+    """Every row live, one row live, and a random strict subset (dead rows left out)."""
+    subset = np.sort(rng.choice(count, max(1, count // 2), replace=False))
+    return [np.arange(count), np.array([count - 1]), subset]
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_first_layer_equals_the_passes_and_the_gates(n, convention):
+    rng = np.random.default_rng(1300 + n)
+    closed, _, passes, _ = layer_steps(n, convention)
+    prefixes = 1 << (n - 1)
+    for a, b in pair_values(rng, n, prefixes):
+        for live in live_sets(rng, prefixes):
+            rows = first_layer_rows(n, convention, live, a, b)
+            want = passes(rows.copy())
+            got = closed(rows.copy(), live)
+            assert got.tobytes() == want.tobytes(), (live, a[0], b[0])
+            assert got.tobytes() == gate_by_gate(rows.copy(), n, convention).tobytes()
+
+
+def second_layer_input(n: int, convention: str, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(rows, live leaves) as the global-parity step leaves them after the compiled first layer."""
+    _, _, passes, _ = layer_steps(n, convention)
+    rows = passes(first_layer_rows(n, convention, live, a, b))
+    (widen,), _ = _ghz_network(n, convention)[n]
+    w, split = _split_rows(widen(rows), n)
+    leaves = (2 * live[:, None] + [0, 1]).reshape(-1)
+    keep = w.reshape(-1) > 0.0  # dead branches leave, as in the level builder
+    return split.reshape(w.size, -1)[keep], leaves[keep]
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_second_layer_equals_the_passes_and_the_gates(n, convention):
+    rng = np.random.default_rng(1400 + n)
+    _, closed, _, passes = layer_steps(n, convention)
+    prefixes = 1 << (n - 1)
+    for a, b in pair_values(rng, n, prefixes):
+        for live in live_sets(rng, prefixes):
+            rows, leaves = second_layer_input(n, convention, live, a, b)
+            if not len(rows):
+                continue
+            want = passes(rows.copy())
+            got = closed(rows.copy(), leaves)
+            assert got.tobytes() == want.tobytes(), (leaves, a[0], b[0])
+            assert got.tobytes() == gate_by_gate(rows.copy(), n, convention).tobytes()
+            assert (np.count_nonzero(got, axis=1) <= 2).all()
+
+
+def table_states(rng, n: int) -> list:
+    """Random, basis, GHZ, real, zero-laced, subnormal-laced and slightly unnormalized states."""
+    size = 1 << n
+    states = [random_state(n, rng).amplitudes for _ in range(3)]
+    states += [np.eye(size)[k] + 0j for k in rng.choice(size, 3)]
+    states += [ghz_state(label).amplitudes for label in all_canonical_labels(n)[:4]]
+    real = rng.standard_normal(size)
+    states.append(real / np.linalg.norm(real) + 0j)
+    laced = random_state(n, rng).amplitudes.copy()
+    laced[rng.random(size) < 0.4] = 0.0
+    laced[0] = 0.5
+    states.append(laced / np.linalg.norm(laced))
+    for re in SUBNORMAL:
+        amps = np.full(size, complex(re, 0.6)) / np.sqrt(size)
+        amps[size // 2 :] = complex(3 * re, 0.8) / np.sqrt(size)
+        states.append(amps)
+    off = random_state(n, rng).amplitudes
+    states += [off * (1 + 9e-9), off * (1 - 9e-9)]
+    return states
+
+
+def assert_same_table(got: tuple, want: tuple) -> None:
+    """Equal (weights, leaves) byte for byte: every level's weights, the live leaves and their registers."""
+    (weights, leaves), (want_weights, want_leaves) = got, want
+    assert [np.array(level).tobytes() for level in weights] == [np.array(level).tobytes() for level in want_weights]
+    assert leaves.keys() == want_leaves.keys()
+    assert all(leaves[i].tobytes() == want_leaves[i].tobytes() for i in leaves)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_tables_equal_the_compiled_schedule(n, convention):
+    # the whole level builder: weights and leaves byte for byte against the compiled passes
+    rng = np.random.default_rng(1500 + n)
+    closed, compiled = _ghz_network(n, convention), _compiled_network(tuple(range(n)), n, convention)
+    for amps in table_states(rng, n):
+        assert_same_table(_branches(amps, closed), _branches(amps, compiled))
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_negative_zero_twins_give_the_compiled_schedules_bytes(n, convention):
+    rng = np.random.default_rng(1600 + n)
+    closed, compiled = _ghz_network(n, convention), _compiled_network(tuple(range(n)), n, convention)
+    for _ in range(3):
+        parts = random_state(n, rng).amplitudes.view(np.float64).copy()
+        parts[rng.random(parts.size) < 0.4] = -0.0
+        parts /= np.linalg.norm(parts)
+        for amps in (parts.view(np.complex128), (parts + 0.0).view(np.complex128)):
+            assert_same_table(_branches(amps, closed), _branches(amps, compiled))
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_layer_tables_follow_the_hadamard_signs(n, convention):
+    # against S from the bits of each convention's matrix, not the Kronecker product the module takes
+    s, full = sign_matrix(n, convention), (1 << n) - 1
+    first, second, _, _ = layer_steps(n, convention)
+    x = canonical_x(n, convention)
+    assert [label.bits[0] for _, _, label in _ghz_labels(n, convention)] == ["1"] * (1 << n)
+    support, _, _ = first.keywords["support"]
+    assert np.array_equal(support, np.stack((x, full ^ x), axis=1))
+    select, _, _ = first.keywords["select"]
+    for p, xp in enumerate(x):
+        for y in range(1 << n):
+            alpha, beta = s[y, xp], s[y, full ^ xp]  # output y = s^n * (alpha a_x + beta a_x_bar)
+            assert select[p, y] == {(1, 1): 0, (1, -1): 1, (-1, -1): 2, (-1, 1): 3}[alpha, beta]
+    read, _, _ = second.keywords["read"]
+    write, _, _ = second.keywords["write"]
+    signs, _, _ = second.keywords["signs"]
+    for leaf in range(1 << n):
+        xp = x[leaf >> 1]
+        assert read[leaf] == leaf & 1 and np.array_equal(write[leaf], [xp, full ^ xp])
+        assert list(signs[leaf]) == [s[leaf & 1, xp] < 0, s[leaf & 1, full ^ xp] < 0]
+
+
+def test_only_the_layer_steps_differ_from_the_compiled_schedule():
+    for n in range(2, 9):
+        for convention in CONVENTIONS:
+            closed, compiled = _ghz_network(n, convention), _compiled_network(tuple(range(n)), n, convention)
+            assert len(closed) == len(compiled) == n + 2
+            layers = {n - 1: "_first_layer", n + 1: "_second_layer"}
+            for k, (step, want) in enumerate(zip(closed, compiled)):
+                if k in layers:
+                    assert step[0].func.__name__ == layers[k] and step[1] == 0
+                else:
+                    assert step is want
+
+
+@contextlib.contextmanager
+def counted_passes():
+    """Count _hadamard_passes calls; the kernel caches start over on entry and exit so none holds the counter."""
+    calls = []
+    real = statevector._hadamard_passes
+
+    def counted(rows, passes):
+        calls.append(len(passes))
+        return real(rows, passes)
+
+    def clear():
+        for cached in (_compile_step, _compiled_network, _ghz_network):
+            cached.cache_clear()
+
+    statevector._hadamard_passes = counted
+    clear()
+    try:
+        yield calls
+    finally:
+        statevector._hadamard_passes = real
+        clear()
+
+
+def test_ghz_and_bell_measurements_never_run_the_passes():
+    rng = np.random.default_rng(1700)
+    states = {n: [random_state(n, rng) for _ in range(2)] + [ghz_state(all_canonical_labels(n)[1])] for n in range(2, 9)}
+    draws = rng.random(8)
+    with counted_passes() as calls:
+        for n, group in states.items():
+            for convention in CONVENTIONS:
+                for state in group:
+                    ghz_branch_table(StateVector(n, state.amplitudes), convention)
+                    run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws[:n])
+        for label in BellLabel:
+            bell_branch_table(StateVector(2, bell_state(label).amplitudes))
+            run_bell_qnd(StateVector(2, bell_state(label).amplitudes), draws=draws[:2])
+    assert calls == []
+
+
+def test_auth_rounds_still_run_the_passes_with_unchanged_output():
+    noise = NoiseSpec("depolarizing", 0.1)
+    system = _system_for(AttackerModel.ENTANGLED_DECOY, bell_state(BellLabel.PSI_MINUS).amplitudes, np.random.default_rng(0))
+    draws = np.array([0.3, 0.8])
+
+    def outputs():
+        rows = [row.to_dict() for row in security_sweep([1, 3], AttackerModel.LEGITIMATE, 40, 7, noise)]
+        rows += [row.to_dict() for row in security_sweep([2], AttackerModel.ENTANGLED_DECOY, 40, 7)]
+        dists = [attacker_round_distribution(model, label).tobytes() for model in AttackerModel for label in BellLabel]
+        bits, probability, post = _run_round(*system, "paper", draws)
+        return rows, dists, (bits, probability, post.tobytes())
+
+    want = outputs()
+    with counted_passes() as calls:
+        got = outputs()
+    assert calls and got == want
