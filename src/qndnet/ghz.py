@@ -28,15 +28,23 @@ contract (ghz_network_gate_list).  Each step's gates are compiled once
 (_compiled_network, statevector._compile_step): the ancillas' append and a
 run of CNOTs is one take through a composed permutation, and a Hadamard run
 is one layer kernel on the float64 view, each equal to the gates run one by
-one, byte for byte.  GHZ shots look their schedule up by (n, convention)
-(_ghz_network), where the data register is the whole register, so the rows
-each layer receives are sparse: after the parity steps a row holds only a_x
-and a_x_bar, x fixed by its parity prefix, and after the global-parity split
-one value up to sign on a parity class.  There both layers are closed forms
-(_first_layer, _second_layer: a few sums per row, written through gather
-tables built once per (n, convention)), equal to the layer kernel byte for
-byte on those rows.  The auth round keeps the layer kernel, since its
-register carries the attacker's qubits.  One level builder (_branches)
+one, byte for byte.  The auth round runs those dense steps, since its
+register carries the attacker's qubits.  GHZ shots look their own schedule up
+by (n, convention) (_ghz_network), where the data register is the whole
+register, so a prefix's dense row is mostly zeros: after k parity bits it
+can hold only the 2**(n-k) kets whose neighbor parities match the prefix.
+That schedule runs on compact rows, each holding only that support in ket
+order, through gather tables built once per (n, convention).  Each
+parity step is one gather that lays every row out interleaved by its next
+parity bit (_parity_step), so the split reads the dense row's nonzero terms
+in the dense row's order.  After the parity steps a row holds only
+(a_x_bar, a_x), x fixed by its parity prefix, and both layers are closed
+forms: the first (_first_layer) is a few sums per row, written interleaved
+by global parity so that the global-parity split needs no widening; that
+split normalizes only the one value per branch that the second layer reads;
+and the second (_second_layer) writes each leaf's value, up to sign, at x
+and x_bar of the dense leaf.  Every step equals its dense compiled twin byte
+for byte, weights and leaves.  One level builder (_branches)
 expands every measurement, one array pass per depth over all live bit
 prefixes: each depth's branch weights and normalized branches come from one
 stacked call (statevector._split_rows) that sums what the per-register
@@ -211,13 +219,45 @@ def _compiled_network(data_qubits: tuple[int, ...], ancilla_start: int, conventi
 
 @lru_cache(maxsize=None)
 def _ghz_network(n: int, convention: str) -> tuple:
-    """The compiled GHZ schedule on data qubits 0..n-1, looked up by (n, convention); n is checked once.
+    """The GHZ register's own schedule on compact rows, looked up by (n, convention); n is checked once.
 
-    Its two Hadamard layers are the closed forms (_first_layer, _second_layer) of the compiled ones."""
+    It measures what _compiled_network(tuple(range(n)), n, convention) measures, byte for byte, but each
+    live prefix's row holds only its support in ket order: n - 1 neighbour-parity gathers (_parity_step),
+    the first layer (_first_layer), which writes its rows interleaved by global parity, the global-parity
+    split, which normalizes only the one value per branch that the second layer reads, and the second
+    layer (_second_layer), which writes the dense leaves."""
     _require_parts(n)
-    steps = _compiled_network(tuple(range(n)), n, convention)
     first, second = _closed_layers(n, convention)
-    return (*steps[: n - 1], (first, 0), steps[n], (second, 0))
+    parity = tuple((partial(_parity_step, gather=_gather(local, local.shape[1])), 1) for local in _parity_gathers(n))
+    return (*parity, (first, 0), ((), 1, 1), (second, 0))
+
+
+def _parity_gathers(n: int) -> list:
+    """Each neighbour-parity step's gather table by prefix, depth k = 0..n-2, into rows of 2**(n - k).
+
+    Prefix p's support at depth k is its 2**(n - k) kets in ket order: entry j has x_0 = the top bit
+    of j and x_(k+1)..x_(n-1) its other bits, since x_1..x_k follow from x_0 and p.  Row p of the table
+    puts branch b's j-th ket at 2j + b: that ket has x_(k+1) = x_k ^ b = x_0 ^ c ^ b, c = p's parity."""
+    tables = []
+    for k in range(n - 1):
+        half, quarter = 1 << (n - k - 1), 1 << (n - k - 2)
+        j = np.arange(half)
+        x0, rest = j // quarter, j % quarter
+        by_parity = [
+            np.stack([x0 * half + (x0 ^ c ^ b) * quarter + rest for b in (0, 1)], axis=1).reshape(-1)
+            for c in (0, 1)
+        ]
+        prefix_parity = [bin(p).count("1") & 1 for p in range(1 << k)]
+        tables.append(np.stack(by_parity)[prefix_parity])
+    return tables
+
+
+def _parity_step(rows: np.ndarray, live: np.ndarray, gather: tuple) -> np.ndarray:
+    """A neighbour-parity step on compact rows: one gather lays each live prefix's support out interleaved
+    by the step's parity bit, so _split_rows' stride-2 view reads branch b's kets in ket order, the nonzero
+    terms of the dense widened row's branch in the same order.  A -0.0 part enters as +0.0 (_widen's x + 0.0)."""
+    out = rows.reshape(-1).take(_flat(gather, live))
+    return np.add(out, 0.0, out=out)
 
 
 def _closed_layers(n: int, convention: str) -> tuple:
@@ -225,20 +265,21 @@ def _closed_layers(n: int, convention: str) -> tuple:
 
     S[y, z] is the sign of the layer's matrix entry from ket z to ket y.  A parity prefix p fixes the
     canonical x_p; _first_layer's selector picks output y's value from (A + B, A - B, -(A + B),
-    -(A - B)) by S[y, x_p] and S[y, x_p_bar].  A leaf (p, g) reads its branch at ket g, on its parity
-    class, and _second_layer writes it to x_p with sign S[g, x_p] and to x_p_bar with S[g, x_p_bar]."""
+    -(A - B)) by S[y, x_p] and S[y, x_p_bar], the outputs y of weight parity g in ket order at 2j + g.
+    A leaf (p, g) reads the first value of its branch, ket g of its parity class, and _second_layer
+    writes it to x_p with sign S[g, x_p] and to x_p_bar with S[g, x_p_bar]."""
     size, full = 1 << n, (1 << n) - 1
     sign = np.sign(_SINGLE_QUBIT_MATRICES[hadamard_kind(convention)].real).astype(np.int8)
     s = reduce(np.kron, [sign] * n)
     x = np.array([int(label.bits, 2) for _, _, label in _ghz_labels(n, convention)[::2]])
-    support = np.stack((x, full ^ x), axis=1)  # (x_p, x_p_bar) by prefix
+    ket = np.arange(size)
+    odd = (sum((ket >> k) & 1 for k in range(n)) & 1).astype(bool)
+    interleaved = np.stack((ket[~odd], ket[odd]), axis=1).reshape(-1)  # the j-th ket of parity g at 2j + g
     select = (2 * (s[:, x] < 0) + (s[:, x] != s[:, full ^ x])).astype(np.int8)
-    leaves = support.repeat(2, axis=0)
-    parity = np.arange(size) & 1  # the ket each leaf reads: 0 or 1, on its branch's parity class
-    minus = s[parity[:, None], leaves] < 0
-    first = partial(_first_layer, n=n, support=_gather(support, size), select=_gather(select.T, 4))
-    second = partial(_second_layer, n=n, read=_gather(parity, size), write=_gather(leaves, size),
-                     signs=_gather(minus, 2))
+    leaves = np.stack((x, full ^ x), axis=1).repeat(2, axis=0)  # (x_p, x_p_bar) by leaf
+    minus = s[(ket & 1)[:, None], leaves] < 0
+    first = partial(_first_layer, n=n, select=_gather(select[interleaved].T, 4))
+    second = partial(_second_layer, n=n, write=_gather(leaves, size), signs=_gather(minus, 2))
     return first, second
 
 
@@ -261,30 +302,33 @@ def _flat(gather: tuple, live: np.ndarray) -> np.ndarray:
     return flat if len(live) == len(local) else _offsets(local, live, width)
 
 
-def _first_layer(rows: np.ndarray, live: np.ndarray, n: int, support: tuple, select: tuple) -> np.ndarray:
-    """The first Hadamard layer on rows that hold only a_x and a_x_bar, x fixed by the row's parity prefix.
+def _first_layer(rows: np.ndarray, live: np.ndarray, n: int, select: tuple) -> np.ndarray:
+    """The first Hadamard layer on compact rows (a_x_bar, a_x), x the canonical ket of the row's parity
+    prefix, its outputs interleaved by global parity so that the global-parity step needs no _widen.
 
     Every pass multiplies each part by s and adds or subtracts it and a +0.0, so A and B are a_x and
     a_x_bar times s n times in turn, and each output is one last sum fl(+-A +- B): A + B, 0.0 - (A + B),
-    A - B or 0.0 - (A - B), the signed zeros included.  This is _hadamard_passes byte for byte."""
-    pair = rows.reshape(-1).take(_flat(support, live))
-    parts = pair.view(np.float64)
+    A - B or 0.0 - (A - B), the signed zeros included, plus the global-parity step's +0.0.  This is
+    _hadamard_passes byte for byte, the outputs reordered."""
+    parts = rows.view(np.float64)
     for _ in range(n):
         np.multiply(parts, _SQRT_HALF, out=parts)
-    sums = np.empty((len(pair), 4), dtype=np.complex128)
-    np.add(pair[:, 0], pair[:, 1], out=sums[:, 0])
-    np.subtract(pair[:, 0], pair[:, 1], out=sums[:, 1])
+    sums = np.empty((len(rows), 4), dtype=np.complex128)
+    np.add(rows[:, 1], rows[:, 0], out=sums[:, 0])
+    np.subtract(rows[:, 1], rows[:, 0], out=sums[:, 1])
     np.subtract(0.0, sums[:, :2], out=sums[:, 2:])
+    np.add(sums, 0.0, out=sums)
     return sums.reshape(-1).take(_flat(select, live))
 
 
-def _second_layer(rows: np.ndarray, live: np.ndarray, n: int, read: tuple, write: tuple, signs: tuple) -> np.ndarray:
+def _second_layer(rows: np.ndarray, live: np.ndarray, n: int, write: tuple, signs: tuple) -> np.ndarray:
     """The second Hadamard layer on the global-parity branches: each leaf ends as +-v at x and x_bar.
 
-    A branch holds one value v up to sign on its parity class.  The first pass pairs each ket with a
-    zero, and every later pass doubles or cancels, so v is multiplied by s once, then n - 1 times by
-    s and added to itself; a minus is 0.0 - v.  This is _hadamard_passes byte for byte."""
-    v = rows.reshape(-1).take(_flat(read, live))
+    A branch holds one value v up to sign on its parity class, and its row holds only the first, at
+    ket g.  The first pass pairs each ket with a zero, and every later pass doubles or cancels, so v is
+    multiplied by s once, then n - 1 times by s and added to itself; a minus is 0.0 - v.  This is
+    _hadamard_passes byte for byte."""
+    v = rows.reshape(-1)
     parts = v.view(np.float64)
     np.multiply(parts, _SQRT_HALF, out=parts)
     for _ in range(n - 1):
@@ -299,22 +343,24 @@ def _second_layer(rows: np.ndarray, live: np.ndarray, n: int, read: tuple, write
 
 
 def _branches(amps: np.ndarray, schedule: Sequence) -> tuple:
-    """(weights, leaves) of a compiled ``schedule`` on ``amps``, one array pass per depth over the live prefixes.
+    """(weights, leaves) of a ``schedule`` on ``amps``, one array pass per depth over the live prefixes.
 
-    A step is (kernels, ancillas): a tuple of row kernels, or one closed-form layer of the GHZ register
-    called with the live prefixes the rows stand for.  weights[k][j] is the weight of the (k + 1)-bit
-    prefix j given its first k bits (big-endian; 0.0 if dead), leaves[i] the register after bits i, a
-    read-only view of a read-only block."""
+    A step is (kernels, ancillas) or (kernels, ancillas, keep): a tuple of row kernels (compiled, on
+    dense rows), or one kernel of the GHZ register's compact rows called with the live prefixes the rows
+    stand for.  Its ancillas are the rows' last qubits; each is split off in turn, and ``keep``, if
+    given, is how many leading values of each branch the split normalizes and keeps.  weights[k][j] is
+    the weight of the (k + 1)-bit prefix j given its first k bits (big-endian; 0.0 if dead), leaves[i]
+    the register after bits i, a read-only view of a read-only block."""
     rows, live, weights = amps[None], [0], []
-    for kernels, ancillas in schedule:
-        qubit = rows.shape[1].bit_length() - 1  # the step's ancillas sit from here on
+    for kernels, ancillas, *keep in schedule:
         if callable(kernels):
             rows = kernels(rows, live)
         else:
             for kernel in kernels:  # rebinding frees each kernel's input before the next one runs
                 rows = kernel(rows)
+        qubit = rows.shape[1].bit_length() - 1 - ancillas  # the step's first ancilla
         for _ in range(ancillas):  # every branch, all rows in one call
-            w, rows = _split_rows(rows, qubit)
+            w, rows = _split_rows(rows, qubit, *keep)
             level = w.reshape(-1)
             if len(live) < 1 << len(weights):  # a dead prefix's branches weigh 0.0
                 level = np.zeros(2 << len(weights))

@@ -28,10 +28,12 @@ The GHZ level builder runs each network step compiled (_compile_step: one
 take per permutation run, one float64-view kernel per Hadamard run) and
 splits many registers per call (_split_rows); each equals the gate-by-gate
 kernels and the per-register split byte for byte, and those stay as the
-general path and the tests' reference.  The GHZ register's own schedule
-replaces its two Hadamard layers with closed forms (ghz._first_layer,
-ghz._second_layer) that equal the float64-view kernel on the sparse rows
-those layers receive; the auth round keeps the kernel.
+general path and the tests' reference; the auth round runs them.  The GHZ
+register's own schedule (ghz._ghz_network) runs on compact rows instead,
+each holding only the kets its dense row can hold, interleaved by the bit
+measured next, with closed-form Hadamard layers; _split_rows splits those
+rows too, with the same sums, and each step equals its dense twin byte for
+byte.
 """
 
 from __future__ import annotations
@@ -480,22 +482,26 @@ def _gate_permutation(n: int, gate: GateOp) -> np.ndarray:
     return np.arange(1 << n) ^ (1 << (n - 1 - gate.target))
 
 
-def _split_rows(rows: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+def _split_rows(rows: np.ndarray, qubit: int, keep: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's branch weights (registers, 2), 0.0 where dead, and its branches (registers, 2, rest),
     each divided by its own norm, as a contiguous array (a dead branch, which the level builder
-    drops, is divided by sqrt(ZERO_BRANCH_PROB) instead).
+    drops, is divided by sqrt(ZERO_BRANCH_PROB) instead); ``keep`` cuts each branch to its first
+    ``keep`` values before the division.
 
     The weights are _split_raw's vdot sums from one stacked matmul over the layout vdot reads: the
     stride-2 view when ``qubit`` is the last one, else the contiguous split copy (BLAS adds strided
-    and contiguous vectors in different orders).  The division is x * (1 / norm) on the float64
-    view, numpy's complex x / norm byte for byte when no part is -0.0 (as after _widen)."""
+    and contiguous vectors in different orders).  The GHZ register's compact rows are split at their
+    last qubit too: each holds a prefix's support interleaved by the measured bit, so the stride-2
+    view reads a dense row's nonzero terms in the dense row's order, and the sums are the same.  The
+    division is x * (1 / norm) on the float64 view, numpy's complex x / norm byte for byte when no
+    part is -0.0 (as after _widen)."""
     m = rows.reshape(len(rows), 1 << qubit, 2, -1)
     if m.shape[3] == 1:  # branch b of a row is row[b::2]
         branches = m[..., 0].swapaxes(1, 2)
     else:
         branches = np.ascontiguousarray(m.swapaxes(1, 2)).reshape(len(rows), 2, -1)
     w = (branches.conj()[..., None, :] @ branches[..., None]).real[..., 0, 0]
-    split = np.ascontiguousarray(branches)
+    split = np.ascontiguousarray(branches[..., :keep])
     parts = split.view(np.float64)
     np.multiply(parts, (1.0 / np.sqrt(np.maximum(w, ZERO_BRANCH_PROB)))[..., None], out=parts)
     return np.where(w > ZERO_BRANCH_PROB, w, 0.0), split

@@ -45,11 +45,41 @@ def canonical_x(n: int, convention: str) -> np.ndarray:
     return np.array([int(label.bits, 2) for _, _, label in _ghz_labels(n, convention)[::2]])
 
 
+def interleaved_kets(n: int) -> np.ndarray:
+    """The kets in the first layer's output order: the j-th ket of weight parity g (ket order) at 2j + g."""
+    kets = np.arange(1 << n)
+    parity = sum((kets >> k) & 1 for k in range(n)) & 1
+    return np.stack((kets[parity == 0], kets[parity == 1]), axis=1).reshape(-1)
+
+
 def layer_steps(n: int, convention: str) -> tuple:
-    """(closed first, closed second, compiled first, compiled second) layer kernels of the GHZ register."""
+    """(closed first, closed second, compiled first, compiled second) layer kernels of the GHZ register.
+
+    The closed layers run on compact rows, so here each is wrapped to take and give the dense rows the
+    compiled layer takes and gives: the first reads each row's support (a_x_bar, a_x) and puts its
+    interleaved outputs back in ket order; the second reads each branch at ket g, the one value its
+    compact row keeps.  Each wrapper checks that the dense rows hold nothing off what it reads."""
     closed, compiled = _ghz_network(n, convention), _compiled_network(tuple(range(n)), n, convention)
     ((first,), _), ((second,), _) = compiled[n - 1], compiled[n + 1]
-    return closed[n - 1][0], closed[n + 1][0], first, second
+    (closed_first, _), (closed_second, _) = closed[n - 1], closed[n + 1]
+    full, order = (1 << n) - 1, interleaved_kets(n)
+
+    def dense_first(rows: np.ndarray, live: np.ndarray) -> np.ndarray:
+        at = np.arange(len(live))[:, None], canonical_x(n, convention)[live][:, None] ^ [full, 0]
+        pair = rows[at].copy()
+        rows[at] = 0.0
+        assert not rows.any()
+        out = np.empty_like(rows)
+        out[:, order] = closed_first(pair, live)
+        return out
+
+    def dense_second(rows: np.ndarray, leaves: np.ndarray) -> np.ndarray:
+        kept = rows[np.arange(len(leaves)), leaves & 1].copy()
+        parity = sum((np.arange(1 << n) >> k) & 1 for k in range(n)) & 1
+        assert not rows[parity[None, :] != (leaves & 1)[:, None]].any()
+        return closed_second(kept[:, None], leaves)
+
+    return dense_first, dense_second, first, second
 
 
 def gate_by_gate(rows: np.ndarray, n: int, convention: str) -> np.ndarray:
@@ -110,10 +140,10 @@ def test_first_layer_equals_the_passes_and_the_gates(n, convention):
 
 
 def second_layer_input(n: int, convention: str, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """(rows, live leaves) as the global-parity step leaves them after the compiled first layer."""
+    """(rows, live leaves) as the compiled global-parity step leaves them after the compiled first layer."""
     _, _, passes, _ = layer_steps(n, convention)
     rows = passes(first_layer_rows(n, convention, live, a, b))
-    (widen,), _ = _ghz_network(n, convention)[n]
+    (widen,), _ = _compiled_network(tuple(range(n)), n, convention)[n]
     w, split = _split_rows(widen(rows), n)
     leaves = (2 * live[:, None] + [0, 1]).reshape(-1)
     keep = w.reshape(-1) > 0.0  # dead branches leave, as in the level builder
@@ -190,41 +220,82 @@ def test_negative_zero_twins_give_the_compiled_schedules_bytes(n, convention):
             assert_same_table(_branches(amps, closed), _branches(amps, compiled))
 
 
+def prefix_kets(n: int, convention: str) -> list:
+    """Each depth's kets by live prefix, as the parity gathers lay them out: depth 0 holds every ket
+    in ket order, and branch b of a prefix's interleaved row is row[b::2]."""
+    depths = [[np.arange(1 << n)]]
+    for step, _ in _ghz_network(n, convention)[: n - 1]:
+        local, width, _ = step.keywords["gather"]
+        assert local.shape == (len(depths[-1]), width) and not local.flags.writeable
+        depths.append([kets[row][b::2] for kets, row in zip(depths[-1], local) for b in (0, 1)])
+    return depths
+
+
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
 def test_layer_tables_follow_the_hadamard_signs(n, convention):
     # against S from the bits of each convention's matrix, not the Kronecker product the module takes
     s, full = sign_matrix(n, convention), (1 << n) - 1
-    first, second, _, _ = layer_steps(n, convention)
     x = canonical_x(n, convention)
     assert [label.bits[0] for _, _, label in _ghz_labels(n, convention)] == ["1"] * (1 << n)
-    support, _, _ = first.keywords["support"]
-    assert np.array_equal(support, np.stack((x, full ^ x), axis=1))
-    select, _, _ = first.keywords["select"]
+
+    def bit(q: int, i: int) -> int:
+        return (q >> (n - 1 - i)) & 1
+
+    # the parity gathers: each depth's rows are their prefix's support in ket order, and the
+    # first layer reads (a_x_bar, a_x)
+    for k, rows in enumerate(prefix_kets(n, convention)):
+        for p, kets in enumerate(rows):
+            want = [q for q in range(1 << n) if all(bit(q, i) ^ bit(q, i + 1) == (p >> (k - 1 - i)) & 1 for i in range(k))]
+            assert list(kets) == want, (k, p)
+        if k == n - 1:
+            assert np.array_equal(np.array(rows), np.stack((full ^ x, x), axis=1))
+    first = _ghz_network(n, convention)[n - 1][0]
+    select, width, _ = first.keywords["select"]
+    assert width == 4 and select.shape == (1 << (n - 1), 1 << n)
+    order = interleaved_kets(n)
+    assert sorted(order) == list(range(1 << n))
     for p, xp in enumerate(x):
-        for y in range(1 << n):
+        for i, y in enumerate(order):
+            assert bin(y).count("1") % 2 == i % 2  # output y of parity g at 2j + g
             alpha, beta = s[y, xp], s[y, full ^ xp]  # output y = s^n * (alpha a_x + beta a_x_bar)
-            assert select[p, y] == {(1, 1): 0, (1, -1): 1, (-1, -1): 2, (-1, 1): 3}[alpha, beta]
-    read, _, _ = second.keywords["read"]
+            assert select[p, i] == {(1, 1): 0, (1, -1): 1, (-1, -1): 2, (-1, 1): 3}[alpha, beta]
+    assert list(order[:2]) == [0, 1]  # the value each global-parity branch keeps is its ket g
+    second = _ghz_network(n, convention)[n + 1][0]
+    assert set(second.keywords) == {"n", "write", "signs"}
     write, _, _ = second.keywords["write"]
     signs, _, _ = second.keywords["signs"]
     for leaf in range(1 << n):
         xp = x[leaf >> 1]
-        assert read[leaf] == leaf & 1 and np.array_equal(write[leaf], [xp, full ^ xp])
+        assert np.array_equal(write[leaf], [xp, full ^ xp])
         assert list(signs[leaf]) == [s[leaf & 1, xp] < 0, s[leaf & 1, full ^ xp] < 0]
 
 
-def test_only_the_layer_steps_differ_from_the_compiled_schedule():
+def test_compact_schedule_mirrors_the_compiled_schedule():
+    # step for step: n - 1 parity gathers, the first layer, the global-parity split that keeps one
+    # value per branch, the second layer; the same ancillas in the same places
     for n in range(2, 9):
         for convention in CONVENTIONS:
             closed, compiled = _ghz_network(n, convention), _compiled_network(tuple(range(n)), n, convention)
             assert len(closed) == len(compiled) == n + 2
-            layers = {n - 1: "_first_layer", n + 1: "_second_layer"}
-            for k, (step, want) in enumerate(zip(closed, compiled)):
-                if k in layers:
-                    assert step[0].func.__name__ == layers[k] and step[1] == 0
+            assert [step[1] for step in closed] == [ancillas for _, ancillas in compiled] == [1] * (n - 1) + [0, 1, 0]
+            names = ["_parity_step"] * (n - 1) + ["_first_layer", None, "_second_layer"]
+            for step, name in zip(closed, names):
+                if name is None:
+                    assert step == ((), 1, 1)
                 else:
-                    assert step is want
+                    assert len(step) == 2 and step[0].func.__name__ == name
+            # each gather reads what the compiled step's widen writes: a ket of the prefix's support
+            # at the column of its parity bit, the appended zero at the other
+            depths = prefix_kets(n, convention)
+            for k, rows in enumerate(depths[:-1]):
+                (widen,), _ = compiled[k]
+                perm = widen.keywords["perm"]
+                for p in range(len(rows)):
+                    for b in (0, 1):
+                        branch = depths[k + 1][2 * p + b]
+                        assert (perm[2 * branch + b] == branch).all()
+                        assert (perm[2 * branch + 1 - b] == 1 << n).all()
 
 
 @contextlib.contextmanager

@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the GHZ branch engine and of an auth sweep row.
+"""Per-layer timings (and page faults) of the GHZ branch engine and of an auth sweep row.
 
     python3 tools/branch_layers.py SRC_DIR [SRC_DIR ...] [--states 40] [--seed 0]
 
 Loads qndnet once from each SRC_DIR (as separate packages in one process, so
 a parent checkout and a change are timed side by side, sample by sample,
 with the order alternating) and prints one JSON object: for each source, the
-median and quartiles, in microseconds, of each layer of each group.  The
-groups ``ghz.n2`` .. ``ghz.n8`` hold
+median and quartiles, in microseconds (a count for a fault layer), of each
+layer of each group.  The groups ``ghz.n2`` .. ``ghz.n8`` hold
 * ``cold_table``: ghz_branch_table on a freshly built random state;
 * ``fresh_shot``: the first run_ghz_qnd on a freshly built random state;
 * ``warm_shot``: run_ghz_qnd on a state whose table is already built;
 * ``repeat_shot``: run_ghz_qnd again with the warm shot's draws, so it
   reaches a leaf the table has already visited;
 * ``fresh_pair``: the first two run_ghz_qnd calls on a freshly built random
-  state, what every caller that takes more than one shot pays.
-Each GHZ sample is the fastest of ROW_REPEATS back-to-back calls, each on a
-state built for it (its table too, for ``warm_shot`` and ``repeat_shot``).
+  state, what every caller that takes more than one shot pays;
+* ``cold_table_faults``: the minor page faults (getrusage ru_minflt) of one
+  cold_table call, a count, not microseconds.
+Each GHZ time is the fastest of ROW_REPEATS back-to-back calls, each on a
+state built for it (its table too, for ``warm_shot`` and ``repeat_shot``);
+the fastest call hides the cost of fresh pages that a workload pays, so
+``cold_table_faults`` is the median over those ROW_REPEATS cold_table calls.
 The groups ``auth.legitimate-depolarizing.n3`` and ``auth.decoy.n3`` (one
 security_sweep row at n = 3, depolarizing p = 0.1 and noiseless) hold
 * ``row_fixed``: a row of one trial, its cost apart from the sessions;
@@ -36,6 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -43,6 +48,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 LAYERS = ("cold_table", "fresh_shot", "warm_shot", "repeat_shot", "fresh_pair")
+#: Layers counted in minor page faults rather than timed.
+FAULT_LAYERS = ("cold_table_faults",)
 AUTH_LAYERS = ("row_fixed", "per_session")
 #: (group name, attacker token, noise model) of the timed sweep rows, all at n = 3, p = 0.1.
 AUTH_CELLS = (("legitimate-depolarizing.n3", "legitimate", "depolarizing"), ("decoy.n3", "decoy", "none"))
@@ -63,8 +70,14 @@ def load(src: str, name: str):
     return module
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def time_layers(qn, n: int, amps: np.ndarray, draws: np.ndarray) -> dict[str, float]:
+    """Each GHZ layer in microseconds, and cold_table_faults as a count."""
     best = dict.fromkeys(LAYERS, np.inf)
+    faults = []
 
     def timed(layer: str, call, *args) -> None:
         start = time.perf_counter()
@@ -77,12 +90,14 @@ def time_layers(qn, n: int, amps: np.ndarray, draws: np.ndarray) -> dict[str, fl
 
     for _ in range(ROW_REPEATS):  # every call measures a state built for it
         state = qn.StateVector(n, amps)
+        before = minor_faults()
         timed("cold_table", qn.ghz_branch_table, state)
+        faults.append(minor_faults() - before)
         timed("warm_shot", qn.run_ghz_qnd, state, "paper", draws[0])
         timed("repeat_shot", qn.run_ghz_qnd, state, "paper", draws[0])
         timed("fresh_shot", qn.run_ghz_qnd, qn.StateVector(n, amps), "paper", draws[1])
         timed("fresh_pair", pair, qn.StateVector(n, amps))
-    return best
+    return {**{layer: 1e6 * seconds for layer, seconds in best.items()}, "cold_table_faults": float(np.median(faults))}
 
 
 def time_row(qn, attacker: str, noise: str, seed: int) -> dict[str, float]:
@@ -120,13 +135,13 @@ def main() -> None:
     samples = {src: {} for src in args.src}
     for n in range(2, 9):
         for src in args.src:
-            samples[src][f"ghz.n{n}"] = {layer: [] for layer in LAYERS}
+            samples[src][f"ghz.n{n}"] = {layer: [] for layer in LAYERS + FAULT_LAYERS}
         for k in range(args.states):
             amps = packages[0].random_state(n, rng).amplitudes
             draws = rng.random((2, n))
             for src, qn in order if k % 2 == 0 else order[::-1]:
-                for layer, seconds in time_layers(qn, n, amps, draws).items():
-                    samples[src][f"ghz.n{n}"][layer].append(1e6 * seconds)
+                for layer, value in time_layers(qn, n, amps, draws).items():
+                    samples[src][f"ghz.n{n}"][layer].append(value)
     for group, attacker, noise in AUTH_CELLS:
         for src in args.src:
             samples[src][f"auth.{group}"] = {layer: [] for layer in AUTH_LAYERS}

@@ -17,7 +17,9 @@ operations per side.  The per-layer part runs tools/branch_layers.py on both
 checkouts at once (one process, sample by sample) --layer-runs times, and
 gives the median of the runs' medians, parent and change side by side, as
 ``<family>.<layer>.<group>.us`` (``ghz.cold_table.n8.us``,
-``auth.row_fixed.decoy.n3.us``); --layer-runs 0 skips it.
+``auth.row_fixed.decoy.n3.us``), or ``.count`` for a count of page faults
+(``ghz.cold_table_faults.n8.count``; its ratio is null where the parent
+reads 0); --layer-runs 0 skips it.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ def main() -> None:
         for kind in kinds:
             parent = statistics.median(r[srcs["parent"]][group][kind]["median"] for r in layer_runs)
             change = statistics.median(r[srcs["change"]][group][kind]["median"] for r in layer_runs)
-            per_layer[f"{family}.{kind}.{rest}.us"] = {
-                "parent": parent, "change": change, "change_over_parent": change / parent,
+            unit = "count" if kind.endswith("_faults") else "us"
+            per_layer[f"{family}.{kind}.{rest}.{unit}"] = {
+                "parent": parent, "change": change, "change_over_parent": change / parent if parent else None,
             }
 
     report = {
