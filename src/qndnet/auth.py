@@ -71,14 +71,15 @@ from .bell import (
 )
 from .ghz import _branches, _compiled_network, _table_rows
 from .statevector import (
-    CONVENTIONS,
     PAULI_X_MATRIX,
     PAULI_Y_MATRIX,
     PAULI_Z_MATRIX,
     StateVector,
     _apply_single_raw,
+    _require_convention,
     _require_int,
     _require_normalized,
+    _require_seed,
     _walk,
     fidelity_up_to_global_phase,
 )
@@ -141,11 +142,6 @@ class NoiseSpec:
 
 
 NOISELESS = NoiseSpec()
-
-
-def _require_seed(seed: int | np.random.Generator) -> int | np.random.Generator:
-    """A numpy Generator as it is, or an integer seed >= 0 (not a bool) through the one integer check."""
-    return seed if isinstance(seed, np.random.Generator) else _require_int("seed", seed, 0)
 
 
 #: The four stored-pair states, by label index 2*parity + phase; built once and
@@ -391,8 +387,7 @@ def _fewest_matches(n: int, threshold: float) -> int:
 def _require_session_settings(threshold: float, convention: str) -> None:
     if not (_is_real(threshold) and 0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must be a real number in [0, 1], got {threshold!r}")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown Hadamard convention {convention!r}")
+    _require_convention(convention)
 
 
 def verify_session(
@@ -466,6 +461,7 @@ def attacker_round_distribution(
     one fixed qubit and guess its four equally likely decoys.
     """
     slot = _slot_register(model)
+    convention = _require_convention(convention)
     pair = bell_state(true_pair_label).amplitudes
     dist = np.zeros(4)
     for draw in slot.representatives:

@@ -36,7 +36,14 @@ from functools import lru_cache
 from typing import Sequence
 
 from .ghz import _branch_rows, _ghz_labels, _ghz_network, _shot, decode_ghz, ghz_network_gate_list, ghz_state
-from .statevector import StateVector, _apply_network_raw, _require_int, _require_normalized, inner_product
+from .statevector import (
+    StateVector,
+    _apply_network_raw,
+    _require_convention,
+    _require_int,
+    _require_normalized,
+    inner_product,
+)
 
 
 class BellLabel(Enum):
@@ -109,9 +116,13 @@ def bell_network_unitary_steps(convention: str = "paper") -> list:
     return ghz_network_gate_list(2, convention)
 
 
-def _require_pair(state: StateVector, where: str) -> None:
+def _require_two_qubits(state: StateVector) -> None:
     if state.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit input, got {state.num_qubits}")
+
+
+def _require_pair(state: StateVector, where: str) -> None:
+    _require_two_qubits(state)
     _require_normalized(state, where)
 
 
@@ -134,11 +145,12 @@ def run_bell_qnd(
     with the decoded Bell state, and the returned 2-qubit post state is that
     Bell state.  A state's first shot expands all four branches at once and
     later shots only walk them.  Repeated shots of one state that reach the
-    same leaf may return the same immutable outcome object.
+    same leaf may return the same immutable outcome object.  The register
+    size is checked on every shot, since a larger GHZ register can hold the
+    memo slot; _shot checks the rest.
     """
-    _require_pair(state, "bell network")
-    steps = _ghz_network(2, convention)
-    return _shot(state, steps, draws, "run_bell_qnd", BellQndOutcome, _bell_labels, convention)
+    _require_two_qubits(state)
+    return _shot(state, convention, draws, "run_bell_qnd", BellQndOutcome, _bell_labels, convention)
 
 
 def bell_branch_table(
@@ -150,6 +162,7 @@ def bell_branch_table(
     (numerically) zero probability carry ``None`` as their post state.
     """
     _require_pair(state, "bell network")
+    convention = _require_convention(convention)
     return _branch_rows(state, _ghz_network(2, convention), convention, _bell_labels(convention))
 
 

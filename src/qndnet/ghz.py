@@ -52,7 +52,13 @@ measurement sums, in the same layout.  A state's first shot expands every
 branch at once and keeps the table in the memo slot (state, schedule, table),
 and later shots walk it (_state_table, statevector._walk), so each state runs
 its network once; a caller that takes one shot per fresh state pays for the
-whole table.
+whole table.  A shot tests the slot first (_shot).  When the slot holds the
+shot's state itself under the shot's convention, which the schedule names
+(_Schedule), the call that filled it has checked n, the convention and the
+norm of that immutable object, so the shot only checks its draws, walks the
+table and finishes its leaf.  Any other shot makes those checks, the
+convention first and before any cache, then expands the table; a state that
+fails one never enters the slot.
 The table also keeps each leaf's finished outcome per outcome class, built by
 the first shot that reaches it, so later shots to that leaf return it.  Bell
 and GHZ shots share one finisher (_shot): it fills the class from the leaf's
@@ -86,6 +92,7 @@ from .statevector import (
     ZERO_BRANCH_PROB,
     StateVector,
     _compile_step,
+    _require_convention,
     _require_int,
     _require_normalized,
     _split_rows,
@@ -135,7 +142,9 @@ class GhzLabel:
 
 
 def parse_ghz_label(token: str) -> GhzLabel:
-    """Parse a "+:10110"-style token."""
+    """Parse a "+:10110"-style token; a token that is not a str (None, bytes) raises ValueError."""
+    if not isinstance(token, str):
+        raise ValueError(f"GHZ label must be a str token (e.g. '+:101'), got {token!r}")
     sign, sep, bits = token.partition(":")
     if not sep:
         raise ValueError(f"malformed GHZ label {token!r} (expected e.g. '+:101')")
@@ -217,19 +226,31 @@ def _compiled_network(data_qubits: tuple[int, ...], ancilla_start: int, conventi
     return tuple((_compile_step(gates, ancillas, ancilla_start + ancillas), ancillas) for gates, ancillas in steps)
 
 
+class _Schedule(tuple):
+    """A GHZ register's schedule, a tuple of steps, that names the CONVENTIONS token it was built for."""
+
+    convention: str
+
+    def __new__(cls, steps: Sequence, convention: str) -> "_Schedule":
+        schedule = super().__new__(cls, steps)
+        schedule.convention = _require_convention(convention)
+        return schedule
+
+
 @lru_cache(maxsize=None)
-def _ghz_network(n: int, convention: str) -> tuple:
+def _ghz_network(n: int, convention: str) -> _Schedule:
     """The GHZ register's own schedule on compact rows, looked up by (n, convention); n is checked once.
 
     It measures what _compiled_network(tuple(range(n)), n, convention) measures, byte for byte, but each
     live prefix's row holds only its support in ket order: n - 1 neighbour-parity gathers (_parity_step),
     the first layer (_first_layer), which writes its rows interleaved by global parity, the global-parity
     split, which normalizes only the one value per branch that the second layer reads, and the second
-    layer (_second_layer), which writes the dense leaves."""
+    layer (_second_layer), which writes the dense leaves.  The schedule names its convention token
+    (_Schedule), so a shot tests the memo slot without this lookup."""
     _require_parts(n)
     first, second = _closed_layers(n, convention)
     parity = tuple((partial(_parity_step, gather=_gather(local, local.shape[1])), 1) for local in _parity_gathers(n))
-    return (*parity, (first, 0), ((), 1, 1), (second, 0))
+    return _Schedule((*parity, (first, 0), ((), 1, 1), (second, 0)), convention)
 
 
 def _parity_gathers(n: int) -> list:
@@ -386,14 +407,16 @@ def _table_rows(weights: list, leaves: dict) -> list:
     return [(p, None if p <= ZERO_BRANCH_PROB else leaves[i]) for i, p in enumerate(probs.tolist())]
 
 
-#: (state, schedule, table) of the last state measured; held, so ``is`` is safe.
+#: (state, schedule, table) of the last state measured; held, so ``is`` is safe.  Only a state that
+#: passed its norm check, under a _ghz_network schedule, enters it.
 _last_table: tuple = (None, None, None)
 
 
 def _state_table(state: StateVector, steps: Sequence) -> tuple:
     """(weights, leaves, finished) for ``state``: its table with its finished leaves, kept in the slot.
 
-    A fresh state expands the table on its first shot or table call, so every later one only walks it."""
+    A fresh state expands the table on its first shot or table call, so every later one only walks it.
+    Callers check n, the convention and the norm first."""
     global _last_table
     last_state, last_steps, table = _last_table
     if last_state is not state or last_steps is not steps:
@@ -403,16 +426,29 @@ def _state_table(state: StateVector, steps: Sequence) -> tuple:
 
 
 def _shot(
-    state: StateVector, steps: Sequence, draws: Sequence[float], where: str, outcome: type, labels: Callable, *key
+    state: StateVector, convention: str, draws: Sequence[float], where: str, outcome: type, labels: Callable, *key
 ) -> object:
-    """One shot of ``where``: walk the slot's table and finish the leaf it reaches.
+    """One shot of ``where``: walk ``state``'s table in the memo slot and finish the leaf it reaches.
+
+    The slot is tested first.  When it holds ``state`` itself under ``convention`` (the CONVENTIONS
+    token, by identity; n follows from the state), the call that filled it has checked n, the
+    convention and the norm of this immutable object, so the shot only checks its draws, walks
+    (_walk) and finishes the leaf.  Otherwise it makes those checks, the convention first, the norm
+    under ``where``'s name, and _state_table expands the table, or finds it for a convention equal
+    to the token but not the token.  A state that fails a check never enters the slot, so it fails
+    every shot.  The caller checks anything the slot does not fix (Bell: a 2-qubit register).
 
     ``draws`` must be a sized sequence of one draw per qubit of ``state`` (an ancilla each);
     _walk checks each draw it reads.  A leaf is finished as ``outcome(*labels(*key)[leaf],
     probability, post state)``, its sealed register adopted.  The table keeps it by (outcome,
-    leaf), so ``key`` must follow from ``steps`` (n and a convention do), and Bell and n = 2
-    GHZ, which share steps, keep their own; a later shot to that leaf returns it."""
+    leaf), so ``key`` must follow from n and ``convention``, and Bell and n = 2 GHZ, which share
+    one schedule, keep their own; a later shot to that leaf returns it."""
     n = state.num_qubits
+    last_state, steps, table = _last_table
+    if last_state is not state or steps.convention is not convention:  # a miss: check, then expand
+        steps = _ghz_network(n, _require_convention(convention))  # checks 2 <= n <= MAX_PARTS
+        _require_normalized(state, where)
+        table = None
     try:
         if len(draws) != n:
             raise ValueError(f"{where} needs {n} draws, got {len(draws)}")
@@ -420,7 +456,7 @@ def _shot(
         raise ValueError(f"{where} needs a sequence of {n} draws, got {draws!r}") from None
     if isinstance(draws, np.ndarray):  # Python floats, once: numpy scalars compare slower
         draws = draws.tolist()
-    weights, leaves, finished = _state_table(state, steps)
+    weights, leaves, finished = table or _state_table(state, steps)
     probability, i = _walk(weights, draws)
     done = finished.get((outcome, i))
     if done is None:  # the label table is read only for a leaf not finished yet
@@ -435,7 +471,7 @@ def ghz_network_gate_list(n: int, convention: str = "paper") -> list:
     chain, and a second Hadamard layer.  For n = 2 this is the Bell network.
     """
     _require_parts(n)
-    ((gates, _),) = _parity_network(tuple(range(n)), n, convention, False)
+    ((gates, _),) = _parity_network(tuple(range(n)), n, _require_convention(convention), False)
     return list(gates)
 
 
@@ -498,10 +534,7 @@ def run_ghz_qnd(
     walk it.  Repeated shots of one state that reach the same leaf may return
     the same immutable outcome object.
     """
-    n = state.num_qubits
-    steps = _ghz_network(n, convention)  # checks 2 <= n <= MAX_PARTS
-    _require_normalized(state, "ghz network")
-    return _shot(state, steps, draws, "run_ghz_qnd", GhzQndOutcome, _ghz_labels, n, convention)
+    return _shot(state, convention, draws, "run_ghz_qnd", GhzQndOutcome, _ghz_labels, state.num_qubits, convention)
 
 
 def ghz_branch_table(
@@ -511,7 +544,7 @@ def ghz_branch_table(
 
     Expands the table run_ghz_qnd samples from (shots equal rows); n = 2..MAX_PARTS.
     """
-    n = state.num_qubits
+    n, convention = state.num_qubits, _require_convention(convention)
     steps = _ghz_network(n, convention)  # checks 2 <= n <= MAX_PARTS
     _require_normalized(state, "ghz_branch_table")
     return _branch_rows(state, steps, convention, _ghz_labels(n, convention))

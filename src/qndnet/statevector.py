@@ -88,13 +88,20 @@ _SINGLE_QUBIT_MATRICES = {
 }
 
 
+def _require_convention(convention: str) -> str:
+    """The one check on a Hadamard convention, made before any cache is keyed on it: a str in
+    CONVENTIONS, returned as the CONVENTIONS token itself, the object the GHZ memo slot's hit test
+    compares by identity."""
+    if not (isinstance(convention, str) and convention in CONVENTIONS):
+        raise ValueError(f"unknown Hadamard convention {convention!r}")
+    return CONVENTIONS[CONVENTIONS.index(convention)]
+
+
 def hadamard_kind(convention: str) -> GateKind:
     """Map a convention token ('paper' or 'standard') to its gate kind."""
-    if convention == "paper":
+    if _require_convention(convention) == "paper":
         return GateKind.HADAMARD_PAPER
-    if convention == "standard":
-        return GateKind.HADAMARD_STANDARD
-    raise ValueError(f"unknown Hadamard convention {convention!r}")
+    return GateKind.HADAMARD_STANDARD
 
 
 def _require_int(name: str, value, low: int, high: int | None = None) -> int:
@@ -106,6 +113,11 @@ def _require_int(name: str, value, low: int, high: int | None = None) -> int:
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be {bounds}, got {value}")
     return value
+
+
+def _require_seed(seed: int | np.random.Generator) -> int | np.random.Generator:
+    """The one seed check: a numpy Generator as it is, or an integer seed >= 0 (not a bool) through _require_int."""
+    return seed if isinstance(seed, np.random.Generator) else _require_int("seed", seed, 0)
 
 
 @dataclass(frozen=True)
@@ -263,9 +275,13 @@ def make_basis_state(num_qubits: int, bits: str | Iterable[int]) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
-    """Haar-like random pure state (normalized complex Gaussian amplitudes)."""
+def random_state(num_qubits: int, rng: int | np.random.Generator) -> StateVector:
+    """Haar-like random pure state (normalized complex Gaussian amplitudes).
+
+    ``rng`` is a numpy Generator, drawn from as it is, or an integer seed >= 0; anything else
+    (None, a bool, a float) raises ValueError."""
     _require_qubits(num_qubits)
+    rng = np.random.default_rng(_require_seed(rng))
     dim = 1 << num_qubits
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(num_qubits, amps / np.linalg.norm(amps))
@@ -318,19 +334,18 @@ def _walk(weights: Sequence, draws: Sequence[float]) -> tuple[float, int]:
     picked.  Callers pass an ndarray of draws as Python floats (numpy scalars compare slower).  A
     valid Python draw answers the range test with True and pays no call; any other answer goes to
     _draw_in_range.  A draw that is not a real number (a string, a complex, a list, as each row of
-    a 2-D array is, or an array) raises ValueError naming it."""
+    a 2-D array is, or an array) raises ValueError naming it.  Each level's weights are read where
+    they lie, with no temporaries: the probability takes the picked weight, one multiplication a level."""
     levels = zip(weights, draws)  # outside the try: draws that are no sequence raise as they are
     probability, i = 1.0, 0
     try:
         for level, draw in levels:
             i += i
-            weight = level[i]
             if (0.0 <= draw < 1.0) is not True and not _draw_in_range(draw):
                 break
-            if draw >= weight and level[i + 1]:
+            if draw >= level[i] and level[i + 1]:
                 i += 1
-                weight = level[i]
-            probability *= weight
+            probability *= level[i]
         else:
             return probability, i
     except (TypeError, ValueError):  # no order against floats, or an array's truth value

@@ -1,0 +1,65 @@
+"""Conventions, label tokens and seeds are checked at every public entry, before any cache:
+whatever their type, a bad one raises ValueError, never TypeError or AttributeError."""
+
+import numpy as np
+import pytest
+
+from qndnet.auth import AttackerModel, attacker_round_distribution, enroll, security_sweep, verify_session
+from qndnet.bell import BellLabel, bell_branch_table, bell_premeasurement_state, parse_bell_label, run_bell_qnd
+from qndnet.ghz import ghz_branch_table, ghz_network_gate_list, hadamard_layer, parse_ghz_label, run_ghz_qnd
+from qndnet.statevector import random_state
+
+PAIR = random_state(2, np.random.default_rng(2900))
+TRIPLE = random_state(3, np.random.default_rng(2901))
+
+# name: a call with the convention argument
+ENTRIES = {
+    "run_ghz_qnd": lambda c: run_ghz_qnd(random_state(3, np.random.default_rng(1)), c, (0.5,) * 3),
+    "run_ghz_qnd.slot": lambda c: run_ghz_qnd(TRIPLE, c, (0.5,) * 3),
+    "run_bell_qnd": lambda c: run_bell_qnd(random_state(2, np.random.default_rng(1)), c, (0.5, 0.5)),
+    "run_bell_qnd.slot": lambda c: run_bell_qnd(PAIR, c, (0.5, 0.5)),
+    "ghz_branch_table": lambda c: ghz_branch_table(TRIPLE, c),
+    "bell_branch_table": lambda c: bell_branch_table(PAIR, c),
+    "ghz_network_gate_list": lambda c: ghz_network_gate_list(3, c),
+    "bell_premeasurement_state": lambda c: bell_premeasurement_state(PAIR, c),
+    "hadamard_layer": lambda c: hadamard_layer(PAIR, c),
+    "attacker_round_distribution": lambda c: attacker_round_distribution(
+        AttackerModel.ENTANGLED_DECOY, BellLabel.PHI_PLUS, c
+    ),
+    "verify_session": lambda c: verify_session(enroll(2), convention=c),
+    "security_sweep": lambda c: security_sweep([1], AttackerModel.LEGITIMATE, 2, 0, convention=c),
+}
+
+
+@pytest.mark.parametrize("convention", [["paper"], "bogus", None], ids=["list", "bogus", "none"])
+@pytest.mark.parametrize("name", ENTRIES)
+def test_a_bad_convention_raises_value_error(name, convention):
+    # the ".slot" entries hold the memo slot under "paper" first, so the bad convention misses it
+    ENTRIES[name]("paper")
+    with pytest.raises(ValueError, match=r"unknown Hadamard convention"):
+        ENTRIES[name](convention)
+
+
+@pytest.mark.parametrize("token", [None, b"+:10", 5, ["+", "10"]], ids=["none", "bytes", "int", "list"])
+def test_a_label_token_that_is_no_str_raises_value_error(token):
+    with pytest.raises(ValueError, match="GHZ label must be a str"):
+        parse_ghz_label(token)
+    with pytest.raises(ValueError, match="unknown Bell label"):
+        parse_bell_label(token)
+
+
+def test_random_state_takes_an_integer_seed_or_a_generator():
+    seeded = random_state(3, 1)
+    assert seeded == random_state(3, np.random.default_rng(1)) == random_state(3, np.int64(1))
+    rng = np.random.default_rng(7)
+    twin = np.random.default_rng(7)
+    assert random_state(3, rng) == random_state(3, twin)
+    assert random_state(3, rng) == random_state(3, twin)  # a Generator is drawn from, not reseeded
+
+
+@pytest.mark.parametrize(
+    "seed", [None, -1, True, 1.0, "1", np.random.RandomState(1)], ids=["none", "negative", "bool", "float", "str", "legacy"]
+)
+def test_random_state_refuses_any_other_seed(seed):
+    with pytest.raises(ValueError, match="seed must be"):
+        random_state(3, seed)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer timings (and page faults) of the GHZ branch engine and of an auth sweep row.
+"""Per-layer timings (and page faults) of the Bell and GHZ branch engine and of an auth sweep row.
 
     python3 tools/branch_layers.py SRC_DIR [SRC_DIR ...] [--states 40] [--seed 0]
 
@@ -13,14 +13,20 @@ layer of each group.  The groups ``ghz.n2`` .. ``ghz.n8`` hold
 * ``warm_shot``: run_ghz_qnd on a state whose table is already built;
 * ``repeat_shot``: run_ghz_qnd again with the warm shot's draws, so it
   reaches a leaf the table has already visited;
+* ``block_shot``: the mean of BLOCK_SHOTS run_ghz_qnd calls with distinct
+  draws, the rows of one array, on a state whose table is already built, as
+  a ghz-mc block takes them (its first visits to leaves included);
 * ``fresh_pair``: the first two run_ghz_qnd calls on a freshly built random
   state, what every caller that takes more than one shot pays;
 * ``cold_table_faults``: the minor page faults (getrusage ru_minflt) of one
   cold_table call, a count, not microseconds.
-Each GHZ time is the fastest of ROW_REPEATS back-to-back calls, each on a
-state built for it (its table too, for ``warm_shot`` and ``repeat_shot``);
-the fastest call hides the cost of fresh pages that a workload pays, so
-``cold_table_faults`` is the median over those ROW_REPEATS cold_table calls.
+The group ``bell.n2`` holds BELL_LAYERS, the same layers of run_bell_qnd and
+bell_branch_table on 2-qubit states.
+Each Bell or GHZ time is the fastest of ROW_REPEATS back-to-back calls (or
+blocks), each on a state built for it (its table too, for ``warm_shot``,
+``repeat_shot`` and ``block_shot``); the fastest call hides the cost of fresh
+pages that a workload pays, so ``cold_table_faults`` is the median over those
+ROW_REPEATS cold_table calls.
 The groups ``auth.legitimate-depolarizing.n3`` and ``auth.decoy.n3`` (one
 security_sweep row at n = 3, depolarizing p = 0.1 and noiseless) hold
 * ``row_fixed``: a row of one trial, its cost apart from the sessions;
@@ -47,7 +53,10 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-LAYERS = ("cold_table", "fresh_shot", "warm_shot", "repeat_shot", "fresh_pair")
+LAYERS = ("cold_table", "fresh_shot", "warm_shot", "repeat_shot", "block_shot", "fresh_pair")
+BELL_LAYERS = ("fresh_shot", "warm_shot", "repeat_shot", "block_shot")
+#: Shots, each with its own draws, of one block_shot block.
+BLOCK_SHOTS = 64
 #: Layers counted in minor page faults rather than timed.
 FAULT_LAYERS = ("cold_table_faults",)
 AUTH_LAYERS = ("row_fixed", "per_session")
@@ -74,8 +83,9 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def time_layers(qn, n: int, amps: np.ndarray, draws: np.ndarray) -> dict[str, float]:
-    """Each GHZ layer in microseconds, and cold_table_faults as a count."""
+def time_layers(qn, kind: str, n: int, amps: np.ndarray, draws: np.ndarray, block: np.ndarray) -> dict[str, float]:
+    """Each layer of ``kind`` ("bell" or "ghz") in microseconds, and cold_table_faults as a count."""
+    run, table = (qn.run_bell_qnd, qn.bell_branch_table) if kind == "bell" else (qn.run_ghz_qnd, qn.ghz_branch_table)
     best = dict.fromkeys(LAYERS, np.inf)
     faults = []
 
@@ -85,18 +95,26 @@ def time_layers(qn, n: int, amps: np.ndarray, draws: np.ndarray) -> dict[str, fl
         best[layer] = min(best[layer], time.perf_counter() - start)
 
     def pair(state) -> None:
-        qn.run_ghz_qnd(state, "paper", draws[0])
-        qn.run_ghz_qnd(state, "paper", draws[1])
+        run(state, "paper", draws[0])
+        run(state, "paper", draws[1])
+
+    def shots(state) -> None:
+        for d in block:
+            run(state, "paper", d)
 
     for _ in range(ROW_REPEATS):  # every call measures a state built for it
         state = qn.StateVector(n, amps)
         before = minor_faults()
-        timed("cold_table", qn.ghz_branch_table, state)
+        timed("cold_table", table, state)
         faults.append(minor_faults() - before)
-        timed("warm_shot", qn.run_ghz_qnd, state, "paper", draws[0])
-        timed("repeat_shot", qn.run_ghz_qnd, state, "paper", draws[0])
-        timed("fresh_shot", qn.run_ghz_qnd, qn.StateVector(n, amps), "paper", draws[1])
+        timed("warm_shot", run, state, "paper", draws[0])
+        timed("repeat_shot", run, state, "paper", draws[0])
+        timed("fresh_shot", run, qn.StateVector(n, amps), "paper", draws[1])
         timed("fresh_pair", pair, qn.StateVector(n, amps))
+        state = qn.StateVector(n, amps)
+        table(state)
+        timed("block_shot", shots, state)
+    best["block_shot"] /= len(block)
     return {**{layer: 1e6 * seconds for layer, seconds in best.items()}, "cold_table_faults": float(np.median(faults))}
 
 
@@ -133,15 +151,17 @@ def main() -> None:
             time_row(qn, attacker, noise, 0)
     order = list(zip(args.src, packages))
     samples = {src: {} for src in args.src}
-    for n in range(2, 9):
+    for kind, n, layers in [("bell", 2, BELL_LAYERS)] + [("ghz", n, LAYERS + FAULT_LAYERS) for n in range(2, 9)]:
+        group = f"{kind}.n{n}"
         for src in args.src:
-            samples[src][f"ghz.n{n}"] = {layer: [] for layer in LAYERS + FAULT_LAYERS}
+            samples[src][group] = {layer: [] for layer in layers}
         for k in range(args.states):
             amps = packages[0].random_state(n, rng).amplitudes
-            draws = rng.random((2, n))
+            draws, block = rng.random((2, n)), rng.random((BLOCK_SHOTS, n))
             for src, qn in order if k % 2 == 0 else order[::-1]:
-                for layer, value in time_layers(qn, n, amps, draws).items():
-                    samples[src][f"ghz.n{n}"][layer].append(value)
+                timings = time_layers(qn, kind, n, amps, draws, block)
+                for layer in layers:
+                    samples[src][group][layer].append(timings[layer])
     for group, attacker, noise in AUTH_CELLS:
         for src in args.src:
             samples[src][f"auth.{group}"] = {layer: [] for layer in AUTH_LAYERS}
