@@ -69,7 +69,7 @@ from .bell import (
     bell_bits,
     bell_state,
 )
-from .ghz import _branches, _compiled_network, _table_rows
+from .ghz import _branches, _dense_network, _table_rows
 from .statevector import (
     PAULI_X_MATRIX,
     PAULI_Y_MATRIX,
@@ -77,6 +77,7 @@ from .statevector import (
     StateVector,
     _apply_single_raw,
     _require_convention,
+    _require_instance,
     _require_int,
     _require_normalized,
     _require_seed,
@@ -256,10 +257,11 @@ def _apply_noise_rng(state: StateVector, spec: NoiseSpec, rng: np.random.Generat
 def apply_noise(
     joint_state: StateVector, spec: NoiseSpec, seed: int | np.random.Generator = 0
 ) -> StateVector:
-    """One noise trajectory on a 2-qubit state (qubit 0 sampled first, then 1)."""
+    """One noise trajectory on a 2-qubit state (qubit 0 sampled first, then 1); ``spec`` must be a NoiseSpec."""
     if joint_state.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {joint_state.num_qubits}")
     _require_normalized(joint_state, "apply_noise")
+    _require_instance("noise", spec, NoiseSpec)
     return _apply_noise_rng(joint_state, spec, np.random.default_rng(_require_seed(seed)))
 
 
@@ -270,7 +272,7 @@ def _branch_probabilities(
     system_amps: np.ndarray, num_system: int, slot: int, machine: int, convention: str
 ) -> np.ndarray:
     """The 4 outcome probabilities of one round; outcome = 2*parity + phase."""
-    steps = _compiled_network((slot, machine), num_system, convention)
+    steps = _dense_network((slot, machine), num_system, convention)
     return np.array([prob for prob, _ in _table_rows(*_branches(system_amps, steps))])
 
 
@@ -283,7 +285,7 @@ def _run_round(
     draws: np.ndarray,
 ) -> tuple[tuple[int, int], float, np.ndarray]:
     """One shot down the round's branch table, a draw per ancilla; returns (bits, probability, post system)."""
-    steps = _compiled_network((slot, machine), num_system, convention)
+    steps = _dense_network((slot, machine), num_system, convention)
     weights, leaves = _branches(system_amps, steps)
     probability, leaf = _walk(weights, draws.tolist())  # Python floats, once: numpy scalars compare slower
     return divmod(leaf, 2), probability, leaves[leaf]
@@ -384,7 +386,8 @@ def _fewest_matches(n: int, threshold: float) -> int:
     return next(k for k in range(n + 1) if k / n >= threshold)
 
 
-def _require_session_settings(threshold: float, convention: str) -> None:
+def _require_session_settings(threshold: float, convention: str, noise: NoiseSpec) -> None:
+    _require_instance("noise", noise, NoiseSpec)
     if not (_is_real(threshold) and 0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must be a real number in [0, 1], got {threshold!r}")
     _require_convention(convention)
@@ -406,10 +409,10 @@ def verify_session(
     again); rejected sessions flag the account permanently.  The classical
     password gate is a boolean (bool or numpy bool_, anything else raises
     ValueError): when false the session is rejected before any qubit is
-    touched.  A stored pair that is not the Bell state its record names, or
-    an attacker that is not an AttackerModel, is rejected with ValueError
-    before any draw, and so is a seed that is neither a Generator nor an
-    integer >= 0 (a bool included).
+    touched.  A stored pair that is not the Bell state its record names, an
+    attacker that is not an AttackerModel, or a noise that is not a NoiseSpec
+    is rejected with ValueError before any draw, and so is a seed that is
+    neither a Generator nor an integer >= 0 (a bool included).
 
     The session draws random((1, n, K)): per pair, the noise block, the
     attacker's slot block (its _SLOT_REGISTERS draws), then the two ancilla
@@ -425,7 +428,7 @@ def verify_session(
     _require_seed(seed)
     if account.status != "active":
         raise ValueError("account is flagged; re-enrollment creates a new account")
-    _require_session_settings(threshold, convention)
+    _require_session_settings(threshold, convention, noise)
     if not isinstance(password_ok, (bool, np.bool_)):
         raise ValueError(f"password_ok must be a bool, got {password_ok!r}")
     if not password_ok:
@@ -581,14 +584,14 @@ def security_sweep(
     against the state-vector oracle (attacker_round_distribution) on the
     enrolled labels, once per (attacker, oracle, label, convention) in a
     process.  A threshold outside
-    [0, 1] (NaN included), an unknown convention, a bad trial count, a seed
-    that is not an integer >= 0 or any bad account size in ``n_range`` raises
-    ValueError before any draw.
+    [0, 1] (NaN included), an unknown convention, a noise that is not a
+    NoiseSpec, a bad trial count, a seed that is not an integer >= 0 or any
+    bad account size in ``n_range`` raises ValueError before any draw.
     """
     _slot_register(attacker)  # rejects a non-AttackerModel before any trial
     _require_int("trials", trials, 1)
     _require_int("seed", seed, 0)
-    _require_session_settings(threshold, convention)
+    _require_session_settings(threshold, convention, noise)
     sizes = [_require_int("n", n, 1) for n in n_range]  # every size before the first row
     rows = []
     for n in sizes:

@@ -40,6 +40,7 @@ from .statevector import (
     StateVector,
     _apply_network_raw,
     _require_convention,
+    _require_instance,
     _require_int,
     _require_normalized,
     inner_product,
@@ -90,7 +91,7 @@ def decode_bell(parity_bit: int, phase_bit: int) -> BellLabel:
 
 def bell_bits(label: BellLabel) -> tuple[int, int]:
     """Inverse of decode_bell: the (parity, phase) ancilla bits of a Bell state."""
-    index = BELL_DECODE_ORDER.index(label)
+    index = BELL_DECODE_ORDER.index(_require_instance("label", label, BellLabel))
     return index >> 1, index & 1
 
 

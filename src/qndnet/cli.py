@@ -208,7 +208,7 @@ def _run_bellop(args: argparse.Namespace) -> str:
 def _run_auth(args: argparse.Namespace) -> str:
     try:  # the library's own limits, checked before any draw
         noise = NoiseSpec(args.noise, args.p)
-        _require_session_settings(args.threshold, "paper")  # the sweep's convention
+        _require_session_settings(args.threshold, "paper", noise)  # the sweep's convention
     except ValueError as exc:
         args.error(str(exc))
     rows = security_sweep(

@@ -22,43 +22,39 @@ The network is built once (_parity_network) as a schedule of steps (gates,
 ancillas): append the ancillas in |0>, run the gates, measure and drop the
 ancillas in order.  Every measurement (Bell, GHZ at every n, the auth round)
 runs the staged schedule: each parity extraction, which commutes with the
-rest, is a one-ancilla step, so the live register stays at n + 1 qubits.  The
-flat gate list with all n ancillas live is kept only where a gate list is the
-contract (ghz_network_gate_list).  Each step's gates are compiled once
-(_compiled_network, statevector._compile_step): the ancillas' append and a
-run of CNOTs is one take through a composed permutation, and a Hadamard run
-is one layer kernel on the float64 view, each equal to the gates run one by
-one, byte for byte.  The auth round runs those dense steps, since its
-register carries the attacker's qubits.  GHZ shots look their own schedule up
-by (n, convention) (_ghz_network), where the data register is the whole
-register, so a prefix's dense row is mostly zeros: after k parity bits it
-can hold only the 2**(n-k) kets whose neighbor parities match the prefix.
-That schedule runs on compact rows, each holding only that support in ket
-order, through gather tables built once per (n, convention).  Each
-parity step is one gather that lays every row out interleaved by its next
-parity bit (_parity_step), so the split reads the dense row's nonzero terms
-in the dense row's order.  After the parity steps a row holds only
-(a_x_bar, a_x), x fixed by its parity prefix, and both layers are closed
-forms: the first (_first_layer) is a few sums per row, written interleaved
-by global parity so that the global-parity split needs no widening; that
-split normalizes only the one value per branch that the second layer reads;
-and the second (_second_layer) writes each leaf's value, up to sign, at x
-and x_bar of the dense leaf.  Every step equals its dense compiled twin byte
-for byte, weights and leaves.  One level builder (_branches)
-expands every measurement, one array pass per depth over all live bit
-prefixes: each depth's branch weights and normalized branches come from one
-stacked call (statevector._split_rows) that sums what the per-register
-measurement sums, in the same layout.  A state's first shot expands every
-branch at once and keeps the table in the memo slot (state, schedule, table),
-and later shots walk it (_state_table, statevector._walk), so each state runs
-its network once; a caller that takes one shot per fresh state pays for the
-whole table.  A shot tests the slot first (_shot).  When the slot holds the
-shot's state itself under the shot's convention, which the schedule names
-(_Schedule), the call that filled it has checked n, the convention and the
-norm of that immutable object, so the shot only checks its draws, walks the
-table and finishes its leaf.  Any other shot makes those checks, the
-convention first and before any cache, then expands the table; a state that
-fails one never enters the slot.
+rest, is a one-ancilla step, so the live register stays at n + 1 qubits.
+The flat gate list with all n ancillas live is kept only where a gate list
+is the contract (ghz_network_gate_list).  The auth round, whose register
+carries the attacker's qubits, runs each step on dense rows, gate by gate
+(_dense_network).  GHZ shots look their own schedule up by (n, convention)
+(_ghz_network), where the data register is the whole register, so a prefix's
+dense row is mostly zeros: after k parity bits it can hold only the 2**(n-k)
+kets whose neighbor parities match the prefix.  That schedule runs on
+compact rows, each holding only that support in ket order, through gather
+tables built once per (n, convention).  Each parity step is one gather that
+lays every row out interleaved by its next parity bit (_parity_step), so the
+split reads the dense row's nonzero terms in the dense row's order.  After
+the parity steps a row holds only (a_x_bar, a_x), x fixed by its parity
+prefix, and both layers are closed forms: the first (_first_layer) is a few
+sums per row, written interleaved by global parity, the order the
+global-parity split reads; that split normalizes only the one value per
+branch that the second layer reads; and the second (_second_layer) writes
+each leaf's value, up to sign, at x and x_bar of the dense leaf.  Every step
+equals its dense twin byte for byte, weights and leaves.  One level builder
+(_branches) expands every measurement, one array pass per depth over all
+live bit prefixes: each depth's branch weights and normalized branches come
+from one stacked call (statevector._split_rows) that sums what the
+per-register measurement sums, in the same layout.  A state's first shot
+expands every branch at once and keeps the table in the memo slot (state,
+schedule, table), and later shots walk it (_state_table, statevector._walk),
+so each state runs its network once; a caller that takes one shot per fresh
+state pays for the whole table.  A shot tests the slot first (_shot).  When
+the slot holds the shot's state itself under the shot's convention, which
+the schedule names (_Schedule), the call that filled it has checked n, the
+convention and the norm of that immutable object, so the shot only checks
+its draws, walks the table and finishes its leaf.  Any other shot makes
+those checks, the convention first and before any cache, then expands the
+table; a state that fails one never enters the slot.
 The table also keeps each leaf's finished outcome per outcome class, built by
 the first shot that reaches it, so later shots to that leaf return it.  Bell
 and GHZ shots share one finisher (_shot): it fills the class from the leaf's
@@ -91,8 +87,9 @@ from .statevector import (
     _SQRT_HALF,
     ZERO_BRANCH_PROB,
     StateVector,
-    _compile_step,
+    _apply_network_raw,
     _require_convention,
+    _require_instance,
     _require_int,
     _require_normalized,
     _split_rows,
@@ -164,7 +161,7 @@ def all_canonical_labels(n: int) -> list[GhzLabel]:
 
 def ghz_state(label: GhzLabel) -> StateVector:
     """(|x> + sign*|x_bar>)/sqrt2 for the canonical bitstring x of ``label``."""
-    n = label.n
+    n = _require_instance("label", label, GhzLabel).n
     _require_parts(n)
     amps = np.zeros(1 << n, dtype=np.complex128)
     index = int(label.bits, 2)
@@ -175,7 +172,7 @@ def ghz_state(label: GhzLabel) -> StateVector:
 
 def ghz_bits(label: GhzLabel) -> tuple[tuple[int, ...], int]:
     """Classical encoding of a label: neighbor parities and the phase bit."""
-    x = [int(c) for c in label.bits]
+    x = [int(c) for c in _require_instance("label", label, GhzLabel).bits]
     parities = tuple(x[i] ^ x[i + 1] for i in range(label.n - 1))
     return parities, 0 if label.sign == "+" else 1
 
@@ -184,7 +181,7 @@ def decode_ghz(
     part_parity_bits: Sequence[int], global_parity_bit: int, n: int
 ) -> GhzLabel:
     """Rebuild the canonical label from n-1 neighbor parities and the phase bit (ints, not bools)."""
-    if len(part_parity_bits) != n - 1:
+    if len(part_parity_bits) != _require_int("n", n, 2) - 1:
         raise ValueError(f"expected {n - 1} parity bits, got {len(part_parity_bits)}")
     for b in part_parity_bits:
         _require_int("parity bit", b, 0, 1)
@@ -219,11 +216,17 @@ def _parity_network(data_qubits: tuple[int, ...], ancilla_start: int, convention
     return tuple(steps) if staged else ((sum((gates for gates, _ in steps), ()), n),)
 
 
+def _dense_step(rows: np.ndarray, live: np.ndarray, gates: tuple, ancillas: int) -> np.ndarray:
+    """A step on dense rows (``live`` unread), gate by gate: ``ancillas`` appended in |0> to each row, then
+    ``gates``.  A -0.0 part enters as +0.0 (x + 0.0), as in the compact steps."""
+    return _apply_network_raw(rows + 0.0, gates, ancillas)
+
+
 @lru_cache(maxsize=None)
-def _compiled_network(data_qubits: tuple[int, ...], ancilla_start: int, convention: str) -> tuple:
-    """The staged schedule with each step's gates compiled once: ((kernels, ancillas), ...)."""
+def _dense_network(data_qubits: tuple[int, ...], ancilla_start: int, convention: str) -> tuple:
+    """The staged schedule on dense rows, one _dense_step kernel a step: ((kernel, ancillas), ...)."""
     steps = _parity_network(data_qubits, ancilla_start, convention, True)
-    return tuple((_compile_step(gates, ancillas, ancilla_start + ancillas), ancillas) for gates, ancillas in steps)
+    return tuple((partial(_dense_step, gates=gates, ancillas=ancillas), ancillas) for gates, ancillas in steps)
 
 
 class _Schedule(tuple):
@@ -241,7 +244,7 @@ class _Schedule(tuple):
 def _ghz_network(n: int, convention: str) -> _Schedule:
     """The GHZ register's own schedule on compact rows, looked up by (n, convention); n is checked once.
 
-    It measures what _compiled_network(tuple(range(n)), n, convention) measures, byte for byte, but each
+    It measures what _dense_network(tuple(range(n)), n, convention) measures, byte for byte, but each
     live prefix's row holds only its support in ket order: n - 1 neighbour-parity gathers (_parity_step),
     the first layer (_first_layer), which writes its rows interleaved by global parity, the global-parity
     split, which normalizes only the one value per branch that the second layer reads, and the second
@@ -276,7 +279,7 @@ def _parity_gathers(n: int) -> list:
 def _parity_step(rows: np.ndarray, live: np.ndarray, gather: tuple) -> np.ndarray:
     """A neighbour-parity step on compact rows: one gather lays each live prefix's support out interleaved
     by the step's parity bit, so _split_rows' stride-2 view reads branch b's kets in ket order, the nonzero
-    terms of the dense widened row's branch in the same order.  A -0.0 part enters as +0.0 (_widen's x + 0.0)."""
+    terms of the dense row's branch in the same order.  A -0.0 part enters as +0.0 (_dense_step's x + 0.0)."""
     out = rows.reshape(-1).take(_flat(gather, live))
     return np.add(out, 0.0, out=out)
 
@@ -325,12 +328,12 @@ def _flat(gather: tuple, live: np.ndarray) -> np.ndarray:
 
 def _first_layer(rows: np.ndarray, live: np.ndarray, n: int, select: tuple) -> np.ndarray:
     """The first Hadamard layer on compact rows (a_x_bar, a_x), x the canonical ket of the row's parity
-    prefix, its outputs interleaved by global parity so that the global-parity step needs no _widen.
+    prefix, its outputs interleaved by global parity so that the global-parity step splits them as they are.
 
     Every pass multiplies each part by s and adds or subtracts it and a +0.0, so A and B are a_x and
     a_x_bar times s n times in turn, and each output is one last sum fl(+-A +- B): A + B, 0.0 - (A + B),
     A - B or 0.0 - (A - B), the signed zeros included, plus the global-parity step's +0.0.  This is
-    _hadamard_passes byte for byte, the outputs reordered."""
+    the dense layer, gate by gate, byte for byte, the outputs reordered."""
     parts = rows.view(np.float64)
     for _ in range(n):
         np.multiply(parts, _SQRT_HALF, out=parts)
@@ -347,8 +350,8 @@ def _second_layer(rows: np.ndarray, live: np.ndarray, n: int, write: tuple, sign
 
     A branch holds one value v up to sign on its parity class, and its row holds only the first, at
     ket g.  The first pass pairs each ket with a zero, and every later pass doubles or cancels, so v is
-    multiplied by s once, then n - 1 times by s and added to itself; a minus is 0.0 - v.  This is
-    _hadamard_passes byte for byte."""
+    multiplied by s once, then n - 1 times by s and added to itself; a minus is 0.0 - v.  This is the
+    dense layer, gate by gate, byte for byte."""
     v = rows.reshape(-1)
     parts = v.view(np.float64)
     np.multiply(parts, _SQRT_HALF, out=parts)
@@ -366,19 +369,16 @@ def _second_layer(rows: np.ndarray, live: np.ndarray, n: int, write: tuple, sign
 def _branches(amps: np.ndarray, schedule: Sequence) -> tuple:
     """(weights, leaves) of a ``schedule`` on ``amps``, one array pass per depth over the live prefixes.
 
-    A step is (kernels, ancillas) or (kernels, ancillas, keep): a tuple of row kernels (compiled, on
-    dense rows), or one kernel of the GHZ register's compact rows called with the live prefixes the rows
-    stand for.  Its ancillas are the rows' last qubits; each is split off in turn, and ``keep``, if
-    given, is how many leading values of each branch the split normalizes and keeps.  weights[k][j] is
+    A step is (kernel, ancillas) or (kernel, ancillas, keep).  The kernel is called as kernel(rows, live),
+    live the prefixes the rows stand for (a dense step does not read them), or is () for a bare split.
+    The step's ancillas are the rows' last qubits; each is split off in turn, and ``keep``, if given,
+    is how many leading values of each branch the split normalizes and keeps.  weights[k][j] is
     the weight of the (k + 1)-bit prefix j given its first k bits (big-endian; 0.0 if dead), leaves[i]
     the register after bits i, a read-only view of a read-only block."""
     rows, live, weights = amps[None], [0], []
-    for kernels, ancillas, *keep in schedule:
-        if callable(kernels):
-            rows = kernels(rows, live)
-        else:
-            for kernel in kernels:  # rebinding frees each kernel's input before the next one runs
-                rows = kernel(rows)
+    for kernel, ancillas, *keep in schedule:
+        if kernel:
+            rows = kernel(rows, live)
         qubit = rows.shape[1].bit_length() - 1 - ancillas  # the step's first ancilla
         for _ in range(ancillas):  # every branch, all rows in one call
             w, rows = _split_rows(rows, qubit, *keep)

@@ -24,16 +24,15 @@ sealed ndarray block of leaves alive for as long as it lives.
 Randomness is always caller-supplied (an explicit draw in [0, 1)), never
 global, so runs are reproducible and trials can be parallelized safely.
 
-The GHZ level builder runs each network step compiled (_compile_step: one
-take per permutation run, one float64-view kernel per Hadamard run) and
-splits many registers per call (_split_rows); each equals the gate-by-gate
-kernels and the per-register split byte for byte, and those stay as the
-general path and the tests' reference; the auth round runs them.  The GHZ
-register's own schedule (ghz._ghz_network) runs on compact rows instead,
-each holding only the kets its dense row can hold, interleaved by the bit
-measured next, with closed-form Hadamard layers; _split_rows splits those
-rows too, with the same sums, and each step equals its dense twin byte for
-byte.
+One runner applies a network to dense rows, gate by gate, many registers
+per call (_apply_network_raw), and the level builder splits many registers
+per call (_split_rows), with the per-register split's sums, byte for byte.
+The auth round runs its schedule that way, and the tests take it as the
+reference.  The GHZ register's own schedule (ghz._ghz_network) runs on
+compact rows instead, each holding only the kets its dense row can hold,
+interleaved by the bit measured next, with closed-form Hadamard layers;
+_split_rows splits those rows too, with the same sums, and each step equals
+its dense twin byte for byte.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial, reduce
-from itertools import groupby
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -112,6 +110,13 @@ def _require_int(name: str, value, low: int, high: int | None = None) -> int:
     if value < low or (high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
+
+
+def _require_instance(name: str, value, kind: type):
+    """The one type check on a structured argument (a label, a noise spec): an instance of ``kind``, returned."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
     return value
 
 
@@ -399,104 +404,6 @@ def _drop_raw(amps: np.ndarray, qubit: int, bit: int) -> np.ndarray:
     return kept
 
 
-# -- compiled gate runs: the level builder's kernels, each equal to its gates run one by one, byte for byte --
-# Rows are (registers, 2**n) arrays; a kernel may overwrite its input, so pass an owned one.
-
-
-#: Amplitudes per block of rows in a Hadamard layer (512 KiB, and as much again for its scratch).
-_LAYER_BLOCK = 1 << 15
-
-#: Pair blocks shorter than this many amplitudes (but longer than one) iterate down the registers.
-_SHORT_PAIR_BLOCK = 8
-
-_HADAMARD_KINDS = (GateKind.HADAMARD_PAPER, GateKind.HADAMARD_STANDARD)
-
-
-def _widen(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """The rows with a zero column appended, gathered by ``perm``: a step's ancillas appended in |0>
-    and its first permutation in one take.  A -0.0 part enters as +0.0 (x + 0.0)."""
-    wide = np.empty((len(rows), rows.shape[1] + 1), dtype=np.complex128)
-    np.add(rows, 0.0, out=wide[:, :-1])
-    wide[:, -1] = 0.0
-    return wide.take(perm, axis=1)
-
-
-def _permute(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    return rows.take(perm, axis=1)
-
-
-def _hadamard_passes(rows: np.ndarray, passes: tuple) -> np.ndarray:
-    """One pass per (rest, paper, order) in turn, on the float64 view: t = s*a, then for each pair
-    block (a0, a1) of ``rest`` amplitudes, (t0 + t1, t0 - t1), or (t1 - t0, t0 + t1) in the paper form.
-
-    These are the complex kernel's sums exactly when no part of the input is -0.0, as after
-    _widen (u*a adds a signed 0*a that can only flip the sign of a zero).  ``order`` "F"
-    walks a short pair block down the registers instead, with the same sums.  Rows go through in
-    blocks of at most _LAYER_BLOCK amplitudes, each block through every pass while it is in cache.
-
-    Every compiled Hadamard run calls it: auth's round, whose register carries the attacker's
-    qubits, and any schedule built by _compile_step.  GHZ and Bell measurements do not: the GHZ
-    schedule's two layers are the closed forms ghz._first_layer and ghz._second_layer, which the
-    tests hold to this kernel byte for byte."""
-    block = max(1, _LAYER_BLOCK // rows.shape[1])
-    scratch = np.empty_like(rows[:block])
-    for start in range(0, len(rows), block):
-        part = rows[start : start + block]
-        scaled = scratch[: len(part)]
-        part_floats, scaled_floats = part.view(np.float64), scaled.view(np.float64)
-        for rest, paper, order in passes:
-            np.multiply(part_floats, _SQRT_HALF, out=scaled_floats)
-            t, m = scaled.reshape(-1, 2, rest), part.reshape(-1, 2, rest)
-            if paper:
-                np.subtract(t[:, 1], t[:, 0], out=m[:, 0], order=order)
-                np.add(t[:, 0], t[:, 1], out=m[:, 1], order=order)
-            else:
-                np.add(t[:, 0], t[:, 1], out=m[:, 0], order=order)
-                np.subtract(t[:, 0], t[:, 1], out=m[:, 1], order=order)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _compile_step(gates: tuple[GateOp, ...], ancillas: int, num_qubits: int) -> tuple:
-    """A step on ``num_qubits`` qubits (its ``ancillas`` included) as kernels, functions of owned rows.
-
-    Appending the ancillas in |0> (_widen) and each run of CNOT and X gates is one take through a
-    composed permutation, the append taking the first run's place; a run of Hadamards is one
-    _hadamard_passes call."""
-    for gate in gates:
-        if gate.max_index >= num_qubits:
-            raise ValueError(f"gate {gate} out of range for {num_qubits} qubits")
-    kernels = []
-    for hadamards, run in groupby(gates, key=lambda gate: gate.kind in _HADAMARD_KINDS):
-        if hadamards:
-            passes = []
-            for gate in run:
-                rest = 1 << (num_qubits - 1 - gate.target)
-                order = "F" if 1 < rest < _SHORT_PAIR_BLOCK else "K"
-                passes.append((rest, gate.kind is GateKind.HADAMARD_PAPER, order))
-            kernels.append(partial(_hadamard_passes, passes=tuple(passes)))
-        else:
-            # x[:, p][:, q] is x[:, p[q]]: the run is one gather
-            perm = reduce(lambda p, q: p[q], (_gate_permutation(num_qubits, gate) for gate in run))
-            perm.flags.writeable = False
-            kernels.append(partial(_permute, perm=perm))
-    if not ancillas:
-        return tuple(kernels)
-    index = np.arange(1 << num_qubits)  # an index with an ancilla bit set reads the zero column
-    perm = np.where(index % (1 << ancillas), 1 << (num_qubits - ancillas), index >> ancillas)
-    if kernels and kernels[0].func is _permute:
-        perm = perm[kernels.pop(0).keywords["perm"]]
-    perm.flags.writeable = False
-    return (partial(_widen, perm=perm), *kernels)
-
-
-def _gate_permutation(n: int, gate: GateOp) -> np.ndarray:
-    """A CNOT's or X's column gather: gate(x)[:, j] == x[:, perm[j]]."""
-    if gate.kind is GateKind.CNOT:
-        return _cnot_permutation(n, gate.control, gate.target)
-    return np.arange(1 << n) ^ (1 << (n - 1 - gate.target))
-
-
 def _split_rows(rows: np.ndarray, qubit: int, keep: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's branch weights (registers, 2), 0.0 where dead, and its branches (registers, 2, rest),
     each divided by its own norm, as a contiguous array (a dead branch, which the level builder
@@ -509,7 +416,7 @@ def _split_rows(rows: np.ndarray, qubit: int, keep: int | None = None) -> tuple[
     last qubit too: each holds a prefix's support interleaved by the measured bit, so the stride-2
     view reads a dense row's nonzero terms in the dense row's order, and the sums are the same.  The
     division is x * (1 / norm) on the float64 view, numpy's complex x / norm byte for byte when no
-    part is -0.0 (as after _widen)."""
+    part is -0.0, and the rows a step hands on carry none."""
     m = rows.reshape(len(rows), 1 << qubit, 2, -1)
     if m.shape[3] == 1:  # branch b of a row is row[b::2]
         branches = m[..., 0].swapaxes(1, 2)

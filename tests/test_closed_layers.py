@@ -1,16 +1,17 @@
-"""The GHZ register's closed-form Hadamard layers against the compiled passes and the gates, byte for byte."""
+"""The GHZ register's closed-form Hadamard layers against the dense steps and the gates, byte for byte."""
 
 import contextlib
 
 import numpy as np
 import pytest
 
+import qndnet.ghz as ghz
 import qndnet.statevector as statevector
 from qndnet.auth import AttackerModel, NoiseSpec, _run_round, _system_for, attacker_round_distribution, security_sweep
 from qndnet.bell import BellLabel, bell_branch_table, bell_state, run_bell_qnd
 from qndnet.ghz import (
     _branches,
-    _compiled_network,
+    _dense_network,
     _ghz_labels,
     _ghz_network,
     all_canonical_labels,
@@ -21,7 +22,6 @@ from qndnet.ghz import (
 from qndnet.statevector import (
     StateVector,
     _apply_gate_raw,
-    _compile_step,
     _split_rows,
     hadamard,
     random_state,
@@ -53,14 +53,15 @@ def interleaved_kets(n: int) -> np.ndarray:
 
 
 def layer_steps(n: int, convention: str) -> tuple:
-    """(closed first, closed second, compiled first, compiled second) layer kernels of the GHZ register.
+    """(closed first, closed second, dense first, dense second) layer steps of the GHZ register, each
+    called as step(rows, live).
 
     The closed layers run on compact rows, so here each is wrapped to take and give the dense rows the
-    compiled layer takes and gives: the first reads each row's support (a_x_bar, a_x) and puts its
+    dense layer takes and gives: the first reads each row's support (a_x_bar, a_x) and puts its
     interleaved outputs back in ket order; the second reads each branch at ket g, the one value its
     compact row keeps.  Each wrapper checks that the dense rows hold nothing off what it reads."""
-    closed, compiled = _ghz_network(n, convention), _compiled_network(tuple(range(n)), n, convention)
-    ((first,), _), ((second,), _) = compiled[n - 1], compiled[n + 1]
+    closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), n, convention)
+    (first, _), (second, _) = dense[n - 1], dense[n + 1]
     (closed_first, _), (closed_second, _) = closed[n - 1], closed[n + 1]
     full, order = (1 << n) - 1, interleaved_kets(n)
 
@@ -115,7 +116,7 @@ def first_layer_rows(n: int, convention: str, live: np.ndarray, a: np.ndarray, b
     rows = np.zeros((len(live), 1 << n), complex)
     rows[np.arange(len(live)), x] = a[: len(live)]
     rows[np.arange(len(live)), ((1 << n) - 1) ^ x] = b[: len(live)]
-    return rows + 0.0  # as _widen hands them on: no -0.0 part
+    return rows + 0.0  # as a dense step hands them on (x + 0.0): no -0.0 part
 
 
 def live_sets(rng, count: int) -> list:
@@ -128,23 +129,23 @@ def live_sets(rng, count: int) -> list:
 @pytest.mark.parametrize("n", range(2, 9))
 def test_first_layer_equals_the_passes_and_the_gates(n, convention):
     rng = np.random.default_rng(1300 + n)
-    closed, _, passes, _ = layer_steps(n, convention)
+    closed, _, dense, _ = layer_steps(n, convention)
     prefixes = 1 << (n - 1)
     for a, b in pair_values(rng, n, prefixes):
         for live in live_sets(rng, prefixes):
             rows = first_layer_rows(n, convention, live, a, b)
-            want = passes(rows.copy())
+            want = dense(rows.copy(), live)
             got = closed(rows.copy(), live)
             assert got.tobytes() == want.tobytes(), (live, a[0], b[0])
             assert got.tobytes() == gate_by_gate(rows.copy(), n, convention).tobytes()
 
 
 def second_layer_input(n: int, convention: str, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """(rows, live leaves) as the compiled global-parity step leaves them after the compiled first layer."""
-    _, _, passes, _ = layer_steps(n, convention)
-    rows = passes(first_layer_rows(n, convention, live, a, b))
-    (widen,), _ = _compiled_network(tuple(range(n)), n, convention)[n]
-    w, split = _split_rows(widen(rows), n)
+    """(rows, live leaves) as the dense global-parity step leaves them after the dense first layer."""
+    _, _, first, _ = layer_steps(n, convention)
+    rows = first(first_layer_rows(n, convention, live, a, b), live)
+    global_parity, _ = _dense_network(tuple(range(n)), n, convention)[n]
+    w, split = _split_rows(global_parity(rows, live), n)
     leaves = (2 * live[:, None] + [0, 1]).reshape(-1)
     keep = w.reshape(-1) > 0.0  # dead branches leave, as in the level builder
     return split.reshape(w.size, -1)[keep], leaves[keep]
@@ -154,14 +155,14 @@ def second_layer_input(n: int, convention: str, live: np.ndarray, a: np.ndarray,
 @pytest.mark.parametrize("n", range(2, 9))
 def test_second_layer_equals_the_passes_and_the_gates(n, convention):
     rng = np.random.default_rng(1400 + n)
-    _, closed, _, passes = layer_steps(n, convention)
+    _, closed, _, dense = layer_steps(n, convention)
     prefixes = 1 << (n - 1)
     for a, b in pair_values(rng, n, prefixes):
         for live in live_sets(rng, prefixes):
             rows, leaves = second_layer_input(n, convention, live, a, b)
             if not len(rows):
                 continue
-            want = passes(rows.copy())
+            want = dense(rows.copy(), leaves)
             got = closed(rows.copy(), leaves)
             assert got.tobytes() == want.tobytes(), (leaves, a[0], b[0])
             assert got.tobytes() == gate_by_gate(rows.copy(), n, convention).tobytes()
@@ -200,24 +201,24 @@ def assert_same_table(got: tuple, want: tuple) -> None:
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tables_equal_the_compiled_schedule(n, convention):
-    # the whole level builder: weights and leaves byte for byte against the compiled passes
+    # the whole level builder: weights and leaves byte for byte against the dense steps, gate by gate
     rng = np.random.default_rng(1500 + n)
-    closed, compiled = _ghz_network(n, convention), _compiled_network(tuple(range(n)), n, convention)
+    closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), n, convention)
     for amps in table_states(rng, n):
-        assert_same_table(_branches(amps, closed), _branches(amps, compiled))
+        assert_same_table(_branches(amps, closed), _branches(amps, dense))
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
 def test_negative_zero_twins_give_the_compiled_schedules_bytes(n, convention):
     rng = np.random.default_rng(1600 + n)
-    closed, compiled = _ghz_network(n, convention), _compiled_network(tuple(range(n)), n, convention)
+    closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), n, convention)
     for _ in range(3):
         parts = random_state(n, rng).amplitudes.view(np.float64).copy()
         parts[rng.random(parts.size) < 0.4] = -0.0
         parts /= np.linalg.norm(parts)
         for amps in (parts.view(np.complex128), (parts + 0.0).view(np.complex128)):
-            assert_same_table(_branches(amps, closed), _branches(amps, compiled))
+            assert_same_table(_branches(amps, closed), _branches(amps, dense))
 
 
 def prefix_kets(n: int, convention: str) -> list:
@@ -276,56 +277,42 @@ def test_compact_schedule_mirrors_the_compiled_schedule():
     # value per branch, the second layer; the same ancillas in the same places
     for n in range(2, 9):
         for convention in CONVENTIONS:
-            closed, compiled = _ghz_network(n, convention), _compiled_network(tuple(range(n)), n, convention)
-            assert len(closed) == len(compiled) == n + 2
-            assert [step[1] for step in closed] == [ancillas for _, ancillas in compiled] == [1] * (n - 1) + [0, 1, 0]
+            closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), n, convention)
+            assert len(closed) == len(dense) == n + 2
+            assert [step[1] for step in closed] == [ancillas for _, ancillas in dense] == [1] * (n - 1) + [0, 1, 0]
             names = ["_parity_step"] * (n - 1) + ["_first_layer", None, "_second_layer"]
             for step, name in zip(closed, names):
                 if name is None:
                     assert step == ((), 1, 1)
                 else:
                     assert len(step) == 2 and step[0].func.__name__ == name
-            # each gather reads what the compiled step's widen writes: a ket of the prefix's support
-            # at the column of its parity bit, the appended zero at the other
-            depths = prefix_kets(n, convention)
-            for k, rows in enumerate(depths[:-1]):
-                (widen,), _ = compiled[k]
-                perm = widen.keywords["perm"]
-                for p in range(len(rows)):
-                    for b in (0, 1):
-                        branch = depths[k + 1][2 * p + b]
-                        assert (perm[2 * branch + b] == branch).all()
-                        assert (perm[2 * branch + 1 - b] == 1 << n).all()
 
 
 @contextlib.contextmanager
-def counted_passes():
-    """Count _hadamard_passes calls; the kernel caches start over on entry and exit so none holds the counter."""
+def counted_dense_steps():
+    """Count ghz._dense_step calls; the dense schedules' cache starts over on entry and exit, so none keeps the
+    counter."""
     calls = []
-    real = statevector._hadamard_passes
+    real = ghz._dense_step
 
-    def counted(rows, passes):
-        calls.append(len(passes))
-        return real(rows, passes)
+    def counted(rows, live, gates, ancillas):
+        calls.append(len(gates))
+        return real(rows, live, gates, ancillas)
 
-    def clear():
-        for cached in (_compile_step, _compiled_network, _ghz_network):
-            cached.cache_clear()
-
-    statevector._hadamard_passes = counted
-    clear()
+    ghz._dense_step = counted
+    _dense_network.cache_clear()
     try:
         yield calls
     finally:
-        statevector._hadamard_passes = real
-        clear()
+        ghz._dense_step = real
+        _dense_network.cache_clear()
 
 
 def test_ghz_and_bell_measurements_never_run_the_passes():
     rng = np.random.default_rng(1700)
     states = {n: [random_state(n, rng) for _ in range(2)] + [ghz_state(all_canonical_labels(n)[1])] for n in range(2, 9)}
     draws = rng.random(8)
-    with counted_passes() as calls:
+    with counted_dense_steps() as calls:
         for n, group in states.items():
             for convention in CONVENTIONS:
                 for state in group:
@@ -350,6 +337,6 @@ def test_auth_rounds_still_run_the_passes_with_unchanged_output():
         return rows, dists, (bits, probability, post.tobytes())
 
     want = outputs()
-    with counted_passes() as calls:
+    with counted_dense_steps() as calls:
         got = outputs()
     assert calls and got == want

@@ -1,4 +1,4 @@
-"""The GHZ register's compact steps against the dense compiled steps they replace, byte for byte.
+"""The GHZ register's compact steps against the dense steps they replace, byte for byte.
 
 The GHZ schedule runs on compact rows: each live prefix's row holds only the kets its dense row
 can hold, in ket order.  Truncating both schedules after every step and expanding them with the one
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from test_closed_layers import assert_same_table, interleaved_kets, table_states
 
-from qndnet.ghz import _branches, _compiled_network, _ghz_network, all_canonical_labels, ghz_branch_table, ghz_state
+from qndnet.ghz import _branches, _dense_network, _ghz_network, all_canonical_labels, ghz_branch_table, ghz_state
 from qndnet.statevector import random_state
 
 CONVENTIONS = ("paper", "standard")
@@ -46,7 +46,7 @@ def layout(n: int, steps: int, key: int) -> tuple:
 
 
 def assert_steps_match(amps: np.ndarray, n: int, convention: str) -> None:
-    compact, dense = _ghz_network(n, convention), _compiled_network(tuple(range(n)), n, convention)
+    compact, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), n, convention)
     for steps in range(1, n + 3):
         (weights, rows), (want_weights, want_rows) = _branches(amps, compact[:steps]), _branches(amps, dense[:steps])
         assert [np.array(level).tobytes() for level in weights] == [np.array(level).tobytes() for level in want_weights]
@@ -86,7 +86,7 @@ def test_each_compact_step_equals_its_dense_step(n, convention):
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
 def test_compact_steps_on_negative_zero_twins(n, convention):
-    # an input's -0.0 parts enter as +0.0 in the first parity gather, as in the dense step's _widen
+    # an input's -0.0 parts enter as +0.0 in the first parity gather, as in the first dense step's x + 0.0
     rng = np.random.default_rng(2400 + n)
     for _ in range(3):
         parts = random_state(n, rng).amplitudes.view(np.float64).copy()
@@ -106,7 +106,7 @@ def test_compact_steps_on_every_ghz_basis_state(convention):
 
 @pytest.mark.parametrize(("n", "limit_mib"), [(7, 0.5), (8, 1.8)])
 def test_a_cold_table_allocates_no_dense_intermediates(n, limit_mib):
-    # the dense widened rows peaked at 0.57 and 2.08 MiB; the compact rows stay well below
+    # the dense rows peaked at 0.57 and 2.08 MiB; the compact rows stay well below
     rng = np.random.default_rng(2500 + n)
     ghz_branch_table(random_state(n, rng))  # schedule, gather and label tables built outside the trace
     state = random_state(n, rng)

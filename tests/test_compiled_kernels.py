@@ -1,4 +1,4 @@
-"""The level builder's compiled kernels against the gate-by-gate reference, byte for byte."""
+"""The level builder's stacked split, leaf products and signed zeros against their references, byte for byte."""
 
 from itertools import product
 
@@ -9,8 +9,8 @@ from qndnet.bell import BellQndOutcome, run_bell_qnd
 from qndnet.ghz import (
     GhzQndOutcome,
     _branches,
+    _dense_network,
     _ghz_network,
-    _parity_network,
     _table_rows,
     all_canonical_labels,
     ghz_branch_table,
@@ -20,17 +20,10 @@ from qndnet.ghz import (
 from qndnet.statevector import (
     MeasurementResult,
     StateVector,
-    _apply_gate_raw,
-    _apply_network_raw,
     _collapse_raw,
-    _compile_step,
     _split_raw,
     _split_rows,
-    _widen,
-    cnot,
-    hadamard,
     measure_qubit,
-    pauli_x,
     random_state,
 )
 
@@ -45,100 +38,6 @@ def random_rows(rng, registers: int, qubits: int) -> np.ndarray:
     if rng.random() < 0.3:
         rows.imag = 0.0  # a real-only register block
     return rows
-
-
-def random_gates(rng, qubits: int, count: int) -> tuple:
-    """Runs of CNOT/X and Hadamard gates (both conventions, repeated targets allowed)."""
-    gates = []
-    while len(gates) < count:
-        if rng.random() < 0.5:
-            for _ in range(rng.integers(1, 5)):
-                target = int(rng.integers(qubits))
-                if rng.random() < 0.2:
-                    gates.append(pauli_x(target))
-                else:
-                    control = int(rng.choice([q for q in range(qubits) if q != target]))
-                    gates.append(cnot(control, target))
-        else:
-            for _ in range(rng.integers(1, qubits + 2)):
-                gates.append(hadamard(int(rng.integers(qubits)), ("paper", "standard")[rng.integers(2)]))
-    return tuple(gates)
-
-
-def run_compiled(rows: np.ndarray, gates: tuple, qubits: int) -> np.ndarray:
-    for kernel in _compile_step(gates, 0, qubits):
-        rows = kernel(rows)
-    return rows
-
-
-def run_reference(rows: np.ndarray, gates: tuple, qubits: int) -> np.ndarray:
-    for gate in gates:
-        rows = _apply_gate_raw(rows, qubits, gate)
-    return rows
-
-
-@pytest.mark.parametrize("qubits", range(2, 15))
-def test_compiled_runs_equal_the_gates_one_by_one(qubits):
-    rng = np.random.default_rng(700 + qubits)
-    largest = min(256, max(1, (1 << 16) >> qubits))  # at most 2**16 amplitudes per case
-    for registers in sorted({1, 2, 3, largest, int(rng.integers(1, largest + 1))}):
-        for convention in ("paper", "standard"):
-            # a random mix of runs, and the GHZ network's own runs where it fits
-            runs = [random_gates(rng, qubits, 12)]
-            if qubits >= 4:
-                ((network, _),) = _parity_network(tuple(range(qubits // 2)), qubits // 2, convention, False)
-                runs.append(network)
-            for gates in runs:
-                rows = random_rows(rng, registers, qubits)
-                want = run_reference(rows.copy(), gates, qubits)
-                got = run_compiled(rows.copy(), gates, qubits)
-                assert got.tobytes() == want.tobytes(), (registers, convention, gates)
-
-
-def test_a_permutation_run_is_one_take_and_a_hadamard_run_one_layer():
-    gates = (cnot(0, 3), pauli_x(1), cnot(2, 3), hadamard(0), hadamard(1, "standard"), hadamard(0), cnot(1, 2))
-    kernels = _compile_step(gates, 0, 4)
-    assert [k.func.__name__ for k in kernels] == ["_permute", "_hadamard_passes", "_permute"]
-    assert len(kernels[1].keywords["passes"]) == 3
-    with pytest.raises(ValueError, match="out of range for 4 qubits"):
-        _compile_step((cnot(0, 4),), 1, 4)
-
-
-@pytest.mark.parametrize("ancillas", [0, 1, 2, 3])
-def test_compiled_steps_equal_the_network_runner(ancillas):
-    # a step appends its ancillas in |0> and runs its gates: _widen folds the append into the
-    # first permutation's take, or stands alone before a leading Hadamard run
-    rng = np.random.default_rng(750 + ancillas)
-    for qubits in range(2, 12 - ancillas):
-        size = qubits + ancillas
-        for gates in (random_gates(rng, size, 10), (hadamard(0),) + random_gates(rng, size, 6), ()):
-            rows = random_rows(rng, int(rng.integers(1, 9)), qubits)
-            got = rows.copy()
-            for kernel in _compile_step(gates, ancillas, size):
-                got = kernel(got)
-            assert got.tobytes() == _apply_network_raw(rows, gates, ancillas).tobytes(), (qubits, gates)
-
-
-def test_widened_rows_carry_no_negative_zero():
-    rows = np.array([[1.0, -0.0, complex(-0.0, -0.0), 0.5j]])
-    wide = _widen(rows, np.array([4, 0, 1, 4, 2, 3]))
-    assert np.array_equal(wide, [[0, 1, 0, 0, 0, 0.5j]])
-    parts = wide.view(np.float64)
-    assert not np.signbit(parts[parts == 0]).any()
-
-
-def test_hadamard_layers_need_rows_free_of_negative_zeros():
-    # u*a on complex numbers adds a signed 0*a, so a -0.0 part can flip the sign of a zero the
-    # float-view layer keeps; _widen turns every -0.0 into +0.0 before a layer runs
-    parts = np.array(list(product((0.0, -0.0, 1.0, -0.5), repeat=4)))  # (a0.re, a0.im, a1.re, a1.im)
-    rows = parts.reshape(-1).view(np.complex128)[None]
-    qubits = rows.shape[1].bit_length() - 1
-    for convention in ("paper", "standard"):
-        gates = (hadamard(qubits - 1, convention),)  # the last qubit pairs each (a0, a1)
-        raw = run_compiled(rows.copy(), gates, qubits)
-        assert raw.tobytes() != run_reference(rows.copy(), gates, qubits).tobytes()
-        clean = _widen(rows, np.arange(rows.shape[1]))
-        assert run_compiled(clean.copy(), gates, qubits).tobytes() == run_reference(clean, gates, qubits).tobytes()
 
 
 @pytest.mark.parametrize("rest", [1, 2, 8])
@@ -199,8 +98,7 @@ def test_table_probabilities_equal_the_list_product(n):
 
 @pytest.mark.parametrize("n", [2, 3, 7, 8])
 def test_negative_zero_parts_measure_as_their_positive_zero_twin(n):
-    # the compiled Hadamard layers equal the complex gates on inputs free of -0.0 parts; an
-    # input's -0.0 enters the register as +0.0, so the sign of a zero never reaches an outcome
+    # an input's -0.0 enters the register as +0.0, so the sign of a zero never reaches an outcome
     rng = np.random.default_rng(1100 + n)
     for convention in ("paper", "standard"):
         for k in range(4):
@@ -218,6 +116,23 @@ def test_negative_zero_parts_measure_as_their_positive_zero_twin(n):
             for (_, _, p, post), (_, _, q, twin_post) in zip(got, ghz_branch_table(twin_state, convention), strict=True):
                 assert p == q
                 assert (post is None and twin_post is None) or post.amplitudes.tobytes() == twin_post.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_dense_steps_hand_on_no_negative_zero(n):
+    # every dense step, of the GHZ register and of an auth-style round on qubits (0, n - 1), takes an
+    # input's -0.0 parts as +0.0: it equals the step on the +0.0 twin and hands on no -0.0 part
+    rng = np.random.default_rng(1200 + n)
+    for convention in ("paper", "standard"):
+        for data in (tuple(range(n)), (0, n - 1)):
+            for step, _ in _dense_network(data, n, convention):
+                parts = rng.standard_normal((3, 2 << n))
+                parts[rng.random(parts.shape) < 0.4] = -0.0
+                rows = parts.view(np.complex128)
+                got = step(rows.copy(), np.arange(3))
+                assert got.tobytes() == step(rows + 0.0, np.arange(3)).tobytes()
+                got_parts = got.view(np.float64)
+                assert not np.signbit(got_parts[got_parts == 0]).any()
 
 
 def test_states_and_outcomes_compare_by_value():

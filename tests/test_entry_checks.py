@@ -1,12 +1,31 @@
-"""Conventions, label tokens and seeds are checked at every public entry, before any cache:
-whatever their type, a bad one raises ValueError, never TypeError or AttributeError."""
+"""Conventions, labels, label tokens, noise arguments and seeds are checked at every public entry, before
+any cache or draw: whatever their type, a bad one raises ValueError, never TypeError or AttributeError."""
+
+import re
 
 import numpy as np
 import pytest
 
-from qndnet.auth import AttackerModel, attacker_round_distribution, enroll, security_sweep, verify_session
-from qndnet.bell import BellLabel, bell_branch_table, bell_premeasurement_state, parse_bell_label, run_bell_qnd
-from qndnet.ghz import ghz_branch_table, ghz_network_gate_list, hadamard_layer, parse_ghz_label, run_ghz_qnd
+from qndnet.auth import AttackerModel, apply_noise, attacker_round_distribution, enroll, security_sweep, verify_session
+from qndnet.bell import (
+    BellLabel,
+    bell_bits,
+    bell_branch_table,
+    bell_premeasurement_state,
+    bell_state,
+    parse_bell_label,
+    run_bell_qnd,
+)
+from qndnet.ghz import (
+    decode_ghz,
+    ghz_bits,
+    ghz_branch_table,
+    ghz_network_gate_list,
+    ghz_state,
+    hadamard_layer,
+    parse_ghz_label,
+    run_ghz_qnd,
+)
 from qndnet.statevector import random_state
 
 PAIR = random_state(2, np.random.default_rng(2900))
@@ -63,3 +82,44 @@ def test_random_state_takes_an_integer_seed_or_a_generator():
 def test_random_state_refuses_any_other_seed(seed):
     with pytest.raises(ValueError, match="seed must be"):
         random_state(3, seed)
+
+
+# name: a call with the noise argument and a Generator seed (a sweep takes an integer seed only)
+NOISE_ENTRIES = {
+    "verify_session": lambda noise, rng: verify_session(enroll(2), noise=noise, seed=rng),
+    "security_sweep": lambda noise, rng: security_sweep([1], AttackerModel.LEGITIMATE, 5, 1, noise=noise),
+    "apply_noise": lambda noise, rng: apply_noise(PAIR, noise, rng),
+}
+
+
+@pytest.mark.parametrize("noise", ["depolarizing", None, 0.1], ids=["model", "none", "p"])
+@pytest.mark.parametrize("name", NOISE_ENTRIES)
+def test_a_noise_that_is_no_noise_spec_raises_value_error_before_any_draw(name, noise):
+    rng = np.random.default_rng(2902)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="noise must be a NoiseSpec, got"):
+        NOISE_ENTRIES[name](noise, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize(
+    ("call", "label", "kind"),
+    [
+        (ghz_state, "+:101", "GhzLabel"),
+        (ghz_bits, "+:101", "GhzLabel"),
+        (bell_state, "phi+", "BellLabel"),
+        (bell_bits, None, "BellLabel"),
+        (lambda label: attacker_round_distribution(AttackerModel.ENTANGLED_DECOY, label), "phi+", "BellLabel"),
+    ],
+    ids=["ghz_state", "ghz_bits", "bell_state", "bell_bits", "attacker_round_distribution"],
+)
+def test_a_label_of_the_wrong_type_raises_value_error_naming_it(call, label, kind):
+    with pytest.raises(ValueError, match=re.escape(f"label must be a {kind}, got {label!r}")):
+        call(label)
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2", None], ids=["float", "bool", "str", "none"])
+def test_decode_ghz_takes_an_integer_part_count(n):
+    with pytest.raises(ValueError, match="n must be an integer count or index"):
+        decode_ghz((0,), 0, n)
+    assert decode_ghz((0,), 0, np.int64(2)) == decode_ghz((0,), 0, 2) == parse_ghz_label("+:11")

@@ -31,7 +31,10 @@ The groups ``auth.legitimate-depolarizing.n3`` and ``auth.decoy.n3`` (one
 security_sweep row at n = 3, depolarizing p = 0.1 and noiseless) hold
 * ``row_fixed``: a row of one trial, its cost apart from the sessions;
 * ``per_session``: (a row of AUTH_TRIALS trials - a row of one) / (AUTH_TRIALS - 1);
-each row timed as the fastest of ROW_REPEATS back-to-back calls.
+* ``round_oracle``: one warm attacker_round_distribution call for the group's
+  attacker (its dense schedule already built), the round oracle a row checks
+  its label engine against once per label in a process;
+each row or oracle call timed as the fastest of ROW_REPEATS back-to-back calls.
 Every source sees the same amplitudes, draws and sweep seeds, after one
 warm-up pass that fills the per-process caches; BLAS runs on one thread.
 """
@@ -59,7 +62,7 @@ BELL_LAYERS = ("fresh_shot", "warm_shot", "repeat_shot", "block_shot")
 BLOCK_SHOTS = 64
 #: Layers counted in minor page faults rather than timed.
 FAULT_LAYERS = ("cold_table_faults",)
-AUTH_LAYERS = ("row_fixed", "per_session")
+AUTH_LAYERS = ("row_fixed", "per_session", "round_oracle")
 #: (group name, attacker token, noise model) of the timed sweep rows, all at n = 3, p = 0.1.
 AUTH_CELLS = (("legitimate-depolarizing.n3", "legitimate", "depolarizing"), ("decoy.n3", "decoy", "none"))
 AUTH_TRIALS = 2501
@@ -122,12 +125,21 @@ def time_row(qn, attacker: str, noise: str, seed: int) -> dict[str, float]:
     spec = qn.NoiseSpec(noise, 0.1) if noise != "none" else qn.NoiseSpec()
     model = qn.AttackerModel(attacker)
     best = {}
-    for trials in (1, AUTH_TRIALS):
+
+    def timed(key, call, *args) -> None:
         for _ in range(ROW_REPEATS):
             start = time.perf_counter()
-            qn.security_sweep([3], model, trials, seed, spec)
-            best[trials] = min(best.get(trials, np.inf), time.perf_counter() - start)
-    return {"row_fixed": best[1], "per_session": (best[AUTH_TRIALS] - best[1]) / (AUTH_TRIALS - 1)}
+            call(*args)
+            best[key] = min(best.get(key, np.inf), time.perf_counter() - start)
+
+    for trials in (1, AUTH_TRIALS):
+        timed(trials, qn.security_sweep, [3], model, trials, seed, spec)
+    timed("round_oracle", qn.attacker_round_distribution, model, qn.BellLabel.PSI_MINUS)
+    return {
+        "row_fixed": best[1],
+        "per_session": (best[AUTH_TRIALS] - best[1]) / (AUTH_TRIALS - 1),
+        "round_oracle": best["round_oracle"],
+    }
 
 
 def quartiles(samples: list[float]) -> dict[str, float]:
