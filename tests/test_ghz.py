@@ -32,7 +32,9 @@ from qndnet.statevector import (
     _apply_network_raw,
     _measure_drop_raw,
     apply_gates,
+    cnot,
     fidelity_up_to_global_phase,
+    hadamard,
     make_basis_state,
     random_state,
 )
@@ -145,6 +147,20 @@ def test_gate_list_counts_n3():
     assert kinds[10:] == [GateKind.HADAMARD_PAPER] * 3
     assert [(g.control, g.target) for g in gates[:4]] == [(0, 3), (1, 3), (1, 4), (2, 4)]
     assert [(g.control, g.target) for g in gates[7:10]] == [(0, 5), (1, 5), (2, 5)]
+
+
+def definition_gate_list(n: int, convention: str) -> list:
+    """The network from its definition: parity CNOT pairs onto ancilla n + i, the layer, the chain onto
+    2n - 1, the layer."""
+    layer = [hadamard(q, convention) for q in range(n)]
+    parity = [cnot(q, n + i) for i in range(n - 1) for q in (i, i + 1)]
+    return parity + layer + [cnot(q, 2 * n - 1) for q in range(n)] + layer
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gate_list_follows_the_definition(n, convention):
+    assert ghz_network_gate_list(n, convention) == definition_gate_list(n, convention)
 
 
 def test_part_parity_sublist_writes_neighbor_parities():
