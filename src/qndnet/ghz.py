@@ -18,43 +18,42 @@ by n mod 2, so the runner XORs the raw global-parity ancilla with n mod 2
 before decoding; the reported phase bit is therefore canonical (0 <-> '+')
 under both conventions.
 
-The network is built once (_parity_network) as a schedule of steps (gates,
-ancillas): append the ancillas in |0>, run the gates, measure and drop the
-ancillas in order.  Every measurement (Bell, GHZ at every n, the auth round)
-runs the staged schedule: each parity extraction, which commutes with the
-rest, is a one-ancilla step, so the live register stays at n + 1 qubits.
-The flat gate list with all n ancillas live is kept only where a gate list
-is the contract (ghz_network_gate_list).  The auth round, whose register
-carries the attacker's qubits, runs each step on dense rows, gate by gate
-(_dense_network).  GHZ shots look their own schedule up by (n, convention)
-(_ghz_network), where the data register is the whole register, so a prefix's
-dense row is mostly zeros: after k parity bits it can hold only the 2**(n-k)
-kets whose neighbor parities match the prefix.  That schedule runs on
+The network is built once (_parity_network) as one staged schedule of steps
+(gates, ancillas): append the ancillas in |0>, run the gates, measure and drop
+the ancillas in order.  Every measurement (Bell, GHZ at every n, the auth
+round) runs it: each parity extraction, which commutes with the rest, is a
+one-ancilla step, so the live register stays at n + 1 qubits.  The public gate
+list with all n ancillas live (ghz_network_gate_list) is read off the same
+steps, the i-th one-ancilla step's CNOTs onto ancilla n + i.  The auth round,
+whose register carries the attacker's qubits, runs each step on dense rows,
+gate by gate (_dense_network).  GHZ shots look their own schedule up by (n,
+convention) (_ghz_network), where the data register is the whole register, so
+a prefix's dense row is mostly zeros: after k parity bits it can hold only the
+2**(n-k) kets whose neighbor parities match the prefix.  That schedule runs on
 compact rows, each holding only that support in ket order, through gather
 tables built once per (n, convention).  Each parity step is one gather that
 lays every row out interleaved by its next parity bit (_parity_step), so the
-split reads the dense row's nonzero terms in the dense row's order.  After
-the parity steps a row holds only (a_x_bar, a_x), x fixed by its parity
-prefix, and both layers are closed forms: the first (_first_layer) is a few
-sums per row, written interleaved by global parity, the order the
-global-parity split reads; that split normalizes only the one value per
-branch that the second layer reads; and the second (_second_layer) writes
-each leaf's value, up to sign, at x and x_bar of the dense leaf.  Every step
-equals its dense twin byte for byte, weights and leaves.  One level builder
-(_branches) expands every measurement, one array pass per depth over all
-live bit prefixes: each depth's branch weights and normalized branches come
-from one stacked call (statevector._split_rows) that sums what the
-per-register measurement sums, in the same layout.  A state's first shot
-expands every branch at once and keeps the table in the memo slot (state,
-schedule, table), and later shots walk it (_state_table, statevector._walk),
-so each state runs its network once; a caller that takes one shot per fresh
-state pays for the whole table.  A shot tests the slot first (_shot).  When
-the slot holds the shot's state itself under the shot's convention, which
-the schedule names (_Schedule), the call that filled it has checked n, the
-convention and the norm of that immutable object, so the shot only checks
-its draws, walks the table and finishes its leaf.  Any other shot makes
-those checks, the convention first and before any cache, then expands the
-table; a state that fails one never enters the slot.
+split reads the dense row's nonzero terms in the dense row's order.  After the
+parity steps a row holds only (a_x_bar, a_x), x fixed by its parity prefix,
+and both layers are closed forms: the first (_first_layer) is a few sums per
+row, written interleaved by global parity, the order the global-parity split
+reads; that split normalizes only the one value per branch that the second
+layer reads; and the second (_second_layer) writes each leaf's value, up to
+sign, at x and x_bar of the dense leaf.  Every step equals its dense twin byte
+for byte, weights and leaves.  One level builder (_branches) expands every
+measurement, one array pass per depth over all live bit prefixes: each depth's
+branch weights and normalized branches come from one stacked call
+(statevector._split_rows) that sums what the per-register measurement sums, in
+the same layout.  A state's first shot expands every branch at once and keeps
+the table in the memo slot (state, schedule, table), and later shots walk it
+(_state_table, statevector._walk), so each state runs its network once; a
+caller that takes one shot per fresh state pays for the whole table.  A shot
+tests the slot first (_shot).  When the slot holds the shot's state itself
+under the shot's convention, which the schedule names (_Schedule), the call
+that filled it has checked n, the convention and the norm of that immutable
+object, so the shot only checks its draws, walks the table and finishes its
+leaf.  Any other shot makes those checks, the convention first and before any
+cache, then expands the table; a state that fails one never enters the slot.
 The table also keeps each leaf's finished outcome per outcome class, built by
 the first shot that reaches it, so later shots to that leaf return it.  Bell
 and GHZ shots share one finisher (_shot): it fills the class from the leaf's
@@ -193,27 +192,19 @@ def decode_ghz(
 
 
 @lru_cache(maxsize=None)
-def _parity_network(data_qubits: tuple[int, ...], ancilla_start: int, convention: str, staged: bool) -> tuple:
+def _parity_network(data_qubits: tuple[int, ...], ancilla_start: int, convention: str) -> tuple:
     """The network on ``data_qubits`` as a schedule of steps (gates, ancillas).
 
     A step appends ``ancillas`` qubits in |0> from index ``ancilla_start``,
-    runs ``gates``, then measures and drops those ancillas in order.  Ancilla
-    i < n - 1 takes the parity of data qubits i and i + 1; the last one takes
-    the global parity between two Hadamard layers.  Staged, the schedule every
-    measurement runs, each ancilla's CNOT run targets ``ancilla_start`` in a step
-    of its own and each layer is a 0-ancilla step.  Unstaged, it is one step with
-    all n ancillas live from ``ancilla_start`` on: the flat gate list of
-    ghz_network_gate_list and the operator compatibility check.
+    runs ``gates``, then measures and drops those ancillas in order.  The
+    i-th one-ancilla step, i < n - 1, takes the parity of data qubits i and
+    i + 1; the last one takes the global parity between two Hadamard layers,
+    each a 0-ancilla step.
     """
-    n = len(data_qubits)
     layer = tuple(hadamard(q, convention) for q in data_qubits)
-    controls = [data_qubits[i : i + 2] for i in range(n - 1)] + [data_qubits]
-    runs = [
-        tuple(cnot(q, ancilla_start + (0 if staged else i)) for q in qubits)
-        for i, qubits in enumerate(controls)
-    ]
-    steps = [(run, 1) for run in runs[:-1]] + [(layer, 0), (runs[-1], 1), (layer, 0)]
-    return tuple(steps) if staged else ((sum((gates for gates, _ in steps), ()), n),)
+    controls = [data_qubits[i : i + 2] for i in range(len(data_qubits) - 1)] + [data_qubits]
+    runs = [tuple(cnot(q, ancilla_start) for q in qubits) for qubits in controls]
+    return (*((run, 1) for run in runs[:-1]), (layer, 0), (runs[-1], 1), (layer, 0))
 
 
 def _dense_step(rows: np.ndarray, live: np.ndarray, gates: tuple, ancillas: int) -> np.ndarray:
@@ -225,7 +216,7 @@ def _dense_step(rows: np.ndarray, live: np.ndarray, gates: tuple, ancillas: int)
 @lru_cache(maxsize=None)
 def _dense_network(data_qubits: tuple[int, ...], ancilla_start: int, convention: str) -> tuple:
     """The staged schedule on dense rows, one _dense_step kernel a step: ((kernel, ancillas), ...)."""
-    steps = _parity_network(data_qubits, ancilla_start, convention, True)
+    steps = _parity_network(data_qubits, ancilla_start, convention)
     return tuple((partial(_dense_step, gates=gates, ancillas=ancillas), ancillas) for gates, ancillas in steps)
 
 
@@ -465,14 +456,18 @@ def _shot(
 
 
 def ghz_network_gate_list(n: int, convention: str = "paper") -> list:
-    """Gate list over n data qubits (0..n-1) plus n ancillas (n..2n-1).
+    """Gate list over n data qubits (0..n-1) plus n ancillas (n..2n-1), all live at once.
 
     Neighbor-parity CNOT pairs, a Hadamard layer, the global-parity CNOT
     chain, and a second Hadamard layer.  For n = 2 this is the Bell network.
+    It is the staged schedule's gates in order, the i-th one-ancilla step's
+    CNOTs retargeted to ancilla n + i.
     """
-    _require_parts(n)
-    ((gates, _),) = _parity_network(tuple(range(n)), n, _require_convention(convention), False)
-    return list(gates)
+    gates, target = [], _require_parts(n)
+    for run, ancillas in _parity_network(tuple(range(n)), n, _require_convention(convention)):
+        gates += [cnot(gate.control, target) for gate in run] if ancillas else run
+        target += ancillas
+    return gates
 
 
 def hadamard_layer(state: StateVector, convention: str = "standard") -> StateVector:
