@@ -22,7 +22,7 @@ The network is built once (_parity_network) as one staged schedule of steps
 (gates, ancillas): append the ancillas in |0>, run the gates, measure and drop
 the ancillas in order.  Every measurement (Bell, GHZ at every n, the auth
 round) runs it: each parity extraction, which commutes with the rest, is a
-one-ancilla step, so the live register stays at n + 1 qubits.  The public gate
+one-ancilla step, so the live register stays at n + 1 qubits.  The flat gate
 list with all n ancillas live (ghz_network_gate_list) is read off the same
 steps, the i-th one-ancilla step's CNOTs onto ancilla n + i.  The auth round,
 whose register carries the attacker's qubits, runs each step on dense rows,
@@ -33,27 +33,28 @@ a prefix's dense row is mostly zeros: after k parity bits it can hold only the
 compact rows, each holding only that support in ket order, through gather
 tables built once per (n, convention).  Each parity step is one gather that
 lays every row out interleaved by its next parity bit (_parity_step), so the
-split reads the dense row's nonzero terms in the dense row's order.  After the
-parity steps a row holds only (a_x_bar, a_x), x fixed by its parity prefix,
-and both layers are closed forms: the first (_first_layer) is a few sums per
-row, written interleaved by global parity, the order the global-parity split
-reads; that split normalizes only the one value per branch that the second
-layer reads; and the second (_second_layer) writes each leaf's value, up to
-sign, at x and x_bar of the dense leaf.  Every step equals its dense twin byte
-for byte, weights and leaves.  One level builder (_branches) expands every
-measurement, one array pass per depth over all live bit prefixes: each depth's
-branch weights and normalized branches come from one stacked call
-(statevector._split_rows) that sums what the per-register measurement sums, in
-the same layout.  A state's first shot expands every branch at once and keeps
-the table in the memo slot (state, schedule, table), and later shots walk it
-(_state_table, statevector._walk), so each state runs its network once; a
-caller that takes one shot per fresh state pays for the whole table.  A shot
-tests the slot first (_shot).  When the slot holds the shot's state itself
-under the shot's convention, which the schedule names (_Schedule), the call
-that filled it has checked n, the convention and the norm of that immutable
-object, so the shot only checks its draws, walks the table and finishes its
-leaf.  Any other shot makes those checks, the convention first and before any
-cache, then expands the table; a state that fails one never enters the slot.
+split reads the dense row's nonzero terms in the dense row's order.  After
+the parity steps a row holds only (a_x_bar, a_x), x fixed by its parity
+prefix, and both layers are closed forms: the first (_first_layer) is a few
+sums per row, written interleaved by global parity, the order the
+global-parity split reads; that split normalizes only the one value per
+branch that the second layer reads; and the second (_second_layer) writes
+each leaf's value, up to sign, at x and x_bar of the dense leaf.  Every step
+equals its dense twin byte for byte, weights and leaves.  One level builder
+(_branches) expands every measurement, one array pass per depth over all
+live bit prefixes: each depth's branch weights and normalized branches come
+from one stacked call (statevector._split_rows) that sums what the
+per-register measurement sums, in the same layout.  A state's first shot
+expands every branch at once and keeps the table in the memo slot (state,
+schedule, table), and later shots walk it (_state_table, statevector._walk),
+so each state runs its network once; a caller that takes one shot per fresh
+state pays for the whole table.  A shot tests the slot first (_shot).  When
+the slot holds the shot's state itself under the shot's convention, which
+the schedule names (_Schedule), the call that filled it has checked n, the
+convention and the norm of that immutable object, so the shot only checks
+its draws, walks the table and finishes its leaf.  Any other shot makes
+those checks, the convention first and before any cache, then expands the
+table; a state that fails one never enters the slot.
 The table also keeps each leaf's finished outcome per outcome class, built by
 the first shot that reaches it, so later shots to that leaf return it.  Bell
 and GHZ shots share one finisher (_shot): it fills the class from the leaf's

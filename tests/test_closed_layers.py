@@ -1,4 +1,4 @@
-"""The GHZ register's closed-form Hadamard layers against the dense steps and the gates, byte for byte."""
+"""The GHZ register's closed-form Hadamard layers against the dense steps, byte for byte."""
 
 import contextlib
 
@@ -10,7 +10,6 @@ import qndnet.statevector as statevector
 from qndnet.auth import AttackerModel, NoiseSpec, _run_round, _system_for, attacker_round_distribution, security_sweep
 from qndnet.bell import BellLabel, bell_branch_table, bell_state, run_bell_qnd
 from qndnet.ghz import (
-    _branches,
     _dense_network,
     _ghz_labels,
     _ghz_network,
@@ -19,13 +18,7 @@ from qndnet.ghz import (
     ghz_state,
     run_ghz_qnd,
 )
-from qndnet.statevector import (
-    StateVector,
-    _apply_gate_raw,
-    _split_rows,
-    hadamard,
-    random_state,
-)
+from qndnet.statevector import StateVector, _split_rows, random_state
 
 CONVENTIONS = ("paper", "standard")
 SUBNORMAL = (5e-324, 3e-310, 1e-308)
@@ -83,12 +76,6 @@ def layer_steps(n: int, convention: str) -> tuple:
     return dense_first, dense_second, first, second
 
 
-def gate_by_gate(rows: np.ndarray, n: int, convention: str) -> np.ndarray:
-    for q in range(n):
-        rows = _apply_gate_raw(rows, n, hadamard(q, convention))
-    return rows
-
-
 def pair_values(rng, n: int, count: int) -> list:
     """(a_x, a_x_bar) per row, in every shape the parity steps can hand the first layer."""
     a, b = rng.standard_normal((2, count)) + 1j * rng.standard_normal((2, count))
@@ -127,7 +114,7 @@ def live_sets(rng, count: int) -> list:
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_first_layer_equals_the_passes_and_the_gates(n, convention):
+def test_first_layer_equals_the_dense_layer(n, convention):
     rng = np.random.default_rng(1300 + n)
     closed, _, dense, _ = layer_steps(n, convention)
     prefixes = 1 << (n - 1)
@@ -137,7 +124,6 @@ def test_first_layer_equals_the_passes_and_the_gates(n, convention):
             want = dense(rows.copy(), live)
             got = closed(rows.copy(), live)
             assert got.tobytes() == want.tobytes(), (live, a[0], b[0])
-            assert got.tobytes() == gate_by_gate(rows.copy(), n, convention).tobytes()
 
 
 def second_layer_input(n: int, convention: str, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -153,7 +139,7 @@ def second_layer_input(n: int, convention: str, live: np.ndarray, a: np.ndarray,
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_second_layer_equals_the_passes_and_the_gates(n, convention):
+def test_second_layer_equals_the_dense_layer(n, convention):
     rng = np.random.default_rng(1400 + n)
     _, closed, _, dense = layer_steps(n, convention)
     prefixes = 1 << (n - 1)
@@ -165,60 +151,7 @@ def test_second_layer_equals_the_passes_and_the_gates(n, convention):
             want = dense(rows.copy(), leaves)
             got = closed(rows.copy(), leaves)
             assert got.tobytes() == want.tobytes(), (leaves, a[0], b[0])
-            assert got.tobytes() == gate_by_gate(rows.copy(), n, convention).tobytes()
             assert (np.count_nonzero(got, axis=1) <= 2).all()
-
-
-def table_states(rng, n: int) -> list:
-    """Random, basis, GHZ, real, zero-laced, subnormal-laced and slightly unnormalized states."""
-    size = 1 << n
-    states = [random_state(n, rng).amplitudes for _ in range(3)]
-    states += [np.eye(size)[k] + 0j for k in rng.choice(size, 3)]
-    states += [ghz_state(label).amplitudes for label in all_canonical_labels(n)[:4]]
-    real = rng.standard_normal(size)
-    states.append(real / np.linalg.norm(real) + 0j)
-    laced = random_state(n, rng).amplitudes.copy()
-    laced[rng.random(size) < 0.4] = 0.0
-    laced[0] = 0.5
-    states.append(laced / np.linalg.norm(laced))
-    for re in SUBNORMAL:
-        amps = np.full(size, complex(re, 0.6)) / np.sqrt(size)
-        amps[size // 2 :] = complex(3 * re, 0.8) / np.sqrt(size)
-        states.append(amps)
-    off = random_state(n, rng).amplitudes
-    states += [off * (1 + 9e-9), off * (1 - 9e-9)]
-    return states
-
-
-def assert_same_table(got: tuple, want: tuple) -> None:
-    """Equal (weights, leaves) byte for byte: every level's weights, the live leaves and their registers."""
-    (weights, leaves), (want_weights, want_leaves) = got, want
-    assert [np.array(level).tobytes() for level in weights] == [np.array(level).tobytes() for level in want_weights]
-    assert leaves.keys() == want_leaves.keys()
-    assert all(leaves[i].tobytes() == want_leaves[i].tobytes() for i in leaves)
-
-
-@pytest.mark.parametrize("convention", CONVENTIONS)
-@pytest.mark.parametrize("n", range(2, 9))
-def test_tables_equal_the_compiled_schedule(n, convention):
-    # the whole level builder: weights and leaves byte for byte against the dense steps, gate by gate
-    rng = np.random.default_rng(1500 + n)
-    closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), n, convention)
-    for amps in table_states(rng, n):
-        assert_same_table(_branches(amps, closed), _branches(amps, dense))
-
-
-@pytest.mark.parametrize("convention", CONVENTIONS)
-@pytest.mark.parametrize("n", range(2, 9))
-def test_negative_zero_twins_give_the_compiled_schedules_bytes(n, convention):
-    rng = np.random.default_rng(1600 + n)
-    closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), n, convention)
-    for _ in range(3):
-        parts = random_state(n, rng).amplitudes.view(np.float64).copy()
-        parts[rng.random(parts.size) < 0.4] = -0.0
-        parts /= np.linalg.norm(parts)
-        for amps in (parts.view(np.complex128), (parts + 0.0).view(np.complex128)):
-            assert_same_table(_branches(amps, closed), _branches(amps, dense))
 
 
 def prefix_kets(n: int, convention: str) -> list:
@@ -272,7 +205,7 @@ def test_layer_tables_follow_the_hadamard_signs(n, convention):
         assert list(signs[leaf]) == [s[leaf & 1, xp] < 0, s[leaf & 1, full ^ xp] < 0]
 
 
-def test_compact_schedule_mirrors_the_compiled_schedule():
+def test_compact_schedule_mirrors_the_dense_schedule():
     # step for step: n - 1 parity gathers, the first layer, the global-parity split that keeps one
     # value per branch, the second layer; the same ancillas in the same places
     for n in range(2, 9):
@@ -308,7 +241,7 @@ def counted_dense_steps():
         _dense_network.cache_clear()
 
 
-def test_ghz_and_bell_measurements_never_run_the_passes():
+def test_ghz_and_bell_measurements_never_run_a_dense_step():
     rng = np.random.default_rng(1700)
     states = {n: [random_state(n, rng) for _ in range(2)] + [ghz_state(all_canonical_labels(n)[1])] for n in range(2, 9)}
     draws = rng.random(8)
@@ -324,7 +257,7 @@ def test_ghz_and_bell_measurements_never_run_the_passes():
     assert calls == []
 
 
-def test_auth_rounds_still_run_the_passes_with_unchanged_output():
+def test_auth_rounds_run_the_dense_steps_with_unchanged_output():
     noise = NoiseSpec("depolarizing", 0.1)
     system = _system_for(AttackerModel.ENTANGLED_DECOY, bell_state(BellLabel.PSI_MINUS).amplitudes, np.random.default_rng(0))
     draws = np.array([0.3, 0.8])

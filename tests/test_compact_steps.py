@@ -1,16 +1,17 @@
 """The GHZ register's compact steps against the dense steps they replace, byte for byte.
 
 The GHZ schedule runs on compact rows: each live prefix's row holds only the kets its dense row
-can hold, in ket order.  Truncating both schedules after every step and expanding them with the one
-level builder pins each compact step to its dense twin: the same weights at every level, the same
-live rows, and each compact row the dense row's support in the compact row's order, with the dense
-row zero everywhere else."""
+can hold, in ket order.  Expanding both schedules once with the one level builder, each step
+recording the rows and live prefixes it receives, pins each compact step to its dense twin: the
+same weights at every level, the same live rows after every step, and each compact row the dense
+row's support in the compact row's order, with the dense row zero everywhere else."""
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from test_closed_layers import assert_same_table, interleaved_kets, table_states
+from test_closed_layers import SUBNORMAL, interleaved_kets
 
 from qndnet.ghz import _branches, _dense_network, _ghz_network, all_canonical_labels, ghz_branch_table, ghz_state
 from qndnet.statevector import random_state
@@ -28,37 +29,84 @@ def prefix_support(n: int, prefix: int, depth: int) -> np.ndarray:
     return kets[held]
 
 
-def layout(n: int, steps: int, key: int) -> tuple:
-    """(the kets a dense row of ``key`` can hold after ``steps`` steps, in the compact row's order, and how
-    many of them the compact row keeps).
+@lru_cache(maxsize=None)
+def layout(n: int, steps: int) -> tuple:
+    """For every key a row can have after ``steps`` steps: (the kets its dense row can hold, in the compact
+    row's order, cut to the ones the compact row keeps; True on every ket its dense row cannot hold).
 
     After the parity steps a row holds its prefix's support; after the first layer every ket, the j-th
     ket of weight parity g at 2j + g; after the global-parity split its parity class, of which it keeps
-    the first; after the second layer the dense leaf."""
+    the first.  The second layer's dense leaves are the level builder's leaves."""
+    kets = np.arange(1 << n)
     if steps < n:
-        return prefix_support(n, key, steps), None
-    if steps == n:
-        return interleaved_kets(n), None
-    if steps == n + 1:
-        kets = np.arange(1 << n)
-        return kets[sum((kets >> k) & 1 for k in range(n)) & 1 == key & 1], 1
-    return np.arange(1 << n), None
+        held = [prefix_support(n, key, steps) for key in range(1 << steps)]
+    elif steps == n:
+        held = [interleaved_kets(n)] * (1 << (n - 1))
+    else:
+        parity = sum((kets >> k) & 1 for k in range(n)) & 1
+        held = [kets[parity == key & 1] for key in range(1 << n)]
+    off = np.ones((len(held), 1 << n), bool)
+    for key, row in enumerate(held):
+        off[key, row] = False
+    keep = 1 if steps > n else None
+    return np.array([row[:keep] for row in held]), off
+
+
+def recorded(schedule) -> tuple:
+    """(the schedule with each step's kernel wrapped to record a copy of the rows and live prefixes it
+    receives, that record).  A bare split gets a kernel that hands its rows on as they are."""
+    seen = []
+
+    def record(kernel):
+        def step(rows, live):
+            seen.append((rows.copy(), np.array(live)))
+            return kernel(rows, live) if kernel else rows
+
+        return step
+
+    return [(record(kernel), *rest) for kernel, *rest in schedule], seen
+
+
+def assert_same_table(got: tuple, want: tuple) -> None:
+    """Equal (weights, leaves) byte for byte: every level's weights, the live leaves and their registers."""
+    (weights, leaves), (want_weights, want_leaves) = got, want
+    assert [np.array(level).tobytes() for level in weights] == [np.array(level).tobytes() for level in want_weights]
+    assert leaves.keys() == want_leaves.keys()
+    assert all(leaves[i].tobytes() == want_leaves[i].tobytes() for i in leaves)
 
 
 def assert_steps_match(amps: np.ndarray, n: int, convention: str) -> None:
-    compact, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), n, convention)
-    for steps in range(1, n + 3):
-        (weights, rows), (want_weights, want_rows) = _branches(amps, compact[:steps]), _branches(amps, dense[:steps])
-        assert [np.array(level).tobytes() for level in weights] == [np.array(level).tobytes() for level in want_weights]
-        assert rows.keys() == want_rows.keys()
-        for key, row in rows.items():
-            kets, keep = layout(n, steps, key)
-            want = want_rows[key]
-            assert row.tobytes() == want[kets[:keep]].tobytes(), (steps, key)
-            off = np.ones(1 << n, bool)
-            off[kets] = False
-            assert not want[off].any()
-    assert_same_table((weights, rows), (want_weights, want_rows))
+    """One expansion per schedule: the rows every step receives, which are the rows after the steps
+    before it, then the leaves after the last step, with the weights of every level."""
+    compact, got = recorded(_ghz_network(n, convention))
+    dense, want = recorded(_dense_network(tuple(range(n)), n, convention))
+    assert_same_table(_branches(amps, compact), _branches(amps, dense))
+    for steps, ((rows, live), (want_rows, want_live)) in enumerate(zip(got, want, strict=True)):
+        assert live.tolist() == want_live.tolist(), steps
+        kept, off = layout(n, steps)
+        assert rows.tobytes() == want_rows[np.arange(len(live))[:, None], kept[live]].tobytes(), steps
+        assert not want_rows[off[live]].any(), steps
+
+
+def table_states(rng, n: int) -> list:
+    """Random, basis, GHZ, real, zero-laced, subnormal-laced and slightly unnormalized states."""
+    size = 1 << n
+    states = [random_state(n, rng).amplitudes for _ in range(3)]
+    states += [np.eye(size)[k] + 0j for k in rng.choice(size, 3)]
+    states += [ghz_state(label).amplitudes for label in all_canonical_labels(n)[:4]]
+    real = rng.standard_normal(size)
+    states.append(real / np.linalg.norm(real) + 0j)
+    laced = random_state(n, rng).amplitudes.copy()
+    laced[rng.random(size) < 0.4] = 0.0
+    laced[0] = 0.5
+    states.append(laced / np.linalg.norm(laced))
+    for re in SUBNORMAL:
+        amps = np.full(size, complex(re, 0.6)) / np.sqrt(size)
+        amps[size // 2 :] = complex(3 * re, 0.8) / np.sqrt(size)
+        states.append(amps)
+    off = random_state(n, rng).amplitudes
+    states += [off * (1 + 9e-9), off * (1 - 9e-9)]
+    return states
 
 
 def dead_prefix_states(rng, n: int) -> list:
@@ -79,7 +127,8 @@ def dead_prefix_states(rng, n: int) -> list:
 @pytest.mark.parametrize("n", range(2, 9))
 def test_each_compact_step_equals_its_dense_step(n, convention):
     rng = np.random.default_rng(2300 + n)
-    for amps in table_states(rng, n) + dead_prefix_states(rng, n):
+    states = table_states(rng, n) + dead_prefix_states(rng, n) + table_states(np.random.default_rng(1500 + n), n)
+    for amps in states:
         assert_steps_match(amps, n, convention)
 
 
@@ -87,13 +136,13 @@ def test_each_compact_step_equals_its_dense_step(n, convention):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_compact_steps_on_negative_zero_twins(n, convention):
     # an input's -0.0 parts enter as +0.0 in the first parity gather, as in the first dense step's x + 0.0
-    rng = np.random.default_rng(2400 + n)
-    for _ in range(3):
-        parts = random_state(n, rng).amplitudes.view(np.float64).copy()
-        parts[rng.random(parts.size) < 0.4] = -0.0
-        parts /= np.linalg.norm(parts)
-        for amps in (parts.view(np.complex128), (parts + 0.0).view(np.complex128)):
-            assert_steps_match(amps, n, convention)
+    for rng in (np.random.default_rng(2400 + n), np.random.default_rng(1600 + n)):
+        for _ in range(3):
+            parts = random_state(n, rng).amplitudes.view(np.float64).copy()
+            parts[rng.random(parts.size) < 0.4] = -0.0
+            parts /= np.linalg.norm(parts)
+            for amps in (parts.view(np.complex128), (parts + 0.0).view(np.complex128)):
+                assert_steps_match(amps, n, convention)
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)

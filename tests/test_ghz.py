@@ -298,7 +298,8 @@ def test_sampled_probability_equals_its_table_row(convention):
 
 @pytest.mark.parametrize("convention", ["paper", "standard"])
 def test_staged_keyword_is_ignored(convention):
-    # every schedule is staged: either value, by keyword or by position, gives the default's outcome
+    # every schedule is staged: either value, by keyword or by position, gives the default's outcome;
+    # under every value a draw out of range raises and an extreme draw reads a basis state's label
     rng = np.random.default_rng(322)
     for n in range(2, 9):
         state = random_state(n, rng)
@@ -307,6 +308,11 @@ def test_staged_keyword_is_ignored(convention):
             for staged in (False, True):
                 assert run_ghz_qnd(state, convention, draws, staged=staged) == default
                 assert run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws, staged) == default
+    label, top = GhzLabel("-", "1011"), float(np.nextafter(1.0, 0.0))
+    for staged in (None, False, True):
+        with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
+            run_ghz_qnd(ghz_state(GhzLabel("+", "101")), convention, [0.5, 1.0, 0.5], staged=staged)
+        assert run_ghz_qnd(ghz_state(label), convention, (top,) * 4, staged=staged).label == label
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -349,25 +355,23 @@ def test_run_rejects_bad_inputs():
             ghz_branch_table(random_state(n, np.random.default_rng(0)))
 
 
-@pytest.mark.parametrize("staged", [None, False, True])  # ignored: every value is checked alike
 @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
 @pytest.mark.parametrize("position", [0, 2])
-def test_run_rejects_draws_outside_unit_interval(staged, bad, position):
+def test_run_rejects_draws_outside_unit_interval(bad, position):
     draws = [0.5, 0.5, 0.5]
     draws[position] = bad
     with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
-        run_ghz_qnd(ghz_state(GhzLabel("+", "101")), "paper", draws, staged=staged)
+        run_ghz_qnd(ghz_state(GhzLabel("+", "101")), "paper", draws)
 
 
-@pytest.mark.parametrize("staged", [None, False, True])  # ignored: every value runs the one schedule
 @pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_extreme_draws_never_select_a_zero_probability_branch(convention, staged):
+def test_extreme_draws_never_select_a_zero_probability_branch(convention):
     # rounding residue in a dead branch grows with n; it must never be sampled
     top = float(np.nextafter(1.0, 0.0))
     for n in range(2, 9):
         for label in all_canonical_labels(n):
             for draw in (0.0, top):
-                out = run_ghz_qnd(ghz_state(label), convention, (draw,) * n, staged=staged)
+                out = run_ghz_qnd(ghz_state(label), convention, (draw,) * n)
                 assert out.label == label, (n, draw)
                 assert out.probability == pytest.approx(1.0, abs=1e-12)
 
