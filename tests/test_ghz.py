@@ -296,23 +296,22 @@ def test_sampled_probability_equals_its_table_row(convention):
                 assert abs(out.probability - rows[out.label]) < 1e-12, n
 
 
+@pytest.mark.parametrize("staged", [None, False, True])
 @pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_staged_keyword_is_ignored(convention):
-    # every schedule is staged: either value, by keyword or by position, gives the default's outcome;
-    # under every value a draw out of range raises and an extreme draw reads a basis state's label
+def test_staged_keyword_is_ignored(convention, staged):
+    # every schedule is staged: each value, by keyword or by position, gives the default's outcome;
+    # under each value a draw out of range raises and an extreme draw reads a basis state's label
     rng = np.random.default_rng(322)
     for n in range(2, 9):
         state = random_state(n, rng)
         for draws in rng.random((3, n)):
             default = run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws)
-            for staged in (False, True):
-                assert run_ghz_qnd(state, convention, draws, staged=staged) == default
-                assert run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws, staged) == default
+            assert run_ghz_qnd(state, convention, draws, staged=staged) == default
+            assert run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws, staged) == default
     label, top = GhzLabel("-", "1011"), float(np.nextafter(1.0, 0.0))
-    for staged in (None, False, True):
-        with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
-            run_ghz_qnd(ghz_state(GhzLabel("+", "101")), convention, [0.5, 1.0, 0.5], staged=staged)
-        assert run_ghz_qnd(ghz_state(label), convention, (top,) * 4, staged=staged).label == label
+    with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
+        run_ghz_qnd(ghz_state(GhzLabel("+", "101")), convention, [0.5, 1.0, 0.5], staged=staged)
+    assert run_ghz_qnd(ghz_state(label), convention, (top,) * 4, staged=staged).label == label
 
 
 @pytest.mark.parametrize("n", [7, 8])
