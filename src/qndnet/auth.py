@@ -104,11 +104,16 @@ class AttackerModel(Enum):
         return self.value
 
 
+#: Each attacker's CLI token, for a lookup that scans nothing.
+_ATTACKER_TOKENS = {model.value: model for model in AttackerModel}
+
+
 def parse_attacker(token: str) -> AttackerModel:
-    for model in AttackerModel:
-        if model.value == token:
-            return model
-    raise ValueError(f"unknown attacker model {token!r}")
+    """The attacker a token names; anything else, a member or an unhashable list included, raises ValueError."""
+    try:
+        return _ATTACKER_TOKENS[token]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown attacker model {token!r}") from None
 
 
 #: Every noise model as data: the Paulis (I, X, Y, Z = 0..3) a hit applies, one drawn uniformly.
@@ -493,15 +498,23 @@ def _round_match_probability(attacker: AttackerModel, noise: NoiseSpec) -> float
 
 
 def _acceptance_probability(match_probabilities: Sequence[float], threshold: float) -> float:
-    """P(matches / n >= threshold) for independent rounds (a Poisson-binomial tail)."""
+    """P(matches / n >= threshold) for independent rounds (a Poisson-binomial tail).
+
+    Only counts that can still reach the fewest accepting matches are kept: with r rounds left,
+    k >= fewest - r.  So the first n - fewest rounds grow the band by one count each, every later
+    round drops its lowest, and each kept count is the same two products of the same operands as
+    in the full recurrence, bit for bit.  At threshold 1.0 the band is one count wide."""
     fewest = _fewest_matches(len(match_probabilities), threshold)
     if fewest == 0:
         return 1.0
-    counts = [1.0]  # counts[k] = P(k matches so far)
-    for q in match_probabilities:
+    free = len(match_probabilities) - fewest  # rounds that may miss
+    counts = [1.0]  # counts[i] = P(low + i matches so far); low rises by one in each banded round
+    for q in match_probabilities[:free]:
         counts = [miss * (1.0 - q) + hit * q for miss, hit in zip(counts + [0.0], [0.0] + counts)]
+    for q in match_probabilities[free:]:
+        counts = [miss * (1.0 - q) + hit * q for miss, hit in zip(counts[1:] + [0.0], counts)]
     tail = 0.0  # left to right, as _round_match_probability adds
-    for count in counts[fewest:]:
+    for count in counts:
         tail += count
     return min(1.0, tail)
 

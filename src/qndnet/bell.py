@@ -69,11 +69,16 @@ BELL_DECODE_ORDER = (
 )
 
 
+#: Each Bell label's token, for a lookup that scans nothing.
+_BELL_TOKENS = {label.value: label for label in BellLabel}
+
+
 def parse_bell_label(token: str) -> BellLabel:
-    for label in BellLabel:
-        if label.value == token:
-            return label
-    raise ValueError(f"unknown Bell label {token!r} (expected phi+/phi-/psi+/psi-)")
+    """The Bell label a token names; anything else, a member or an unhashable list included, raises ValueError."""
+    try:
+        return _BELL_TOKENS[token]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown Bell label {token!r} (expected phi+/phi-/psi+/psi-)") from None
 
 
 def bell_state(label: BellLabel) -> StateVector:

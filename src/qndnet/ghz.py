@@ -57,20 +57,21 @@ those checks, the convention first and before any cache, then expands the
 table; a state that fails one never enters the slot.
 The table also keeps each leaf's finished outcome per outcome class, built by
 the first shot that reaches it, so later shots to that leaf return it.  Bell
-and GHZ shots share one finisher (_shot): it fills the class from the leaf's
-entry of a label table, and both branch tables share one row builder
-(_branch_rows).  Auth rounds walk and read unmemoized tables.
+and GHZ shots share one finisher (_shot): it writes the outcome's fields,
+from the leaf's entry of a label table, straight into a new instance rather
+than through its frozen dataclass __init__, and both branch tables share one
+row builder (_branch_rows).  Auth rounds walk and read unmemoized tables.
 
 Label tables are built once per (n, convention) and indexed by leaf
 (_ghz_labels: neighbor parities, canonical phase bit and label; Bell's view
 of it for n = 2), so no shot or table row decodes bits.  The level builder
 seals its last rows (read-only, their base too) before it hands out a leaf,
 so a finished outcome or table row adopts its leaf as the post state without
-a copy (StateVector._adopt).  Draws given as an ndarray are read as Python
-floats once, where a shot or an auth round takes them; each is still
-range-checked, and one that is not a real number (a row of a 2-D array or an
-array of one value included) raises ValueError, as do draws that are no
-sequence.
+a copy, its two fields written directly (StateVector._adopt).  Draws given as
+an ndarray are read as Python floats once, where a shot or an auth round takes
+them; each is still range-checked, and one that is not a real number (a row of
+a 2-D array or an array of one value included) raises ValueError, as do draws
+that are no sequence.
 """
 
 from __future__ import annotations
@@ -431,10 +432,12 @@ def _shot(
     every shot.  The caller checks anything the slot does not fix (Bell: a 2-qubit register).
 
     ``draws`` must be a sized sequence of one draw per qubit of ``state`` (an ancilla each);
-    _walk checks each draw it reads.  A leaf is finished as ``outcome(*labels(*key)[leaf],
-    probability, post state)``, its sealed register adopted.  The table keeps it by (outcome,
-    leaf), so ``key`` must follow from n and ``convention``, and Bell and n = 2 GHZ, which share
-    one schedule, keep their own; a later shot to that leaf returns it."""
+    _walk checks each draw it reads.  A leaf is finished by writing ``outcome``'s five fields
+    (``__match_args__``: the three of ``labels(*key)[leaf]``, the probability and the post state,
+    its sealed register adopted) into a bare instance's ``__dict__``, so no frozen-dataclass
+    ``__init__`` runs; it equals what ``outcome(...)`` would build from the same fields.  The table
+    keeps it by (outcome, leaf), so ``key`` must follow from n and ``convention``, and Bell and
+    n = 2 GHZ, which share one schedule, keep their own; a later shot to that leaf returns it."""
     n = state.num_qubits
     last_state, steps, table = _last_table
     if last_state is not state or steps.convention is not convention:  # a miss: check, then expand
@@ -452,7 +455,11 @@ def _shot(
     probability, i = _walk(weights, draws)
     done = finished.get((outcome, i))
     if done is None:  # the label table is read only for a leaf not finished yet
-        done = finished[outcome, i] = outcome(*labels(*key)[i], probability, StateVector._adopt(n, leaves[i]))
+        done = object.__new__(outcome)  # fields written as _adopt writes them: no frozen __init__
+        fields, (bits, phase, label, prob, post) = done.__dict__, outcome.__match_args__
+        fields[bits], fields[phase], fields[label] = labels(*key)[i]
+        fields[prob], fields[post] = probability, StateVector._adopt(n, leaves[i])
+        finished[outcome, i] = done
     return done
 
 

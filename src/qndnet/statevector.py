@@ -19,8 +19,9 @@ their ``.base``, and every memo keyed by a state's identity (the GHZ memo
 slot, auth's shared Bell pairs) stays sound.  The norm is taken once, on
 first use, and every normalization check reads it.  The public constructor
 always copies; the measurement engine adopts a finished leaf of its branch
-table instead (``StateVector._adopt``), and such a state keeps that table's
-sealed ndarray block of leaves alive for as long as it lives.
+table instead (``StateVector._adopt``, its fields written directly), and such
+a state keeps that table's sealed ndarray block of leaves alive for as long as
+it lives.
 Randomness is always caller-supplied (an explicit draw in [0, 1)), never
 global, so runs are reproducible and trials can be parallelized safely.
 
@@ -173,7 +174,9 @@ class StateVector:
     The constructor copies its input once, into a bytes object, and holds a
     read-only view of the read-only array over it: neither the view nor its
     ``.base`` can be made writable.  A finished leaf of a branch table is
-    adopted instead (``_adopt``): its base is that table's sealed ndarray block
+    adopted instead (``_adopt``), which writes the two fields straight into the
+    instance's ``__dict__``, with no copy, no checks and no frozen
+    ``__setattr__`` to get round.  Its base is that table's sealed ndarray block
     of leaves, which numpy would let an owner make writable again; sealing every
     block in bytes would cost a copy per table.
 
@@ -203,8 +206,8 @@ class StateVector:
     def _adopt(cls, num_qubits: int, amplitudes: np.ndarray) -> "StateVector":
         """Wrap a checked, normalized, read-only view of a read-only base without copying it."""
         state = object.__new__(cls)
-        object.__setattr__(state, "num_qubits", num_qubits)
-        object.__setattr__(state, "amplitudes", amplitudes)
+        fields = state.__dict__  # written directly: no frozen __setattr__ to get round
+        fields["num_qubits"], fields["amplitudes"] = num_qubits, amplitudes
         return state
 
     def __eq__(self, other) -> bool:

@@ -333,8 +333,15 @@ def test_any_card_less_register_sees_a_uniform_round(register, stored):
 
 def test_parse_attacker():
     assert parse_attacker("decoy") is AttackerModel.ENTANGLED_DECOY
-    with pytest.raises(ValueError):
+    assert [parse_attacker(model.token) for model in AttackerModel] == list(AttackerModel)
+    with pytest.raises(ValueError, match=r"^unknown attacker model 'mallory'$"):
         parse_attacker("mallory")
+
+
+@pytest.mark.parametrize("token", [AttackerModel.ENTANGLED_DECOY, None, ["decoy"]], ids=["member", "none", "list"])
+def test_parse_attacker_refuses_a_token_that_is_no_str(token):
+    with pytest.raises(ValueError, match=r"^unknown attacker model "):
+        parse_attacker(token)
 
 
 # -- noise --
@@ -778,6 +785,30 @@ def test_acceptance_probability_is_the_binomial_tail():
         weight = np.prod([q if h else 1 - q for q, h in zip(qs, hits)])
         exact += weight if sum(hits) >= 2 else 0.0
     assert _acceptance_probability(qs, 0.5) == pytest.approx(exact, abs=1e-12)
+
+
+def _full_acceptance_recurrence(match_probabilities, threshold):
+    """The tail over every match count: the reference the banded tail must equal bit for bit."""
+    fewest = auth._fewest_matches(len(match_probabilities), threshold)
+    if fewest == 0:
+        return 1.0
+    counts = [1.0]
+    for q in match_probabilities:
+        counts = [miss * (1.0 - q) + hit * q for miss, hit in zip(counts + [0.0], [0.0] + counts)]
+    tail = 0.0
+    for count in counts[fewest:]:
+        tail += count
+    return min(1.0, tail)
+
+
+def test_banded_acceptance_tail_equals_the_full_recurrence_bit_for_bit():
+    rng = np.random.default_rng(2801)
+    for _ in range(600):
+        n = int(rng.integers(1, 121))
+        qs = [float(rng.random())] * n if rng.random() < 0.5 else rng.random(n).tolist()
+        threshold = float(rng.choice([0.0, 0.5, 1.0, rng.random(), int(rng.integers(0, n + 1)) / n]))
+        expected = _full_acceptance_recurrence(qs, threshold)
+        assert _acceptance_probability(qs, threshold).hex() == expected.hex(), (n, threshold)
 
 
 def test_analytic_rate_is_exactly_one_when_every_session_accepts():

@@ -70,7 +70,8 @@ def test_bell_state_amplitudes_frozen():
 
 def test_parse_bell_label():
     assert parse_bell_label("psi-") is BellLabel.PSI_MINUS
-    with pytest.raises(ValueError):
+    assert [parse_bell_label(label.token) for label in BellLabel] == list(BellLabel)
+    with pytest.raises(ValueError, match=r"^unknown Bell label 'bogus' \(expected phi\+/phi-/psi\+/psi-\)$"):
         parse_bell_label("bogus")
 
 

@@ -153,6 +153,14 @@ def test_auth_simulate_json(capsys):
         }
 
 
+def test_auth_simulate_takes_a_large_account_in_one_trial(capsys):
+    # the acceptance tail keeps only the counts that can still accept: linear in n at threshold 1
+    code, out, _ = run_cli(capsys, "auth", "simulate", "--pairs", "100000", "--trials", "1")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["n"] == 100000 and row["trials"] == 1
+
+
 def test_auth_simulate_csv(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -59,7 +59,9 @@ def test_a_bad_convention_raises_value_error(name, convention):
         ENTRIES[name](convention)
 
 
-@pytest.mark.parametrize("token", [None, b"+:10", 5, ["+", "10"]], ids=["none", "bytes", "int", "list"])
+@pytest.mark.parametrize(
+    "token", [None, b"+:10", 5, ["+", "10"], BellLabel.PSI_MINUS], ids=["none", "bytes", "int", "list", "member"]
+)
 def test_a_label_token_that_is_no_str_raises_value_error(token):
     with pytest.raises(ValueError, match="GHZ label must be a str"):
         parse_ghz_label(token)

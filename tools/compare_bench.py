@@ -12,8 +12,10 @@ gives the median and quartiles of each side, the change's median over the
 parent's, in how many pairs the change was better, and ``beyond_bound``:
 whether the change's median is worse than the parent's by more than the
 metric's BENCHMARK.json bound (each such metric is also listed under
-``beyond_bound`` and printed).  Each workload reports failed/attempted
-operations per side.  The per-layer part runs tools/branch_layers.py on both
+``beyond_bound`` and printed), and ``gain_resolved``: whether the change is
+better in at least 9 of 10 pairs and its median beats the parent's by more
+than the parent's interquartile spread (q3 - q1), the rule a gain claim must
+meet.  Each workload reports failed/attempted operations per side.  The per-layer part runs tools/branch_layers.py on both
 checkouts at once (one process, sample by sample) --layer-runs times, and
 gives the median of the runs' medians, parent and change side by side, as
 ``<family>.<layer>.<group>.us`` (``ghz.cold_table.n8.us``,
@@ -77,15 +79,19 @@ def main() -> None:
             parent = [r[name] for r in runs["parent"]]
             change = [r[name] for r in runs["change"]]
             ratio = statistics.median(change) / statistics.median(parent)
+            before, after = summary(parent), summary(change)
+            better = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+            gain = after["median"] - before["median"] if higher else before["median"] - after["median"]
             metrics[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "bound": metric["bound"],
-                "parent": summary(parent),
-                "change": summary(change),
+                "parent": before,
+                "change": after,
                 "change_over_parent": ratio,
-                "pairs_change_better": sum((c > p) if higher else (c < p) for p, c in zip(parent, change)),
+                "pairs_change_better": better,
                 "beyond_bound": ratio < 1 - metric["bound"] if higher else ratio > 1 + metric["bound"],
+                "gain_resolved": 10 * better >= 9 * len(parent) and gain > before["q3"] - before["q1"],
             }
         beyond = [name for name, m in metrics.items() if m["beyond_bound"]]
         if beyond:
