@@ -30,6 +30,9 @@ engine consumes the same draws, in the same order, as the state-vector round
 (_system_for, _run_round), the oracle behind attacker_round_distribution: the
 staged Bell network on (slot, terminal) of the larger register, expanded into
 one branch table by the GHZ module's level builder and walked as a shot walks.
+A lone session decodes its labels from those draws in plain Python
+(_session_labels); a sweep's array blocks count matching rounds without
+decoding a label (_accepted_sessions), and both accept by one rule.
 
 Seeding: every public operation takes an int seed or a numpy Generator (a
 sweep, an int seed only); an integer seed goes through the one integer check,
@@ -46,8 +49,9 @@ choice; none if p = 0 or hits is empty), the slot block (2 uniforms for
 fresh-haar, 1 for guess, none otherwise), then the two ancilla uniforms.
 Doubles come off the bit generator in the same order whether drawn one at a
 time or in bulk, so random((C, n, K)) holds exactly the draws of C
-consecutive sessions: a sweep runs a row as a few array operations over
-such blocks and still equals T sequential sessions on the same stream.
+consecutive sessions, each drawing random((n, K)): a sweep runs a row as a
+few array operations over such blocks and still equals T sequential sessions
+on the same stream.
 (Earlier versions drew depolarizing Paulis with integers(4) only on a hit,
 fresh-haar's qubit from standard_normal(4) and guess's decoy with
 integers(4); those rows differ from theirs, the others do not.)
@@ -219,10 +223,9 @@ def enroll(
 #: The Paulis by index (I, X, Y, Z), and the label XOR mask each one applies on
 #: either qubit of a Bell pair: X flips parity, Z flips phase, Y = iXZ flips both.
 _PAULIS = (np.eye(2, dtype=complex), PAULI_X_MATRIX, PAULI_Y_MATRIX, PAULI_Z_MATRIX)
-_PAULI_MASKS = np.array((0, 2, 3, 1), dtype=np.uint8)
-#: Each model's hits as Pauli indices and as label masks, built once for _noise_paulis.
+_PAULI_MASKS = (0, 2, 3, 1)
+#: Each model's hits as Pauli indices, built once for _noise_paulis.
 _HIT_PAULIS = {model: np.array(hits, dtype=np.uint8) for model, hits in _NOISE_HITS.items()}
-_HIT_MASKS = {model: _PAULI_MASKS[paulis] for model, paulis in _HIT_PAULIS.items()}
 
 
 def _noise_draws(spec: NoiseSpec) -> int:
@@ -231,24 +234,17 @@ def _noise_draws(spec: NoiseSpec) -> int:
     return 0 if not hits or spec.p == 0.0 else 4 if len(hits) > 1 else 2
 
 
-def _noise_paulis(spec: NoiseSpec, draws: np.ndarray, values: dict = _HIT_PAULIS) -> np.ndarray:
+def _noise_paulis(spec: NoiseSpec, draws: np.ndarray) -> np.ndarray:
     """The Paulis (..., 2) on qubits 0 and 1 from one block or (C, n, K) blocks draws[..., :k].
 
     Qubit q is hit when u_q < p and then takes hits[floor(len(hits) v_q)], v_q the
-    Pauli uniform after both hit uniforms (no choice: hits[0]), as its ``values``
-    entry (index, or _HIT_MASKS' label mask); no hit is 0, I's index and mask alike.
+    Pauli uniform after both hit uniforms (no choice: hits[0]); no hit is 0, I.
     """
     if not _noise_draws(spec):
         return np.zeros(draws.shape[:-1] + (2,), dtype=np.uint8)
-    hits = values[spec.model]
+    hits = _HIT_PAULIS[spec.model]
     picks = hits[(len(hits) * draws[..., 2:4]).astype(np.intp)] if len(hits) > 1 else hits[0]
     return (draws[..., :2] < spec.p) * picks
-
-
-def _label_masks(spec: NoiseSpec, draws: np.ndarray) -> np.ndarray:
-    """The label XOR masks of noise blocks draws[..., :k]: both qubits' Pauli masks XORed."""
-    per_qubit = _noise_paulis(spec, draws, _HIT_MASKS)
-    return per_qubit[..., 0] ^ per_qubit[..., 1]
 
 
 def _apply_noise_rng(state: StateVector, spec: NoiseSpec, rng: np.random.Generator) -> StateVector:
@@ -366,29 +362,64 @@ def _round_draws(attacker: AttackerModel, noise: NoiseSpec) -> int:
     return _noise_draws(noise) + _SLOT_REGISTERS[attacker].draws + 2
 
 
-#: The weights that turn a (parity, phase) bit pair into its label index.
-_LABEL_BIT_WEIGHTS = np.array((2, 1))
+def _session_labels(
+    labels: Sequence[int], draws: Sequence[Sequence[float]], attacker: AttackerModel, noise: NoiseSpec
+) -> list[int]:
+    """The labels one session reads on the stored labels, from its n rows of K draws as Python floats.
 
-
-def _measured_labels(
-    labels: np.ndarray, draws: np.ndarray, attacker: AttackerModel, noise: NoiseSpec
-) -> np.ndarray:
-    """The (C, n) labels C sessions read on the stored labels, from (C, n, K) draws.
-
-    A legitimate card reads its label XOR the noise mask; a card-less
-    attacker reads two fair coins, the ancilla draws compared with 1/2, and
-    its noise and slot draws only advance the stream.  This is the one
-    decoder of a session: verify_session and a sweep's array blocks both
-    compare what it reads with the stored labels.
+    A card-less attacker reads two fair coins, 2*(a >= 1/2) + (b >= 1/2) of
+    the ancilla draws, and its noise and slot draws only advance the stream.
+    A legitimate card reads its label XOR the mask of each qubit whose hit
+    draw is below p, that qubit's Pauli picked as _noise_paulis picks it.
     """
     if attacker is not AttackerModel.LEGITIMATE:
-        return (draws[..., -2:] >= 0.5) @ _LABEL_BIT_WEIGHTS
-    return labels ^ _label_masks(noise, draws)
+        return [2 * (row[-2] >= 0.5) + (row[-1] >= 0.5) for row in draws]
+    if not _noise_draws(noise):
+        return list(labels)
+    hits, p = _NOISE_HITS[noise.model], noise.p
+
+    def mask(row: Sequence[float], qubit: int) -> int:
+        if row[qubit] >= p:
+            return 0
+        return _PAULI_MASKS[hits[int(len(hits) * row[2 + qubit])] if len(hits) > 1 else hits[0]]
+
+    return [label ^ mask(row, 0) ^ mask(row, 1) for label, row in zip(labels, draws)]
+
+
+def _accepted_sessions(
+    bits: np.ndarray, draws: np.ndarray, attacker: AttackerModel, noise: NoiseSpec, fewest: int
+) -> int:
+    """How many of C sessions accept, from their (C, n, K) draws on the (n, 2) record bits.
+
+    Each session counts its matching rounds, with no label decoded: a card-less
+    round matches iff its coins equal the record's bits, and a legitimate round
+    iff its two qubits draw the same Pauli, i.e. the same label mask (so a
+    noiseless one always matches), the fact _round_match_probability sums.
+    These are the matches of _session_labels' labels on the same draws.
+    """
+    if attacker is not AttackerModel.LEGITIMATE:
+        coins = (draws[..., -2:] >= 0.5) == bits
+        matches = coins[..., 0] & coins[..., 1]
+    elif _noise_draws(noise):
+        paulis = _noise_paulis(noise, draws)
+        matches = paulis[..., 0] == paulis[..., 1]
+    else:
+        return len(draws)
+    return int(np.count_nonzero(matches.sum(axis=1) >= fewest))
 
 
 def _fewest_matches(n: int, threshold: float) -> int:
-    """The fewest matching rounds out of n that accept: the first k in 0..n with k / n >= threshold."""
-    return next(k for k in range(n + 1) if k / n >= threshold)
+    """The fewest matching rounds out of n that accept: the first k in 0..n with k / n >= threshold.
+
+    k / n never falls as k grows, so a step or two from ceil(threshold * n)
+    settles k under that same float test.
+    """
+    k = min(n, math.ceil(threshold * n))
+    while k > 0 and (k - 1) / n >= threshold:
+        k -= 1
+    while k / n < threshold:
+        k += 1
+    return k
 
 
 def _require_session_settings(threshold: float, convention: str, noise: NoiseSpec) -> None:
@@ -419,13 +450,14 @@ def verify_session(
     is rejected with ValueError before any draw, and so is a seed that is
     neither a Generator nor an integer >= 0 (a bool included).
 
-    The session draws random((1, n, K)): per pair, the noise block, the
-    attacker's slot block (its _SLOT_REGISTERS draws), then the two ancilla
-    uniforms, as laid out in the module's Seeding note.  These are the draws
+    The session draws random((n, K)), the doubles of a (1, n, K) block: per
+    pair, the noise block, the attacker's slot block (its _SLOT_REGISTERS
+    draws), then the two ancilla uniforms, as laid out in the module's
+    Seeding note.  These are the draws
     of the state-vector round, taken in the same order, so seeded sessions
     agree with it bit for bit; the Bell outcome does not depend on the
-    Hadamard convention.  A round matches when the label it reads equals
-    its record's; the session accepts when its match count reaches the
+    Hadamard convention.  A round matches when the label it reads
+    (_session_labels) equals its record's; the session accepts when its match count reaches the
     fewest accepting matches (_fewest_matches), the rule a sweep's array
     blocks are accepted with.
     """
@@ -440,13 +472,11 @@ def verify_session(
         return SessionResult((), 0.0, False, tuple(account.records))
     if not account.pairs or len(account.pairs) != len(account.records):
         raise ValueError("an account needs at least one stored pair and one record per pair")
-    labels = np.array(
-        [_stored_label(pair, record) for pair, record in zip(account.pairs, account.records)]
-    )
-    draws = np.random.default_rng(seed).random((1, labels.size, _round_draws(attacker, noise)))
-    outcomes = _measured_labels(labels, draws, attacker, noise)[0].tolist()
-    matches = [o == l for o, l in zip(outcomes, labels.tolist())]
-    accepted = sum(matches) >= _fewest_matches(labels.size, threshold)
+    labels = [_stored_label(pair, record) for pair, record in zip(account.pairs, account.records)]
+    draws = np.random.default_rng(seed).random((len(labels), _round_draws(attacker, noise)))
+    outcomes = _session_labels(labels, draws.tolist(), attacker, noise)
+    matches = [o == l for o, l in zip(outcomes, labels)]
+    accepted = sum(matches) >= _fewest_matches(len(labels), threshold)
     measured = [_LABEL_BITS[outcome] for outcome in outcomes]
     account.pairs = [_BELL_PAIRS[outcome] for outcome in outcomes]
     if accepted:
@@ -588,7 +618,8 @@ def security_sweep(
     Trial 0 is a verify_session call, so a session stays the public unit a
     caller (or a tracer wrapping the module's functions) sees a row run; the
     other trials are drawn as random((C, n, K)) blocks of at most
-    _CHUNK_DRAWS uniforms.  Both decode with _measured_labels and accept
+    _CHUNK_DRAWS uniforms, each counting its sessions' matching rounds
+    (_accepted_sessions, the matches of verify_session's labels).  Both accept
     when a session's match count reaches the fewest accepting matches
     (_fewest_matches, the first k with k / n >= threshold), and a bulk draw
     yields the same doubles as the sessions' one-by-one draws, so a row
@@ -610,8 +641,8 @@ def security_sweep(
     for n in sizes:
         rng = np.random.default_rng((seed, n))
         base = enroll(n, "random", seed=rng)
-        labels = np.array([_RECORD_LABELS[r] for r in base.records])
-        for index in sorted(set(labels.tolist())):  # the oracle looked up now: a replaced one is checked afresh
+        bits = np.array(base.records, dtype=bool)
+        for index in sorted({_RECORD_LABELS[r] for r in base.records}):  # the oracle looked up now: a replaced one is checked afresh
             _check_label(attacker_round_distribution, attacker, index, convention)
         analytic = _acceptance_probability(
             [_round_match_probability(attacker, noise)] * n, threshold
@@ -623,8 +654,7 @@ def security_sweep(
         chunk = max(1, _CHUNK_DRAWS // (n * k))
         for start in range(1, trials, chunk):
             draws = rng.random((min(chunk, trials - start), n, k))
-            matches = _measured_labels(labels, draws, attacker, noise) == labels
-            successes += int(np.count_nonzero(matches.sum(axis=1) >= fewest))
+            successes += _accepted_sessions(bits, draws, attacker, noise, fewest)
         low, high = wilson_interval(successes, trials)
         rows.append(
             SweepRow(

@@ -384,6 +384,31 @@ def _bell_outcome_of(state_amps) -> BellLabel:
     return BELL_DECODE_ORDER[int(np.argmax(overlaps))]
 
 
+def _phi_plus_label_under(op) -> int:
+    return BELL_DECODE_ORDER.index(_bell_outcome_of(op @ BELL_AMPLITUDES[0]))
+
+
+#: REPLAYED_MASKS[q][pauli]: the label XOR mask of a Pauli (I, X, Y, Z) on qubit q, read off the
+#: Bell state it maps Phi+ onto, so the replayed labels share no table with the engine.
+REPLAYED_MASKS = [
+    [_phi_plus_label_under(np.kron(pauli, np.eye(2))) for pauli in PAULIS],
+    [_phi_plus_label_under(np.kron(np.eye(2), pauli)) for pauli in PAULIS],
+]
+
+
+def _replayed_label(stored, row, noise):
+    """The label a legitimate card reads, replayed from one round's draws ``row`` (noise block first).
+
+    Qubit q is hit when row[q] < p; its Pauli is floor(4 row[2 + q]) for depolarizing, Z for dephasing.
+    """
+    label = stored
+    for qubit in (0, 1) if noise.p else ():
+        if row[qubit] < noise.p:
+            pauli = int(4 * row[2 + qubit]) if noise.model == "depolarizing" else 3
+            label ^= REPLAYED_MASKS[qubit][pauli]
+    return label
+
+
 @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
 @pytest.mark.parametrize("model", ["dephasing", "depolarizing"])
 def test_apply_noise_is_the_replayed_pauli_product(model, p):
@@ -400,7 +425,7 @@ def test_apply_noise_is_the_replayed_pauli_product(model, p):
         paulis = [int(4 * replay.random()) if model == "depolarizing" else 3 for _qubit in (0, 1)]
         drawn = [PAULIS[pauli] if hit else PAULIS[0] for hit, pauli in zip(hits, paulis)]
         assert np.array_equal(noisy.amplitudes, np.kron(*drawn) @ bells[stored].amplitudes), t
-        label = stored ^ int(auth._label_masks(spec, masks.random(block)))
+        label = _replayed_label(stored, masks.random(block).tolist(), spec)
         assert abs(np.vdot(bells[label].amplitudes, noisy.amplitudes)) ** 2 > 1 - 1e-12, t
     assert engine.bit_generator.state == replay.bit_generator.state == masks.bit_generator.state
 
@@ -888,19 +913,31 @@ def test_golden_grid_accept_rates_lie_within_wilson_of_the_analytic_rate(golden_
     assert checked == 90
 
 
-# -- one decoder, one accept rule --
+# -- two decode paths, one accept rule --
+
+
+def _reference_labels(labels, session, attacker, noise):
+    """The n labels one session reads, replayed round by round from its (n, K) draws."""
+    if attacker is not AttackerModel.LEGITIMATE:
+        return [BELL_DECODE_ORDER.index(decode_bell(int(row[-2] >= 0.5), int(row[-1] >= 0.5))) for row in session]
+    return [_replayed_label(stored, row, noise) for stored, row in zip(labels, session)]
 
 
 def _run_sessions_reference(labels, draws, attacker, noise, threshold):
     """Accepted sessions as the earlier engine decided them: decode the labels read, then matches / n >= threshold."""
-    if attacker is not AttackerModel.LEGITIMATE:
-        outcomes = 2 * (draws[..., -2] >= 0.5) + (draws[..., -1] >= 0.5)
-    else:
-        outcomes = labels ^ auth._label_masks(noise, draws)
+    outcomes = np.array([_reference_labels(labels, session, attacker, noise) for session in draws.tolist()])
     return (outcomes == labels).sum(axis=1) / labels.size >= threshold
 
 
+def _record_bits(labels):
+    return np.array([bell_bits(BELL_DECODE_ORDER[label]) for label in labels], dtype=bool)
+
+
 ACCEPT_THRESHOLDS = [0.0, 1 / 3, 0.5, 2 / 3, 0.1 + 0.2, 1.0]
+#: Each accept threshold and its neighbouring doubles inside [0, 1].
+FEWEST_THRESHOLDS = sorted(
+    {float(u) for t in ACCEPT_THRESHOLDS for u in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0))}
+)
 
 
 @pytest.mark.parametrize("noise", ORACLE_NOISES, ids=lambda s: f"{s.model}-{s.p}")
@@ -913,30 +950,72 @@ def test_decoder_accept_counts_equal_the_reference_engine(attacker, noise):
         # the decision edges: ancilla draws at and just below 1/2, hit draws at and just below p
         edges = [u for u in (0.5, np.nextafter(0.5, 0.0), noise.p, np.nextafter(noise.p, 0.0)) if u < 1.0]
         draws[:100] = rng.choice(edges, size=draws[:100].shape)
-        read = auth._measured_labels(labels, draws, attacker, noise)
+        read = np.array([auth._session_labels(labels.tolist(), s, attacker, noise) for s in draws.tolist()])
         assert read.shape == (300, n)
         for threshold in ACCEPT_THRESHOLDS:
             fewest = auth._fewest_matches(n, threshold)
-            assert fewest == [m for m in range(n + 1) if m / n >= threshold][0], (n, threshold)
             expected = _run_sessions_reference(labels, draws, attacker, noise, threshold)
             np.testing.assert_array_equal((read == labels).sum(axis=1) >= fewest, expected)
+            accepted = auth._accepted_sessions(_record_bits(labels), draws, attacker, noise, fewest)
+            assert accepted == np.count_nonzero(expected), (n, threshold)
+    # the fewest accepting matches: the first k with k / n >= threshold, scanned over every k
+    for n in list(range(1, 65)) + [100_000]:
+        # and each k / n at n <= 64: at n = 25, 0.28 * 25 rounds above 7, yet 7 / 25 == 0.28
+        for threshold in FEWEST_THRESHOLDS + ([k / n for k in range(n + 1)] if n <= 64 else []):
+            first = int(np.argmax(np.arange(n + 1) / n >= threshold))
+            assert auth._fewest_matches(n, threshold) == first, (n, threshold)
+
+
+def _edge_pool(noise):
+    """The draws where a decode decision flips, each with the double just below it, all inside [0, 1)."""
+    edges = [0.0, np.nextafter(1.0, 0.0), 0.5, noise.p, 0.25, 0.75]
+    return sorted({float(v) for u in edges for v in (u, np.nextafter(u, 0.0)) if 0.0 <= v < 1.0})
+
+
+@pytest.mark.parametrize("noise", ORACLE_NOISES, ids=lambda s: f"{s.model}-{s.p}")
+@pytest.mark.parametrize("attacker", list(AttackerModel), ids=lambda m: m.token)
+def test_both_decode_paths_equal_the_replayed_reference_on_edge_draws(attacker, noise):
+    # ancilla draws at 1/2, hit draws at p, Pauli draws at 1/4, 1/2, 3/4, each with the double below,
+    # and 0 and the largest double below 1: random draws almost never land on them
+    rng = np.random.default_rng((29, list(AttackerModel).index(attacker), ORACLE_NOISES.index(noise)))
+    pool = _edge_pool(noise)
+    for n in (1, 3, 5, 10):
+        labels = rng.integers(4, size=n)
+        draws = rng.random((400, n, auth._round_draws(attacker, noise)))
+        laced = rng.random(draws.shape) < 0.75
+        draws[laced] = rng.choice(pool, size=int(np.count_nonzero(laced)))
+        sessions = draws.tolist()
+        expected = [_reference_labels(labels.tolist(), session, attacker, noise) for session in sessions]
+        for c, session in enumerate(sessions):
+            assert auth._session_labels(labels.tolist(), session, attacker, noise) == expected[c], (n, c)
+        matches = (np.array(expected) == labels).sum(axis=1)
+        for threshold in ACCEPT_THRESHOLDS:
+            fewest = auth._fewest_matches(n, threshold)
+            accepted = auth._accepted_sessions(_record_bits(labels), draws, attacker, noise, fewest)
+            assert accepted == np.count_nonzero(matches / n >= threshold), (n, threshold)
 
 
 def test_a_row_spans_several_chunks_when_the_chunk_is_small(monkeypatch):
-    calls = []
-    decode = auth._measured_labels
+    blocks, sessions = [], []
+    count_block, session = auth._accepted_sessions, auth.verify_session
 
-    def counting(labels, draws, *args):
-        calls.append(draws.shape[0])
-        return decode(labels, draws, *args)
+    def counting_blocks(bits, draws, *args):
+        blocks.append(draws.shape[0])
+        return count_block(bits, draws, *args)
+
+    def counting_sessions(*args):
+        sessions.append(len(args[0].pairs))
+        return session(*args)
 
     noise = NoiseSpec("depolarizing", 0.1)
     whole = security_sweep([3], AttackerModel.LEGITIMATE, 50, 31, noise, 0.5)
-    monkeypatch.setattr(auth, "_measured_labels", counting)
+    monkeypatch.setattr(auth, "_accepted_sessions", counting_blocks)
+    monkeypatch.setattr(auth, "verify_session", counting_sessions)
     monkeypatch.setattr(auth, "_CHUNK_DRAWS", 7)
     chunked = security_sweep([3], AttackerModel.LEGITIMATE, 50, 31, noise, 0.5)
-    # K = 6 uniforms per round at n = 3: trial 0's session, then one session per chunk for the other 49
-    assert calls == [1] * 50
+    # K = 6 uniforms per round at n = 3: trial 0 decodes inside verify_session, then one session per chunk
+    assert sessions == [3]
+    assert blocks == [1] * 49
     assert chunked == whole
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer timings (and page faults) of the Bell and GHZ branch engine and of an auth sweep row.
+"""Per-layer timings (and page faults) of the Bell and GHZ branch engine and of an auth sweep row and session.
 
     python3 tools/branch_layers.py SRC_DIR [SRC_DIR ...] [--states 40] [--seed 0]
 
@@ -34,7 +34,11 @@ security_sweep row at n = 3, depolarizing p = 0.1 and noiseless) hold
 * ``round_oracle``: one warm attacker_round_distribution call for the group's
   attacker (its dense schedule already built), the round oracle a row checks
   its label engine against once per label in a process;
-each row or oracle call timed as the fastest of ROW_REPEATS back-to-back calls.
+* ``session``: one warm verify_session on a clone of the account the row
+  enrolls, the call that runs a row's trial 0 (and is part of ``row_fixed``);
+each row, oracle or session call timed as the fastest of ROW_REPEATS
+back-to-back calls, its arguments (a session's clone and Generator) built
+outside the timed call.
 Every source sees the same amplitudes, draws and sweep seeds, after one
 warm-up pass that fills the per-process caches; BLAS runs on one thread.
 """
@@ -62,7 +66,7 @@ BELL_LAYERS = ("fresh_shot", "warm_shot", "repeat_shot", "block_shot")
 BLOCK_SHOTS = 64
 #: Layers counted in minor page faults rather than timed.
 FAULT_LAYERS = ("cold_table_faults",)
-AUTH_LAYERS = ("row_fixed", "per_session", "round_oracle")
+AUTH_LAYERS = ("row_fixed", "per_session", "round_oracle", "session")
 #: (group name, attacker token, noise model) of the timed sweep rows, all at n = 3, p = 0.1.
 AUTH_CELLS = (("legitimate-depolarizing.n3", "legitimate", "depolarizing"), ("decoy.n3", "decoy", "none"))
 AUTH_TRIALS = 2501
@@ -126,19 +130,23 @@ def time_row(qn, attacker: str, noise: str, seed: int) -> dict[str, float]:
     model = qn.AttackerModel(attacker)
     best = {}
 
-    def timed(key, call, *args) -> None:
+    def timed(key, call, make_args) -> None:
         for _ in range(ROW_REPEATS):
+            args = make_args()
             start = time.perf_counter()
             call(*args)
             best[key] = min(best.get(key, np.inf), time.perf_counter() - start)
 
     for trials in (1, AUTH_TRIALS):
-        timed(trials, qn.security_sweep, [3], model, trials, seed, spec)
-    timed("round_oracle", qn.attacker_round_distribution, model, qn.BellLabel.PSI_MINUS)
+        timed(trials, qn.security_sweep, lambda: ([3], model, trials, seed, spec))
+    timed("round_oracle", qn.attacker_round_distribution, lambda: (model, qn.BellLabel.PSI_MINUS))
+    account = qn.enroll(3, "random", np.random.default_rng((seed, 3)))  # the row's enrollment
+    timed("session", qn.verify_session, lambda: (account.clone(), model, spec, 1.0, np.random.default_rng(seed)))
     return {
         "row_fixed": best[1],
         "per_session": (best[AUTH_TRIALS] - best[1]) / (AUTH_TRIALS - 1),
         "round_oracle": best["round_oracle"],
+        "session": best["session"],
     }
 
 
