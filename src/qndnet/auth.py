@@ -28,8 +28,9 @@ and a legitimate card reads the noisy label (the Bell-diagonal picture of
 Bennett, DiVincenzo, Smolin and Wootters, quant-ph/9604024).  The label
 engine consumes the same draws, in the same order, as the state-vector round
 (_system_for, _run_round), the oracle behind attacker_round_distribution: the
-staged Bell network on (slot, terminal) of the larger register, expanded into
-one branch table by the GHZ module's level builder and walked as a shot walks.
+staged Bell network on the slot, qubit 0, and the terminal, the last qubit, of
+the joint register (_round_branches), expanded into one branch table by the
+GHZ module's level builder and walked as a shot walks.
 A lone session decodes its labels from those draws in plain Python
 (_session_labels); a sweep's array blocks count matching rounds without
 decoding a label (_accepted_sessions), and both accept by one rule.
@@ -52,9 +53,6 @@ time or in bulk, so random((C, n, K)) holds exactly the draws of C
 consecutive sessions, each drawing random((n, K)): a sweep runs a row as a
 few array operations over such blocks and still equals T sequential sessions
 on the same stream.
-(Earlier versions drew depolarizing Paulis with integers(4) only on a hit,
-fresh-haar's qubit from standard_normal(4) and guess's decoy with
-integers(4); those rows differ from theirs, the others do not.)
 """
 
 from __future__ import annotations
@@ -269,25 +267,22 @@ def apply_noise(
 # -- one verification round: the Bell network on (slot, terminal) of a larger register --
 
 
-def _branch_probabilities(
-    system_amps: np.ndarray, num_system: int, slot: int, machine: int, convention: str
-) -> np.ndarray:
+def _round_branches(system: np.ndarray, convention: str) -> tuple:
+    """(weights, leaves) of one round on the joint amplitudes ``system``: the Bell network on the slot,
+    qubit 0, and the terminal, the last qubit."""
+    return _branches(system, _dense_network((0, system.size.bit_length() - 2), convention))
+
+
+def _branch_probabilities(system: np.ndarray, convention: str) -> np.ndarray:
     """The 4 outcome probabilities of one round; outcome = 2*parity + phase."""
-    steps = _dense_network((slot, machine), num_system, convention)
-    return np.array([prob for prob, _ in _table_rows(*_branches(system_amps, steps))])
+    return np.array([prob for prob, _ in _table_rows(*_round_branches(system, convention))])
 
 
 def _run_round(
-    system_amps: np.ndarray,
-    num_system: int,
-    slot: int,
-    machine: int,
-    convention: str,
-    draws: np.ndarray,
+    system: np.ndarray, convention: str, draws: np.ndarray
 ) -> tuple[tuple[int, int], float, np.ndarray]:
     """One shot down the round's branch table, a draw per ancilla; returns (bits, probability, post system)."""
-    steps = _dense_network((slot, machine), num_system, convention)
-    weights, leaves = _branches(system_amps, steps)
+    weights, leaves = _round_branches(system, convention)
     probability, leaf = _walk(weights, draws.tolist())  # Python floats, once: numpy scalars compare slower
     return divmod(leaf, 2), probability, leaves[leaf]
 
@@ -325,19 +320,10 @@ def _slot_register(attacker: AttackerModel) -> _SlotRegister:
         raise ValueError(f"attacker must be an AttackerModel, got {attacker!r}") from None
 
 
-def _prepend(register: np.ndarray, pair_amps: np.ndarray) -> tuple[np.ndarray, int, int, int]:
-    """Joint state of a round, (amplitudes, num_system, slot, machine): slot 0, terminal last."""
-    system = np.kron(register, pair_amps)
-    num_system = system.size.bit_length() - 1
-    return system, num_system, 0, num_system - 1
-
-
-def _system_for(
-    attacker: AttackerModel, pair_amps: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, int, int, int]:
-    """The attacker's register, drawn from ``rng``, in front of the stored pair."""
+def _system_for(attacker: AttackerModel, pair_amps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Joint amplitudes of a round: the attacker's register, drawn from ``rng``, in front of the stored pair."""
     slot = _slot_register(attacker)
-    return _prepend(slot.build(rng.random(slot.draws)), pair_amps)
+    return np.kron(slot.build(rng.random(slot.draws)), pair_amps)
 
 
 def _stored_label(pair: StateVector, record: Sequence[int]) -> int:
@@ -503,7 +489,7 @@ def attacker_round_distribution(
     pair = bell_state(true_pair_label).amplitudes
     dist = np.zeros(4)
     for draw in slot.representatives:
-        dist += _branch_probabilities(*_prepend(slot.build(draw), pair), convention)
+        dist += _branch_probabilities(np.kron(slot.build(draw), pair), convention)
     return dist / len(slot.representatives)
 
 

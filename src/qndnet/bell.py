@@ -22,10 +22,13 @@ outcome probability and decoded bit unchanged.
 
 This module keeps the Bell labels, their decoding table and the projection
 oracle.  It runs the GHZ module's n = 2 schedule on the same level builder,
-memo slot, finisher (_shot) and row builder (_branch_rows) as run_ghz_qnd and
-ghz_branch_table, handing them BellQndOutcome and the Bell view of the n = 2
-label table (_bell_labels): the slot's table keeps Bell outcomes apart from
-GHZ ones, each finished once per leaf, with no decoding per shot.
+memo slot, input checks (_require_table_input), finisher (_shot) and row
+builder (_branch_rows) as run_ghz_qnd and ghz_branch_table, after its own
+2-qubit check, handing them BellQndOutcome and the Bell view of the n = 2
+label table (_bell_labels): _branch_rows takes the state, the convention token
+and that label table and looks the schedule up itself, and the slot's table
+keeps Bell outcomes apart from GHZ ones, each finished once per leaf, with no
+decoding per shot.
 """
 
 from __future__ import annotations
@@ -35,11 +38,10 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from .ghz import _branch_rows, _ghz_labels, _ghz_network, _shot, decode_ghz, ghz_network_gate_list, ghz_state
+from .ghz import _branch_rows, _ghz_labels, _require_table_input, _shot, decode_ghz, ghz_network_gate_list, ghz_state
 from .statevector import (
     StateVector,
     _apply_network_raw,
-    _require_convention,
     _require_instance,
     _require_int,
     _require_normalized,
@@ -167,9 +169,9 @@ def bell_branch_table(
     Enumerates the same evolution run_bell_qnd samples from; branches of
     (numerically) zero probability carry ``None`` as their post state.
     """
-    _require_pair(state, "bell network")
-    convention = _require_convention(convention)
-    return _branch_rows(state, _ghz_network(2, convention), convention, _bell_labels(convention))
+    _require_two_qubits(state)
+    convention = _require_table_input(state, convention, "bell_branch_table")
+    return _branch_rows(state, convention, _bell_labels(convention))
 
 
 def bell_projection_oracle(

@@ -19,14 +19,15 @@ before decoding; the reported phase bit is therefore canonical (0 <-> '+')
 under both conventions.
 
 The network is built once (_parity_network) as one staged schedule of steps
-(gates, ancillas): append the ancillas in |0>, run the gates, measure and drop
-the ancillas in order.  Every measurement (Bell, GHZ at every n, the auth
-round) runs it: each parity extraction, which commutes with the rest, is a
-one-ancilla step, so the live register stays at n + 1 qubits.  The flat gate
-list with all n ancillas live (ghz_network_gate_list) is read off the same
-steps, the i-th one-ancilla step's CNOTs onto ancilla n + i.  The auth round,
-whose register carries the attacker's qubits, runs each step on dense rows,
-gate by gate (_dense_network).  GHZ shots look their own schedule up by (n,
+(gates, ancillas): append the ancillas in |0> after the last data qubit, run
+the gates, measure and drop the ancillas in order.  Every measurement (Bell,
+GHZ at every n, the auth round) runs it: each parity extraction, which
+commutes with the rest, is a one-ancilla step, so the live register stays at
+n + 1 qubits.  The flat gate list with all n ancillas live
+(ghz_network_gate_list) is read off the same steps, the i-th one-ancilla
+step's CNOTs onto ancilla n + i.  The auth round, whose register carries the
+attacker's qubits, runs each step on dense rows, gate by gate
+(_dense_network).  GHZ shots look their own schedule up by (n,
 convention) (_ghz_network), where the data register is the whole register, so
 a prefix's dense row is mostly zeros: after k parity bits it can hold only the
 2**(n-k) kets whose neighbor parities match the prefix.  That schedule runs on
@@ -46,15 +47,17 @@ live bit prefixes: each depth's branch weights and normalized branches come
 from one stacked call (statevector._split_rows) that sums what the
 per-register measurement sums, in the same layout.  A state's first shot
 expands every branch at once and keeps the table in the memo slot (state,
-schedule, table), and later shots walk it (_state_table, statevector._walk),
-so each state runs its network once; a caller that takes one shot per fresh
-state pays for the whole table.  A shot tests the slot first (_shot).  When
-the slot holds the shot's state itself under the shot's convention, which
-the schedule names (_Schedule), the call that filled it has checked n, the
-convention and the norm of that immutable object, so the shot only checks
-its draws, walks the table and finishes its leaf.  Any other shot makes
-those checks, the convention first and before any cache, then expands the
-table; a state that fails one never enters the slot.
+CONVENTIONS token, table), and later shots walk it (_state_table,
+statevector._walk), so each state runs its network once; a caller that takes
+one shot per fresh state pays for the whole table.  A shot tests the slot
+first (_shot).  When the slot holds the shot's state itself under the shot's
+convention token, the call that filled it has checked n, the convention and
+the norm of that immutable object, so the shot only checks its draws, walks
+the table and finishes its leaf.  Any other shot, and every table call, makes
+those checks in one sequence (_require_table_input): the convention, before
+any cache, then n, then the norm.  Only then does _state_table look the
+schedule up and expand the table, so a state that fails a check never enters
+the slot.
 The table also keeps each leaf's finished outcome per outcome class, built by
 the first shot that reaches it, so later shots to that leaf return it.  Bell
 and GHZ shots share one finisher (_shot): it writes the outcome's fields,
@@ -194,10 +197,10 @@ def decode_ghz(
 
 
 @lru_cache(maxsize=None)
-def _parity_network(data_qubits: tuple[int, ...], ancilla_start: int, convention: str) -> tuple:
+def _parity_network(data_qubits: tuple[int, ...], convention: str) -> tuple:
     """The network on ``data_qubits`` as a schedule of steps (gates, ancillas).
 
-    A step appends ``ancillas`` qubits in |0> from index ``ancilla_start``,
+    A step appends ``ancillas`` qubits in |0> from index data_qubits[-1] + 1,
     runs ``gates``, then measures and drops those ancillas in order.  The
     i-th one-ancilla step, i < n - 1, takes the parity of data qubits i and
     i + 1; the last one takes the global parity between two Hadamard layers,
@@ -205,7 +208,7 @@ def _parity_network(data_qubits: tuple[int, ...], ancilla_start: int, convention
     """
     layer = tuple(hadamard(q, convention) for q in data_qubits)
     controls = [data_qubits[i : i + 2] for i in range(len(data_qubits) - 1)] + [data_qubits]
-    runs = [tuple(cnot(q, ancilla_start) for q in qubits) for qubits in controls]
+    runs = [tuple(cnot(q, data_qubits[-1] + 1) for q in qubits) for qubits in controls]
     return (*((run, 1) for run in runs[:-1]), (layer, 0), (runs[-1], 1), (layer, 0))
 
 
@@ -216,37 +219,26 @@ def _dense_step(rows: np.ndarray, live: np.ndarray, gates: tuple, ancillas: int)
 
 
 @lru_cache(maxsize=None)
-def _dense_network(data_qubits: tuple[int, ...], ancilla_start: int, convention: str) -> tuple:
+def _dense_network(data_qubits: tuple[int, ...], convention: str) -> tuple:
     """The staged schedule on dense rows, one _dense_step kernel a step: ((kernel, ancillas), ...)."""
-    steps = _parity_network(data_qubits, ancilla_start, convention)
+    steps = _parity_network(data_qubits, convention)
     return tuple((partial(_dense_step, gates=gates, ancillas=ancillas), ancillas) for gates, ancillas in steps)
 
 
-class _Schedule(tuple):
-    """A GHZ register's schedule, a tuple of steps, that names the CONVENTIONS token it was built for."""
-
-    convention: str
-
-    def __new__(cls, steps: Sequence, convention: str) -> "_Schedule":
-        schedule = super().__new__(cls, steps)
-        schedule.convention = _require_convention(convention)
-        return schedule
-
-
 @lru_cache(maxsize=None)
-def _ghz_network(n: int, convention: str) -> _Schedule:
+def _ghz_network(n: int, convention: str) -> tuple:
     """The GHZ register's own schedule on compact rows, looked up by (n, convention); n is checked once.
 
-    It measures what _dense_network(tuple(range(n)), n, convention) measures, byte for byte, but each
+    It measures what _dense_network(tuple(range(n)), convention) measures, byte for byte, but each
     live prefix's row holds only its support in ket order: n - 1 neighbour-parity gathers (_parity_step),
     the first layer (_first_layer), which writes its rows interleaved by global parity, the global-parity
     split, which normalizes only the one value per branch that the second layer reads, and the second
-    layer (_second_layer), which writes the dense leaves.  The schedule names its convention token
-    (_Schedule), so a shot tests the memo slot without this lookup."""
+    layer (_second_layer), which writes the dense leaves.  Only a table expansion looks it up
+    (_state_table); the memo slot is keyed on the convention token, not on the schedule."""
     _require_parts(n)
     first, second = _closed_layers(n, convention)
     parity = tuple((partial(_parity_step, gather=_gather(local, local.shape[1])), 1) for local in _parity_gathers(n))
-    return _Schedule((*parity, (first, 0), ((), 1, 1), (second, 0)), convention)
+    return (*parity, (first, 0), ((), 1, 1), (second, 0))
 
 
 def _parity_gathers(n: int) -> list:
@@ -400,21 +392,31 @@ def _table_rows(weights: list, leaves: dict) -> list:
     return [(p, None if p <= ZERO_BRANCH_PROB else leaves[i]) for i, p in enumerate(probs.tolist())]
 
 
-#: (state, schedule, table) of the last state measured; held, so ``is`` is safe.  Only a state that
-#: passed its norm check, under a _ghz_network schedule, enters it.
+#: (state, CONVENTIONS token, table) of the last state measured; held, so ``is`` is safe.  Only a state
+#: that passed _require_table_input under that token enters it.
 _last_table: tuple = (None, None, None)
 
 
-def _state_table(state: StateVector, steps: Sequence) -> tuple:
+def _require_table_input(state: StateVector, convention: str, where: str) -> str:
+    """The one check sequence on a table's input, before any cache: the convention, then 2 <= n <=
+    MAX_PARTS, then the norm under ``where``'s name.  Returns the CONVENTIONS token."""
+    convention = _require_convention(convention)
+    _require_parts(state.num_qubits)
+    _require_normalized(state, where)
+    return convention
+
+
+def _state_table(state: StateVector, convention: str) -> tuple:
     """(weights, leaves, finished) for ``state``: its table with its finished leaves, kept in the slot.
 
-    A fresh state expands the table on its first shot or table call, so every later one only walks it.
-    Callers check n, the convention and the norm first."""
+    A fresh state expands the table on its first shot or table call, running the schedule it looks up
+    (_ghz_network), so every later one only walks it.  Callers pass ``state`` through
+    _require_table_input first, and ``convention`` as the token it returns."""
     global _last_table
-    last_state, last_steps, table = _last_table
-    if last_state is not state or last_steps is not steps:
-        table = (*_branches(state.amplitudes, steps), {})
-        _last_table = (state, steps, table)
+    last_state, last_convention, table = _last_table
+    if last_state is not state or last_convention is not convention:
+        table = (*_branches(state.amplitudes, _ghz_network(state.num_qubits, convention)), {})
+        _last_table = (state, convention, table)
     return table
 
 
@@ -426,8 +428,8 @@ def _shot(
     The slot is tested first.  When it holds ``state`` itself under ``convention`` (the CONVENTIONS
     token, by identity; n follows from the state), the call that filled it has checked n, the
     convention and the norm of this immutable object, so the shot only checks its draws, walks
-    (_walk) and finishes the leaf.  Otherwise it makes those checks, the convention first, the norm
-    under ``where``'s name, and _state_table expands the table, or finds it for a convention equal
+    (_walk) and finishes the leaf.  Otherwise _require_table_input makes those checks under
+    ``where``'s name, and _state_table expands the table, or finds it for a convention equal
     to the token but not the token.  A state that fails a check never enters the slot, so it fails
     every shot.  The caller checks anything the slot does not fix (Bell: a 2-qubit register).
 
@@ -439,10 +441,9 @@ def _shot(
     keeps it by (outcome, leaf), so ``key`` must follow from n and ``convention``, and Bell and
     n = 2 GHZ, which share one schedule, keep their own; a later shot to that leaf returns it."""
     n = state.num_qubits
-    last_state, steps, table = _last_table
-    if last_state is not state or steps.convention is not convention:  # a miss: check, then expand
-        steps = _ghz_network(n, _require_convention(convention))  # checks 2 <= n <= MAX_PARTS
-        _require_normalized(state, where)
+    last_state, last_convention, table = _last_table
+    if last_state is not state or last_convention is not convention:  # a miss: check, then expand
+        convention = _require_table_input(state, convention, where)
         table = None
     try:
         if len(draws) != n:
@@ -451,7 +452,7 @@ def _shot(
         raise ValueError(f"{where} needs a sequence of {n} draws, got {draws!r}") from None
     if isinstance(draws, np.ndarray):  # Python floats, once: numpy scalars compare slower
         draws = draws.tolist()
-    weights, leaves, finished = table or _state_table(state, steps)
+    weights, leaves, finished = table or _state_table(state, convention)
     probability, i = _walk(weights, draws)
     done = finished.get((outcome, i))
     if done is None:  # the label table is read only for a leaf not finished yet
@@ -472,7 +473,7 @@ def ghz_network_gate_list(n: int, convention: str = "paper") -> list:
     CNOTs retargeted to ancilla n + i.
     """
     gates, target = [], _require_parts(n)
-    for run, ancillas in _parity_network(tuple(range(n)), n, _require_convention(convention)):
+    for run, ancillas in _parity_network(tuple(range(n)), _require_convention(convention)):
         gates += [cnot(gate.control, target) for gate in run] if ancillas else run
         target += ancillas
     return gates
@@ -511,12 +512,13 @@ def _ghz_labels(n: int, convention: str) -> tuple:
     return tuple(table)
 
 
-def _branch_rows(state: StateVector, steps: Sequence, convention: str, labels: Sequence) -> list:
+def _branch_rows(state: StateVector, convention: str, labels: Sequence) -> list:
     """Each leaf's (bits with canonical phase, label, probability, post state or None).
 
-    The bits come from the GHZ label table, the label from ``labels`` (last field of each entry)."""
+    ``convention`` is the token _require_table_input returned.  The bits come from the GHZ label table,
+    the label from ``labels`` (last field of each entry)."""
     n = state.num_qubits
-    rows = _table_rows(*_state_table(state, steps)[:2])
+    rows = _table_rows(*_state_table(state, convention)[:2])
     return [(parities + (g,), entry[-1], prob, None if post is None else StateVector._adopt(n, post))
             for (parities, g, _), entry, (prob, post) in zip(_ghz_labels(n, convention), labels, rows)]
 
@@ -547,10 +549,8 @@ def ghz_branch_table(
 
     Expands the table run_ghz_qnd samples from (shots equal rows); n = 2..MAX_PARTS.
     """
-    n, convention = state.num_qubits, _require_convention(convention)
-    steps = _ghz_network(n, convention)  # checks 2 <= n <= MAX_PARTS
-    _require_normalized(state, "ghz_branch_table")
-    return _branch_rows(state, steps, convention, _ghz_labels(n, convention))
+    convention = _require_table_input(state, convention, "ghz_branch_table")
+    return _branch_rows(state, convention, _ghz_labels(state.num_qubits, convention))
 
 
 def ghz_projection_oracle(state: StateVector) -> list[tuple[GhzLabel, float]]:

@@ -238,7 +238,7 @@ def test_fresh_attacker_distribution_is_preparation_independent():
     for _ in range(20):
         qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         qubit /= np.linalg.norm(qubit)
-        probs = _branch_probabilities(np.kron(qubit, pair), 3, 0, 2, "paper")
+        probs = _branch_probabilities(np.kron(qubit, pair), "paper")
         np.testing.assert_allclose(probs, UNIFORM, atol=1e-12)
 
 
@@ -248,7 +248,7 @@ def test_round_engine_agrees_with_reference_network():
     for _ in range(50):
         state = random_state(2, rng)
         draws = rng.random(2)
-        bits, prob, post = _run_round(state.amplitudes, 2, 0, 1, "paper", draws)
+        bits, prob, post = _run_round(state.amplitudes, "paper", draws)
         reference = run_bell_qnd(state, "paper", draws)
         assert bits == (reference.parity_bit, reference.phase_bit)
         assert prob == pytest.approx(reference.probability, abs=1e-12)
@@ -265,10 +265,10 @@ def test_attacker_layouts_are_well_formed():
         (AttackerModel.ENTANGLED_DECOY, 4),
         (AttackerModel.RANDOM_BELL_GUESS, 4),
     ]:
-        system, size, slot, machine = _system_for(model, pair, rng)
-        assert size == num_system and system.size == 1 << size
+        system = _system_for(model, pair, rng)
+        assert system.size == 1 << num_system
         assert abs(np.linalg.norm(system) - 1.0) < 1e-12
-        assert slot != machine
+        assert system.size >= 4  # the slot, qubit 0, and the terminal, the last qubit, are distinct
 
 
 NOT_ATTACKERS = ["legitimate", "LEGITIMATE", None, 0, ["guess"]]
@@ -324,10 +324,10 @@ def attacker_registers(draw):
 @given(register=attacker_registers(), stored=st.sampled_from(BELL_DECODE_ORDER))
 def test_any_card_less_register_sees_a_uniform_round(register, stored):
     # monogamy: the terminal qubit's marginal is I/2 whatever sits in front of the pair
-    system = auth._prepend(register, bell_state(stored).amplitudes)
-    assert system[1] == register.size.bit_length() + 1
+    system = np.kron(register, bell_state(stored).amplitudes)
+    assert system.size == register.size << 2
     for convention in ("paper", "standard"):
-        probs = _branch_probabilities(*system, convention)
+        probs = _branch_probabilities(system, convention)
         assert np.max(np.abs(probs - UNIFORM)) <= 1e-12, convention
 
 
@@ -591,8 +591,8 @@ def _state_vector_session(account, attacker, noise, threshold, rng, convention):
     measured, matches = [], []
     for pair, record in zip(account.pairs, account.records):
         noisy = _apply_noise_rng(pair, noise, rng)
-        system, num_system, slot, machine = _system_for(attacker, noisy.amplitudes, rng)
-        bits, _, _ = _run_round(system, num_system, slot, machine, convention, rng.random(2))
+        system = _system_for(attacker, noisy.amplitudes, rng)
+        bits, _, _ = _run_round(system, convention, rng.random(2))
         measured.append(bits)
         matches.append(bits == tuple(record))
     return tuple(measured), tuple(matches), sum(matches) / len(matches) >= threshold

@@ -6,7 +6,6 @@ import pytest
 from qndnet.bell import (
     BELL_DECODE_ORDER,
     BellLabel,
-    BellQndOutcome,
     bell_bits,
     bell_branch_table,
     bell_network_unitary_steps,
@@ -18,8 +17,9 @@ from qndnet.bell import (
     run_bell_qnd,
 )
 from qndnet import ghz as ghz_module
-from qndnet.ghz import GhzQndOutcome, ghz_branch_table, ghz_state, run_ghz_qnd
+from qndnet.ghz import ghz_branch_table, ghz_state, run_ghz_qnd
 from qndnet.statevector import (
+    CONVENTIONS,
     GateKind,
     StateVector,
     apply_gates,
@@ -305,37 +305,13 @@ def test_bell_is_the_n2_case_of_ghz(convention):
             assert (post is None) == (g_post is None)
             assert post is None or np.array_equal(post.amplitudes, g_post.amplitudes)
     # one schedule: Bell and n = 2 GHZ, with staged= given or not, share one schedule, so one
-    # memo slot: their shots keep its (state, schedule), and the repeat's table stays put
+    # memo slot: their shots keep its (state, convention token), and the repeat's table stays put
     run_bell_qnd(states[-1], convention)
-    state, steps, _ = ghz_module._last_table
+    state, token, _ = ghz_module._last_table
+    assert token is CONVENTIONS[CONVENTIONS.index(convention)]
     tables = []
     for staged in (None, False):
         run_ghz_qnd(states[-1], convention, (0.0, 0.0), staged=staged)
-        assert ghz_module._last_table[0] is state and ghz_module._last_table[1] is steps
+        assert ghz_module._last_table[0] is state and ghz_module._last_table[1] is token
         tables.append(ghz_module._last_table[2])
     assert tables[0] is not None and tables[1] is tables[0]
-
-
-def outcome_fields(outcome):
-    """Every field of an outcome, the post state as its amplitude bytes."""
-    return tuple(v.amplitudes.tobytes() if isinstance(v, StateVector) else v for v in vars(outcome).values())
-
-
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_bell_and_ghz_shots_alternate_on_one_slot(convention):
-    # Bell and n = 2 GHZ share one schedule, so one slot and one table: each kind finishes
-    # its own leaves, and every shot equals, byte for byte, the same shot on a fresh twin
-    rng = np.random.default_rng(79)
-    state = random_state(2, rng)
-    shots = np.concatenate([rng.random((8, 2)), np.zeros((4, 2)), rng.random((8, 2))])
-    kinds = [(run_bell_qnd, BellQndOutcome), (run_ghz_qnd, GhzQndOutcome)] * len(shots)
-    # the twins' shots first: each twin evicts the slot and expands its own table
-    expected = [outcome_fields(run(StateVector(2, state.amplitudes), convention, d))
-                for (run, _), d in zip(kinds, np.repeat(shots, 2, axis=0))]
-    for (run, kind), d, want in zip(kinds, np.repeat(shots, 2, axis=0), expected):
-        out = run(state, convention, d)
-        assert type(out) is kind
-        assert outcome_fields(out) == want
-    slot_state, _, (_, _, finished) = ghz_module._last_table
-    assert slot_state is state
-    assert {type(out) for out in finished.values()} == {BellQndOutcome, GhzQndOutcome}

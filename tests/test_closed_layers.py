@@ -53,7 +53,7 @@ def layer_steps(n: int, convention: str) -> tuple:
     dense layer takes and gives: the first reads each row's support (a_x_bar, a_x) and puts its
     interleaved outputs back in ket order; the second reads each branch at ket g, the one value its
     compact row keeps.  Each wrapper checks that the dense rows hold nothing off what it reads."""
-    closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), n, convention)
+    closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), convention)
     (first, _), (second, _) = dense[n - 1], dense[n + 1]
     (closed_first, _), (closed_second, _) = closed[n - 1], closed[n + 1]
     full, order = (1 << n) - 1, interleaved_kets(n)
@@ -130,7 +130,7 @@ def second_layer_input(n: int, convention: str, live: np.ndarray, a: np.ndarray,
     """(rows, live leaves) as the dense global-parity step leaves them after the dense first layer."""
     _, _, first, _ = layer_steps(n, convention)
     rows = first(first_layer_rows(n, convention, live, a, b), live)
-    global_parity, _ = _dense_network(tuple(range(n)), n, convention)[n]
+    global_parity, _ = _dense_network(tuple(range(n)), convention)[n]
     w, split = _split_rows(global_parity(rows, live), n)
     leaves = (2 * live[:, None] + [0, 1]).reshape(-1)
     keep = w.reshape(-1) > 0.0  # dead branches leave, as in the level builder
@@ -210,7 +210,7 @@ def test_compact_schedule_mirrors_the_dense_schedule():
     # value per branch, the second layer; the same ancillas in the same places
     for n in range(2, 9):
         for convention in CONVENTIONS:
-            closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), n, convention)
+            closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), convention)
             assert len(closed) == len(dense) == n + 2
             assert [step[1] for step in closed] == [ancillas for _, ancillas in dense] == [1] * (n - 1) + [0, 1, 0]
             names = ["_parity_step"] * (n - 1) + ["_first_layer", None, "_second_layer"]
@@ -266,7 +266,7 @@ def test_auth_rounds_run_the_dense_steps_with_unchanged_output():
         rows = [row.to_dict() for row in security_sweep([1, 3], AttackerModel.LEGITIMATE, 40, 7, noise)]
         rows += [row.to_dict() for row in security_sweep([2], AttackerModel.ENTANGLED_DECOY, 40, 7)]
         dists = [attacker_round_distribution(model, label).tobytes() for model in AttackerModel for label in BellLabel]
-        bits, probability, post = _run_round(*system, "paper", draws)
+        bits, probability, post = _run_round(system, "paper", draws)
         return rows, dists, (bits, probability, post.tobytes())
 
     want = outputs()

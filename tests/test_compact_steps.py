@@ -79,7 +79,7 @@ def assert_steps_match(amps: np.ndarray, n: int, convention: str) -> None:
     """One expansion per schedule: the rows every step receives, which are the rows after the steps
     before it, then the leaves after the last step, with the weights of every level."""
     compact, got = recorded(_ghz_network(n, convention))
-    dense, want = recorded(_dense_network(tuple(range(n)), n, convention))
+    dense, want = recorded(_dense_network(tuple(range(n)), convention))
     assert_same_table(_branches(amps, compact), _branches(amps, dense))
     for steps, ((rows, live), (want_rows, want_live)) in enumerate(zip(got, want, strict=True)):
         assert live.tolist() == want_live.tolist(), steps

@@ -418,7 +418,7 @@ def test_tree_shots_equal_reference_walker(n, convention):
         {bits: (probability, post) for bits, _, probability, post in ghz_branch_table(s, convention)}
         for s in states
     ]
-    steps = _parity_network(tuple(range(n)), n, convention)
+    steps = _parity_network(tuple(range(n)), convention)
     # repeated shots of one state, then shots interleaved across three (each evicts the slot)
     for k in [0] * 12 + [0, 1, 2] * 8:
         draws = rng.random(n)
@@ -440,7 +440,7 @@ def test_shot_first_and_table_first_equal_reference_walker(n, convention):
     # and the walks on it; GHZ basis states carry their dead branches through both orders
     # under both extreme draws
     rng = np.random.default_rng(5000 + n)
-    steps = _parity_network(tuple(range(n)), n, convention)
+    steps = _parity_network(tuple(range(n)), convention)
     labels = all_canonical_labels(n)
     top = float(np.nextafter(1.0, 0.0))
     cases = [(random_state(n, rng).amplitudes, None, None) for _ in range(2)]
@@ -470,7 +470,7 @@ def test_repeat_visits_return_the_first_visits_outcome(n):
     # repeat visit returns that outcome, which equals the reference walker's shot
     rng = np.random.default_rng(6000 + n)
     for convention in ("paper", "standard"):
-        steps = _parity_network(tuple(range(n)), n, convention)
+        steps = _parity_network(tuple(range(n)), convention)
         state = random_state(n, rng)
         shots = rng.random((12, n))
         finished = {}

@@ -125,7 +125,7 @@ def test_dense_steps_hand_on_no_negative_zero(n):
     rng = np.random.default_rng(1200 + n)
     for convention in ("paper", "standard"):
         for data in (tuple(range(n)), (0, n - 1)):
-            for step, _ in _dense_network(data, n, convention):
+            for step, _ in _dense_network(data, convention):
                 parts = rng.standard_normal((3, 2 << n))
                 parts[rng.random(parts.shape) < 0.4] = -0.0
                 rows = parts.view(np.complex128)

@@ -39,9 +39,23 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 
 
+#: Lines of a failed run's stderr that the tool prints when it stops.
+STDERR_TAIL = 20
+
+
 def run_json(argv: list[str], cwd: Path) -> dict:
-    out = subprocess.run(argv, cwd=cwd, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    """The JSON on the last stdout line of ``argv`` run in the checkout ``cwd``.  A run that exits
+    non-zero, or whose last line is no JSON, stops the tool with a non-zero exit that names the
+    argv, the checkout and the tail of the run's stderr."""
+    done = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
+    problem = f"exited {done.returncode}"
+    if done.returncode == 0:
+        try:
+            return json.loads(done.stdout.strip().splitlines()[-1])
+        except (IndexError, json.JSONDecodeError):
+            problem = "printed no JSON last line"
+    tail = "\n".join(done.stderr.splitlines()[-STDERR_TAIL:])
+    sys.exit(f"compare_bench: {argv} in {cwd} {problem}; its stderr ends:\n{tail}")
 
 
 def summary(values: list[float]) -> dict[str, float]:
