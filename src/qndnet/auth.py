@@ -31,6 +31,10 @@ engine consumes the same draws, in the same order, as the state-vector round
 staged Bell network on the slot, qubit 0, and the terminal, the last qubit, of
 the joint register (_round_branches), expanded into one branch table by the
 GHZ module's level builder and walked as a shot walks.
+A round's (parity, phase) bits and their probabilities are the same under
+either Hadamard convention, so auth takes no convention: its oracle runs the
+paper's network.  A sweep checks the label engine against that oracle on all
+four labels once per (oracle, attacker) in a process (_check_labels).
 A lone session decodes its labels from those draws in plain Python
 (_session_labels); a sweep's array blocks count matching rounds without
 decoding a label (_accepted_sessions), and both accept by one rule.
@@ -78,7 +82,6 @@ from .statevector import (
     PAULI_Z_MATRIX,
     StateVector,
     _apply_single_raw,
-    _require_convention,
     _require_instance,
     _require_int,
     _require_normalized,
@@ -132,8 +135,8 @@ def _is_real(value) -> bool:
 class NoiseSpec:
     """Per-qubit, per-session trajectory noise on the stored pair; a model without hits takes p = 0 only.
 
-    p is kept as a Python float, whatever real type it came as, so the draws,
-    the rows and their analytic rate all see one value.
+    p is kept as a Python float, whatever real type it came as (and -0.0 as
+    0.0), so the draws, the rows and their analytic rate all see one value.
     """
 
     model: str = "none"
@@ -146,7 +149,7 @@ class NoiseSpec:
             raise ValueError(f"noise probability must be a real number in [0, 1], got {self.p!r}")
         if self.p and not _NOISE_HITS[self.model]:
             raise ValueError(f"noise model {self.model!r} takes no probability, got p={self.p!r}")
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", float(self.p) + 0.0)  # -0.0 + 0.0 is 0.0: one setting, one value
 
 
 NOISELESS = NoiseSpec()
@@ -267,22 +270,20 @@ def apply_noise(
 # -- one verification round: the Bell network on (slot, terminal) of a larger register --
 
 
-def _round_branches(system: np.ndarray, convention: str) -> tuple:
-    """(weights, leaves) of one round on the joint amplitudes ``system``: the Bell network on the slot,
-    qubit 0, and the terminal, the last qubit."""
-    return _branches(system, _dense_network((0, system.size.bit_length() - 2), convention))
+def _round_branches(system: np.ndarray) -> tuple:
+    """(weights, leaves) of one round on the joint amplitudes ``system``: the paper's Bell network on
+    the slot, qubit 0, and the terminal, the last qubit."""
+    return _branches(system, _dense_network((0, system.size.bit_length() - 2), "paper"))
 
 
-def _branch_probabilities(system: np.ndarray, convention: str) -> np.ndarray:
+def _branch_probabilities(system: np.ndarray) -> np.ndarray:
     """The 4 outcome probabilities of one round; outcome = 2*parity + phase."""
-    return np.array([prob for prob, _ in _table_rows(*_round_branches(system, convention))])
+    return np.array([prob for prob, _ in _table_rows(*_round_branches(system))])
 
 
-def _run_round(
-    system: np.ndarray, convention: str, draws: np.ndarray
-) -> tuple[tuple[int, int], float, np.ndarray]:
+def _run_round(system: np.ndarray, draws: np.ndarray) -> tuple[tuple[int, int], float, np.ndarray]:
     """One shot down the round's branch table, a draw per ancilla; returns (bits, probability, post system)."""
-    weights, leaves = _round_branches(system, convention)
+    weights, leaves = _round_branches(system)
     probability, leaf = _walk(weights, draws.tolist())  # Python floats, once: numpy scalars compare slower
     return divmod(leaf, 2), probability, leaves[leaf]
 
@@ -408,11 +409,10 @@ def _fewest_matches(n: int, threshold: float) -> int:
     return k
 
 
-def _require_session_settings(threshold: float, convention: str, noise: NoiseSpec) -> None:
+def _require_session_settings(threshold: float, noise: NoiseSpec) -> None:
     _require_instance("noise", noise, NoiseSpec)
     if not (_is_real(threshold) and 0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must be a real number in [0, 1], got {threshold!r}")
-    _require_convention(convention)
 
 
 def verify_session(
@@ -421,7 +421,6 @@ def verify_session(
     noise: NoiseSpec = NOISELESS,
     threshold: float = 1.0,
     seed: int | np.random.Generator = 0,
-    convention: str = "paper",
     password_ok: bool = True,
 ) -> SessionResult:
     """One full session: noise, one round per pair, compare bits, accept/reset.
@@ -441,17 +440,17 @@ def verify_session(
     draws), then the two ancilla uniforms, as laid out in the module's
     Seeding note.  These are the draws
     of the state-vector round, taken in the same order, so seeded sessions
-    agree with it bit for bit; the Bell outcome does not depend on the
-    Hadamard convention.  A round matches when the label it reads
-    (_session_labels) equals its record's; the session accepts when its match count reaches the
-    fewest accepting matches (_fewest_matches), the rule a sweep's array
-    blocks are accepted with.
+    agree with it bit for bit.  The Bell outcome does not depend on the
+    Hadamard convention, so a session takes none.  A round matches when the
+    label it reads (_session_labels) equals its record's; the session accepts
+    when its match count reaches the fewest accepting matches
+    (_fewest_matches), the rule a sweep's array blocks are accepted with.
     """
     _slot_register(attacker)  # rejects a non-AttackerModel before any draw
     _require_seed(seed)
     if account.status != "active":
         raise ValueError("account is flagged; re-enrollment creates a new account")
-    _require_session_settings(threshold, convention, noise)
+    _require_session_settings(threshold, noise)
     if not isinstance(password_ok, (bool, np.bool_)):
         raise ValueError(f"password_ok must be a bool, got {password_ok!r}")
     if not password_ok:
@@ -472,9 +471,7 @@ def verify_session(
     return SessionResult(tuple(matches), sum(matches) / len(matches), accepted, tuple(measured))
 
 
-def attacker_round_distribution(
-    model: AttackerModel, true_pair_label: BellLabel, convention: str = "paper"
-) -> np.ndarray:
+def attacker_round_distribution(model: AttackerModel, true_pair_label: BellLabel) -> np.ndarray:
     """Exact probabilities of the four (parity, phase) outcomes of one round.
 
     Ordered (Phi+, Phi-, Psi+, Psi-), i.e. by outcome index 2*parity + phase.
@@ -485,11 +482,10 @@ def attacker_round_distribution(
     one fixed qubit and guess its four equally likely decoys.
     """
     slot = _slot_register(model)
-    convention = _require_convention(convention)
     pair = bell_state(true_pair_label).amplitudes
     dist = np.zeros(4)
     for draw in slot.representatives:
-        dist += _branch_probabilities(np.kron(slot.build(draw), pair), convention)
+        dist += _branch_probabilities(np.kron(slot.build(draw), pair))
     return dist / len(slot.representatives)
 
 
@@ -536,16 +532,17 @@ def _acceptance_probability(match_probabilities: Sequence[float], threshold: flo
 
 
 @lru_cache(maxsize=None)
-def _check_label(oracle_fn: Callable, attacker: AttackerModel, index: int, convention: str) -> None:
-    """Raise unless ``oracle_fn`` agrees with the label engine on one label (a pass is memoized)."""
-    oracle = oracle_fn(attacker, BELL_DECODE_ORDER[index], convention)
-    # the label engine: a card reads its own label, a card-less attacker a uniform one
-    label_model = np.eye(4)[index] if attacker is AttackerModel.LEGITIMATE else np.full(4, 0.25)
-    if np.max(np.abs(oracle - label_model)) > _ORACLE_ATOL:
-        raise RuntimeError(
-            f"label engine disagrees with the state-vector round for {attacker.token} "
-            f"on {BELL_DECODE_ORDER[index].token}: {oracle}"
-        )
+def _check_labels(oracle_fn: Callable, attacker: AttackerModel) -> None:
+    """Raise unless ``oracle_fn`` agrees with the label engine on all four labels (a pass is memoized)."""
+    for index, label in enumerate(BELL_DECODE_ORDER):
+        oracle = oracle_fn(attacker, label)
+        # the label engine: a card reads its own label, a card-less attacker a uniform one
+        label_model = np.eye(4)[index] if attacker is AttackerModel.LEGITIMATE else np.full(4, 0.25)
+        if np.max(np.abs(oracle - label_model)) > _ORACLE_ATOL:
+            raise RuntimeError(
+                f"label engine disagrees with the state-vector round for {attacker.token} "
+                f"on {label.token}: {oracle}"
+            )
 
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
@@ -589,7 +586,6 @@ def security_sweep(
     seed: int,
     noise: NoiseSpec = NOISELESS,
     threshold: float = 1.0,
-    convention: str = "paper",
 ) -> list[SweepRow]:
     """Empirical acceptance rate vs the exact one, per account size.
 
@@ -610,32 +606,29 @@ def security_sweep(
     (_fewest_matches, the first k with k / n >= threshold), and a bulk draw
     yields the same doubles as the sessions' one-by-one draws, so a row
     equals T sequential verify_session calls on its stream, whatever the
-    chunk size.  Each row first checks the label model's noise-free round
-    against the state-vector oracle (attacker_round_distribution) on the
-    enrolled labels, once per (attacker, oracle, label, convention) in a
-    process.  A threshold outside
-    [0, 1] (NaN included), an unknown convention, a noise that is not a
-    NoiseSpec, a bad trial count, a seed that is not an integer >= 0 or any
-    bad account size in ``n_range`` raises ValueError before any draw.
+    chunk size.  After its size checks and before any row, the sweep checks
+    the label model's noise-free round against the state-vector oracle
+    (attacker_round_distribution) on all four labels, once per (oracle,
+    attacker) in a process, and raises RuntimeError on the first label they
+    disagree on.  A threshold outside [0, 1] (NaN included), a noise that is
+    not a NoiseSpec, a bad trial count, a seed that is not an integer >= 0 or
+    any bad account size in ``n_range`` raises ValueError before any draw.
     """
     _slot_register(attacker)  # rejects a non-AttackerModel before any trial
     _require_int("trials", trials, 1)
     _require_int("seed", seed, 0)
-    _require_session_settings(threshold, convention, noise)
+    _require_session_settings(threshold, noise)
     sizes = [_require_int("n", n, 1) for n in n_range]  # every size before the first row
+    _check_labels(attacker_round_distribution, attacker)  # the oracle looked up now: a replaced one is checked afresh
     rows = []
     for n in sizes:
         rng = np.random.default_rng((seed, n))
         base = enroll(n, "random", seed=rng)
         bits = np.array(base.records, dtype=bool)
-        for index in sorted({_RECORD_LABELS[r] for r in base.records}):  # the oracle looked up now: a replaced one is checked afresh
-            _check_label(attacker_round_distribution, attacker, index, convention)
         analytic = _acceptance_probability(
             [_round_match_probability(attacker, noise)] * n, threshold
         )
-        successes = int(
-            verify_session(base.clone(), attacker, noise, threshold, rng, convention).accepted
-        )
+        successes = int(verify_session(base.clone(), attacker, noise, threshold, rng).accepted)
         k, fewest = _round_draws(attacker, noise), _fewest_matches(n, threshold)
         chunk = max(1, _CHUNK_DRAWS // (n * k))
         for start in range(1, trials, chunk):

@@ -20,15 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .auth import (
-    AttackerModel,
     NOISE_MODELS,
     NoiseSpec,
     SweepRow,
+    _ATTACKER_TOKENS,
     _require_session_settings,
     parse_attacker,
     security_sweep,
 )
-from .bell import BellLabel, bell_state, parse_bell_label, run_bell_qnd
+from .bell import _BELL_TOKENS, bell_state, parse_bell_label, run_bell_qnd
 from .bell_operator import (
     BellOperatorSpec,
     bell_operator_n,
@@ -38,9 +38,6 @@ from .bell_operator import (
 )
 from .ghz import MAX_PARTS, _require_parts, ghz_projection_oracle, ghz_state, parse_ghz_label, run_ghz_qnd
 from .statevector import CONVENTIONS, StateVector, _require_int, load_dump, random_state
-
-_BELL_TOKENS = tuple(label.value for label in BellLabel)
-_ATTACKER_TOKENS = tuple(model.value for model in AttackerModel)
 
 
 def _arg(parse):
@@ -208,7 +205,7 @@ def _run_bellop(args: argparse.Namespace) -> str:
 def _run_auth(args: argparse.Namespace) -> str:
     try:  # the library's own limits, checked before any draw
         noise = NoiseSpec(args.noise, args.p)
-        _require_session_settings(args.threshold, "paper", noise)  # the sweep's convention
+        _require_session_settings(args.threshold, noise)
     except ValueError as exc:
         args.error(str(exc))
     rows = security_sweep(
@@ -237,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         output = args.run(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(output)

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -238,7 +239,7 @@ def test_fresh_attacker_distribution_is_preparation_independent():
     for _ in range(20):
         qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         qubit /= np.linalg.norm(qubit)
-        probs = _branch_probabilities(np.kron(qubit, pair), "paper")
+        probs = _branch_probabilities(np.kron(qubit, pair))
         np.testing.assert_allclose(probs, UNIFORM, atol=1e-12)
 
 
@@ -248,7 +249,7 @@ def test_round_engine_agrees_with_reference_network():
     for _ in range(50):
         state = random_state(2, rng)
         draws = rng.random(2)
-        bits, prob, post = _run_round(state.amplitudes, "paper", draws)
+        bits, prob, post = _run_round(state.amplitudes, draws)
         reference = run_bell_qnd(state, "paper", draws)
         assert bits == (reference.parity_bit, reference.phase_bit)
         assert prob == pytest.approx(reference.probability, abs=1e-12)
@@ -326,9 +327,8 @@ def test_any_card_less_register_sees_a_uniform_round(register, stored):
     # monogamy: the terminal qubit's marginal is I/2 whatever sits in front of the pair
     system = np.kron(register, bell_state(stored).amplitudes)
     assert system.size == register.size << 2
-    for convention in ("paper", "standard"):
-        probs = _branch_probabilities(system, convention)
-        assert np.max(np.abs(probs - UNIFORM)) <= 1e-12, convention
+    probs = _branch_probabilities(system)
+    assert np.max(np.abs(probs - UNIFORM)) <= 1e-12
 
 
 def test_parse_attacker():
@@ -548,17 +548,13 @@ def test_sweep_checks_every_account_size_before_the_first_row(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "threshold, convention",
-    [(float("nan"), "paper"), (1.5, "paper"), (-0.25, "paper"), (True, "paper"), (0.5, "bogus")],
-    ids=["nan", "above-1", "below-0", "bool", "unknown-convention"],
+    "threshold", [float("nan"), 1.5, -0.25, True], ids=["nan", "above-1", "below-0", "bool"]
 )
-def test_sweep_rejects_bad_settings_before_any_draw(threshold, convention, monkeypatch):
+def test_sweep_rejects_bad_settings_before_any_draw(threshold, monkeypatch):
     enrolled = []
     monkeypatch.setattr(auth, "enroll", lambda *a, **k: enrolled.append(a))
-    with pytest.raises(ValueError, match="threshold|convention"):
-        security_sweep(
-            [1, 2], AttackerModel.FRESH_ZERO, 10, 1, threshold=threshold, convention=convention
-        )
+    with pytest.raises(ValueError, match="threshold"):
+        security_sweep([1, 2], AttackerModel.FRESH_ZERO, 10, 1, threshold=threshold)
     assert enrolled == []
 
 
@@ -586,19 +582,19 @@ def test_account_clone_is_independent():
 # -- the label engine against the state-vector oracle --
 
 
-def _state_vector_session(account, attacker, noise, threshold, rng, convention):
+def _state_vector_session(account, attacker, noise, threshold, rng):
     """The session as the dense engine runs it: noise, layout, network, branch sampling."""
     measured, matches = [], []
     for pair, record in zip(account.pairs, account.records):
         noisy = _apply_noise_rng(pair, noise, rng)
         system = _system_for(attacker, noisy.amplitudes, rng)
-        bits, _, _ = _run_round(system, convention, rng.random(2))
+        bits, _, _ = _run_round(system, rng.random(2))
         measured.append(bits)
         matches.append(bits == tuple(record))
     return tuple(measured), tuple(matches), sum(matches) / len(matches) >= threshold
 
 
-def _oracle_sweep_accepts(n, attacker, trials, seed, noise, threshold, convention="paper"):
+def _oracle_sweep_accepts(n, attacker, trials, seed, noise, threshold):
     """Accepted sessions of one sweep row, run by the dense engine on the sweep's stream.
 
     One generator per (seed, n): enrollment draws first, then trial after trial.
@@ -606,7 +602,7 @@ def _oracle_sweep_accepts(n, attacker, trials, seed, noise, threshold, conventio
     rng = np.random.default_rng((seed, n))
     base = enroll(n, "random", seed=rng)
     return sum(
-        _state_vector_session(base, attacker, noise, threshold, rng, convention)[2]
+        _state_vector_session(base, attacker, noise, threshold, rng)[2]
         for _ in range(trials)
     )
 
@@ -624,39 +620,33 @@ ORACLE_NOISES = [
 @pytest.mark.parametrize("attacker", list(AttackerModel), ids=lambda m: m.token)
 def test_label_engine_matches_state_vector_oracle_trial_by_trial(attacker, noise):
     seed, trials = 2024, 12
-    for convention in ("paper", "standard"):
-        for threshold in (1.0, 0.5, 0.0):
-            for n in (1, 2, 3):
-                base = enroll(n, "random", seed=np.random.default_rng((seed, n)))
-                for t in range(trials):
-                    account = base.clone()
-                    expected = _state_vector_session(
-                        base, attacker, noise, threshold, np.random.default_rng((seed, n, t)),
-                        convention,
-                    )
-                    result = verify_session(
-                        account, attacker, noise, threshold,
-                        np.random.default_rng((seed, n, t)), convention,
-                    )
-                    got = (result.updated_records, result.per_pair_match, result.accepted)
-                    assert got == expected, (convention, threshold, n, t)
-                    for pair, bits in zip(account.pairs, result.updated_records):
-                        assert states_close(pair, bell_state(decode_bell(*bits)))
+    for threshold in (1.0, 0.5, 0.0):
+        for n in (1, 2, 3):
+            base = enroll(n, "random", seed=np.random.default_rng((seed, n)))
+            for t in range(trials):
+                account = base.clone()
+                expected = _state_vector_session(
+                    base, attacker, noise, threshold, np.random.default_rng((seed, n, t))
+                )
+                result = verify_session(
+                    account, attacker, noise, threshold, np.random.default_rng((seed, n, t))
+                )
+                got = (result.updated_records, result.per_pair_match, result.accepted)
+                assert got == expected, (threshold, n, t)
+                for pair, bits in zip(account.pairs, result.updated_records):
+                    assert states_close(pair, bell_state(decode_bell(*bits)))
 
 
 @pytest.mark.parametrize("noise", ORACLE_NOISES, ids=lambda s: f"{s.model}-{s.p}")
 @pytest.mark.parametrize("attacker", list(AttackerModel), ids=lambda m: m.token)
 def test_sweep_rows_match_the_state_vector_oracle_on_the_same_stream(attacker, noise):
     seed, trials = 4242, 20
-    for convention in ("paper", "standard"):
-        for threshold in (1.0, 0.5, 0.0):
-            rows = security_sweep([1, 2, 3], attacker, trials, seed, noise, threshold, convention)
-            assert [row.n for row in rows] == [1, 2, 3]
-            for row in rows:
-                accepted = _oracle_sweep_accepts(
-                    row.n, attacker, trials, seed, noise, threshold, convention
-                )
-                assert row.accept_rate == accepted / trials, (convention, threshold, row.n)
+    for threshold in (1.0, 0.5, 0.0):
+        rows = security_sweep([1, 2, 3], attacker, trials, seed, noise, threshold)
+        assert [row.n for row in rows] == [1, 2, 3]
+        for row in rows:
+            accepted = _oracle_sweep_accepts(row.n, attacker, trials, seed, noise, threshold)
+            assert row.accept_rate == accepted / trials, (threshold, row.n)
 
 
 def test_sweep_rows_do_not_depend_on_the_other_account_sizes():
@@ -785,9 +775,8 @@ def test_noise_free_match_probability_matches_attacker_round_distribution(attack
     for noise in (NOISELESS, NoiseSpec("depolarizing", 0.0), NoiseSpec("dephasing", 0.0)):
         q = _round_match_probability(attacker, noise)
         for index, label in enumerate(BELL_DECODE_ORDER):
-            for convention in ("paper", "standard"):
-                dist = attacker_round_distribution(attacker, label, convention)
-                assert q == pytest.approx(float(dist[index]), abs=1e-12)
+            dist = attacker_round_distribution(attacker, label)
+            assert q == pytest.approx(float(dist[index]), abs=1e-12)
 
 
 def test_acceptance_probability_is_the_binomial_tail():
@@ -860,6 +849,30 @@ def test_sweep_checks_the_label_model_against_the_oracle(monkeypatch):
     monkeypatch.setattr(auth, "attacker_round_distribution", lambda *a, **k: skewed)
     with pytest.raises(RuntimeError, match="state-vector"):
         security_sweep([1], AttackerModel.FRESH_ZERO, 2, seed=1)
+
+
+def test_sweep_checks_every_label_once_per_oracle_and_attacker(monkeypatch):
+    # the n = 1 row enrolls one label; the oracle is wrong only on another one
+    enrolled = enroll(1, "random", seed=np.random.default_rng((1, 1))).records[0]
+    unenrolled = next(label for label in BELL_DECODE_ORDER if bell_bits(label) != enrolled)
+    exact, calls = auth.attacker_round_distribution, []
+
+    def wrong_on_unenrolled(attacker, label):
+        return np.array([0.4, 0.2, 0.2, 0.2]) if label is unenrolled else exact(attacker, label)
+
+    def counted(attacker, label):
+        calls.append(label)
+        return exact(attacker, label)
+
+    monkeypatch.setattr(auth, "attacker_round_distribution", wrong_on_unenrolled)
+    for _ in range(2):  # a failed check is not memoized
+        with pytest.raises(RuntimeError, match=re.escape(f"on {unenrolled.token}: ")):
+            security_sweep([1], AttackerModel.FRESH_ZERO, 2, seed=1)
+    monkeypatch.setattr(auth, "attacker_round_distribution", counted)
+    first = security_sweep([1], AttackerModel.FRESH_ZERO, 2, seed=1)
+    assert calls == list(BELL_DECODE_ORDER)
+    assert security_sweep([1], AttackerModel.FRESH_ZERO, 2, seed=1) == first
+    assert calls == list(BELL_DECODE_ORDER)
 
 
 # -- golden sweeps: accept rates recorded from the state-vector oracle session --

@@ -175,6 +175,18 @@ def test_auth_simulate_csv(capsys):
     assert fields[0] == "1" and fields[1] == "decoy" and fields[2] == "dephasing"
 
 
+@pytest.mark.parametrize("out", ["json", "csv"])
+@pytest.mark.parametrize("noise", ["none", "dephasing"])
+def test_auth_simulate_reads_a_negative_zero_p_as_zero(capsys, noise, out):
+    def simulate(p):
+        argv = ("auth", "simulate", "--pairs", "1", "--trials", "3", "--noise", noise, "--p", p, "--out", out)
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return stdout
+
+    assert simulate("-0") == simulate("0")
+
+
 def test_auth_flag_validation(monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a rejected flag reached the sweep")

@@ -266,7 +266,7 @@ def test_auth_rounds_run_the_dense_steps_with_unchanged_output():
         rows = [row.to_dict() for row in security_sweep([1, 3], AttackerModel.LEGITIMATE, 40, 7, noise)]
         rows += [row.to_dict() for row in security_sweep([2], AttackerModel.ENTANGLED_DECOY, 40, 7)]
         dists = [attacker_round_distribution(model, label).tobytes() for model in AttackerModel for label in BellLabel]
-        bits, probability, post = _run_round(system, "paper", draws)
+        bits, probability, post = _run_round(system, draws)
         return rows, dists, (bits, probability, post.tobytes())
 
     want = outputs()

@@ -1,4 +1,5 @@
-"""tools/compare_bench.py stops on a benchmark run it cannot read, and says which run and why."""
+"""tools/compare_bench.py stops on a benchmark run it cannot read, and says which run and why; it marks
+a metric unresolved when its runs spread wider than its bound."""
 
 import importlib.util
 import sys
@@ -45,3 +46,34 @@ def test_a_run_without_a_json_last_line_exits_non_zero_with_its_stderr(compare_b
     message = str(stop.value.code)
     assert "printed no JSON last line" in message
     assert repr(argv) in message and str(tmp_path) in message and "the traceback" in message
+
+
+OPS = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.15}
+LATENCY = {"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.15}
+
+
+def test_a_metric_whose_runs_spread_within_the_bound_is_resolved(compare_bench):
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.0, 100.0]
+    change = [98.0, 99.0, 97.0, 98.5, 97.5, 98.0, 99.0, 97.0, 98.0, 98.0]
+    result = compare_bench.compare_metric(OPS, parent, change)
+    assert not result["unresolved"] and not result["beyond_bound"] and not result["gain_resolved"]
+    assert result["change_over_parent"] == 0.98
+
+
+@pytest.mark.parametrize("metric", [OPS, LATENCY], ids=["higher", "lower"])
+def test_a_metric_whose_runs_spread_past_the_bound_is_unresolved(compare_bench, metric):
+    # the parent's quartiles span 60..140 around a median of 100: 0.8 > 0.15
+    parent = [60.0, 140.0, 60.0, 140.0, 100.0, 100.0, 60.0, 140.0, 100.0, 100.0]
+    change = [95.0, 105.0, 97.0, 103.0, 100.0, 99.0, 101.0, 98.0, 102.0, 100.0]
+    assert compare_bench.compare_metric(metric, parent, change)["unresolved"]
+    assert compare_bench.compare_metric(metric, change, parent)["unresolved"]
+
+
+@pytest.mark.parametrize("metric", [OPS, LATENCY], ids=["higher", "lower"])
+def test_a_wide_metric_is_resolved_when_every_change_run_beats_every_parent_run(compare_bench, metric):
+    low = [10.0, 14.0, 10.0, 14.0, 12.0, 12.0, 10.0, 14.0, 12.0, 12.0]
+    high = [100.0, 140.0, 100.0, 140.0, 120.0, 120.0, 100.0, 140.0, 120.0, 120.0]
+    parent, change = (low, high) if metric["better"] == "higher" else (high, low)
+    result = compare_bench.compare_metric(metric, parent, change)
+    assert not result["unresolved"] and not result["beyond_bound"] and result["gain_resolved"]
+    assert compare_bench.compare_metric(metric, change, parent)["unresolved"]

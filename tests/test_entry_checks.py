@@ -42,11 +42,6 @@ ENTRIES = {
     "ghz_network_gate_list": lambda c: ghz_network_gate_list(3, c),
     "bell_premeasurement_state": lambda c: bell_premeasurement_state(PAIR, c),
     "hadamard_layer": lambda c: hadamard_layer(PAIR, c),
-    "attacker_round_distribution": lambda c: attacker_round_distribution(
-        AttackerModel.ENTANGLED_DECOY, BellLabel.PHI_PLUS, c
-    ),
-    "verify_session": lambda c: verify_session(enroll(2), convention=c),
-    "security_sweep": lambda c: security_sweep([1], AttackerModel.LEGITIMATE, 2, 0, convention=c),
 }
 
 

@@ -32,8 +32,9 @@ security_sweep row at n = 3, depolarizing p = 0.1 and noiseless) hold
 * ``row_fixed``: a row of one trial, its cost apart from the sessions;
 * ``per_session``: (a row of AUTH_TRIALS trials - a row of one) / (AUTH_TRIALS - 1);
 * ``round_oracle``: one warm attacker_round_distribution call for the group's
-  attacker (its dense schedule already built), the round oracle a row checks
-  its label engine against once per label in a process;
+  attacker (its dense schedule already built), the round oracle a sweep
+  checks its label engine against, on all four labels, once per attacker in
+  a process;
 * ``session``: one warm verify_session on a clone of the account the row
   enrolls, the call that runs a row's trial 0 (and is part of ``row_fixed``);
 each row, oracle or session call timed as the fastest of ROW_REPEATS

@@ -12,7 +12,11 @@ gives the median and quartiles of each side, the change's median over the
 parent's, in how many pairs the change was better, and ``beyond_bound``:
 whether the change's median is worse than the parent's by more than the
 metric's BENCHMARK.json bound (each such metric is also listed under
-``beyond_bound`` and printed), and ``gain_resolved``: whether the change is
+``beyond_bound`` and printed), ``unresolved``: whether either side's
+interquartile spread over its median, (q3 - q1) / median, exceeds that bound
+while some run of the change fails to beat every run of the parent, so that
+the runs cannot tell a change within the bound from one beyond it (listed
+and printed the same way), and ``gain_resolved``: whether the change is
 better in at least 9 of 10 pairs and its median beats the parent's by more
 than the parent's interquartile spread (q3 - q1), the rule a gain claim must
 meet.  Each workload reports failed/attempted operations per side.  The per-layer part runs tools/branch_layers.py on both
@@ -63,6 +67,30 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": float(q2), "q1": float(q1), "q3": float(q3)}
 
 
+def compare_metric(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """One end-to-end metric of one workload: ``metric`` is its BENCHMARK.json entry, ``parent``
+    and ``change`` the runs of each side, pair by pair."""
+    higher = metric["better"] == "higher"
+    ratio = statistics.median(change) / statistics.median(parent)
+    before, after = summary(parent), summary(change)
+    better = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    gain = after["median"] - before["median"] if higher else before["median"] - after["median"]
+    wide = any((side["q3"] - side["q1"]) / side["median"] > metric["bound"] for side in (before, after))
+    separated = min(change) > max(parent) if higher else max(change) < min(parent)
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "bound": metric["bound"],
+        "parent": before,
+        "change": after,
+        "change_over_parent": ratio,
+        "pairs_change_better": better,
+        "beyond_bound": ratio < 1 - metric["bound"] if higher else ratio > 1 + metric["bound"],
+        "unresolved": wide and not separated,
+        "gain_resolved": 10 * better >= 9 * len(parent) and gain > before["q3"] - before["q1"],
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -87,35 +115,25 @@ def main() -> None:
                 runs[side].append({"failed": line["failed"], "attempted": line["attempted"],
                                    **{k: v["value"] for k, v in line["metrics"].items()}})
                 print(workload, pair, side, runs[side][-1], file=sys.stderr, flush=True)
-        metrics = {}
-        for metric in spec["end_to_end"]:
-            name, higher = metric["name"], metric["better"] == "higher"
-            parent = [r[name] for r in runs["parent"]]
-            change = [r[name] for r in runs["change"]]
-            ratio = statistics.median(change) / statistics.median(parent)
-            before, after = summary(parent), summary(change)
-            better = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-            gain = after["median"] - before["median"] if higher else before["median"] - after["median"]
-            metrics[name] = {
-                "unit": metric["unit"],
-                "better": metric["better"],
-                "bound": metric["bound"],
-                "parent": before,
-                "change": after,
-                "change_over_parent": ratio,
-                "pairs_change_better": better,
-                "beyond_bound": ratio < 1 - metric["bound"] if higher else ratio > 1 + metric["bound"],
-                "gain_resolved": 10 * better >= 9 * len(parent) and gain > before["q3"] - before["q1"],
-            }
+        metrics = {
+            metric["name"]: compare_metric(
+                metric, [r[metric["name"]] for r in runs["parent"]], [r[metric["name"]] for r in runs["change"]]
+            )
+            for metric in spec["end_to_end"]
+        }
         beyond = [name for name, m in metrics.items() if m["beyond_bound"]]
+        unresolved = [name for name, m in metrics.items() if m["unresolved"]]
         if beyond:
             print(workload, "worse than the parent beyond the bound:", *beyond, file=sys.stderr)
+        if unresolved:
+            print(workload, "spread wider than the bound, unresolved:", *unresolved, file=sys.stderr)
         operations = {
             side: {key: sum(r[key] for r in runs[side]) for key in ("failed", "attempted")}
             for side in runs
         }
         end_to_end[workload] = {
-            "metrics": metrics, "beyond_bound": beyond, "operations": operations, "runs": runs,
+            "metrics": metrics, "beyond_bound": beyond, "unresolved": unresolved,
+            "operations": operations, "runs": runs,
         }
 
     # both sides in one process, state by state, so a slower minute slows both alike
