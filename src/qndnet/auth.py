@@ -37,7 +37,10 @@ paper's network.  A sweep checks the label engine against that oracle on all
 four labels once per (oracle, attacker) in a process (_check_labels).
 A lone session decodes its labels from those draws in plain Python
 (_session_labels); a sweep's array blocks count matching rounds without
-decoding a label (_accepted_sessions), and both accept by one rule.
+decoding a label, one draw column at a time (_accepted_sessions), and both
+accept by one rule.  A sweep row runs its trial 0 through verify_session on
+the account it enrolled, and draws no block when no session would read a draw:
+a noiseless legitimate card reads its own labels, so every session accepts.
 
 Seeding: every public operation takes an int seed or a numpy Generator (a
 sweep, an int seed only); an integer seed goes through the one integer check,
@@ -56,7 +59,8 @@ Doubles come off the bit generator in the same order whether drawn one at a
 time or in bulk, so random((C, n, K)) holds exactly the draws of C
 consecutive sessions, each drawing random((n, K)): a sweep runs a row as a
 few array operations over such blocks and still equals T sequential sessions
-on the same stream.
+on the same stream.  A row's generator ends with the row, so a row whose
+sessions read none of their draws leaves them undrawn and still equals them.
 """
 
 from __future__ import annotations
@@ -235,22 +239,28 @@ def _noise_draws(spec: NoiseSpec) -> int:
     return 0 if not hits or spec.p == 0.0 else 4 if len(hits) > 1 else 2
 
 
-def _noise_paulis(spec: NoiseSpec, draws: np.ndarray) -> np.ndarray:
-    """The Paulis (..., 2) on qubits 0 and 1 from one block or (C, n, K) blocks draws[..., :k].
+def _noise_paulis(spec: NoiseSpec, columns: Sequence) -> tuple:
+    """The Paulis on qubits 0 and 1 from a noise block's draw columns, ``columns[j]`` its draw j.
 
-    Qubit q is hit when u_q < p and then takes hits[floor(len(hits) v_q)], v_q the
-    Pauli uniform after both hit uniforms (no choice: hits[0]); no hit is 0, I.
+    Qubit q is hit when its hit uniform u_q = columns[q] < p and then takes
+    hits[floor(len(hits) v_q)], v_q = columns[2 + q] the Pauli uniform after both
+    hit uniforms (no choice: hits[0]); no hit is 0, I.  ``spec`` must draw a noise
+    block.  A column is a Python float for one block, whose Paulis come out as
+    numpy integers, or an array over many blocks, read once and on its own: a
+    slice over the short draw axis would make numpy loop two elements at a time.
     """
-    if not _noise_draws(spec):
-        return np.zeros(draws.shape[:-1] + (2,), dtype=np.uint8)
-    hits = _HIT_PAULIS[spec.model]
-    picks = hits[(len(hits) * draws[..., 2:4]).astype(np.intp)] if len(hits) > 1 else hits[0]
-    return (draws[..., :2] < spec.p) * picks
+    hits, p = _HIT_PAULIS[spec.model], spec.p
+    if len(hits) == 1:
+        return (columns[0] < p) * hits[0], (columns[1] < p) * hits[0]
+    return tuple((columns[q] < p) * hits[np.intp(len(hits) * columns[2 + q])] for q in (0, 1))
 
 
 def _apply_noise_rng(state: StateVector, spec: NoiseSpec, rng: np.random.Generator) -> StateVector:
+    k = _noise_draws(spec)
+    if not k:  # no noise block to draw
+        return state
     amps = state.amplitudes
-    for qubit, pauli in enumerate(_noise_paulis(spec, rng.random(_noise_draws(spec))).tolist()):
+    for qubit, pauli in enumerate(_noise_paulis(spec, rng.random(k).tolist())):
         if pauli:
             amps = _apply_single_raw(amps[None].copy(), state.num_qubits, qubit, _PAULIS[pauli])[0]
     return state if amps is state.amplitudes else StateVector(state.num_qubits, amps)
@@ -382,17 +392,23 @@ def _accepted_sessions(
     round matches iff its coins equal the record's bits, and a legitimate round
     iff its two qubits draw the same Pauli, i.e. the same label mask (so a
     noiseless one always matches), the fact _round_match_probability sums.
-    These are the matches of _session_labels' labels on the same draws.
+    These are the matches of _session_labels' labels on the same draws.  A
+    card's Paulis are read one (C, n) draw column at a time (_noise_paulis), and
+    the matches are tallied one round's column at a time, in a pointer-wide
+    count: numpy reduces over a short axis slowly, and no n overflows it.
     """
     if attacker is not AttackerModel.LEGITIMATE:
         coins = (draws[..., -2:] >= 0.5) == bits
         matches = coins[..., 0] & coins[..., 1]
     elif _noise_draws(noise):
-        paulis = _noise_paulis(noise, draws)
-        matches = paulis[..., 0] == paulis[..., 1]
+        first, second = _noise_paulis(noise, draws.transpose(2, 0, 1))  # (C, n) columns
+        matches = first == second
     else:
         return len(draws)
-    return int(np.count_nonzero(matches.sum(axis=1) >= fewest))
+    tally = matches[:, 0].astype(np.intp)
+    for column in range(1, matches.shape[1]):
+        tally += matches[:, column]
+    return int(np.count_nonzero(tally >= fewest))
 
 
 def _fewest_matches(n: int, threshold: float) -> int:
@@ -430,10 +446,11 @@ def verify_session(
     again); rejected sessions flag the account permanently.  The classical
     password gate is a boolean (bool or numpy bool_, anything else raises
     ValueError): when false the session is rejected before any qubit is
-    touched.  A stored pair that is not the Bell state its record names, an
-    attacker that is not an AttackerModel, or a noise that is not a NoiseSpec
-    is rejected with ValueError before any draw, and so is a seed that is
-    neither a Generator nor an integer >= 0 (a bool included).
+    touched.  An account that is not an AuthAccount, a stored pair that is
+    not the Bell state its record names, an attacker that is not an
+    AttackerModel, or a noise that is not a NoiseSpec is rejected with
+    ValueError before any draw, and so is a seed that is neither a
+    Generator nor an integer >= 0 (a bool included).
 
     The session draws random((n, K)), the doubles of a (1, n, K) block: per
     pair, the noise block, the attacker's slot block (its _SLOT_REGISTERS
@@ -446,6 +463,7 @@ def verify_session(
     when its match count reaches the fewest accepting matches
     (_fewest_matches), the rule a sweep's array blocks are accepted with.
     """
+    _require_instance("account", account, AuthAccount)
     _slot_register(attacker)  # rejects a non-AttackerModel before any draw
     _require_seed(seed)
     if account.status != "active":
@@ -458,17 +476,23 @@ def verify_session(
     if not account.pairs or len(account.pairs) != len(account.records):
         raise ValueError("an account needs at least one stored pair and one record per pair")
     labels = [_stored_label(pair, record) for pair, record in zip(account.pairs, account.records)]
-    draws = np.random.default_rng(seed).random((len(labels), _round_draws(attacker, noise)))
+    n = len(labels)
+    draws = np.random.default_rng(seed).random((n, _round_draws(attacker, noise)))
     outcomes = _session_labels(labels, draws.tolist(), attacker, noise)
     matches = [o == l for o, l in zip(outcomes, labels)]
-    accepted = sum(matches) >= _fewest_matches(len(labels), threshold)
+    count = sum(matches)
+    accepted = count >= _fewest_matches(n, threshold)
     measured = [_LABEL_BITS[outcome] for outcome in outcomes]
     account.pairs = [_BELL_PAIRS[outcome] for outcome in outcomes]
     if accepted:
         account.records = measured
     else:
         account.status = "flagged"
-    return SessionResult(tuple(matches), sum(matches) / len(matches), accepted, tuple(measured))
+    result = object.__new__(SessionResult)  # fields written as ghz._shot writes them: no frozen __init__
+    fields = result.__dict__
+    fields["per_pair_match"], fields["match_fraction"] = tuple(matches), count / n
+    fields["accepted"], fields["updated_records"] = accepted, tuple(measured)
+    return result
 
 
 def attacker_round_distribution(model: AttackerModel, true_pair_label: BellLabel) -> np.ndarray:
@@ -509,17 +533,22 @@ def _round_match_probability(attacker: AttackerModel, noise: NoiseSpec) -> float
     return probability
 
 
-def _acceptance_probability(match_probabilities: Sequence[float], threshold: float) -> float:
-    """P(matches / n >= threshold) for independent rounds (a Poisson-binomial tail).
+def _acceptance_probability(match_probabilities: Sequence[float], fewest: int) -> float:
+    """P(at least ``fewest`` matches) for independent rounds (a Poisson-binomial tail).
 
-    Only counts that can still reach the fewest accepting matches are kept: with r rounds left,
-    k >= fewest - r.  So the first n - fewest rounds grow the band by one count each, every later
-    round drops its lowest, and each kept count is the same two products of the same operands as
-    in the full recurrence, bit for bit.  At threshold 1.0 the band is one count wide."""
-    fewest = _fewest_matches(len(match_probabilities), threshold)
+    ``fewest`` is the fewest accepting matches, _fewest_matches(n, threshold).  Only counts that
+    can still reach it are kept: with r rounds left, k >= fewest - r.  So the first n - fewest
+    rounds grow the band by one count each, every later round drops its lowest, and each kept
+    count is the same two products of the same operands as in the full recurrence, bit for bit.
+    At threshold 1.0 the band is one count wide."""
     if fewest == 0:
         return 1.0
     free = len(match_probabilities) - fewest  # rounds that may miss
+    if not free:  # a band one count wide: the same two products per round, on one float
+        count = 1.0
+        for q in match_probabilities:
+            count = 0.0 * (1.0 - q) + count * q
+        return min(1.0, count)
     counts = [1.0]  # counts[i] = P(low + i matches so far); low rises by one in each banded round
     for q in match_probabilities[:free]:
         counts = [miss * (1.0 - q) + hit * q for miss, hit in zip(counts + [0.0], [0.0] + counts)]
@@ -545,12 +574,21 @@ def _check_labels(oracle_fn: Callable, attacker: AttackerModel) -> None:
             )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
+#: The z of every Wilson interval a sweep reports: the 99.7% level.
+_WILSON_Z = 3.0
+
+
+def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (z=3.0: the 99.7% level)."""
     if not (_is_real(z) and 0.0 < z < np.inf):
         raise ValueError(f"z must be a finite positive number, got {z!r}")
     _require_int("trials", trials, 1)
     _require_int("successes", successes, 0, trials)
+    return _wilson(successes, trials, z)
+
+
+def _wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
+    """wilson_interval on counts and a z that are known good: no checks."""
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -590,14 +628,15 @@ def security_sweep(
     """Empirical acceptance rate vs the exact one, per account size.
 
     Each account size n has its own generator, default_rng((seed, n)): it
-    enrolls one random account, then each of the ``trials`` sessions runs on
-    a fresh clone of it, drawing from that generator in trial order.  Rows
+    enrolls one random account, then each of the ``trials`` sessions starts
+    from that account, drawing from that generator in trial order.  Rows
     are reproducible from (seed, n), independent of the other sizes in
     ``n_range``; trials within a row are sequential, not separately seeded.
     The analytic column is the exact acceptance probability under the same
     noise and threshold: the label model's per-round match probability
     (_round_match_probability), summed over the accepting match counts.
-    Trial 0 is a verify_session call, so a session stays the public unit a
+    Trial 0 is a verify_session call on the enrolled account itself (nothing
+    reads the account after it), so a session stays the public unit a
     caller (or a tracer wrapping the module's functions) sees a row run; the
     other trials are drawn as random((C, n, K)) blocks of at most
     _CHUNK_DRAWS uniforms, each counting its sessions' matching rounds
@@ -606,46 +645,50 @@ def security_sweep(
     (_fewest_matches, the first k with k / n >= threshold), and a bulk draw
     yields the same doubles as the sessions' one-by-one draws, so a row
     equals T sequential verify_session calls on its stream, whatever the
-    chunk size.  After its size checks and before any row, the sweep checks
+    chunk size.  No block is drawn when no session reads a draw: a noiseless
+    legitimate card reads its own labels, so its other T - 1 sessions accept
+    and the row's generator, which ends with the row, draws nothing for them.
+    After its size checks and before any row, the sweep checks
     the label model's noise-free round against the state-vector oracle
     (attacker_round_distribution) on all four labels, once per (oracle,
     attacker) in a process, and raises RuntimeError on the first label they
     disagree on.  A threshold outside [0, 1] (NaN included), a noise that is
-    not a NoiseSpec, a bad trial count, a seed that is not an integer >= 0 or
-    any bad account size in ``n_range`` raises ValueError before any draw.
+    not a NoiseSpec, a bad trial count, a seed that is not an integer >= 0,
+    an ``n_range`` that is not iterable or any bad account size in it raises
+    ValueError before any draw.
     """
     _slot_register(attacker)  # rejects a non-AttackerModel before any trial
     _require_int("trials", trials, 1)
     _require_int("seed", seed, 0)
     _require_session_settings(threshold, noise)
-    sizes = [_require_int("n", n, 1) for n in n_range]  # every size before the first row
+    try:
+        n_values = iter(n_range)
+    except TypeError:  # None, a bare int
+        raise ValueError(f"n_range must be an iterable of account sizes, got {n_range!r}") from None
+    sizes = [_require_int("n", n, 1) for n in n_values]  # every size before the first row
     _check_labels(attacker_round_distribution, attacker)  # the oracle looked up now: a replaced one is checked afresh
+    k, q = _round_draws(attacker, noise), _round_match_probability(attacker, noise)
+    # a noiseless card reads its own labels, so no session reads a draw
+    reads_draws = attacker is not AttackerModel.LEGITIMATE or _noise_draws(noise)
     rows = []
     for n in sizes:
         rng = np.random.default_rng((seed, n))
-        base = enroll(n, "random", seed=rng)
-        bits = np.array(base.records, dtype=bool)
-        analytic = _acceptance_probability(
-            [_round_match_probability(attacker, noise)] * n, threshold
-        )
-        successes = int(verify_session(base.clone(), attacker, noise, threshold, rng).accepted)
-        k, fewest = _round_draws(attacker, noise), _fewest_matches(n, threshold)
-        chunk = max(1, _CHUNK_DRAWS // (n * k))
-        for start in range(1, trials, chunk):
-            draws = rng.random((min(chunk, trials - start), n, k))
-            successes += _accepted_sessions(bits, draws, attacker, noise, fewest)
-        low, high = wilson_interval(successes, trials)
-        rows.append(
-            SweepRow(
-                n=n,
-                attacker=attacker.token,
-                noise=noise.model,
-                p=noise.p,
-                trials=trials,
-                accept_rate=successes / trials,
-                analytic_rate=analytic,
-                wilson_low=low,
-                wilson_high=high,
-            )
-        )
+        account = enroll(n, "random", seed=rng)
+        bits = np.array(account.records, dtype=bool)  # before trial 0, which rewrites the records
+        fewest = _fewest_matches(n, threshold)
+        successes = int(verify_session(account, attacker, noise, threshold, rng).accepted)
+        if reads_draws:
+            chunk = max(1, _CHUNK_DRAWS // (n * k))
+            for start in range(1, trials, chunk):
+                draws = rng.random((min(chunk, trials - start), n, k))
+                successes += _accepted_sessions(bits, draws, attacker, noise, fewest)
+        else:  # every other session accepts; the generator ends with the row, so no block is drawn
+            successes += trials - 1
+        row = object.__new__(SweepRow)  # fields written as ghz._shot writes them: no frozen __init__
+        fields = row.__dict__
+        fields["n"], fields["attacker"], fields["noise"], fields["p"] = n, attacker.token, noise.model, noise.p
+        fields["trials"], fields["accept_rate"] = trials, successes / trials
+        fields["analytic_rate"] = _acceptance_probability([q] * n, fewest)
+        fields["wilson_low"], fields["wilson_high"] = _wilson(successes, trials, _WILSON_Z)
+        rows.append(row)
     return rows

@@ -779,6 +779,11 @@ def test_noise_free_match_probability_matches_attacker_round_distribution(attack
             assert q == pytest.approx(float(dist[index]), abs=1e-12)
 
 
+def _threshold_tail(match_probabilities, threshold):
+    """The analytic rate at ``threshold``: the tail from its fewest accepting matches, as a sweep row takes it."""
+    return _acceptance_probability(match_probabilities, auth._fewest_matches(len(match_probabilities), threshold))
+
+
 def test_acceptance_probability_is_the_binomial_tail():
     from math import comb
 
@@ -790,7 +795,7 @@ def test_acceptance_probability_is_the_binomial_tail():
                     for k in range(n + 1)
                     if k / n >= threshold
                 )
-                assert _acceptance_probability([q] * n, threshold) == pytest.approx(exact, abs=1e-12)
+                assert _threshold_tail([q] * n, threshold) == pytest.approx(exact, abs=1e-12)
     # mixed per-round probabilities: enumerate every match pattern
     qs = [0.9, 0.25, 0.6]
     exact = 0.0
@@ -798,7 +803,7 @@ def test_acceptance_probability_is_the_binomial_tail():
         hits = [(pattern >> i) & 1 for i in range(3)]
         weight = np.prod([q if h else 1 - q for q, h in zip(qs, hits)])
         exact += weight if sum(hits) >= 2 else 0.0
-    assert _acceptance_probability(qs, 0.5) == pytest.approx(exact, abs=1e-12)
+    assert _threshold_tail(qs, 0.5) == pytest.approx(exact, abs=1e-12)
 
 
 def _full_acceptance_recurrence(match_probabilities, threshold):
@@ -822,7 +827,7 @@ def test_banded_acceptance_tail_equals_the_full_recurrence_bit_for_bit():
         qs = [float(rng.random())] * n if rng.random() < 0.5 else rng.random(n).tolist()
         threshold = float(rng.choice([0.0, 0.5, 1.0, rng.random(), int(rng.integers(0, n + 1)) / n]))
         expected = _full_acceptance_recurrence(qs, threshold)
-        assert _acceptance_probability(qs, threshold).hex() == expected.hex(), (n, threshold)
+        assert _threshold_tail(qs, threshold).hex() == expected.hex(), (n, threshold)
 
 
 def test_analytic_rate_is_exactly_one_when_every_session_accepts():
@@ -906,7 +911,7 @@ def test_analytic_rates_add_left_to_right_whatever_sum_does(monkeypatch):
             for p in (0.05, 0.1, 0.2, 0.3, 0.7):
                 q = _round_match_probability(AttackerModel.LEGITIMATE, NoiseSpec(model, p))
                 out.append(q)
-                out += [_acceptance_probability([q] * n, t) for n in (3, 5, 10) for t in (0.5, 2 / 3, 0.8)]
+                out += [_threshold_tail([q] * n, t) for n in (3, 5, 10) for t in (0.5, 2 / 3, 0.8)]
         return out
 
     want = rates()
@@ -1008,6 +1013,64 @@ def test_both_decode_paths_equal_the_replayed_reference_on_edge_draws(attacker, 
             assert accepted == np.count_nonzero(matches / n >= threshold), (n, threshold)
 
 
+@pytest.mark.parametrize(
+    ("attacker", "noise"),
+    [
+        (AttackerModel.FRESH_ZERO, NOISELESS),
+        (AttackerModel.LEGITIMATE, NoiseSpec("depolarizing", 0.1)),
+        (AttackerModel.LEGITIMATE, NOISELESS),
+    ],
+    ids=["card-less", "card-noisy", "card-noiseless"],
+)
+def test_the_block_tally_holds_every_match_count(attacker, noise):
+    # a tally one byte wide wraps at 128 or 256 matches: every round here matches, but in the
+    # last ten sessions one round misses, so a threshold below 1 accepts all 50 and 1.0 only 40
+    rng = np.random.default_rng(3201)
+    for n in (128, 200, 300):
+        labels = rng.integers(4, size=n)
+        bits = _record_bits(labels)
+        draws = rng.random((50, n, auth._round_draws(attacker, noise)))
+        misses = 0  # a noiseless card matches every round whatever it draws
+        if attacker is not AttackerModel.LEGITIMATE:
+            draws[..., -2:] = np.where(bits, 0.75, 0.25)  # coins that read the record's bits
+            draws[40:, 7, -1] = 1.0 - draws[40:, 7, -1]  # one flipped phase coin
+            misses = 10
+        elif auth._noise_draws(noise):
+            draws[..., :4] = 0.5  # hit draws above p: no Pauli, so every round matches
+            draws[40:, 7, 0] = 0.0  # a hit on qubit 0 alone, Y by its Pauli draw 0.5
+            misses = 10
+        for threshold in ACCEPT_THRESHOLDS:
+            fewest = auth._fewest_matches(n, threshold)
+            expected = _run_sessions_reference(labels, draws, attacker, noise, threshold)
+            assert np.count_nonzero(expected) == (50 - misses if threshold == 1.0 else 50), (n, threshold)
+            assert auth._accepted_sessions(bits, draws, attacker, noise, fewest) == np.count_nonzero(expected)
+
+
+def test_a_noiseless_card_row_draws_no_block(monkeypatch):
+    blocks, sessions = [], []
+    count_block, session = auth._accepted_sessions, auth.verify_session
+
+    def counting_blocks(*args):
+        blocks.append(args)
+        return count_block(*args)
+
+    def counting_sessions(*args):
+        sessions.append(len(args[0].pairs))
+        return session(*args)
+
+    monkeypatch.setattr(auth, "_accepted_sessions", counting_blocks)
+    monkeypatch.setattr(auth, "verify_session", counting_sessions)
+    for threshold in (1.0, 0.5):
+        (row,) = security_sweep([3], AttackerModel.LEGITIMATE, 400, 31, NOISELESS, threshold)
+        # every session accepts: the rate, its exact value and the interval of 400 accepts in 400
+        assert row == auth.SweepRow(3, "legitimate", "none", 0.0, 400, 1.0, 1.0, *wilson_interval(400, 400))
+        assert _sequential_sweep_accepts(3, AttackerModel.LEGITIMATE, 400, 31, NOISELESS, threshold) == 400
+    assert blocks == [] and sessions == [3, 3]
+    # with a block drawn, a billion trials would be four billion doubles
+    (row,) = security_sweep([2], AttackerModel.LEGITIMATE, 10**9, 0)
+    assert row.accept_rate == 1.0 and row.trials == 10**9
+
+
 def test_a_row_spans_several_chunks_when_the_chunk_is_small(monkeypatch):
     blocks, sessions = [], []
     count_block, session = auth._accepted_sessions, auth.verify_session
@@ -1042,7 +1105,7 @@ def test_noise_spec_keeps_p_as_a_python_float():
     assert row == same and type(row.p) is float
     q = _round_match_probability(AttackerModel.LEGITIMATE, NoiseSpec("depolarizing", float(np.float32(0.1))))
     assert type(row.analytic_rate) is float
-    assert row.analytic_rate == _acceptance_probability([q] * 2, 0.5)
+    assert row.analytic_rate == _threshold_tail([q] * 2, 0.5)
     json.dumps(row.to_dict())  # a float32 p used to raise TypeError here
 
 

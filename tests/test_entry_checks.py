@@ -120,3 +120,18 @@ def test_decode_ghz_takes_an_integer_part_count(n):
     with pytest.raises(ValueError, match="n must be an integer count or index"):
         decode_ghz((0,), 0, n)
     assert decode_ghz((0,), 0, np.int64(2)) == decode_ghz((0,), 0, 2) == parse_ghz_label("+:11")
+
+
+@pytest.mark.parametrize("n_range", [3, None, 2.5], ids=["int", "none", "float"])
+def test_a_sweep_size_list_that_is_no_iterable_raises_value_error(n_range):
+    with pytest.raises(ValueError, match=re.escape(f"n_range must be an iterable of account sizes, got {n_range!r}")):
+        security_sweep(n_range, AttackerModel.LEGITIMATE, 5, 1)
+
+
+@pytest.mark.parametrize("account", [None, [(0, 0)], "account"], ids=["none", "list", "str"])
+def test_a_session_account_that_is_no_auth_account_raises_value_error_before_any_draw(account):
+    rng = np.random.default_rng(2903)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"^account must be an? AuthAccount, got {re.escape(repr(account))}$"):
+        verify_session(account, seed=rng)
+    assert rng.bit_generator.state == before

@@ -27,8 +27,9 @@ blocks), each on a state built for it (its table too, for ``warm_shot``,
 ``repeat_shot`` and ``block_shot``); the fastest call hides the cost of fresh
 pages that a workload pays, so ``cold_table_faults`` is the median over those
 ROW_REPEATS cold_table calls.
-The groups ``auth.legitimate-depolarizing.n3`` and ``auth.decoy.n3`` (one
-security_sweep row at n = 3, depolarizing p = 0.1 and noiseless) hold
+The groups ``auth.legitimate.n3``, ``auth.legitimate-dephasing.n3``,
+``auth.legitimate-depolarizing.n3`` and ``auth.decoy.n3`` (AUTH_CELLS: one
+security_sweep row at n = 3, noiseless or at p = 0.1) hold
 * ``row_fixed``: a row of one trial, its cost apart from the sessions;
 * ``per_session``: (a row of AUTH_TRIALS trials - a row of one) / (AUTH_TRIALS - 1);
 * ``round_oracle``: one warm attacker_round_distribution call for the group's
@@ -68,8 +69,13 @@ BLOCK_SHOTS = 64
 #: Layers counted in minor page faults rather than timed.
 FAULT_LAYERS = ("cold_table_faults",)
 AUTH_LAYERS = ("row_fixed", "per_session", "round_oracle", "session")
-#: (group name, attacker token, noise model) of the timed sweep rows, all at n = 3, p = 0.1.
-AUTH_CELLS = (("legitimate-depolarizing.n3", "legitimate", "depolarizing"), ("decoy.n3", "decoy", "none"))
+#: (group name, attacker token, noise model) of the timed sweep rows, all at n = 3, p = 0.1 when noisy.
+AUTH_CELLS = (
+    ("legitimate.n3", "legitimate", "none"),
+    ("legitimate-dephasing.n3", "legitimate", "dephasing"),
+    ("legitimate-depolarizing.n3", "legitimate", "depolarizing"),
+    ("decoy.n3", "decoy", "none"),
+)
 AUTH_TRIALS = 2501
 #: Back-to-back calls per layer or row and sample; the fastest is kept.
 ROW_REPEATS = 3
