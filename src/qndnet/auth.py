@@ -17,30 +17,35 @@ entangled with the absent card qubit, so its reduced state is I/2 (monogamy
 of entanglement: Coffman, Kundu and Wootters, quant-ph/9907047); each round
 is uniform over the four Bell states, and a full match has probability (1/4)^n.
 
-Noise is per-qubit trajectory sampling on the stored pair before each round.
-A model is its entry in _NOISE_HITS, the Paulis that a hit (probability p)
-applies, one drawn uniformly: {I, X, Y, Z} for depolarizing, Z for dephasing.
-
 Sessions run on Bell labels, index = 2*parity + phase, not on amplitudes.
 After any round the stored pair is exactly the measured Bell state, a Pauli
 on either qubit XORs the label with a fixed mask (I, X, Y, Z -> 0, 2, 3, 1),
 and a legitimate card reads the noisy label (the Bell-diagonal picture of
-Bennett, DiVincenzo, Smolin and Wootters, quant-ph/9604024).  The label
-engine consumes the same draws, in the same order, as the state-vector round
-(_system_for, _run_round), the oracle behind attacker_round_distribution: the
-staged Bell network on the slot, qubit 0, and the terminal, the last qubit, of
-the joint register (_round_branches), expanded into one branch table by the
-GHZ module's level builder and walked as a shot walks.
-A round's (parity, phase) bits and their probabilities are the same under
-either Hadamard convention, so auth takes no convention: its oracle runs the
-paper's network.  A sweep checks the label engine against that oracle on all
-four labels once per (oracle, attacker) in a process (_check_labels).
-A lone session decodes its labels from those draws in plain Python
-(_session_labels); a sweep's array blocks count matching rounds without
-decoding a label, one draw column at a time (_accepted_sessions), and both
-accept by one rule.  A sweep row runs its trial 0 through verify_session on
-the account it enrolled, and draws no block when no session would read a draw:
-a noiseless legitimate card reads its own labels, so every session accepts.
+Bennett, DiVincenzo, Smolin and Wootters, quant-ph/9604024).
+
+Noise is per-qubit trajectory sampling on the stored pair before each round.
+A model is its entry in _NOISE_HITS, the masks of the Paulis that a hit
+(probability p) applies, one drawn uniformly: {I, X, Y, Z} for depolarizing,
+Z for dephasing.  One scalar pick rule (_noise_mask) reads a qubit's mask off
+its draws, for a lone session's labels and for apply_noise, which applies the
+mask's Pauli (_PAULIS) to the state.
+
+The label engine consumes the same draws, in the same order, as the
+state-vector round (_system_for, _run_round), the oracle behind
+attacker_round_distribution: the staged Bell network on the slot, qubit 0,
+and the terminal, the last qubit, of the joint register (_round_branches),
+expanded into one branch table by the GHZ module's level builder and walked
+as a shot walks.  A round's (parity, phase) bits and their probabilities are
+the same under either Hadamard convention, so auth takes no convention: its
+oracle runs the paper's network.  A sweep checks the label engine against
+that oracle on all four labels once per (oracle, attacker) in a process
+(_check_labels).  A lone session decodes its labels from those draws in
+plain Python (_session_labels); a sweep's array blocks count matching rounds
+without decoding a label, in one kernel over (C, n) draw columns that picks
+masks as _noise_mask does (_accepted_sessions), and both accept by one rule.
+A sweep row runs its trial 0 through verify_session on the account it
+enrolled, and draws no block when no session would read a draw: a noiseless
+legitimate card reads its own labels, so every session accepts.
 
 Seeding: every public operation takes an int seed or a numpy Generator (a
 sweep, an int seed only); an integer seed goes through the one integer check,
@@ -125,8 +130,9 @@ def parse_attacker(token: str) -> AttackerModel:
         raise ValueError(f"unknown attacker model {token!r}") from None
 
 
-#: Every noise model as data: the Paulis (I, X, Y, Z = 0..3) a hit applies, one drawn uniformly.
-_NOISE_HITS = {"none": (), "depolarizing": (0, 1, 2, 3), "dephasing": (3,)}
+#: Every noise model as data: the Paulis a hit applies, one drawn uniformly, each as the mask it
+#: XORs a Bell label with (I, X, Y, Z -> 0, 2, 3, 1).
+_NOISE_HITS = {"none": (), "depolarizing": (0, 2, 3, 1), "dephasing": (1,)}
 NOISE_MODELS = tuple(_NOISE_HITS)
 
 
@@ -225,12 +231,10 @@ def enroll(
 
 # -- noise channels --
 
-#: The Paulis by index (I, X, Y, Z), and the label XOR mask each one applies on
-#: either qubit of a Bell pair: X flips parity, Z flips phase, Y = iXZ flips both.
-_PAULIS = (np.eye(2, dtype=complex), PAULI_X_MATRIX, PAULI_Y_MATRIX, PAULI_Z_MATRIX)
-_PAULI_MASKS = (0, 2, 3, 1)
-#: Each model's hits as Pauli indices, built once for _noise_paulis.
-_HIT_PAULIS = {model: np.array(hits, dtype=np.uint8) for model, hits in _NOISE_HITS.items()}
+#: The Pauli of each label mask: Z flips the phase (1), X the parity (2), Y = iXZ both (3).
+_PAULIS = (np.eye(2, dtype=complex), PAULI_Z_MATRIX, PAULI_X_MATRIX, PAULI_Y_MATRIX)
+#: Each model's masks as an array, built once for the block kernel (_accepted_sessions).
+_HIT_MASKS = {model: np.array(hits, dtype=np.uint8) for model, hits in _NOISE_HITS.items()}
 
 
 def _noise_draws(spec: NoiseSpec) -> int:
@@ -239,30 +243,26 @@ def _noise_draws(spec: NoiseSpec) -> int:
     return 0 if not hits or spec.p == 0.0 else 4 if len(hits) > 1 else 2
 
 
-def _noise_paulis(spec: NoiseSpec, columns: Sequence) -> tuple:
-    """The Paulis on qubits 0 and 1 from a noise block's draw columns, ``columns[j]`` its draw j.
+def _noise_mask(hits: tuple, p: float, row: Sequence[float], qubit: int) -> int:
+    """The label mask that a noise block's draws ``row`` (Python floats) put on ``qubit``, 0 or 1.
 
-    Qubit q is hit when its hit uniform u_q = columns[q] < p and then takes
-    hits[floor(len(hits) v_q)], v_q = columns[2 + q] the Pauli uniform after both
-    hit uniforms (no choice: hits[0]); no hit is 0, I.  ``spec`` must draw a noise
-    block.  A column is a Python float for one block, whose Paulis come out as
-    numpy integers, or an array over many blocks, read once and on its own: a
-    slice over the short draw axis would make numpy loop two elements at a time.
+    The one pick rule: the qubit is hit when its hit uniform row[qubit] < p, and
+    then takes hits[floor(len(hits) v)], v = row[2 + qubit] the Pauli uniform
+    after both hit uniforms (no choice: hits[0]); no hit is mask 0, I.
     """
-    hits, p = _HIT_PAULIS[spec.model], spec.p
-    if len(hits) == 1:
-        return (columns[0] < p) * hits[0], (columns[1] < p) * hits[0]
-    return tuple((columns[q] < p) * hits[np.intp(len(hits) * columns[2 + q])] for q in (0, 1))
+    if row[qubit] >= p:
+        return 0
+    return hits[int(len(hits) * row[2 + qubit])] if len(hits) > 1 else hits[0]
 
 
 def _apply_noise_rng(state: StateVector, spec: NoiseSpec, rng: np.random.Generator) -> StateVector:
     k = _noise_draws(spec)
     if not k:  # no noise block to draw
         return state
-    amps = state.amplitudes
-    for qubit, pauli in enumerate(_noise_paulis(spec, rng.random(k).tolist())):
-        if pauli:
-            amps = _apply_single_raw(amps[None].copy(), state.num_qubits, qubit, _PAULIS[pauli])[0]
+    hits, row, amps = _NOISE_HITS[spec.model], rng.random(k).tolist(), state.amplitudes
+    for qubit in (0, 1):
+        if mask := _noise_mask(hits, spec.p, row, qubit):
+            amps = _apply_single_raw(amps[None].copy(), qubit, _PAULIS[mask])[0]
     return state if amps is state.amplitudes else StateVector(state.num_qubits, amps)
 
 
@@ -366,21 +366,14 @@ def _session_labels(
 
     A card-less attacker reads two fair coins, 2*(a >= 1/2) + (b >= 1/2) of
     the ancilla draws, and its noise and slot draws only advance the stream.
-    A legitimate card reads its label XOR the mask of each qubit whose hit
-    draw is below p, that qubit's Pauli picked as _noise_paulis picks it.
+    A legitimate card reads its label XOR both qubits' masks (_noise_mask).
     """
     if attacker is not AttackerModel.LEGITIMATE:
         return [2 * (row[-2] >= 0.5) + (row[-1] >= 0.5) for row in draws]
     if not _noise_draws(noise):
         return list(labels)
     hits, p = _NOISE_HITS[noise.model], noise.p
-
-    def mask(row: Sequence[float], qubit: int) -> int:
-        if row[qubit] >= p:
-            return 0
-        return _PAULI_MASKS[hits[int(len(hits) * row[2 + qubit])] if len(hits) > 1 else hits[0]]
-
-    return [label ^ mask(row, 0) ^ mask(row, 1) for label, row in zip(labels, draws)]
+    return [label ^ _noise_mask(hits, p, row, 0) ^ _noise_mask(hits, p, row, 1) for label, row in zip(labels, draws)]
 
 
 def _accepted_sessions(
@@ -390,18 +383,24 @@ def _accepted_sessions(
 
     Each session counts its matching rounds, with no label decoded: a card-less
     round matches iff its coins equal the record's bits, and a legitimate round
-    iff its two qubits draw the same Pauli, i.e. the same label mask (so a
-    noiseless one always matches), the fact _round_match_probability sums.
-    These are the matches of _session_labels' labels on the same draws.  A
-    card's Paulis are read one (C, n) draw column at a time (_noise_paulis), and
-    the matches are tallied one round's column at a time, in a pointer-wide
-    count: numpy reduces over a short axis slowly, and no n overflows it.
+    iff its two qubits draw the same label mask (so a noiseless one always
+    matches), the fact _round_match_probability sums.  These are the matches
+    of _session_labels' labels on the same draws.  A card's masks are picked
+    as _noise_mask picks them, each draw read as one (C, n) column (a slice
+    over the short draw axis would make numpy loop two elements at a time),
+    and the matches are tallied one round's column at a time, in a
+    pointer-wide count: numpy reduces over a short axis slowly, and no n
+    overflows it.
     """
     if attacker is not AttackerModel.LEGITIMATE:
         coins = (draws[..., -2:] >= 0.5) == bits
         matches = coins[..., 0] & coins[..., 1]
     elif _noise_draws(noise):
-        first, second = _noise_paulis(noise, draws.transpose(2, 0, 1))  # (C, n) columns
+        hits, p, columns = _HIT_MASKS[noise.model], noise.p, draws.transpose(2, 0, 1)
+        first, second = (
+            (columns[q] < p) * (hits[np.intp(len(hits) * columns[2 + q])] if len(hits) > 1 else hits[0])
+            for q in (0, 1)
+        )
         matches = first == second
     else:
         return len(draws)
@@ -518,15 +517,15 @@ def _round_match_probability(attacker: AttackerModel, noise: NoiseSpec) -> float
 
     A card-less attacker reads a uniform label whatever the noise.  A
     legitimate card reads the noisy label, which equals the record iff the
-    two qubits' masks are equal; a hit moves p / len(hits) onto each Pauli's mask.
+    two qubits' masks are equal; a hit moves p / len(hits) onto each of its masks.
     """
     if attacker is not AttackerModel.LEGITIMATE:
         return 0.25
     weights = [1.0, 0.0, 0.0, 0.0]  # one qubit's probability of each label mask
     if hits := _NOISE_HITS[noise.model]:
         weights[0] -= noise.p  # once, not p / len(hits) per Pauli, so the rate keeps its last bits
-        for pauli in hits:
-            weights[_PAULI_MASKS[pauli]] += noise.p / len(hits)
+        for mask in hits:
+            weights[mask] += noise.p / len(hits)
     probability = 0.0  # left to right: from Python 3.12 on, sum() of floats is compensated
     for w in weights:
         probability += w * w
@@ -658,7 +657,7 @@ def security_sweep(
     ValueError before any draw.
     """
     _slot_register(attacker)  # rejects a non-AttackerModel before any trial
-    _require_int("trials", trials, 1)
+    trials = _require_int("trials", trials, 1)  # a Python int, as are the sizes: a row holds plain ints
     _require_int("seed", seed, 0)
     _require_session_settings(threshold, noise)
     try:

@@ -19,11 +19,12 @@ before decoding; the reported phase bit is therefore canonical (0 <-> '+')
 under both conventions.
 
 The network is built once (_parity_network) as one staged schedule of steps
-(gates, ancillas): append the ancillas in |0> after the last data qubit, run
-the gates, measure and drop the ancillas in order.  Every measurement (Bell,
-GHZ at every n, the auth round) runs it: each parity extraction, which
-commutes with the rest, is a one-ancilla step, so the live register stays at
-n + 1 qubits.  The flat gate list with all n ancillas live
+(gates, ancillas): append the ancilla, if any, in |0> after the last data
+qubit, run the gates, measure and drop it.  Every measurement (Bell, GHZ at
+every n, the auth round) runs it: each parity extraction, which commutes with
+the rest, is a one-ancilla step and each Hadamard layer a 0-ancilla one, so
+the live register stays at n + 1 qubits and a step measures at most one
+qubit, its last.  The flat gate list with all n ancillas live
 (ghz_network_gate_list) is read off the same steps, the i-th one-ancilla
 step's CNOTs onto ancilla n + i.  The auth round, whose register carries the
 attacker's qubits, runs each step on dense rows, gate by gate
@@ -44,10 +45,10 @@ each leaf's value, up to sign, at x and x_bar of the dense leaf.  Every step
 equals its dense twin byte for byte, weights and leaves.  One level builder
 (_branches) expands every measurement, one array pass per depth over all
 live bit prefixes: each depth's branch weights and normalized branches come
-from one stacked call (statevector._split_rows) that sums what the
-per-register measurement sums, in the same layout.  A state's first shot
-expands every branch at once and keeps the table in the memo slot (state,
-CONVENTIONS token, table), and later shots walk it (_state_table,
+from one stacked split of the rows' last qubit (statevector._split_rows)
+that sums what the per-register measurement sums, in the same layout.  A
+state's first shot expands every branch at once and keeps the table in the
+memo slot (state, CONVENTIONS token, table), and later shots walk it (_state_table,
 statevector._walk), so each state runs its network once; a caller that takes
 one shot per fresh state pays for the whole table.  A shot tests the slot
 first (_shot).  When the slot holds the shot's state itself under the shot's
@@ -200,8 +201,8 @@ def decode_ghz(
 def _parity_network(data_qubits: tuple[int, ...], convention: str) -> tuple:
     """The network on ``data_qubits`` as a schedule of steps (gates, ancillas).
 
-    A step appends ``ancillas`` qubits in |0> from index data_qubits[-1] + 1,
-    runs ``gates``, then measures and drops those ancillas in order.  The
+    A step appends ``ancillas`` (0 or 1) qubits in |0> at index data_qubits[-1] + 1,
+    runs ``gates``, then measures and drops that ancilla.  The
     i-th one-ancilla step, i < n - 1, takes the parity of data qubits i and
     i + 1; the last one takes the global parity between two Hadamard layers,
     each a 0-ancilla step.
@@ -293,8 +294,8 @@ def _closed_layers(n: int, convention: str) -> tuple:
 
 
 def _offsets(local: np.ndarray, live: np.ndarray, width: int) -> np.ndarray:
-    """The entries of ``local`` (a table by prefix or leaf) for ``live``, as flat indices into (len(live), width)."""
-    return local[live] + (np.arange(len(live)) * width).reshape(-1, *[1] * (local.ndim - 1))
+    """The entries of the 2-D table ``local`` (by prefix or leaf) for ``live``, flat indices into (len(live), width)."""
+    return local[live] + (np.arange(len(live)) * width)[:, None]
 
 
 def _gather(local: np.ndarray, width: int) -> tuple:
@@ -356,17 +357,17 @@ def _branches(amps: np.ndarray, schedule: Sequence) -> tuple:
 
     A step is (kernel, ancillas) or (kernel, ancillas, keep).  The kernel is called as kernel(rows, live),
     live the prefixes the rows stand for (a dense step does not read them), or is () for a bare split.
-    The step's ancillas are the rows' last qubits; each is split off in turn, and ``keep``, if given,
-    is how many leading values of each branch the split normalizes and keeps.  weights[k][j] is
-    the weight of the (k + 1)-bit prefix j given its first k bits (big-endian; 0.0 if dead), leaves[i]
-    the register after bits i, a read-only view of a read-only block."""
+    A step measures at most one ancilla, the rows' last qubit, as every schedule here does: when
+    ``ancillas`` is 1, it is split off, and ``keep``, if given, is how many leading values of each
+    branch the split normalizes and keeps.  weights[k][j] is the weight of the (k + 1)-bit prefix j
+    given its first k bits (big-endian; 0.0 if dead), leaves[i] the register after bits i, a read-only
+    view of a read-only block."""
     rows, live, weights = amps[None], [0], []
     for kernel, ancillas, *keep in schedule:
         if kernel:
             rows = kernel(rows, live)
-        qubit = rows.shape[1].bit_length() - 1 - ancillas  # the step's first ancilla
-        for _ in range(ancillas):  # every branch, all rows in one call
-            w, rows = _split_rows(rows, qubit, *keep)
+        if ancillas:  # every branch, all rows in one call
+            w, rows = _split_rows(rows, *keep)
             level = w.reshape(-1)
             if len(live) < 1 << len(weights):  # a dead prefix's branches weigh 0.0
                 level = np.zeros(2 << len(weights))

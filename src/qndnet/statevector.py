@@ -27,9 +27,10 @@ global, so runs are reproducible and trials can be parallelized safely.
 
 One runner applies a network to dense rows, gate by gate, many registers
 per call (_apply_network_raw), and the level builder splits many registers
-per call (_split_rows), with the per-register split's sums, byte for byte.
-The auth round runs its schedule that way, and the tests take it as the
-reference.  The GHZ register's own schedule (ghz._ghz_network) runs on
+per call at their last qubit, the ancilla a step measures (_split_rows),
+with the sums of measure_qubit's split at any qubit (_split_raw), byte for
+byte.  The auth round runs its schedule that way, and the tests take it as
+the reference.  The GHZ register's own schedule (ghz._ghz_network) runs on
 compact rows instead, each holding only the kets its dense row can hold,
 interleaved by the bit measured next, with closed-form Hadamard layers;
 _split_rows splits those rows too, with the same sums, and each step equals
@@ -54,7 +55,8 @@ MAX_QUBITS = 14
 NORM_ATOL = 1e-8
 
 #: Weight at or below which a measurement branch is dead (never sampled, no
-#: post state); _split_raw and _split_rows apply it to a branch.
+#: post state); _split_raw applies it to a branch of any qubit, _split_rows to
+#: a branch of each row's last qubit.
 ZERO_BRANCH_PROB = 1e-15
 
 #: Norm of the opposite branch above which drop_qubit refuses to drop a qubit.
@@ -104,10 +106,12 @@ def hadamard_kind(convention: str) -> GateKind:
 
 
 def _require_int(name: str, value, low: int, high: int | None = None) -> int:
-    """The one integer check: an int or numpy integer, never a bool, in [low, high]; high=None: no cap."""
-    # a plain int, the case on every shot, costs one type test
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-        raise ValueError(f"{name} must be an integer count or index, got {value!r}")
+    """The one integer check: an int or numpy integer, never a bool, in [low, high] (high=None: no cap), as an int."""
+    # a plain int, the case on every shot, costs one type test; any other integer is returned as one
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer count or index, got {value!r}")
+        value = int(value)
     if value < low or (high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be {bounds}, got {value}")
@@ -299,7 +303,7 @@ def random_state(num_qubits: int, rng: int | np.random.Generator) -> StateVector
 # Gates act on axis 1 of (registers, 2**n, columns...) arrays and may overwrite it: pass an owned one.
 
 
-def _apply_single_raw(amps: np.ndarray, n: int, target: int, u: np.ndarray) -> np.ndarray:
+def _apply_single_raw(amps: np.ndarray, target: int, u: np.ndarray) -> np.ndarray:
     # big-endian: qubit `target` is the middle axis of (registers * 2**target, 2, rest)
     m = amps.reshape(len(amps) << target, 2, -1)
     a0, a1 = m[:, 0, :], m[:, 1, :]
@@ -323,7 +327,7 @@ def _apply_gate_raw(amps: np.ndarray, n: int, gate: GateOp) -> np.ndarray:
         raise ValueError(f"gate {gate} out of range for {n} qubits")
     if gate.kind is GateKind.CNOT:
         return amps.take(_cnot_permutation(n, gate.control, gate.target), axis=1)
-    return _apply_single_raw(amps, n, gate.target, _SINGLE_QUBIT_MATRICES[gate.kind])
+    return _apply_single_raw(amps, gate.target, _SINGLE_QUBIT_MATRICES[gate.kind])
 
 
 def _split_raw(amps: np.ndarray, qubit: int) -> tuple[tuple[float, float], np.ndarray]:
@@ -407,24 +411,19 @@ def _drop_raw(amps: np.ndarray, qubit: int, bit: int) -> np.ndarray:
     return kept
 
 
-def _split_rows(rows: np.ndarray, qubit: int, keep: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's branch weights (registers, 2), 0.0 where dead, and its branches (registers, 2, rest),
-    each divided by its own norm, as a contiguous array (a dead branch, which the level builder
-    drops, is divided by sqrt(ZERO_BRANCH_PROB) instead); ``keep`` cuts each branch to its first
-    ``keep`` values before the division.
+def _split_rows(rows: np.ndarray, keep: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's branch weights at its last qubit (registers, 2), 0.0 where dead, and its branches
+    (registers, 2, rest), each divided by its own norm, as a contiguous array (a dead branch, which
+    the level builder drops, is divided by sqrt(ZERO_BRANCH_PROB) instead); ``keep`` cuts each branch
+    to its first ``keep`` values before the division.
 
-    The weights are _split_raw's vdot sums from one stacked matmul over the layout vdot reads: the
-    stride-2 view when ``qubit`` is the last one, else the contiguous split copy (BLAS adds strided
-    and contiguous vectors in different orders).  The GHZ register's compact rows are split at their
-    last qubit too: each holds a prefix's support interleaved by the measured bit, so the stride-2
-    view reads a dense row's nonzero terms in the dense row's order, and the sums are the same.  The
-    division is x * (1 / norm) on the float64 view, numpy's complex x / norm byte for byte when no
-    part is -0.0, and the rows a step hands on carry none."""
-    m = rows.reshape(len(rows), 1 << qubit, 2, -1)
-    if m.shape[3] == 1:  # branch b of a row is row[b::2]
-        branches = m[..., 0].swapaxes(1, 2)
-    else:
-        branches = np.ascontiguousarray(m.swapaxes(1, 2)).reshape(len(rows), 2, -1)
+    The weights are _split_raw's vdot sums from one stacked matmul over the layout vdot reads, the
+    stride-2 view (branch b of a row is row[b::2]; BLAS adds strided and contiguous vectors in
+    different orders).  The GHZ register's compact rows hold a prefix's support interleaved by the
+    measured bit, so the stride-2 view reads a dense row's nonzero terms in the dense row's order,
+    and the sums are the same.  The division is x * (1 / norm) on the float64 view, numpy's complex
+    x / norm byte for byte when no part is -0.0, and the rows a step hands on carry none."""
+    branches = rows.reshape(len(rows), -1, 2).swapaxes(1, 2)
     w = (branches.conj()[..., None, :] @ branches[..., None]).real[..., 0, 0]
     split = np.ascontiguousarray(branches[..., :keep])
     parts = split.view(np.float64)
@@ -453,7 +452,7 @@ def apply_single_qubit_matrix(state: StateVector, qubit: int, matrix: np.ndarray
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     _require_int("qubit", qubit, 0, state.num_qubits - 1)
-    amps = _apply_single_raw(state.amplitudes[None].copy(), state.num_qubits, qubit, m)
+    amps = _apply_single_raw(state.amplitudes[None].copy(), qubit, m)
     return StateVector(state.num_qubits, amps[0])
 
 

@@ -131,7 +131,7 @@ def second_layer_input(n: int, convention: str, live: np.ndarray, a: np.ndarray,
     _, _, first, _ = layer_steps(n, convention)
     rows = first(first_layer_rows(n, convention, live, a, b), live)
     global_parity, _ = _dense_network(tuple(range(n)), convention)[n]
-    w, split = _split_rows(global_parity(rows, live), n)
+    w, split = _split_rows(global_parity(rows, live))
     leaves = (2 * live[:, None] + [0, 1]).reshape(-1)
     keep = w.reshape(-1) > 0.0  # dead branches leave, as in the level builder
     return split.reshape(w.size, -1)[keep], leaves[keep]

@@ -1,5 +1,6 @@
 """tools/compare_bench.py stops on a benchmark run it cannot read, and says which run and why; it marks
-a metric unresolved when its runs spread wider than its bound."""
+a metric unresolved when its runs spread wider than its bound, and reads the per-layer runs of
+tools/branch_layers.py by position."""
 
 import importlib.util
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_bench.py"
+BRANCH_LAYERS = TOOL.parent / "branch_layers.py"
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +79,26 @@ def test_a_wide_metric_is_resolved_when_every_change_run_beats_every_parent_run(
     result = compare_bench.compare_metric(metric, parent, change)
     assert not result["unresolved"] and not result["beyond_bound"] and result["gain_resolved"]
     assert compare_bench.compare_metric(metric, change, parent)["unresolved"]
+
+
+def layer_report(us: float) -> dict:
+    return {"ghz.n8": {"cold_table": {"median": us, "q1": us, "q3": us}}}
+
+
+def test_per_layer_runs_are_read_by_position_parent_first(compare_bench):
+    runs = [[layer_report(100.0), layer_report(80.0)], [layer_report(120.0), layer_report(90.0)],
+            [layer_report(110.0), layer_report(70.0)]]
+    assert compare_bench.compare_layers(runs) == {
+        "ghz.cold_table.n8.us": {"parent": 110.0, "change": 80.0, "change_over_parent": 80.0 / 110.0}
+    }
+
+
+def test_one_source_given_twice_is_timed_as_two_series(compare_bench):
+    # keyed by path, ``src src`` would merge both packages' samples into one entry and compare it with itself
+    src = str(TOOL.parents[1] / "src")
+    report = compare_bench.run_json([sys.executable, str(BRANCH_LAYERS), src, src, "--states", "1"], TOOL.parent)
+    assert isinstance(report, list) and len(report) == 2 and report[0].keys() == report[1].keys()
+    per_layer = compare_bench.compare_layers([report])
+    for side, key in enumerate(("parent", "change")):
+        assert per_layer["ghz.cold_table.n8.us"][key] == report[side]["ghz.n8"]["cold_table"]["median"]
+        assert per_layer["auth.session.decoy.n3.us"][key] == report[side]["auth.decoy.n3"]["session"]["median"]

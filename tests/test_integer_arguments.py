@@ -5,6 +5,8 @@ for a bool, a non-integral float and a value just past each of its bounds,
 and takes a numpy integer in range like a Python int.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,14 @@ def test_bad_integer_argument_raises_value_error(name, value):
 def test_numpy_integer_is_accepted(name):
     call, _, in_range = ENTRIES[name]
     call(np.int64(in_range))
+
+
+def test_a_sweep_row_from_numpy_integers_holds_python_numbers():
+    # the row equals the plain-int row field for field, types included, so it serializes as that row does
+    plain = security_sweep([2], FRESH_ZERO, 5, 1)[0].to_dict()
+    row = security_sweep([np.int64(2)], FRESH_ZERO, np.int64(5), np.int64(1))[0].to_dict()
+    assert [(key, type(value), value) for key, value in row.items()] == [
+        (key, type(value), value) for key, value in plain.items()
+    ]
+    assert type(row["n"]) is int and type(row["trials"]) is int and type(row["accept_rate"]) is float
+    assert json.dumps(row) == json.dumps(plain)

@@ -40,16 +40,15 @@ def random_rows(rng, registers: int, qubits: int) -> np.ndarray:
     return rows
 
 
-@pytest.mark.parametrize("rest", [1, 2, 8])
-def test_stacked_level_weights_equal_split_raw_row_by_row(rest):
-    # rest = 1 (the measured qubit is the last one) reads the stride-2 view, otherwise the split copy
-    rng = np.random.default_rng(800 + rest)
+def test_stacked_level_weights_equal_split_raw_row_by_row():
+    # the measured qubit is each row's last one, read through the stride-2 view
+    rng = np.random.default_rng(801)
     for registers in (1, 2, 7, 64, 256):
         for qubit in (2, 5, 8):
-            rows = random_rows(rng, registers, qubit + rest.bit_length())
+            rows = random_rows(rng, registers, qubit + 1)
             for r in rng.choice(registers, (registers + 1) // 2):  # dead branches: exact zeros or residue
                 rows[r].reshape(1 << qubit, 2, -1)[:, rng.integers(2)] *= rng.choice([0.0, 1e-9])
-            weights, branches = _split_rows(rows, qubit)
+            weights, branches = _split_rows(rows)
             assert weights.shape == (registers, 2) and branches.shape == (registers, 2, rows.shape[1] // 2)
             for r in range(registers):
                 pair, m = _split_raw(rows[r], qubit)
@@ -61,12 +60,23 @@ def test_stacked_level_weights_equal_split_raw_row_by_row(rest):
                         assert np.isfinite(branches[r, bit]).all()
 
 
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_step_measures_at_most_one_ancilla(n, convention):
+    # the level builder splits each step's rows once, at their last qubit, so no step may measure two
+    schedules = [_ghz_network(n, convention)]
+    schedules += [_dense_network(data, convention) for data in (tuple(range(n)), (0, n - 1))]
+    for schedule in schedules:
+        assert [step[1] for step in schedule if step[1] not in (0, 1)] == []
+        assert sum(step[1] for step in schedule) == len(schedule) - 2  # every step but the two layers
+
+
 def test_stride_two_weights_are_not_contiguous_sums():
     # the trap the stacked weights avoid: on a last-qubit split, vdot over each branch's stride-2
     # view and over a contiguous copy of it round differently, so a copy may not stand in for the view
     rng = np.random.default_rng(900)
     rows = random_rows(rng, 400, 9)
-    weights, _ = _split_rows(rows, 8)
+    weights, _ = _split_rows(rows)
     copies = np.ascontiguousarray(rows.reshape(400, 256, 2).swapaxes(1, 2))
     contiguous = np.array([[np.vdot(b, b).real for b in row] for row in copies])
     reference = np.array([_split_raw(row, 8)[0] for row in rows])

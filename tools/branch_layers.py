@@ -5,9 +5,10 @@
 
 Loads qndnet once from each SRC_DIR (as separate packages in one process, so
 a parent checkout and a change are timed side by side, sample by sample,
-with the order alternating) and prints one JSON object: for each source, the
-median and quartiles, in microseconds (a count for a fault layer), of each
-layer of each group.  The groups ``ghz.n2`` .. ``ghz.n8`` hold
+with the order alternating) and prints one JSON list, one entry per SRC_DIR
+in argument order: the median and quartiles, in microseconds (a count for a
+fault layer), of each layer of each group.  Sources are kept apart by their
+position, so ``src src`` times the same package twice, as two series.  The groups ``ghz.n2`` .. ``ghz.n8`` hold
 * ``cold_table``: ghz_branch_table on a freshly built random state;
 * ``fresh_shot``: the first run_ghz_qnd on a freshly built random state;
 * ``warm_shot``: run_ghz_qnd on a state whose table is already built;
@@ -176,31 +177,31 @@ def main() -> None:
         for _, attacker, noise in AUTH_CELLS:  # sizes 1..8 enroll all four labels at seed 0
             qn.security_sweep(range(1, 9), qn.AttackerModel(attacker), 2, 0)
             time_row(qn, attacker, noise, 0)
-    order = list(zip(args.src, packages))
-    samples = {src: {} for src in args.src}
+    order = list(enumerate(packages))  # each source by its argument position
+    samples = [{} for _ in packages]
     for kind, n, layers in [("bell", 2, BELL_LAYERS)] + [("ghz", n, LAYERS + FAULT_LAYERS) for n in range(2, 9)]:
         group = f"{kind}.n{n}"
-        for src in args.src:
-            samples[src][group] = {layer: [] for layer in layers}
+        for source in samples:
+            source[group] = {layer: [] for layer in layers}
         for k in range(args.states):
             amps = packages[0].random_state(n, rng).amplitudes
             draws, block = rng.random((2, n)), rng.random((BLOCK_SHOTS, n))
-            for src, qn in order if k % 2 == 0 else order[::-1]:
+            for position, qn in order if k % 2 == 0 else order[::-1]:
                 timings = time_layers(qn, kind, n, amps, draws, block)
                 for layer in layers:
-                    samples[src][group][layer].append(timings[layer])
+                    samples[position][group][layer].append(timings[layer])
     for group, attacker, noise in AUTH_CELLS:
-        for src in args.src:
-            samples[src][f"auth.{group}"] = {layer: [] for layer in AUTH_LAYERS}
+        for source in samples:
+            source[f"auth.{group}"] = {layer: [] for layer in AUTH_LAYERS}
         for k in range(args.states):
             seed = int(rng.integers(2**31))
-            for src, qn in order if k % 2 == 0 else order[::-1]:
+            for position, qn in order if k % 2 == 0 else order[::-1]:
                 for layer, seconds in time_row(qn, attacker, noise, seed).items():
-                    samples[src][f"auth.{group}"][layer].append(1e6 * seconds)
-    report = {
-        src: {group: {layer: quartiles(v) for layer, v in layers.items()} for group, layers in groups.items()}
-        for src, groups in samples.items()
-    }
+                    samples[position][f"auth.{group}"][layer].append(1e6 * seconds)
+    report = [
+        {group: {layer: quartiles(v) for layer, v in layers.items()} for group, layers in groups.items()}
+        for groups in samples
+    ]
     print(json.dumps(report))
 
 

@@ -19,13 +19,15 @@ the runs cannot tell a change within the bound from one beyond it (listed
 and printed the same way), and ``gain_resolved``: whether the change is
 better in at least 9 of 10 pairs and its median beats the parent's by more
 than the parent's interquartile spread (q3 - q1), the rule a gain claim must
-meet.  Each workload reports failed/attempted operations per side.  The per-layer part runs tools/branch_layers.py on both
-checkouts at once (one process, sample by sample) --layer-runs times, and
-gives the median of the runs' medians, parent and change side by side, as
-``<family>.<layer>.<group>.us`` (``ghz.cold_table.n8.us``,
-``auth.row_fixed.decoy.n3.us``), or ``.count`` for a count of page faults
-(``ghz.cold_table_faults.n8.count``; its ratio is null where the parent
-reads 0); --layer-runs 0 skips it.
+meet.  Each workload reports failed/attempted operations per side.  The
+per-layer part runs tools/branch_layers.py on both checkouts at once (one
+process, sample by sample) --layer-runs times, reads each run's two entries
+by position (parent first, so ``. .`` compares two series of one tree, the
+noise floor of a layer), and gives the median of the runs' medians, parent
+and change side by side, as ``<family>.<layer>.<group>.us``
+(``ghz.cold_table.n8.us``, ``auth.row_fixed.decoy.n3.us``), or ``.count``
+for a count of page faults (``ghz.cold_table_faults.n8.count``; its ratio is
+null where the parent reads 0); --layer-runs 0 skips it.
 """
 
 from __future__ import annotations
@@ -91,6 +93,23 @@ def compare_metric(metric: dict, parent: list[float], change: list[float]) -> di
     }
 
 
+def compare_layers(layer_runs: list[list[dict]]) -> dict:
+    """The per-layer part from branch_layers.py runs of (parent, change), each run's report read by
+    position: for each layer, the median of the runs' medians of each side and their ratio."""
+    per_layer = {}
+    for group, kinds in (layer_runs[0][0] if layer_runs else {}).items():
+        family, rest = group.split(".", 1)
+        for kind in kinds:
+            parent, change = (
+                statistics.median(run[side][group][kind]["median"] for run in layer_runs) for side in (0, 1)
+            )
+            unit = "count" if kind.endswith("_faults") else "us"
+            per_layer[f"{family}.{kind}.{rest}.{unit}"] = {
+                "parent": parent, "change": change, "change_over_parent": change / parent if parent else None,
+            }
+    return per_layer
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -137,21 +156,12 @@ def main() -> None:
         }
 
     # both sides in one process, state by state, so a slower minute slows both alike
-    srcs = {side: str(path / "src") for side, path in sides.items()}
+    srcs = [str(sides[side] / "src") for side in ("parent", "change")]
     layer_runs = [
-        run_json([sys.executable, str(HERE / "branch_layers.py"), srcs["parent"], srcs["change"], "--seed", str(run)], HERE)
+        run_json([sys.executable, str(HERE / "branch_layers.py"), *srcs, "--seed", str(run)], HERE)
         for run in range(args.layer_runs)
     ]
-    per_layer = {}
-    for group, kinds in (layer_runs[0][srcs["parent"]] if layer_runs else {}).items():
-        family, rest = group.split(".", 1)
-        for kind in kinds:
-            parent = statistics.median(r[srcs["parent"]][group][kind]["median"] for r in layer_runs)
-            change = statistics.median(r[srcs["change"]][group][kind]["median"] for r in layer_runs)
-            unit = "count" if kind.endswith("_faults") else "us"
-            per_layer[f"{family}.{kind}.{rest}.{unit}"] = {
-                "parent": parent, "change": change, "change_over_parent": change / parent if parent else None,
-            }
+    per_layer = compare_layers(layer_runs)
 
     report = {
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
