@@ -34,6 +34,7 @@ from .statevector import (
     GateOp,
     StateVector,
     _apply_network_raw,
+    _require_instance,
     _require_normalized,
 )
 
@@ -70,7 +71,11 @@ class BellOperatorSpec:
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        if len(self.pairs) < 2:
+        try:
+            count = len(self.pairs)
+        except TypeError:  # None, a number, an iterator
+            raise ValueError(f"pairs must be a sequence of direction pairs, got {self.pairs!r}") from None
+        if count < 2:
             raise ValueError("need at least two direction pairs")
         frozen = tuple(
             (_as_unit_vector(a), _as_unit_vector(ap)) for a, ap in self.pairs
@@ -245,7 +250,7 @@ def qnd_compatibility_check(
     eigenspaces are refined against the branch maps); pass explicit states
     (any non-empty iterable, read once) to pin the basis under test.
     """
-    span = max((g.max_index + 1 for g in network), default=0)
+    span = max((_require_instance("gate", g, GateOp).max_index + 1 for g in network), default=0)
     if span > MAX_QUBITS:
         raise ValueError(f"network spans {span} qubits > MAX_QUBITS; GHZ checks reach n <= {MAX_QUBITS // 2}")
     b = np.asarray(observable, dtype=np.complex128)
@@ -256,7 +261,7 @@ def qnd_compatibility_check(
     if eigenstates is not None and not (eigenstates := list(eigenstates)):  # read once: a generator is spent
         raise ValueError("eigenstates is empty; pass None to check the observable's own eigenvectors")
     for state in eigenstates or ():
-        if state.num_qubits != num_data:
+        if _require_instance("eigenstate", state, StateVector).num_qubits != num_data:
             raise ValueError(f"eigenstate has {state.num_qubits} qubits, the observable acts on {num_data}")
         _require_normalized(state, "qnd_compatibility_check")
 

@@ -43,12 +43,14 @@ global-parity split reads; that split normalizes only the one value per
 branch that the second layer reads; and the second (_second_layer) writes
 each leaf's value, up to sign, at x and x_bar of the dense leaf.  Every step
 equals its dense twin byte for byte, weights and leaves.  One level builder
-(_branches) expands every measurement, one array pass per depth over all
-live bit prefixes: each depth's branch weights and normalized branches come
-from one stacked split of the rows' last qubit (statevector._split_rows)
-that sums what the per-register measurement sums, in the same layout.  A
-state's first shot expands every branch at once and keeps the table in the
-memo slot (state, CONVENTIONS token, table), and later shots walk it (_state_table,
+(_branches) expands every measurement, one array pass per depth with a row
+for every bit prefix: each depth's branch weights and normalized branches
+come from one stacked split of the rows' last qubit (statevector._split_rows)
+that sums what the per-register measurement sums, in the same layout, and
+zeroes a dead branch's row, so all under it weighs 0.0 and a sparse input (a
+basis state) costs what a dense one does.  A state's first shot expands
+every branch at once and keeps the table in the memo slot (state,
+CONVENTIONS token, table), and later shots walk it (_state_table,
 statevector._walk), so each state runs its network once; a caller that takes
 one shot per fresh state pays for the whole table.  A shot tests the slot
 first (_shot).  When the slot holds the shot's state itself under the shot's
@@ -186,8 +188,12 @@ def decode_ghz(
     part_parity_bits: Sequence[int], global_parity_bit: int, n: int
 ) -> GhzLabel:
     """Rebuild the canonical label from n-1 neighbor parities and the phase bit (ints, not bools)."""
-    if len(part_parity_bits) != _require_int("n", n, 2) - 1:
-        raise ValueError(f"expected {n - 1} parity bits, got {len(part_parity_bits)}")
+    try:
+        count = len(part_parity_bits)
+    except TypeError:  # a number, None, an iterator
+        raise ValueError(f"part_parity_bits must be a sequence of bits, got {part_parity_bits!r}") from None
+    if count != _require_int("n", n, 2) - 1:
+        raise ValueError(f"expected {n - 1} parity bits, got {count}")
     for b in part_parity_bits:
         _require_int("parity bit", b, 0, 1)
     _require_int("phase bit", global_parity_bit, 0, 1)
@@ -213,9 +219,9 @@ def _parity_network(data_qubits: tuple[int, ...], convention: str) -> tuple:
     return (*((run, 1) for run in runs[:-1]), (layer, 0), (runs[-1], 1), (layer, 0))
 
 
-def _dense_step(rows: np.ndarray, live: np.ndarray, gates: tuple, ancillas: int) -> np.ndarray:
-    """A step on dense rows (``live`` unread), gate by gate: ``ancillas`` appended in |0> to each row, then
-    ``gates``.  A -0.0 part enters as +0.0 (x + 0.0), as in the compact steps."""
+def _dense_step(rows: np.ndarray, gates: tuple, ancillas: int) -> np.ndarray:
+    """A step on dense rows, gate by gate: ``ancillas`` appended in |0> to each row, then ``gates``.
+    A -0.0 part enters as +0.0 (x + 0.0), as in the compact steps."""
     return _apply_network_raw(rows + 0.0, gates, ancillas)
 
 
@@ -231,11 +237,11 @@ def _ghz_network(n: int, convention: str) -> tuple:
     """The GHZ register's own schedule on compact rows, looked up by (n, convention); n is checked once.
 
     It measures what _dense_network(tuple(range(n)), convention) measures, byte for byte, but each
-    live prefix's row holds only its support in ket order: n - 1 neighbour-parity gathers (_parity_step),
-    the first layer (_first_layer), which writes its rows interleaved by global parity, the global-parity
-    split, which normalizes only the one value per branch that the second layer reads, and the second
-    layer (_second_layer), which writes the dense leaves.  Only a table expansion looks it up
-    (_state_table); the memo slot is keyed on the convention token, not on the schedule."""
+    prefix's row holds only its support in ket order, zeros if dead: n - 1 neighbour-parity gathers
+    (_parity_step), the first layer (_first_layer), which writes its rows interleaved by global parity,
+    the global-parity split, which normalizes only the one value per branch that the second layer reads,
+    and the second layer (_second_layer), which writes the dense leaves.  Only a table expansion looks
+    it up (_state_table); the memo slot is keyed on the convention token, not on the schedule."""
     _require_parts(n)
     first, second = _closed_layers(n, convention)
     parity = tuple((partial(_parity_step, gather=_gather(local, local.shape[1])), 1) for local in _parity_gathers(n))
@@ -262,16 +268,16 @@ def _parity_gathers(n: int) -> list:
     return tables
 
 
-def _parity_step(rows: np.ndarray, live: np.ndarray, gather: tuple) -> np.ndarray:
-    """A neighbour-parity step on compact rows: one gather lays each live prefix's support out interleaved
-    by the step's parity bit, so _split_rows' stride-2 view reads branch b's kets in ket order, the nonzero
-    terms of the dense row's branch in the same order.  A -0.0 part enters as +0.0 (_dense_step's x + 0.0)."""
-    out = rows.reshape(-1).take(_flat(gather, live))
+def _parity_step(rows: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """A neighbour-parity step on compact rows: one gather lays each prefix's support (zeros if dead) out
+    interleaved by the step's parity bit, so _split_rows' stride-2 view reads branch b's kets in ket order,
+    the dense row's nonzero terms in its order.  A -0.0 part enters as +0.0 (_dense_step's x + 0.0)."""
+    out = rows.reshape(-1).take(gather)
     return np.add(out, 0.0, out=out)
 
 
 def _closed_layers(n: int, convention: str) -> tuple:
-    """The GHZ register's two Hadamard layers as kernels of (rows, live prefixes), with their tables.
+    """The GHZ register's two Hadamard layers as kernels of rows, one per prefix or leaf, with their tables.
 
     S[y, z] is the sign of the layer's matrix entry from ket z to ket y.  A parity prefix p fixes the
     canonical x_p; _first_layer's selector picks output y's value from (A + B, A - B, -(A + B),
@@ -293,26 +299,14 @@ def _closed_layers(n: int, convention: str) -> tuple:
     return first, second
 
 
-def _offsets(local: np.ndarray, live: np.ndarray, width: int) -> np.ndarray:
-    """The entries of the 2-D table ``local`` (by prefix or leaf) for ``live``, flat indices into (len(live), width)."""
-    return local[live] + (np.arange(len(live)) * width)[:, None]
+def _gather(local: np.ndarray, width: int) -> np.ndarray:
+    """The 2-D table ``local`` (by prefix or leaf) as read-only flat indices into rows of ``width``."""
+    flat = local + (np.arange(len(local)) * width)[:, None]
+    flat.flags.writeable = False
+    return flat
 
 
-def _gather(local: np.ndarray, width: int) -> tuple:
-    """(local, width, its flat indices when every row is live), all read-only."""
-    local = np.ascontiguousarray(local)
-    flat = _offsets(local, np.arange(len(local)), width)
-    local.flags.writeable = flat.flags.writeable = False
-    return local, width, flat
-
-
-def _flat(gather: tuple, live: np.ndarray) -> np.ndarray:
-    """The flat indices of ``gather``'s table for the rows of the live prefixes or leaves ``live``."""
-    local, width, flat = gather
-    return flat if len(live) == len(local) else _offsets(local, live, width)
-
-
-def _first_layer(rows: np.ndarray, live: np.ndarray, n: int, select: tuple) -> np.ndarray:
+def _first_layer(rows: np.ndarray, n: int, select: np.ndarray) -> np.ndarray:
     """The first Hadamard layer on compact rows (a_x_bar, a_x), x the canonical ket of the row's parity
     prefix, its outputs interleaved by global parity so that the global-parity step splits them as they are.
 
@@ -328,18 +322,20 @@ def _first_layer(rows: np.ndarray, live: np.ndarray, n: int, select: tuple) -> n
     np.subtract(rows[:, 1], rows[:, 0], out=sums[:, 1])
     np.subtract(0.0, sums[:, :2], out=sums[:, 2:])
     np.add(sums, 0.0, out=sums)
-    return sums.reshape(-1).take(_flat(select, live))
+    return sums.reshape(-1).take(select)
 
 
-def _second_layer(rows: np.ndarray, live: np.ndarray, n: int, write: tuple, signs: tuple) -> np.ndarray:
+def _second_layer(rows: np.ndarray, n: int, write: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """The second Hadamard layer on the global-parity branches: each leaf ends as +-v at x and x_bar.
 
     A branch holds one value v up to sign on its parity class, and its row holds only the first, at
     ket g.  The first pass pairs each ket with a zero, and every later pass doubles or cancels, so v is
     multiplied by s once, then n - 1 times by s and added to itself; a minus is 0.0 - v.  This is the
-    dense layer, gate by gate, byte for byte."""
+    dense layer, gate by gate, byte for byte.  A -0.0 part, which only a dead branch's zeroed row
+    holds, enters as +0.0 (_dense_step's x + 0.0)."""
     v = rows.reshape(-1)
     parts = v.view(np.float64)
+    np.add(parts, 0.0, out=parts)
     np.multiply(parts, _SQRT_HALF, out=parts)
     for _ in range(n - 1):
         np.multiply(parts, _SQRT_HALF, out=parts)
@@ -348,42 +344,36 @@ def _second_layer(rows: np.ndarray, live: np.ndarray, n: int, write: tuple, sign
     signed[:, 0] = v
     np.subtract(0.0, v, out=signed[:, 1])
     out = np.zeros((len(v), 1 << n), dtype=np.complex128)
-    out.put(_flat(write, live), signed.take(_flat(signs, live)))
+    out.put(write, signed.take(signs))
     return out
 
 
 def _branches(amps: np.ndarray, schedule: Sequence) -> tuple:
-    """(weights, leaves) of a ``schedule`` on ``amps``, one array pass per depth over the live prefixes.
+    """(weights, leaves) of a ``schedule`` on ``amps``, one array pass per depth, one row per bit prefix.
 
-    A step is (kernel, ancillas) or (kernel, ancillas, keep).  The kernel is called as kernel(rows, live),
-    live the prefixes the rows stand for (a dense step does not read them), or is () for a bare split.
-    A step measures at most one ancilla, the rows' last qubit, as every schedule here does: when
-    ``ancillas`` is 1, it is split off, and ``keep``, if given, is how many leading values of each
-    branch the split normalizes and keeps.  weights[k][j] is the weight of the (k + 1)-bit prefix j
-    given its first k bits (big-endian; 0.0 if dead), leaves[i] the register after bits i, a read-only
-    view of a read-only block."""
-    rows, live, weights = amps[None], [0], []
+    A step is (kernel, ancillas) or (kernel, ancillas, keep).  The kernel is called as kernel(rows), or
+    is () for a bare split.  A step measures at most one ancilla, the rows' last qubit, as every
+    schedule here does: when ``ancillas`` is 1, it is split off, and ``keep``, if given, is how many
+    leading values of each branch the split normalizes and keeps.  A dead branch keeps its row,
+    zeroed by the split, so every prefix under it weighs 0.0; a sparse input (a basis state) costs
+    what a dense one does.  weights[k][j] is the weight of the (k + 1)-bit prefix j given its first k
+    bits (big-endian; 0.0 if dead), leaves[i] the register after bits i, (2**bits, dim) in all,
+    read-only over a read-only block."""
+    rows, weights = amps[None], []
     for kernel, ancillas, *keep in schedule:
         if kernel:
-            rows = kernel(rows, live)
+            rows = kernel(rows)
         if ancillas:  # every branch, all rows in one call
             w, rows = _split_rows(rows, *keep)
-            level = w.reshape(-1)
-            if len(live) < 1 << len(weights):  # a dead prefix's branches weigh 0.0
-                level = np.zeros(2 << len(weights))
-                level.reshape(-1, 2)[live] = w
-            live = level.nonzero()[0]
             rows = rows.reshape(w.size, -1)
-            if len(live) < w.size:  # dead branches leave
-                rows = rows[w.reshape(-1).nonzero()[0]]
-            weights.append(level.tolist())
+            weights.append(w.reshape(-1).tolist())
     if rows.base is not None:  # sealed before any leaf view is taken, so no leaf can be made writable
         rows.base.flags.writeable = False
     rows.flags.writeable = False
-    return weights, dict(zip(live.tolist(), rows))
+    return weights, rows
 
 
-def _table_rows(weights: list, leaves: dict) -> list:
+def _table_rows(weights: list, leaves: np.ndarray) -> list:
     """Each leaf by index (bits big-endian): (probability, register or None at <= ZERO_BRANCH_PROB).
 
     A leaf's probability is its prefixes' weights multiplied first level first, one array product per level."""

@@ -29,12 +29,13 @@ One runner applies a network to dense rows, gate by gate, many registers
 per call (_apply_network_raw), and the level builder splits many registers
 per call at their last qubit, the ancilla a step measures (_split_rows),
 with the sums of measure_qubit's split at any qubit (_split_raw), byte for
-byte.  The auth round runs its schedule that way, and the tests take it as
-the reference.  The GHZ register's own schedule (ghz._ghz_network) runs on
-compact rows instead, each holding only the kets its dense row can hold,
-interleaved by the bit measured next, with closed-form Hadamard layers;
-_split_rows splits those rows too, with the same sums, and each step equals
-its dense twin byte for byte.
+byte, zeroing a dead branch's row rather than dropping it.  The auth round
+runs its schedule that way, and the tests take it as the reference.  The
+GHZ register's own schedule (ghz._ghz_network) runs on compact rows instead,
+each holding only the kets its dense row can hold, interleaved by the bit
+measured next, with closed-form Hadamard layers; _split_rows splits those
+rows too, with the same sums, and each step equals its dense twin byte for
+byte.
 """
 
 from __future__ import annotations
@@ -263,8 +264,10 @@ def _as_bits(bits: str | Iterable[int], expected: int) -> tuple[int, ...]:
         if not set(bits) <= {"0", "1"}:
             raise ValueError(f"bitstring may only contain 0/1, got {bits!r}")
         seq = tuple(int(c) for c in bits)
-    else:
+    elif isinstance(bits, Iterable):
         seq = tuple(_require_int("bit", b, 0, 1) for b in bits)
+    else:  # a number, None
+        raise ValueError(f"bits must be a bitstring or an iterable of bits, got {bits!r}")
     if len(seq) != expected:
         raise ValueError(f"expected {expected} bits, got {len(seq)}")
     return seq
@@ -413,22 +416,23 @@ def _drop_raw(amps: np.ndarray, qubit: int, bit: int) -> np.ndarray:
 
 def _split_rows(rows: np.ndarray, keep: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's branch weights at its last qubit (registers, 2), 0.0 where dead, and its branches
-    (registers, 2, rest), each divided by its own norm, as a contiguous array (a dead branch, which
-    the level builder drops, is divided by sqrt(ZERO_BRANCH_PROB) instead); ``keep`` cuts each branch
-    to its first ``keep`` values before the division.
+    (registers, 2, rest), each divided by its own norm (a dead one zeroed: all under it weighs 0.0), as
+    a contiguous array; ``keep`` cuts each branch to its first ``keep`` values before the division.
 
     The weights are _split_raw's vdot sums from one stacked matmul over the layout vdot reads, the
     stride-2 view (branch b of a row is row[b::2]; BLAS adds strided and contiguous vectors in
     different orders).  The GHZ register's compact rows hold a prefix's support interleaved by the
     measured bit, so the stride-2 view reads a dense row's nonzero terms in the dense row's order,
     and the sums are the same.  The division is x * (1 / norm) on the float64 view, numpy's complex
-    x / norm byte for byte when no part is -0.0, and the rows a step hands on carry none."""
+    x / norm byte for byte when no part is -0.0, and the rows a step hands on carry none (a dead
+    branch's zeros may be -0.0, and the next step takes them as +0.0)."""
     branches = rows.reshape(len(rows), -1, 2).swapaxes(1, 2)
     w = (branches.conj()[..., None, :] @ branches[..., None]).real[..., 0, 0]
     split = np.ascontiguousarray(branches[..., :keep])
     parts = split.view(np.float64)
-    np.multiply(parts, (1.0 / np.sqrt(np.maximum(w, ZERO_BRANCH_PROB)))[..., None], out=parts)
-    return np.where(w > ZERO_BRANCH_PROB, w, 0.0), split
+    alive = w > ZERO_BRANCH_PROB
+    np.multiply(parts, (alive / np.sqrt(np.maximum(w, ZERO_BRANCH_PROB)))[..., None], out=parts)
+    return w * alive, split
 
 
 # -- public operations --

@@ -47,7 +47,7 @@ def interleaved_kets(n: int) -> np.ndarray:
 
 def layer_steps(n: int, convention: str) -> tuple:
     """(closed first, closed second, dense first, dense second) layer steps of the GHZ register, each
-    called as step(rows, live).
+    called as step(rows) on one row per prefix (first) or leaf (second), dead ones zeroed.
 
     The closed layers run on compact rows, so here each is wrapped to take and give the dense rows the
     dense layer takes and gives: the first reads each row's support (a_x_bar, a_x) and puts its
@@ -58,20 +58,21 @@ def layer_steps(n: int, convention: str) -> tuple:
     (closed_first, _), (closed_second, _) = closed[n - 1], closed[n + 1]
     full, order = (1 << n) - 1, interleaved_kets(n)
 
-    def dense_first(rows: np.ndarray, live: np.ndarray) -> np.ndarray:
-        at = np.arange(len(live))[:, None], canonical_x(n, convention)[live][:, None] ^ [full, 0]
+    def dense_first(rows: np.ndarray) -> np.ndarray:
+        at = np.arange(len(rows))[:, None], canonical_x(n, convention)[:, None] ^ [full, 0]
         pair = rows[at].copy()
         rows[at] = 0.0
         assert not rows.any()
         out = np.empty_like(rows)
-        out[:, order] = closed_first(pair, live)
+        out[:, order] = closed_first(pair)
         return out
 
-    def dense_second(rows: np.ndarray, leaves: np.ndarray) -> np.ndarray:
-        kept = rows[np.arange(len(leaves)), leaves & 1].copy()
+    def dense_second(rows: np.ndarray) -> np.ndarray:
+        g = np.arange(len(rows)) & 1  # leaf (p, g) keeps ket g of its parity class
+        kept = rows[np.arange(len(rows)), g].copy()
         parity = sum((np.arange(1 << n) >> k) & 1 for k in range(n)) & 1
-        assert not rows[parity[None, :] != (leaves & 1)[:, None]].any()
-        return closed_second(kept[:, None], leaves)
+        assert not rows[parity[None, :] != g[:, None]].any()
+        return closed_second(kept[:, None])
 
     return dense_first, dense_second, first, second
 
@@ -98,16 +99,17 @@ def pair_values(rng, n: int, count: int) -> list:
 
 
 def first_layer_rows(n: int, convention: str, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows as the parity steps leave them: a_x at x, a_x_bar at x_bar, every other part +0.0."""
+    """Rows as the parity steps leave them, one per prefix: a live one holds a_x at x and a_x_bar at
+    x_bar, a dead one nothing, and every other part is +0.0."""
     x = canonical_x(n, convention)[live]
-    rows = np.zeros((len(live), 1 << n), complex)
-    rows[np.arange(len(live)), x] = a[: len(live)]
-    rows[np.arange(len(live)), ((1 << n) - 1) ^ x] = b[: len(live)]
+    rows = np.zeros((len(canonical_x(n, convention)), 1 << n), complex)
+    rows[live, x] = a[: len(live)]
+    rows[live, ((1 << n) - 1) ^ x] = b[: len(live)]
     return rows + 0.0  # as a dense step hands them on (x + 0.0): no -0.0 part
 
 
 def live_sets(rng, count: int) -> list:
-    """Every row live, one row live, and a random strict subset (dead rows left out)."""
+    """Every row live, one row live, and a random strict subset (the rows of the others zeroed)."""
     subset = np.sort(rng.choice(count, max(1, count // 2), replace=False))
     return [np.arange(count), np.array([count - 1]), subset]
 
@@ -121,20 +123,19 @@ def test_first_layer_equals_the_dense_layer(n, convention):
     for a, b in pair_values(rng, n, prefixes):
         for live in live_sets(rng, prefixes):
             rows = first_layer_rows(n, convention, live, a, b)
-            want = dense(rows.copy(), live)
-            got = closed(rows.copy(), live)
+            want = dense(rows.copy())
+            got = closed(rows.copy())
             assert got.tobytes() == want.tobytes(), (live, a[0], b[0])
 
 
-def second_layer_input(n: int, convention: str, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """(rows, live leaves) as the dense global-parity step leaves them after the dense first layer."""
+def second_layer_input(n: int, convention: str, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows, one per leaf, as the dense global-parity step leaves them after the dense first layer:
+    a dead branch zeroed by the split, as in the level builder."""
     _, _, first, _ = layer_steps(n, convention)
-    rows = first(first_layer_rows(n, convention, live, a, b), live)
+    rows = first(first_layer_rows(n, convention, live, a, b))
     global_parity, _ = _dense_network(tuple(range(n)), convention)[n]
-    w, split = _split_rows(global_parity(rows, live))
-    leaves = (2 * live[:, None] + [0, 1]).reshape(-1)
-    keep = w.reshape(-1) > 0.0  # dead branches leave, as in the level builder
-    return split.reshape(w.size, -1)[keep], leaves[keep]
+    w, split = _split_rows(global_parity(rows))
+    return split.reshape(w.size, -1)
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
@@ -145,22 +146,29 @@ def test_second_layer_equals_the_dense_layer(n, convention):
     prefixes = 1 << (n - 1)
     for a, b in pair_values(rng, n, prefixes):
         for live in live_sets(rng, prefixes):
-            rows, leaves = second_layer_input(n, convention, live, a, b)
-            if not len(rows):
-                continue
-            want = dense(rows.copy(), leaves)
-            got = closed(rows.copy(), leaves)
-            assert got.tobytes() == want.tobytes(), (leaves, a[0], b[0])
+            rows = second_layer_input(n, convention, live, a, b)
+            want = dense(rows.copy())
+            got = closed(rows.copy())
+            assert got.tobytes() == want.tobytes(), (live, a[0], b[0])
             assert (np.count_nonzero(got, axis=1) <= 2).all()
 
 
+def local_table(flat: np.ndarray, width: int) -> np.ndarray:
+    """A kernel's read-only flat indices into rows of ``width`` as the 2-D table by prefix or leaf they encode."""
+    assert not flat.flags.writeable and flat.ndim == 2
+    local = flat - (np.arange(len(flat)) * width)[:, None]
+    assert ((0 <= local) & (local < width)).all()
+    return local
+
+
 def prefix_kets(n: int, convention: str) -> list:
-    """Each depth's kets by live prefix, as the parity gathers lay them out: depth 0 holds every ket
+    """Each depth's kets by prefix, as the parity gathers lay them out: depth 0 holds every ket
     in ket order, and branch b of a prefix's interleaved row is row[b::2]."""
     depths = [[np.arange(1 << n)]]
     for step, _ in _ghz_network(n, convention)[: n - 1]:
-        local, width, _ = step.keywords["gather"]
-        assert local.shape == (len(depths[-1]), width) and not local.flags.writeable
+        width = 1 << (n + 1 - len(depths))
+        local = local_table(step.keywords["gather"], width)
+        assert local.shape == (len(depths[-1]), width)
         depths.append([kets[row][b::2] for kets, row in zip(depths[-1], local) for b in (0, 1)])
     return depths
 
@@ -185,8 +193,8 @@ def test_layer_tables_follow_the_hadamard_signs(n, convention):
         if k == n - 1:
             assert np.array_equal(np.array(rows), np.stack((full ^ x, x), axis=1))
     first = _ghz_network(n, convention)[n - 1][0]
-    select, width, _ = first.keywords["select"]
-    assert width == 4 and select.shape == (1 << (n - 1), 1 << n)
+    select = local_table(first.keywords["select"], 4)
+    assert select.shape == (1 << (n - 1), 1 << n)
     order = interleaved_kets(n)
     assert sorted(order) == list(range(1 << n))
     for p, xp in enumerate(x):
@@ -197,8 +205,8 @@ def test_layer_tables_follow_the_hadamard_signs(n, convention):
     assert list(order[:2]) == [0, 1]  # the value each global-parity branch keeps is its ket g
     second = _ghz_network(n, convention)[n + 1][0]
     assert set(second.keywords) == {"n", "write", "signs"}
-    write, _, _ = second.keywords["write"]
-    signs, _, _ = second.keywords["signs"]
+    write = local_table(second.keywords["write"], 1 << n)
+    signs = local_table(second.keywords["signs"], 2)
     for leaf in range(1 << n):
         xp = x[leaf >> 1]
         assert np.array_equal(write[leaf], [xp, full ^ xp])
@@ -228,9 +236,9 @@ def counted_dense_steps():
     calls = []
     real = ghz._dense_step
 
-    def counted(rows, live, gates, ancillas):
+    def counted(rows, gates, ancillas):
         calls.append(len(gates))
-        return real(rows, live, gates, ancillas)
+        return real(rows, gates, ancillas)
 
     ghz._dense_step = counted
     _dense_network.cache_clear()

@@ -1,10 +1,10 @@
 """The GHZ register's compact steps against the dense steps they replace, byte for byte.
 
-The GHZ schedule runs on compact rows: each live prefix's row holds only the kets its dense row
-can hold, in ket order.  Expanding both schedules once with the one level builder, each step
-recording the rows and live prefixes it receives, pins each compact step to its dense twin: the
-same weights at every level, the same live rows after every step, and each compact row the dense
-row's support in the compact row's order, with the dense row zero everywhere else."""
+The GHZ schedule runs on compact rows: each prefix's row holds only the kets its dense row can hold,
+in ket order.  Expanding both schedules once with the one level builder, each step recording the rows
+it receives, one per prefix, pins each compact step to its dense twin: the same weights at every
+level, the same rows after every step, dead prefixes' zeroed rows included, and each compact row the
+dense row's support in the compact row's order, with the dense row zero everywhere else."""
 
 import tracemalloc
 from functools import lru_cache
@@ -13,8 +13,15 @@ import numpy as np
 import pytest
 from test_closed_layers import SUBNORMAL, interleaved_kets
 
-from qndnet.ghz import _branches, _dense_network, _ghz_network, all_canonical_labels, ghz_branch_table, ghz_state
-from qndnet.statevector import random_state
+from qndnet.ghz import (
+    _branches,
+    _dense_network,
+    _ghz_network,
+    all_canonical_labels,
+    ghz_branch_table,
+    ghz_state,
+)
+from qndnet.statevector import ZERO_BRANCH_PROB, StateVector, random_state
 
 CONVENTIONS = ("paper", "standard")
 
@@ -53,14 +60,14 @@ def layout(n: int, steps: int) -> tuple:
 
 
 def recorded(schedule) -> tuple:
-    """(the schedule with each step's kernel wrapped to record a copy of the rows and live prefixes it
-    receives, that record).  A bare split gets a kernel that hands its rows on as they are."""
+    """(the schedule with each step's kernel wrapped to record a copy of the rows it receives, that
+    record).  A bare split gets a kernel that hands its rows on as they are."""
     seen = []
 
     def record(kernel):
-        def step(rows, live):
-            seen.append((rows.copy(), np.array(live)))
-            return kernel(rows, live) if kernel else rows
+        def step(rows):
+            seen.append(rows.copy())
+            return kernel(rows) if kernel else rows
 
         return step
 
@@ -68,11 +75,11 @@ def recorded(schedule) -> tuple:
 
 
 def assert_same_table(got: tuple, want: tuple) -> None:
-    """Equal (weights, leaves) byte for byte: every level's weights, the live leaves and their registers."""
+    """Equal (weights, leaves) byte for byte: every level's weights and every leaf's register, dead ones included."""
     (weights, leaves), (want_weights, want_leaves) = got, want
     assert [np.array(level).tobytes() for level in weights] == [np.array(level).tobytes() for level in want_weights]
-    assert leaves.keys() == want_leaves.keys()
-    assert all(leaves[i].tobytes() == want_leaves[i].tobytes() for i in leaves)
+    assert leaves.shape == want_leaves.shape == (1 << len(weights), want_leaves.shape[1])
+    assert leaves.tobytes() == want_leaves.tobytes()
 
 
 def assert_steps_match(amps: np.ndarray, n: int, convention: str) -> None:
@@ -81,15 +88,17 @@ def assert_steps_match(amps: np.ndarray, n: int, convention: str) -> None:
     compact, got = recorded(_ghz_network(n, convention))
     dense, want = recorded(_dense_network(tuple(range(n)), convention))
     assert_same_table(_branches(amps, compact), _branches(amps, dense))
-    for steps, ((rows, live), (want_rows, want_live)) in enumerate(zip(got, want, strict=True)):
-        assert live.tolist() == want_live.tolist(), steps
+    for steps, (rows, want_rows) in enumerate(zip(got, want, strict=True)):
         kept, off = layout(n, steps)
-        assert rows.tobytes() == want_rows[np.arange(len(live))[:, None], kept[live]].tobytes(), steps
-        assert not want_rows[off[live]].any(), steps
+        assert len(rows) == len(want_rows) == len(kept), steps  # one row per prefix, dead or not
+        assert rows.tobytes() == want_rows[np.arange(len(rows))[:, None], kept].tobytes(), steps
+        assert not want_rows[off].any(), steps
 
 
 def table_states(rng, n: int) -> list:
-    """Random, basis, GHZ, real, zero-laced, subnormal-laced and slightly unnormalized states."""
+    """Random, basis, GHZ, real, zero-laced, subnormal-laced and slightly unnormalized states, and GHZ
+    states with their twin mixed in at weight (0, ZERO_BRANCH_PROB]: the split zeroes that global-parity
+    branch, whose zeros may be -0.0, and the second layer must take them as the dense one does."""
     size = 1 << n
     states = [random_state(n, rng).amplitudes for _ in range(3)]
     states += [np.eye(size)[k] + 0j for k in rng.choice(size, 3)]
@@ -106,12 +115,21 @@ def table_states(rng, n: int) -> list:
         states.append(amps)
     off = random_state(n, rng).amplitudes
     states += [off * (1 + 9e-9), off * (1 - 9e-9)]
+    labels = all_canonical_labels(n)
+    for k, eps in ((0, -1e-8), (len(labels) - 2, 3e-8j)):
+        mixed = ghz_state(labels[k]).amplitudes + eps * ghz_state(labels[k + 1]).amplitudes
+        states.append(mixed / np.linalg.norm(mixed))
     return states
 
 
+#: Weights of a near-dead prefix given its parent: nonzero, at most ZERO_BRANCH_PROB, one with subnormal parts.
+NEAR_DEAD = (9e-16, 1e-16, 1e-310)
+
+
 def dead_prefix_states(rng, n: int) -> list:
-    """At each parity depth, a random state with the support of about half the prefixes set to zero,
-    so the live prefixes there are a strict subset; and one with every prefix but the last dead."""
+    """(amplitudes, depth, dead prefixes at that depth) for each parity depth: a random state with the
+    support of about half the prefixes set to zero; one with every prefix but the last zero; and for
+    each NEAR_DEAD weight t, one whose random prefix's support weighs t given its parent's."""
     states = []
     for depth in range(1, n):
         for dead in (rng.random(1 << depth) < 0.5, np.arange(1 << depth) < (1 << depth) - 1):
@@ -119,7 +137,14 @@ def dead_prefix_states(rng, n: int) -> list:
             for prefix in np.flatnonzero(dead):
                 amps[prefix_support(n, prefix, depth)] = 0.0
             if np.linalg.norm(amps) > 0.0:
-                states.append(amps / np.linalg.norm(amps))
+                states.append((amps / np.linalg.norm(amps), depth, np.flatnonzero(dead)))
+        for t in NEAR_DEAD:
+            amps = random_state(n, rng).amplitudes.copy()
+            prefix = rng.integers(1 << depth)
+            support, parent = prefix_support(n, prefix, depth), prefix_support(n, prefix >> 1, depth - 1)
+            own, rest = (np.vdot(amps[kets], amps[kets]).real for kets in (support, np.setdiff1d(parent, support)))
+            amps[support] *= np.sqrt(t / (1 - t) * rest / own)  # own / (own + rest) = t
+            states.append((amps / np.linalg.norm(amps), depth, np.array([prefix])))
     return states
 
 
@@ -129,9 +154,32 @@ def dead_prefix_states(rng, n: int) -> list:
 def test_each_compact_step_equals_its_dense_step(n, convention, seed):
     # seed 1500 + n draws the whole-table inputs; 2300 + n draws them and the dead-prefix states
     rng = np.random.default_rng(seed + n)
-    states = table_states(rng, n) + (dead_prefix_states(rng, n) if seed == 2300 else [])
+    states = table_states(rng, n) + ([amps for amps, _, _ in dead_prefix_states(rng, n)] if seed == 2300 else [])
     for amps in states:
         assert_steps_match(amps, n, convention)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_everything_under_a_dead_prefix_weighs_exactly_zero(n, convention):
+    # the split zeroes a dead branch's row, so every level below it weighs 0.0 and no leaf under it
+    # carries a register; near-dead prefixes, whose support weighs (0, ZERO_BRANCH_PROB], included
+    rng = np.random.default_rng(2600 + n)
+    schedule, near = _ghz_network(n, convention), []
+    for amps, depth, dead in dead_prefix_states(rng, n):
+        weights, _ = _branches(amps, schedule)
+        rows = ghz_branch_table(StateVector(n, amps), convention)
+        for prefix in dead:  # the input is what it claims: at most ZERO_BRANCH_PROB of the parent's weight
+            own, parent = (prefix_support(n, p, d) for p, d in ((prefix, depth), (prefix >> 1, depth - 1)))
+            weight = np.vdot(amps[own], amps[own]).real
+            assert weight <= ZERO_BRANCH_PROB * np.vdot(amps[parent], amps[parent]).real
+            near += [depth] if weight else []
+            for level in range(depth - 1, n):
+                span = 1 << (level + 1 - depth)  # the (level + 1)-bit prefixes under the depth-bit one
+                assert weights[level][prefix * span : (prefix + 1) * span] == [0.0] * span, (depth, prefix, level)
+            span = 1 << (n - depth)
+            assert [(p, post) for _, _, p, post in rows[prefix * span : (prefix + 1) * span]] == [(0.0, None)] * span
+    assert near == [depth for depth in range(1, n) for _ in NEAR_DEAD]
 
 
 @pytest.mark.parametrize("seed", [2400, 1600])

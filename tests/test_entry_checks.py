@@ -1,5 +1,6 @@
-"""Conventions, labels, label tokens, noise arguments and seeds are checked at every public entry, before
-any cache or draw: whatever their type, a bad one raises ValueError, never TypeError or AttributeError."""
+"""Conventions, labels, label tokens, bits, noise arguments, seeds and operator arguments are checked at every
+public entry, before any cache or draw: whatever their type, a bad one raises ValueError, never TypeError or
+AttributeError."""
 
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qndnet.auth import AttackerModel, apply_noise, attacker_round_distribution, enroll, security_sweep, verify_session
+from qndnet.bell_operator import BellOperatorSpec, bell_operator_n, canonical_spec, qnd_compatibility_check
 from qndnet.bell import (
     BellLabel,
     bell_bits,
@@ -26,7 +28,7 @@ from qndnet.ghz import (
     parse_ghz_label,
     run_ghz_qnd,
 )
-from qndnet.statevector import random_state
+from qndnet.statevector import make_basis_state, random_state
 
 PAIR = random_state(2, np.random.default_rng(2900))
 TRIPLE = random_state(3, np.random.default_rng(2901))
@@ -135,3 +137,31 @@ def test_a_session_account_that_is_no_auth_account_raises_value_error_before_any
     with pytest.raises(ValueError, match=rf"^account must be an? AuthAccount, got {re.escape(repr(account))}$"):
         verify_session(account, seed=rng)
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("bits", [5, None], ids=["int", "none"])
+def test_parity_bits_that_are_no_sequence_raise_value_error_naming_them(bits):
+    with pytest.raises(ValueError, match=re.escape(f"part_parity_bits must be a sequence of bits, got {bits!r}")):
+        decode_ghz(bits, 0, 3)
+
+
+@pytest.mark.parametrize("bits", [5, None], ids=["int", "none"])
+def test_basis_bits_that_are_no_bitstring_or_iterable_raise_value_error_naming_them(bits):
+    with pytest.raises(ValueError, match=re.escape(f"bits must be a bitstring or an iterable of bits, got {bits!r}")):
+        make_basis_state(2, bits)
+    assert make_basis_state(2, iter((1, 0))) == make_basis_state(2, "10")  # any iterable of bits, read once
+
+
+@pytest.mark.parametrize("pairs", [None, 3], ids=["none", "int"])
+def test_direction_pairs_that_are_no_sequence_raise_value_error_naming_them(pairs):
+    with pytest.raises(ValueError, match=re.escape(f"pairs must be a sequence of direction pairs, got {pairs!r}")):
+        BellOperatorSpec(pairs)
+
+
+def test_a_compatibility_check_names_a_gate_or_eigenstate_of_the_wrong_type():
+    observable, network = bell_operator_n(canonical_spec(2)), ghz_network_gate_list(2)
+    with pytest.raises(ValueError, match=re.escape("gate must be a GateOp, got 1")):
+        qnd_compatibility_check(observable, [1])
+    with pytest.raises(ValueError, match=re.escape("eigenstate must be a StateVector, got 1")):
+        qnd_compatibility_check(observable, network, [1])
+    assert qnd_compatibility_check(observable, network, [bell_state(BellLabel.PHI_PLUS)]).all_preserved

@@ -56,8 +56,8 @@ def test_stacked_level_weights_equal_split_raw_row_by_row():
                 for bit in (0, 1):  # a live branch divided by its norm as _collapse_raw divides it
                     if pair[bit]:
                         assert branches[r, bit].tobytes() == _collapse_raw(m, bit, pair).tobytes()
-                    else:  # dropped or never picked, but finite: no division by zero
-                        assert np.isfinite(branches[r, bit]).all()
+                    else:  # zeroed, so nothing expanded under it weighs more than 0.0
+                        assert not branches[r, bit].any()
 
 
 @pytest.mark.parametrize("convention", ["paper", "standard"])
@@ -139,8 +139,8 @@ def test_dense_steps_hand_on_no_negative_zero(n):
                 parts = rng.standard_normal((3, 2 << n))
                 parts[rng.random(parts.shape) < 0.4] = -0.0
                 rows = parts.view(np.complex128)
-                got = step(rows.copy(), np.arange(3))
-                assert got.tobytes() == step(rows + 0.0, np.arange(3)).tobytes()
+                got = step(rows.copy())
+                assert got.tobytes() == step(rows + 0.0).tobytes()
                 got_parts = got.view(np.float64)
                 assert not np.signbit(got_parts[got_parts == 0]).any()
 
