@@ -93,6 +93,7 @@ from .statevector import (
     _apply_single_raw,
     _require_instance,
     _require_int,
+    _require_items,
     _require_normalized,
     _require_seed,
     _walk,
@@ -204,10 +205,10 @@ class SessionResult:
 
 def enroll(
     n: int,
-    initial_labels: str | Sequence[BellLabel] = "random",
+    initial_labels: str | Iterable[BellLabel] = "random",
     seed: int | np.random.Generator = 0,
 ) -> AuthAccount:
-    """Create an account with n pairs in the given (or seeded-random) Bell states."""
+    """Create an account with n pairs in the given Bell states (any iterable, read once) or seeded-random ones."""
     _require_int("n", n, 1)
     _require_seed(seed)
     if isinstance(initial_labels, str):
@@ -216,13 +217,13 @@ def enroll(
         rng = np.random.default_rng(seed)
         indices = [int(rng.integers(4)) for _ in range(n)]
     else:
-        labels = list(initial_labels)
+        labels = _require_items("initial_labels", initial_labels, "a label list or 'random'")
         if len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
         try:
             indices = [BELL_DECODE_ORDER.index(label) for label in labels]
         except ValueError:
-            raise ValueError(f"initial_labels must be BellLabel values, got {labels!r}") from None
+            raise ValueError(f"initial_labels must be BellLabel values, got {list(labels)!r}") from None
     return AuthAccount(
         pairs=[_BELL_PAIRS[i] for i in indices],
         records=[_LABEL_BITS[i] for i in indices],
@@ -660,11 +661,7 @@ def security_sweep(
     trials = _require_int("trials", trials, 1)  # a Python int, as are the sizes: a row holds plain ints
     _require_int("seed", seed, 0)
     _require_session_settings(threshold, noise)
-    try:
-        n_values = iter(n_range)
-    except TypeError:  # None, a bare int
-        raise ValueError(f"n_range must be an iterable of account sizes, got {n_range!r}") from None
-    sizes = [_require_int("n", n, 1) for n in n_values]  # every size before the first row
+    sizes = [_require_int("n", n, 1) for n in _require_items("n_range", n_range, "an iterable of account sizes")]
     _check_labels(attacker_round_distribution, attacker)  # the oracle looked up now: a replaced one is checked afresh
     k, q = _round_draws(attacker, noise), _round_match_probability(attacker, noise)
     # a noiseless card reads its own labels, so no session reads a draw

@@ -166,8 +166,8 @@ def bell_branch_table(
 ) -> list[tuple[tuple[int, int], BellLabel, float, StateVector | None]]:
     """All four ancilla branches of the network: (bits, label, probability, post state).
 
-    Enumerates the same evolution run_bell_qnd samples from; branches of
-    (numerically) zero probability carry ``None`` as their post state.
+    Enumerates the same evolution run_bell_qnd samples from; a branch carries ``None`` as its post state
+    iff its probability is exactly 0.0 (no shot reaches it), else the post state a shot reaching it returns.
     """
     _require_two_qubits(state)
     convention = _require_table_input(state, convention, "bell_branch_table")

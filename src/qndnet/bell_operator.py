@@ -35,6 +35,7 @@ from .statevector import (
     StateVector,
     _apply_network_raw,
     _require_instance,
+    _require_items,
     _require_normalized,
 )
 
@@ -66,21 +67,16 @@ def _as_unit_vector(v: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BellOperatorSpec:
-    """Per-particle measurement-direction pairs (a_k, a_k'), unit vectors in R^3."""
+    """Per-particle measurement-direction pairs (a_k, a_k'), unit vectors in R^3, as any iterables, read once."""
 
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        try:
-            count = len(self.pairs)
-        except TypeError:  # None, a number, an iterator
-            raise ValueError(f"pairs must be a sequence of direction pairs, got {self.pairs!r}") from None
-        if count < 2:
+        pairs = _require_items("pairs", self.pairs, "a sequence of direction pairs")
+        if len(pairs) < 2:
             raise ValueError("need at least two direction pairs")
-        frozen = tuple(
-            (_as_unit_vector(a), _as_unit_vector(ap)) for a, ap in self.pairs
-        )
-        object.__setattr__(self, "pairs", frozen)
+        read = (_require_items("pair", pair, "a pair of directions") for pair in pairs)
+        object.__setattr__(self, "pairs", tuple((_as_unit_vector(a), _as_unit_vector(ap)) for a, ap in read))
 
     @property
     def num_particles(self) -> int:
@@ -101,14 +97,14 @@ def _chsh_from_pairs(first: tuple, second: tuple) -> np.ndarray:
 
 def chsh_operator(spec: BellOperatorSpec) -> np.ndarray:
     """The 4x4 two-particle operator: bell_operator_n restricted to exactly 2 pairs."""
-    if spec.num_particles != 2:
+    if _require_instance("spec", spec, BellOperatorSpec).num_particles != 2:
         raise ValueError(f"chsh_operator needs exactly 2 pairs, got {spec.num_particles}")
     return bell_operator_n(spec)
 
 
 def bell_operator_n(spec: BellOperatorSpec) -> np.ndarray:
     """The Mermin-Klyshko operator, n = 2..MAX_PARTS: CHSH is the base case, n = 2 takes no step."""
-    _require_parts(spec.num_particles)
+    _require_parts(_require_instance("spec", spec, BellOperatorSpec).num_particles)
     b = _chsh_from_pairs(spec.pairs[0], spec.pairs[1])
     bprime = _chsh_from_pairs(spec.pairs[0][::-1], spec.pairs[1][::-1])
     for a, ap in spec.pairs[2:]:
@@ -169,7 +165,9 @@ def hermiticity_residual(observable: np.ndarray) -> float:
 
 
 def _require_hermitian(observable: np.ndarray) -> None:
-    """ValueError unless ``observable`` is finite, square and Hermitian within _HERMITIAN_ATOL."""
+    """ValueError unless ``observable`` is a type eigvalsh takes, finite, square and Hermitian to _HERMITIAN_ATOL."""
+    if np.asarray(observable).dtype.char not in np.typecodes["AllInteger"] + "fdFD":  # not None, str, bool, float16
+        raise ValueError(f"observable must hold integers, float32/64 or complex64/128, got {observable!r}")
     if not np.isfinite(observable).all():  # a NaN residual would pass the tolerance test
         raise ValueError("observable has non-finite entries")
     res = hermiticity_residual(observable)
@@ -210,13 +208,12 @@ class CompatibilityReport:
     all_preserved: bool
 
 
-def _branch_kraus_operators(network: Sequence[GateOp], num_data: int) -> np.ndarray:
+def _branch_kraus_operators(network: Sequence[GateOp], num_data: int, span: int) -> np.ndarray:
     """K[m] = <m|U|0...0> on the data register, one per ancilla pattern m (big-endian).
 
-    The network runs on the d identity columns with the ancillas appended in
+    The network, spanning ``span`` qubits, runs on the d identity columns with the ancillas appended in
     |0...0>, so only those d columns of the unitary are ever built.
     """
-    span = max((g.max_index + 1 for g in network), default=num_data)
     d = 1 << num_data
     columns = _apply_network_raw(np.eye(d)[None], network, max(span - num_data, 0))[0]
     return columns.reshape(d, -1, d).transpose(1, 0, 2)
@@ -235,7 +232,7 @@ def _refine_degenerate(basis: np.ndarray, kraus: np.ndarray) -> np.ndarray:
 
 def qnd_compatibility_check(
     observable: np.ndarray,
-    network: Sequence[GateOp],
+    network: Iterable[GateOp],
     eigenstates: Iterable[StateVector] | None = None,
 ) -> CompatibilityReport:
     """Does the measurement network leave the observable's eigenstates alone?
@@ -246,10 +243,11 @@ def qnd_compatibility_check(
     branch with support maps it onto itself up to phase -- the repeatable-
     measurement property in finite dimensions.
 
-    Eigenstates default to the observable's eigenvectors (degenerate
-    eigenspaces are refined against the branch maps); pass explicit states
-    (any non-empty iterable, read once) to pin the basis under test.
+    Eigenstates default to the observable's eigenvectors (degenerate eigenspaces are refined against the
+    branch maps); pass explicit states (any non-empty iterable) to pin the basis under test.  ``network`` and
+    ``eigenstates`` are each read once, into a tuple: the span check and the branch maps read one network.
     """
+    network = _require_items("network", network, "an iterable of gates")
     span = max((_require_instance("gate", g, GateOp).max_index + 1 for g in network), default=0)
     if span > MAX_QUBITS:
         raise ValueError(f"network spans {span} qubits > MAX_QUBITS; GHZ checks reach n <= {MAX_QUBITS // 2}")
@@ -258,14 +256,15 @@ def qnd_compatibility_check(
     num_data = int(b.shape[0]).bit_length() - 1
     if 1 << num_data != b.shape[0]:
         raise ValueError(f"observable dimension {b.shape[0]} is not a power of two")
-    if eigenstates is not None and not (eigenstates := list(eigenstates)):  # read once: a generator is spent
+    eigenstates = None if eigenstates is None else _require_items("eigenstates", eigenstates, "an iterable of states")
+    if eigenstates == ():
         raise ValueError("eigenstates is empty; pass None to check the observable's own eigenvectors")
     for state in eigenstates or ():
         if _require_instance("eigenstate", state, StateVector).num_qubits != num_data:
             raise ValueError(f"eigenstate has {state.num_qubits} qubits, the observable acts on {num_data}")
         _require_normalized(state, "qnd_compatibility_check")
 
-    kraus = _branch_kraus_operators(network, num_data)
+    kraus = _branch_kraus_operators(network, num_data, span)
     num_anc = (len(kraus) - 1).bit_length()
     branches = tuple(
         BranchReport(

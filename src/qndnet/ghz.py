@@ -85,19 +85,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .statevector import (
     _SINGLE_QUBIT_MATRICES,
     _SQRT_HALF,
-    ZERO_BRANCH_PROB,
     StateVector,
     _apply_network_raw,
     _require_convention,
     _require_instance,
     _require_int,
+    _require_items,
     _require_normalized,
     _split_rows,
     _walk,
@@ -185,21 +185,16 @@ def ghz_bits(label: GhzLabel) -> tuple[tuple[int, ...], int]:
 
 
 def decode_ghz(
-    part_parity_bits: Sequence[int], global_parity_bit: int, n: int
+    part_parity_bits: Iterable[int], global_parity_bit: int, n: int
 ) -> GhzLabel:
-    """Rebuild the canonical label from n-1 neighbor parities and the phase bit (ints, not bools)."""
-    try:
-        count = len(part_parity_bits)
-    except TypeError:  # a number, None, an iterator
-        raise ValueError(f"part_parity_bits must be a sequence of bits, got {part_parity_bits!r}") from None
-    if count != _require_int("n", n, 2) - 1:
-        raise ValueError(f"expected {n - 1} parity bits, got {count}")
-    for b in part_parity_bits:
-        _require_int("parity bit", b, 0, 1)
-    _require_int("phase bit", global_parity_bit, 0, 1)
+    """Rebuild the canonical label from n-1 neighbor parities (any iterable) and the phase bit (ints, not bools)."""
+    part_parity_bits = _require_items("part_parity_bits", part_parity_bits, "a sequence of bits")
+    if len(part_parity_bits) != _require_int("n", n, 2) - 1:
+        raise ValueError(f"expected {n - 1} parity bits, got {len(part_parity_bits)}")
     x = [1]
-    for p in part_parity_bits:
-        x.append(x[-1] ^ p)
+    for b in part_parity_bits:
+        x.append(x[-1] ^ _require_int("parity bit", b, 0, 1))
+    _require_int("phase bit", global_parity_bit, 0, 1)
     return GhzLabel("+" if global_parity_bit == 0 else "-", "".join(map(str, x)))
 
 
@@ -374,13 +369,14 @@ def _branches(amps: np.ndarray, schedule: Sequence) -> tuple:
 
 
 def _table_rows(weights: list, leaves: np.ndarray) -> list:
-    """Each leaf by index (bits big-endian): (probability, register or None at <= ZERO_BRANCH_PROB).
+    """Each leaf by index (bits big-endian): (probability, register or None iff the probability is 0.0).
 
-    A leaf's probability is its prefixes' weights multiplied first level first, one array product per level."""
+    A leaf's probability is its prefixes' weights multiplied first level first, one array product per level, as
+    _walk multiplies; it is 0.0 iff a split zeroed a branch on its path, that is, iff no shot reaches the leaf."""
     probs = np.ones(1)
     for level in weights:
         probs = probs.repeat(2) * level
-    return [(p, None if p <= ZERO_BRANCH_PROB else leaves[i]) for i, p in enumerate(probs.tolist())]
+    return [(p, None if p == 0.0 else leaves[i]) for i, p in enumerate(probs.tolist())]
 
 
 #: (state, CONVENTIONS token, table) of the last state measured; held, so ``is`` is safe.  Only a state

@@ -126,6 +126,15 @@ def _require_instance(name: str, value, kind: type):
     return value
 
 
+def _require_items(name: str, value, what: str) -> tuple:
+    """The one collection check: any iterable, read once into a tuple; a number or None raises ValueError."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ValueError(f"{name} must be {what}, got {value!r}") from None
+    return tuple(items)
+
+
 def _require_seed(seed: int | np.random.Generator) -> int | np.random.Generator:
     """The one seed check: a numpy Generator as it is, or an integer seed >= 0 (not a bool) through _require_int."""
     return seed if isinstance(seed, np.random.Generator) else _require_int("seed", seed, 0)
@@ -264,10 +273,9 @@ def _as_bits(bits: str | Iterable[int], expected: int) -> tuple[int, ...]:
         if not set(bits) <= {"0", "1"}:
             raise ValueError(f"bitstring may only contain 0/1, got {bits!r}")
         seq = tuple(int(c) for c in bits)
-    elif isinstance(bits, Iterable):
-        seq = tuple(_require_int("bit", b, 0, 1) for b in bits)
-    else:  # a number, None
-        raise ValueError(f"bits must be a bitstring or an iterable of bits, got {bits!r}")
+    else:
+        items = _require_items("bits", bits, "a bitstring or an iterable of bits")
+        seq = tuple(_require_int("bit", b, 0, 1) for b in items)
     if len(seq) != expected:
         raise ValueError(f"expected {expected} bits, got {len(seq)}")
     return seq

@@ -315,3 +315,22 @@ def test_bell_is_the_n2_case_of_ghz(convention):
         assert ghz_module._last_table[0] is state and ghz_module._last_table[1] is token
         tables.append(ghz_module._last_table[2])
     assert tables[0] is not None and tables[1] is tables[0]
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_a_table_row_agrees_with_the_shot_that_reaches_it(convention):
+    # Psi- lives on every level (1e-8 at parity 1, then 1e-8 of that) but jointly weighs 1e-16: a shot
+    # reaches it (draw 0.0 picks bit 0, the largest draw below 1 bit 1), so its row carries the shot's post
+    # state, not None
+    weights = {BellLabel.PHI_PLUS: 1 - 1e-8 - 1e-16, BellLabel.PSI_PLUS: 1e-8, BellLabel.PSI_MINUS: 1e-16}
+    state = StateVector(2, sum(np.sqrt(w) * bell_state(label).amplitudes for label, w in weights.items()))
+    rows = bell_branch_table(state, convention)
+    assert rows[3][1] is BellLabel.PSI_MINUS and 0.0 < rows[3][2] < 1e-15 and rows[3][3] is not None
+    for leaf, (bits, label, prob, post) in enumerate(rows):
+        assert (post is None) == (prob == 0.0)
+        if post is not None:
+            draws = [float(np.nextafter(1.0, 0.0)) if leaf >> (1 - k) & 1 else 0.0 for k in range(2)]
+            shot = run_bell_qnd(StateVector(2, state.amplitudes), convention, draws)
+            assert (shot.parity_bit, shot.phase_bit, shot.label) == (*bits, label)
+            assert shot.probability.hex() == prob.hex()
+            assert shot.post_state.amplitudes.tobytes() == post.amplitudes.tobytes()

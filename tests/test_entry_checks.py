@@ -2,13 +2,21 @@
 public entry, before any cache or draw: whatever their type, a bad one raises ValueError, never TypeError or
 AttributeError."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from qndnet.auth import AttackerModel, apply_noise, attacker_round_distribution, enroll, security_sweep, verify_session
-from qndnet.bell_operator import BellOperatorSpec, bell_operator_n, canonical_spec, qnd_compatibility_check
+from qndnet.bell_operator import (
+    BellOperatorSpec,
+    bell_operator_n,
+    canonical_spec,
+    chsh_operator,
+    qnd_compatibility_check,
+    spectral_radius,
+)
 from qndnet.bell import (
     BellLabel,
     bell_bits,
@@ -28,7 +36,7 @@ from qndnet.ghz import (
     parse_ghz_label,
     run_ghz_qnd,
 )
-from qndnet.statevector import make_basis_state, random_state
+from qndnet.statevector import cnot, make_basis_state, random_state
 
 PAIR = random_state(2, np.random.default_rng(2900))
 TRIPLE = random_state(3, np.random.default_rng(2901))
@@ -165,3 +173,83 @@ def test_a_compatibility_check_names_a_gate_or_eigenstate_of_the_wrong_type():
     with pytest.raises(ValueError, match=re.escape("eigenstate must be a StateVector, got 1")):
         qnd_compatibility_check(observable, network, [1])
     assert qnd_compatibility_check(observable, network, [bell_state(BellLabel.PHI_PLUS)]).all_preserved
+
+
+OBSERVABLE, NETWORK = bell_operator_n(canonical_spec(2)), ghz_network_gate_list(2)
+
+# function.argument: (a call on that collection argument, its items, whether None is refused)
+COLLECTIONS = {
+    "decode_ghz.part_parity_bits": (lambda items: decode_ghz(items, 1, 3), (1, 0), True),
+    "make_basis_state.bits": (lambda items: make_basis_state(3, items), (1, 0, 1), True),
+    "BellOperatorSpec.pairs": (
+        lambda items: bell_operator_n(BellOperatorSpec(items)).tobytes(),
+        canonical_spec(3).pairs,
+        True,
+    ),
+    "BellOperatorSpec.pair": (
+        lambda items: bell_operator_n(BellOperatorSpec((items, canonical_spec(2).pairs[1]))).tobytes(),
+        canonical_spec(2).pairs[0],
+        True,
+    ),
+    "security_sweep.n_range": (lambda items: security_sweep(items, AttackerModel.FRESH_ZERO, 5, 1), (1, 3), True),
+    "qnd_compatibility_check.network": (lambda items: qnd_compatibility_check(OBSERVABLE, items), NETWORK, True),
+    # None is the default: check the observable's own eigenvectors
+    "qnd_compatibility_check.eigenstates": (
+        lambda items: qnd_compatibility_check(OBSERVABLE, NETWORK, items),
+        tuple(bell_state(label) for label in BellLabel),
+        False,
+    ),
+    "enroll.initial_labels": (
+        lambda items: enroll(2, items, seed=0),
+        (BellLabel.PSI_MINUS, BellLabel.PHI_PLUS),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", COLLECTIONS)
+def test_a_collection_argument_is_any_iterable_read_once_and_a_number_or_none_is_refused_by_name(entry):
+    call, items, refuses_none = COLLECTIONS[entry]
+    name = entry.rsplit(".", 1)[1]
+    for bad in (5, None) if refuses_none else (5,):
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {bad!r}$"):
+            call(bad)
+    # repr: a compatibility report holds NaN fidelities, which never compare equal
+    expected = repr(call(list(items)))
+    assert repr(call(tuple(items))) == expected
+    assert repr(call(item for item in items)) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_generator_network_gets_the_report_of_its_list(n):
+    # one read of the network feeds both the span check and the branch maps
+    observable = bell_operator_n(canonical_spec(n))
+    for network in (ghz_network_gate_list(n), [cnot(0, n)]):
+        from_list = qnd_compatibility_check(observable, network)
+        from_generator = qnd_compatibility_check(observable, (gate for gate in network))
+        for field in dataclasses.fields(from_list):
+            assert repr(getattr(from_generator, field.name)) == repr(getattr(from_list, field.name)), field.name
+    demolished = qnd_compatibility_check(observable, iter([cnot(0, n)]))
+    assert not demolished.all_preserved and len(demolished.branches) == 2
+
+
+@pytest.mark.parametrize("call", [bell_operator_n, chsh_operator], ids=["bell_operator_n", "chsh_operator"])
+@pytest.mark.parametrize("spec", [None, canonical_spec(2).pairs], ids=["none", "pairs"])
+def test_an_operator_spec_that_is_no_spec_raises_value_error_naming_it(call, spec):
+    with pytest.raises(ValueError, match=re.escape(f"spec must be a BellOperatorSpec, got {spec!r}")):
+        call(spec)
+
+
+@pytest.mark.parametrize(
+    "observable",
+    [None, "x", *(np.eye(2).astype(kind) for kind in (object, bool, np.float16, np.longdouble, np.clongdouble))],
+    ids=["none", "str", "object", "bool", "float16", "longdouble", "clongdouble"],
+)
+def test_spectral_radius_of_a_matrix_eigvalsh_cannot_take_raises_value_error(observable):
+    with pytest.raises(ValueError, match="observable must hold integers, float32/64 or complex64/128, got"):
+        spectral_radius(observable)
+
+
+def test_spectral_radius_takes_every_matrix_type_eigvalsh_takes_as_it_is():
+    for kind in (np.int8, np.uint64, np.float32, np.complex64, np.float64, np.complex128):
+        assert spectral_radius(np.diag([1, 3]).astype(kind)) == 3.0

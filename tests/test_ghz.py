@@ -570,3 +570,24 @@ def test_threads_sharing_the_tree_slot_match_single_threaded():
         for a, b in zip(got, want):
             assert (a.label, a.probability) == (b.label, b.probability)
             assert np.array_equal(a.post_state.amplitudes, b.post_state.amplitudes)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_a_table_row_agrees_with_the_shot_that_reaches_it(convention, n):
+    # -:10..0 lives on every level (1e-8 on its first parity, then 1e-8 of that on the phase) but jointly
+    # weighs 1e-16: a shot reaches it, so its row carries the shot's post state, not None
+    small, tiny = GhzLabel("+", "1" + "0" * (n - 1)), GhzLabel("-", "1" + "0" * (n - 1))
+    weights = {GhzLabel("+", "1" * n): 1 - 1e-8 - 1e-16, small: 1e-8, tiny: 1e-16}
+    state = StateVector(n, sum(np.sqrt(w) * ghz_state(label).amplitudes for label, w in weights.items()))
+    rows = ghz_branch_table(state, convention)
+    (prob,) = [row[2] for row in rows if row[1] == tiny]
+    assert 0.0 < prob < 1e-15
+    for leaf, (bits, label, prob, post) in enumerate(rows):
+        assert (post is None) == (prob == 0.0)
+        if post is not None:
+            draws = [float(np.nextafter(1.0, 0.0)) if leaf >> (n - 1 - k) & 1 else 0.0 for k in range(n)]
+            shot = run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws)
+            assert (shot.part_parity_bits + (shot.global_parity_bit,), shot.label) == (bits, label)
+            assert shot.probability.hex() == prob.hex()
+            assert shot.post_state.amplitudes.tobytes() == post.amplitudes.tobytes()

@@ -103,7 +103,7 @@ def test_table_probabilities_equal_the_list_product(n):
             weights, leaves = _branches(state.amplitudes, schedule)
             rows = _table_rows(weights, leaves)
             assert np.array([p for p, _ in rows]).tobytes() == np.array(list_product(weights)).tobytes()
-            assert all((post is None) == (p <= 1e-15) for p, post in rows)
+            assert all((post is None) == (p == 0.0) for p, post in rows)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 8])
