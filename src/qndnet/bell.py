@@ -18,24 +18,25 @@ same bits with no further disturbance.  Decoding table:
 Under the "paper" Hadamard convention the pre-measurement joint state carries
 the input's Bell coefficients on the ancilla branches with their exact signs;
 the "standard" convention flips some branch-internal phases but leaves every
-outcome probability and decoded bit unchanged.
+outcome probability, decoded bit and post state unchanged, so shots and the
+branch table run the paper's network and take no convention; the gate list
+(bell_network_unitary_steps) and the pre-measurement state keep it.
 
 This module keeps the Bell labels, their decoding table and the projection
 oracle.  It runs the GHZ module's n = 2 schedule on the same level builder,
 memo slot, input checks (_require_table_input), finisher (_shot) and row
 builder (_branch_rows) as run_ghz_qnd and ghz_branch_table, after its own
 2-qubit check, handing them BellQndOutcome and the Bell view of the n = 2
-label table (_bell_labels): _branch_rows takes the state, the convention token
-and that label table and looks the schedule up itself, and the slot's table
-keeps Bell outcomes apart from GHZ ones, each finished once per leaf, with no
-decoding per shot.
+label table (_BELL_LABELS, looked up by n as _ghz_labels is): _branch_rows
+takes the state and that lookup and looks the schedule up itself, and
+the slot's table keeps Bell outcomes apart from GHZ ones, each finished once
+per leaf, with no decoding per shot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 from .ghz import _branch_rows, _ghz_labels, _require_table_input, _shot, decode_ghz, ghz_network_gate_list, ghz_state
@@ -113,10 +114,9 @@ class BellQndOutcome:
     post_state: StateVector
 
 
-@lru_cache(maxsize=None)
-def _bell_labels(convention: str) -> tuple:
-    """Each n = 2 leaf's (parity, phase, Bell label): the Bell view of the GHZ label table."""
-    return tuple((p, g, decode_bell(p, g)) for (p,), g, _ in _ghz_labels(2, convention))
+#: Each n = 2 leaf's (parity, phase, Bell label), keyed by n = 2 as _shot looks labels up: the Bell view of the GHZ
+#: label table.
+_BELL_LABELS = {2: tuple((p, g, decode_bell(p, g)) for (p,), g, _ in _ghz_labels(2))}
 
 
 def bell_network_unitary_steps(convention: str = "paper") -> list:
@@ -141,11 +141,7 @@ def bell_premeasurement_state(state: StateVector, convention: str = "paper") -> 
     return StateVector(4, _apply_network_raw(state.amplitudes, gates, 2))
 
 
-def run_bell_qnd(
-    state: StateVector,
-    convention: str = "paper",
-    draws: Sequence[float] = (0.0, 0.0),
-) -> BellQndOutcome:
+def run_bell_qnd(state: StateVector, draws: Sequence[float] = (0.0, 0.0)) -> BellQndOutcome:
     """Run the network and measure both ancillas (qubit 2 first, then 3).
 
     The outcome is deterministic given ``draws``, each in [0, 1); the joint
@@ -158,20 +154,18 @@ def run_bell_qnd(
     memo slot; _shot checks the rest.
     """
     _require_two_qubits(state)
-    return _shot(state, convention, draws, "run_bell_qnd", BellQndOutcome, _bell_labels, convention)
+    return _shot(state, draws, "run_bell_qnd", BellQndOutcome, _BELL_LABELS.__getitem__)
 
 
-def bell_branch_table(
-    state: StateVector, convention: str = "paper"
-) -> list[tuple[tuple[int, int], BellLabel, float, StateVector | None]]:
+def bell_branch_table(state: StateVector) -> list[tuple[tuple[int, int], BellLabel, float, StateVector | None]]:
     """All four ancilla branches of the network: (bits, label, probability, post state).
 
     Enumerates the same evolution run_bell_qnd samples from; a branch carries ``None`` as its post state
     iff its probability is exactly 0.0 (no shot reaches it), else the post state a shot reaching it returns.
     """
     _require_two_qubits(state)
-    convention = _require_table_input(state, convention, "bell_branch_table")
-    return _branch_rows(state, convention, _bell_labels(convention))
+    _require_table_input(state, "bell_branch_table")
+    return _branch_rows(state, _BELL_LABELS.__getitem__)
 
 
 def bell_projection_oracle(

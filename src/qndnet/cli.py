@@ -37,7 +37,7 @@ from .bell_operator import (
     spectral_radius,
 )
 from .ghz import MAX_PARTS, _require_parts, ghz_projection_oracle, ghz_state, parse_ghz_label, run_ghz_qnd
-from .statevector import CONVENTIONS, StateVector, _require_int, load_dump, random_state
+from .statevector import StateVector, _require_int, load_dump, random_state
 
 
 def _arg(parse):
@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_bell_input,
         help="phi+/phi-/psi+/psi- or a path to a state-dump JSON file",
     )
-    bell.add_argument("--convention", choices=CONVENTIONS, default="paper")
     bell.add_argument("--seed", type=_seed_value, default=0)
 
     ghz = sub.add_parser("ghz", help="run one GHZ-basis nondemolition measurement")
@@ -99,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     ghz_input.add_argument(
         "--random-input", action="store_true", help="measure a seeded random input state"
     )
-    ghz.add_argument("--convention", choices=CONVENTIONS, default="paper")
     ghz.add_argument("--seed", type=_seed_value, default=0)
 
     bellop = sub.add_parser("bellop", help="build a correlation operator and report its spectrum")
@@ -137,7 +135,7 @@ def _run_bell(args: argparse.Namespace) -> str:
     else:
         state = bell_state(args.input)
     rng = np.random.default_rng(args.seed)
-    outcome = run_bell_qnd(state, args.convention, rng.random(2))
+    outcome = run_bell_qnd(state, rng.random(2))
     return json.dumps(
         {
             "parity": outcome.parity_bit,
@@ -157,7 +155,7 @@ def _run_ghz(args: argparse.Namespace) -> str:
         if args.label.n != args.n:
             args.error(f"--label has {args.label.n} bits but --n is {args.n}")
         state = ghz_state(args.label)
-    outcome = run_ghz_qnd(state, args.convention, rng.random(args.n))
+    outcome = run_ghz_qnd(state, rng.random(args.n))
     return json.dumps(
         {
             "part_parity": list(outcome.part_parity_bits),
@@ -231,7 +229,9 @@ def _run_auth(args: argparse.Namespace) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # under the subcommand's own usage line, as its value errors are
+        args.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         output = args.run(args)
     except (ValueError, OSError) as exc:

@@ -13,10 +13,14 @@ Hadamard, '+' states are supported only on even-weight kets and '-' states
 only on odd-weight kets), a CNOT chain from every data qubit writes that
 parity onto the last ancilla, and a second Hadamard layer restores the data.
 
-Under the "paper" Hadamard convention the post-layer support parity is offset
-by n mod 2, so the runner XORs the raw global-parity ancilla with n mod 2
-before decoding; the reported phase bit is therefore canonical (0 <-> '+')
-under both conventions.
+Shots and branch tables run the paper's Hadamard, under which the post-layer
+support parity is offset by n mod 2, so the label table XORs the raw
+global-parity ancilla with n mod 2; the reported phase bit is canonical
+(0 <-> '+').  The textbook Hadamard measures the same stabilizers (Z_iZ_{i+1}
+and +-X^n) and gives every leaf the same probability, bits and post state, so
+the convention is taken only where gates are defined: gate lists
+(ghz_network_gate_list, hadamard_layer) and the dense schedule
+(_dense_network).
 
 The network is built once (_parity_network) as one staged schedule of steps
 (gates, ancillas): append the ancilla, if any, in |0> after the last data
@@ -28,12 +32,12 @@ qubit, its last.  The flat gate list with all n ancillas live
 (ghz_network_gate_list) is read off the same steps, the i-th one-ancilla
 step's CNOTs onto ancilla n + i.  The auth round, whose register carries the
 attacker's qubits, runs each step on dense rows, gate by gate
-(_dense_network).  GHZ shots look their own schedule up by (n,
-convention) (_ghz_network), where the data register is the whole register, so
+(_dense_network).  GHZ shots look their own schedule up by n
+(_ghz_network), where the data register is the whole register, so
 a prefix's dense row is mostly zeros: after k parity bits it can hold only the
 2**(n-k) kets whose neighbor parities match the prefix.  That schedule runs on
 compact rows, each holding only that support in ket order, through gather
-tables built once per (n, convention).  Each parity step is one gather that
+tables built once per n.  Each parity step is one gather that
 lays every row out interleaved by its next parity bit (_parity_step), so the
 split reads the dense row's nonzero terms in the dense row's order.  After
 the parity steps a row holds only (a_x_bar, a_x), x fixed by its parity
@@ -49,18 +53,16 @@ come from one stacked split of the rows' last qubit (statevector._split_rows)
 that sums what the per-register measurement sums, in the same layout, and
 zeroes a dead branch's row, so all under it weighs 0.0 and a sparse input (a
 basis state) costs what a dense one does.  A state's first shot expands
-every branch at once and keeps the table in the memo slot (state,
-CONVENTIONS token, table), and later shots walk it (_state_table,
-statevector._walk), so each state runs its network once; a caller that takes
-one shot per fresh state pays for the whole table.  A shot tests the slot
-first (_shot).  When the slot holds the shot's state itself under the shot's
-convention token, the call that filled it has checked n, the convention and
-the norm of that immutable object, so the shot only checks its draws, walks
-the table and finishes its leaf.  Any other shot, and every table call, makes
-those checks in one sequence (_require_table_input): the convention, before
-any cache, then n, then the norm.  Only then does _state_table look the
-schedule up and expand the table, so a state that fails a check never enters
-the slot.
+every branch at once and keeps the table in the memo slot (state, table),
+and later shots walk it (_state_table, statevector._walk), so each state runs
+its network once; a caller that takes one shot per fresh state pays for the
+whole table.  A shot tests the slot first (_shot).  When the slot holds the
+shot's state itself, the call that filled it has checked n and the norm of
+that immutable object, so the shot only checks its draws, walks the table
+and finishes its leaf.  Any other shot, and every table call, makes those
+checks in one sequence (_require_table_input): n, then the norm.  Only then
+does _state_table look the schedule up and expand the table, so a state that
+fails a check never enters the slot.
 The table also keeps each leaf's finished outcome per outcome class, built by
 the first shot that reaches it, so later shots to that leaf return it.  Bell
 and GHZ shots share one finisher (_shot): it writes the outcome's fields,
@@ -68,9 +70,9 @@ from the leaf's entry of a label table, straight into a new instance rather
 than through its frozen dataclass __init__, and both branch tables share one
 row builder (_branch_rows).  Auth rounds walk and read unmemoized tables.
 
-Label tables are built once per (n, convention) and indexed by leaf
-(_ghz_labels: neighbor parities, canonical phase bit and label; Bell's view
-of it for n = 2), so no shot or table row decodes bits.  The level builder
+Label tables are built once per n and indexed by leaf (_ghz_labels:
+neighbor parities, canonical phase bit and label; Bell's view of it for
+n = 2), so no shot or table row decodes bits.  The level builder
 seals its last rows (read-only, their base too) before it hands out a leaf,
 so a finished outcome or table row adopts its leaf as the post state without
 a copy, its two fields written directly (StateVector._adopt).  Draws given as
@@ -90,7 +92,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .statevector import (
-    _SINGLE_QUBIT_MATRICES,
+    HADAMARD_PAPER_MATRIX,
     _SQRT_HALF,
     StateVector,
     _apply_network_raw,
@@ -104,7 +106,6 @@ from .statevector import (
     apply_gates,
     cnot,
     hadamard,
-    hadamard_kind,
     inner_product,
 )
 
@@ -228,17 +229,17 @@ def _dense_network(data_qubits: tuple[int, ...], convention: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _ghz_network(n: int, convention: str) -> tuple:
-    """The GHZ register's own schedule on compact rows, looked up by (n, convention); n is checked once.
+def _ghz_network(n: int) -> tuple:
+    """The GHZ register's own schedule on compact rows, looked up by n, which is checked once.
 
-    It measures what _dense_network(tuple(range(n)), convention) measures, byte for byte, but each
+    It measures what _dense_network(tuple(range(n)), "paper") measures, byte for byte, but each
     prefix's row holds only its support in ket order, zeros if dead: n - 1 neighbour-parity gathers
     (_parity_step), the first layer (_first_layer), which writes its rows interleaved by global parity,
     the global-parity split, which normalizes only the one value per branch that the second layer reads,
     and the second layer (_second_layer), which writes the dense leaves.  Only a table expansion looks
-    it up (_state_table); the memo slot is keyed on the convention token, not on the schedule."""
+    it up (_state_table)."""
     _require_parts(n)
-    first, second = _closed_layers(n, convention)
+    first, second = _closed_layers(n)
     parity = tuple((partial(_parity_step, gather=_gather(local, local.shape[1])), 1) for local in _parity_gathers(n))
     return (*parity, (first, 0), ((), 1, 1), (second, 0))
 
@@ -271,8 +272,8 @@ def _parity_step(rows: np.ndarray, gather: np.ndarray) -> np.ndarray:
     return np.add(out, 0.0, out=out)
 
 
-def _closed_layers(n: int, convention: str) -> tuple:
-    """The GHZ register's two Hadamard layers as kernels of rows, one per prefix or leaf, with their tables.
+def _closed_layers(n: int) -> tuple:
+    """The GHZ register's two paper-Hadamard layers as kernels of rows, one per prefix or leaf, with their tables.
 
     S[y, z] is the sign of the layer's matrix entry from ket z to ket y.  A parity prefix p fixes the
     canonical x_p; _first_layer's selector picks output y's value from (A + B, A - B, -(A + B),
@@ -280,9 +281,9 @@ def _closed_layers(n: int, convention: str) -> tuple:
     A leaf (p, g) reads the first value of its branch, ket g of its parity class, and _second_layer
     writes it to x_p with sign S[g, x_p] and to x_p_bar with S[g, x_p_bar]."""
     size, full = 1 << n, (1 << n) - 1
-    sign = np.sign(_SINGLE_QUBIT_MATRICES[hadamard_kind(convention)].real).astype(np.int8)
+    sign = np.sign(HADAMARD_PAPER_MATRIX.real).astype(np.int8)
     s = reduce(np.kron, [sign] * n)
-    x = np.array([int(label.bits, 2) for _, _, label in _ghz_labels(n, convention)[::2]])
+    x = np.array([int(label.bits, 2) for _, _, label in _ghz_labels(n)[::2]])
     ket = np.arange(size)
     odd = (sum((ket >> k) & 1 for k in range(n)) & 1).astype(bool)
     interleaved = np.stack((ket[~odd], ket[odd]), axis=1).reshape(-1)  # the j-th ket of parity g at 2j + g
@@ -379,58 +380,53 @@ def _table_rows(weights: list, leaves: np.ndarray) -> list:
     return [(p, None if p == 0.0 else leaves[i]) for i, p in enumerate(probs.tolist())]
 
 
-#: (state, CONVENTIONS token, table) of the last state measured; held, so ``is`` is safe.  Only a state
-#: that passed _require_table_input under that token enters it.
-_last_table: tuple = (None, None, None)
+#: (state, table) of the last state measured; held, so ``is`` is safe.  Only a state that passed
+#: _require_table_input enters it.
+_last_table: tuple = (None, None)
 
 
-def _require_table_input(state: StateVector, convention: str, where: str) -> str:
-    """The one check sequence on a table's input, before any cache: the convention, then 2 <= n <=
-    MAX_PARTS, then the norm under ``where``'s name.  Returns the CONVENTIONS token."""
-    convention = _require_convention(convention)
+def _require_table_input(state: StateVector, where: str) -> None:
+    """The one check sequence on a table's input, before any cache: 2 <= n <= MAX_PARTS, then the norm
+    under ``where``'s name."""
     _require_parts(state.num_qubits)
     _require_normalized(state, where)
-    return convention
 
 
-def _state_table(state: StateVector, convention: str) -> tuple:
+def _state_table(state: StateVector) -> tuple:
     """(weights, leaves, finished) for ``state``: its table with its finished leaves, kept in the slot.
 
     A fresh state expands the table on its first shot or table call, running the schedule it looks up
     (_ghz_network), so every later one only walks it.  Callers pass ``state`` through
-    _require_table_input first, and ``convention`` as the token it returns."""
+    _require_table_input first."""
     global _last_table
-    last_state, last_convention, table = _last_table
-    if last_state is not state or last_convention is not convention:
-        table = (*_branches(state.amplitudes, _ghz_network(state.num_qubits, convention)), {})
-        _last_table = (state, convention, table)
+    last_state, table = _last_table
+    if last_state is not state:
+        table = (*_branches(state.amplitudes, _ghz_network(state.num_qubits)), {})
+        _last_table = (state, table)
     return table
 
 
-def _shot(
-    state: StateVector, convention: str, draws: Sequence[float], where: str, outcome: type, labels: Callable, *key
-) -> object:
+def _shot(state: StateVector, draws: Sequence[float], where: str, outcome: type, labels: Callable) -> object:
     """One shot of ``where``: walk ``state``'s table in the memo slot and finish the leaf it reaches.
 
-    The slot is tested first.  When it holds ``state`` itself under ``convention`` (the CONVENTIONS
-    token, by identity; n follows from the state), the call that filled it has checked n, the
-    convention and the norm of this immutable object, so the shot only checks its draws, walks
-    (_walk) and finishes the leaf.  Otherwise _require_table_input makes those checks under
-    ``where``'s name, and _state_table expands the table, or finds it for a convention equal
-    to the token but not the token.  A state that fails a check never enters the slot, so it fails
-    every shot.  The caller checks anything the slot does not fix (Bell: a 2-qubit register).
+    The slot is tested first.  When it holds ``state`` itself (by identity; n follows from the
+    state), the call that filled it has checked n and the norm of this immutable object, so the
+    shot only checks its draws, walks (_walk) and finishes the leaf.  Otherwise
+    _require_table_input makes those checks under ``where``'s name, and _state_table expands the
+    table.  A state that fails a check never enters the slot, so it fails every shot.  The caller
+    checks anything the slot does not fix (Bell: a 2-qubit register).
 
     ``draws`` must be a sized sequence of one draw per qubit of ``state`` (an ancilla each);
     _walk checks each draw it reads.  A leaf is finished by writing ``outcome``'s five fields
-    (``__match_args__``: the three of ``labels(*key)[leaf]``, the probability and the post state,
+    (``__match_args__``: the three of ``labels(n)[leaf]``, the probability and the post state,
     its sealed register adopted) into a bare instance's ``__dict__``, so no frozen-dataclass
     ``__init__`` runs; it equals what ``outcome(...)`` would build from the same fields.  The table
-    keeps it by (outcome, leaf), so ``key`` must follow from n and ``convention``, and Bell and
-    n = 2 GHZ, which share one schedule, keep their own; a later shot to that leaf returns it."""
+    keeps it by (outcome, leaf), so Bell and n = 2 GHZ, which share one schedule, keep their own; a
+    later shot to that leaf returns it."""
     n = state.num_qubits
-    last_state, last_convention, table = _last_table
-    if last_state is not state or last_convention is not convention:  # a miss: check, then expand
-        convention = _require_table_input(state, convention, where)
+    last_state, table = _last_table
+    if last_state is not state:  # a miss: check, then expand
+        _require_table_input(state, where)
         table = None
     try:
         if len(draws) != n:
@@ -439,13 +435,13 @@ def _shot(
         raise ValueError(f"{where} needs a sequence of {n} draws, got {draws!r}") from None
     if isinstance(draws, np.ndarray):  # Python floats, once: numpy scalars compare slower
         draws = draws.tolist()
-    weights, leaves, finished = table or _state_table(state, convention)
+    weights, leaves, finished = table or _state_table(state)
     probability, i = _walk(weights, draws)
     done = finished.get((outcome, i))
     if done is None:  # the label table is read only for a leaf not finished yet
         done = object.__new__(outcome)  # fields written as _adopt writes them: no frozen __init__
         fields, (bits, phase, label, prob, post) = done.__dict__, outcome.__match_args__
-        fields[bits], fields[phase], fields[label] = labels(*key)[i]
+        fields[bits], fields[phase], fields[label] = labels(n)[i]
         fields[prob], fields[post] = probability, StateVector._adopt(n, leaves[i])
         finished[outcome, i] = done
     return done
@@ -484,38 +480,31 @@ class GhzQndOutcome:
     post_state: StateVector
 
 
-def _canonical_phase_bit(raw: int, n: int, convention: str) -> int:
-    # paper-convention Hadamards shift the post-layer weight parity by n mod 2
-    return raw ^ (n & 1) if convention == "paper" else raw
-
-
 @lru_cache(maxsize=None)
-def _ghz_labels(n: int, convention: str) -> tuple:
-    """Each leaf's (neighbor parities, canonical phase bit, label), by raw ancilla bits big-endian."""
+def _ghz_labels(n: int) -> tuple:
+    """Each leaf's (neighbor parities, canonical phase bit, label), by raw ancilla bits big-endian.
+
+    The paper's Hadamard layers shift the post-layer weight parity by n mod 2, so the phase bit is the
+    raw global-parity bit XOR n mod 2."""
     table = []
     for raw in product((0, 1), repeat=n):
-        g = _canonical_phase_bit(raw[-1], n, convention)
+        g = raw[-1] ^ (n & 1)
         table.append((raw[:-1], g, decode_ghz(raw[:-1], g, n)))
     return tuple(table)
 
 
-def _branch_rows(state: StateVector, convention: str, labels: Sequence) -> list:
+def _branch_rows(state: StateVector, labels: Callable) -> list:
     """Each leaf's (bits with canonical phase, label, probability, post state or None).
 
-    ``convention`` is the token _require_table_input returned.  The bits come from the GHZ label table,
-    the label from ``labels`` (last field of each entry)."""
+    ``state`` has passed _require_table_input.  The bits come from the GHZ label table, the label from
+    ``labels(n)``, the label table _shot reads (last field of each entry)."""
     n = state.num_qubits
-    rows = _table_rows(*_state_table(state, convention)[:2])
+    rows = _table_rows(*_state_table(state)[:2])
     return [(parities + (g,), entry[-1], prob, None if post is None else StateVector._adopt(n, post))
-            for (parities, g, _), entry, (prob, post) in zip(_ghz_labels(n, convention), labels, rows)]
+            for (parities, g, _), entry, (prob, post) in zip(_ghz_labels(n), labels(n), rows)]
 
 
-def run_ghz_qnd(
-    state: StateVector,
-    convention: str = "paper",
-    draws: Sequence[float] = (),
-    staged: bool | None = None,
-) -> GhzQndOutcome:
+def run_ghz_qnd(state: StateVector, draws: Sequence[float] = (), staged: bool | None = None) -> GhzQndOutcome:
     """Measure the register in the GHZ basis without demolishing basis states.
 
     Consumes one draw per ancilla: the n-1 neighbor parities in order, then
@@ -526,18 +515,16 @@ def run_ghz_qnd(
     walk it.  Repeated shots of one state that reach the same leaf may return
     the same immutable outcome object.
     """
-    return _shot(state, convention, draws, "run_ghz_qnd", GhzQndOutcome, _ghz_labels, state.num_qubits, convention)
+    return _shot(state, draws, "run_ghz_qnd", GhzQndOutcome, _ghz_labels)
 
 
-def ghz_branch_table(
-    state: StateVector, convention: str = "paper"
-) -> list[tuple[tuple[int, ...], GhzLabel, float, StateVector | None]]:
+def ghz_branch_table(state: StateVector) -> list[tuple[tuple[int, ...], GhzLabel, float, StateVector | None]]:
     """All 2**n ancilla branches: (bits with canonical phase, label, probability, post state).
 
     Expands the table run_ghz_qnd samples from (shots equal rows); n = 2..MAX_PARTS.
     """
-    convention = _require_table_input(state, convention, "ghz_branch_table")
-    return _branch_rows(state, convention, _ghz_labels(state.num_qubits, convention))
+    _require_table_input(state, "ghz_branch_table")
+    return _branch_rows(state, _ghz_labels)
 
 
 def ghz_projection_oracle(state: StateVector) -> list[tuple[GhzLabel, float]]:

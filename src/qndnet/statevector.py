@@ -12,6 +12,12 @@ Two self-inverse Hadamard variants are supported:
 * ``paper``    -- the basis-reversed form, |1> -> (|1>+|0>)/sqrt2,
   |0> -> (|1>-|0>)/sqrt2 (equal to X.H.X).
 
+A convention is chosen only where gates are defined (hadamard and the gate
+lists built from it).  Bell/GHZ shots, branch tables and auth rounds run the
+paper's network and take none: the textbook one gives every branch the same
+probability, bits and post state.  A public gate list is read once and each
+of its items checked as a GateOp (_require_gates).
+
 All operations return new states; ``StateVector`` instances are immutable.
 A state's amplitudes are a read-only view of a read-only array over an
 immutable bytes copy, so numpy refuses ``writeable = True`` on them and on
@@ -91,12 +97,10 @@ _SINGLE_QUBIT_MATRICES = {
 
 
 def _require_convention(convention: str) -> str:
-    """The one check on a Hadamard convention, made before any cache is keyed on it: a str in
-    CONVENTIONS, returned as the CONVENTIONS token itself, the object the GHZ memo slot's hit test
-    compares by identity."""
+    """The one check on a Hadamard convention, made before any cache is keyed on it: a str in CONVENTIONS."""
     if not (isinstance(convention, str) and convention in CONVENTIONS):
         raise ValueError(f"unknown Hadamard convention {convention!r}")
-    return CONVENTIONS[CONVENTIONS.index(convention)]
+    return convention
 
 
 def hadamard_kind(convention: str) -> GateKind:
@@ -174,6 +178,11 @@ def hadamard(target: int, convention: str = "paper") -> GateOp:
 
 def pauli_x(target: int) -> GateOp:
     return GateOp(GateKind.PAULI_X, target=target)
+
+
+def _require_gates(gates: Iterable[GateOp]) -> tuple:
+    """The one check on a public gate list: any iterable, read once, each item a GateOp."""
+    return tuple(_require_instance("gate", g, GateOp) for g in _require_items("gates", gates, "an iterable of gates"))
 
 
 def _require_qubits(num_qubits: int) -> None:
@@ -448,6 +457,7 @@ def _split_rows(rows: np.ndarray, keep: int | None = None) -> tuple[np.ndarray, 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate; returns a new state with the same norm (within 1e-12)."""
+    _require_instance("gate", gate, GateOp)
     amps = state.amplitudes[None]
     if gate.kind is not GateKind.CNOT:  # the single-qubit kernel overwrites its input; a CNOT's take does not
         amps = amps.copy()
@@ -455,7 +465,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 
 
 def apply_gates(state: StateVector, gates: Iterable[GateOp]) -> StateVector:
-    return StateVector(state.num_qubits, _apply_network_raw(state.amplitudes, gates, 0))
+    return StateVector(state.num_qubits, _apply_network_raw(state.amplitudes, _require_gates(gates), 0))
 
 
 def apply_single_qubit_matrix(state: StateVector, qubit: int, matrix: np.ndarray) -> StateVector:
@@ -533,7 +543,7 @@ def states_close(a: StateVector, b: StateVector, atol: float = 1e-10) -> bool:
 def gates_to_matrix(gates: Sequence[GateOp], num_qubits: int) -> np.ndarray:
     """Dense unitary of a gate list: the network run on the identity's columns at once."""
     _require_qubits(num_qubits)
-    return _apply_network_raw(np.eye(1 << num_qubits)[None], gates, 0)[0]
+    return _apply_network_raw(np.eye(1 << num_qubits)[None], _require_gates(gates), 0)[0]
 
 
 # -- JSON dump format: {"num_qubits": n, "amplitudes": [[re, im], ...]} --

@@ -63,7 +63,7 @@ def test_criterion_1_decoding_table_reproduction():
     started = time.monotonic()
     ok = True
     for label, bits in TABLE_1.items():
-        outcome = run_bell_qnd(bell_state(label), "paper", (0.37, 0.61))
+        outcome = run_bell_qnd(bell_state(label), (0.37, 0.61))
         ok &= (outcome.parity_bit, outcome.phase_bit) == bits
         ok &= abs(outcome.probability - 1.0) < 1e-10
         ok &= fidelity_up_to_global_phase(outcome.post_state, bell_state(label)) >= 1 - 1e-10
@@ -123,7 +123,7 @@ def test_criterion_4_network_equals_projection_oracle():
     for _ in range(200):
         state = random_state(2, rng)
         oracle = {label: (p, post) for label, p, post in bell_projection_oracle(state)}
-        for bits, label, prob, post in bell_branch_table(state, "paper"):
+        for bits, label, prob, post in bell_branch_table(state):
             expected_p, expected_post = oracle[label]
             ok &= abs(prob - expected_p) < 1e-10
             if prob > 1e-9:
@@ -132,7 +132,7 @@ def test_criterion_4_network_equals_projection_oracle():
         for _ in range(50):
             state = random_state(n, rng)
             oracle_probs = dict(ghz_projection_oracle(state))
-            for bits, label, prob, post in ghz_branch_table(state, "paper"):
+            for bits, label, prob, post in ghz_branch_table(state):
                 ok &= abs(prob - oracle_probs[label]) < 1e-10
                 if prob > 1e-9:
                     ok &= fidelity_up_to_global_phase(post, ghz_state(label)) >= 1 - 1e-10
@@ -147,7 +147,7 @@ def test_criterion_5_nondemolition_repetition():
         state = bell_state(label)
         reference = None
         for _ in range(100):
-            outcome = run_bell_qnd(state, "paper", tuple(rng.random(2)))
+            outcome = run_bell_qnd(state, tuple(rng.random(2)))
             bits = (outcome.parity_bit, outcome.phase_bit)
             reference = bits if reference is None else reference
             ok &= bits == reference
@@ -158,7 +158,7 @@ def test_criterion_5_nondemolition_repetition():
             state = ghz_state(label)
             reference = None
             for _ in range(100):
-                outcome = run_ghz_qnd(state, "paper", rng.random(n))
+                outcome = run_ghz_qnd(state, rng.random(n))
                 bits = outcome.part_parity_bits + (outcome.global_parity_bit,)
                 reference = bits if reference is None else reference
                 ok &= bits == reference
@@ -223,7 +223,7 @@ def test_criterion_8_cli_determinism():
     started = time.monotonic()
     invocations = [
         ["bell", "--input", "phi-", "--seed", "11"],
-        ["bell", "--input", "psi+", "--convention", "standard", "--seed", "12"],
+        ["bell", "--input", "psi+", "--seed", "12"],
         ["ghz", "--n", "4", "--random-input", "--seed", "13"],
         ["ghz", "--n", "3", "--label=-:110", "--seed", "14"],
         ["bellop", "--n", "3", "--eigen"],

@@ -250,7 +250,7 @@ def test_round_engine_agrees_with_reference_network():
         state = random_state(2, rng)
         draws = rng.random(2)
         bits, prob, post = _run_round(state.amplitudes, draws)
-        reference = run_bell_qnd(state, "paper", draws)
+        reference = run_bell_qnd(state, draws)
         assert bits == (reference.parity_bit, reference.phase_bit)
         assert prob == pytest.approx(reference.probability, abs=1e-12)
         assert abs(np.vdot(post, reference.post_state.amplitudes)) ** 2 > 1 - 1e-12

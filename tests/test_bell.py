@@ -19,7 +19,6 @@ from qndnet.bell import (
 from qndnet import ghz as ghz_module
 from qndnet.ghz import ghz_branch_table, ghz_state, run_ghz_qnd
 from qndnet.statevector import (
-    CONVENTIONS,
     GateKind,
     StateVector,
     apply_gates,
@@ -134,10 +133,9 @@ def test_hadamard_pair_basis_rotation():
         )
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_bell_inputs_reproduce_decoding_table(convention):
+def test_bell_inputs_reproduce_decoding_table():
     for label, bits in TABLE_1.items():
-        outcome = run_bell_qnd(bell_state(label), convention, (0.42, 0.77))
+        outcome = run_bell_qnd(bell_state(label), (0.42, 0.77))
         assert (outcome.parity_bit, outcome.phase_bit) == bits
         assert outcome.label is label
         assert outcome.probability == pytest.approx(1.0, abs=1e-12)
@@ -150,7 +148,7 @@ def test_repeated_measurement_is_nondemolition():
         state = bell_state(label)
         bits = None
         for _ in range(10):
-            outcome = run_bell_qnd(state, "paper", tuple(rng.random(2)))
+            outcome = run_bell_qnd(state, tuple(rng.random(2)))
             if bits is None:
                 bits = (outcome.parity_bit, outcome.phase_bit)
             assert (outcome.parity_bit, outcome.phase_bit) == bits
@@ -159,27 +157,26 @@ def test_repeated_measurement_is_nondemolition():
 
 
 @pytest.mark.parametrize("norm", NORMS)
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_repeat_on_random_post_state_gives_the_same_label(convention, norm):
+def test_repeat_on_random_post_state_gives_the_same_label(norm):
     rng = np.random.default_rng(19)
     for _ in range(50):
-        out = run_bell_qnd(StateVector(2, random_state(2, rng).amplitudes * norm), convention, rng.random(2))
+        out = run_bell_qnd(StateVector(2, random_state(2, rng).amplitudes * norm), rng.random(2))
         assert abs(out.post_state.norm() - 1.0) <= 1e-12
-        again = run_bell_qnd(out.post_state, convention, rng.random(2))
+        again = run_bell_qnd(out.post_state, rng.random(2))
         assert again.label is out.label
         assert again.probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uniform_superposition_collapses_to_each_component():
     state = state_from_bell_coefficients([0.5, 0.5, 0.5, 0.5])
-    table = bell_branch_table(state, "paper")
+    table = bell_branch_table(state)
     for (bits, label, probability, post) in table:
         assert probability == pytest.approx(0.25, abs=1e-12)
         assert fidelity_up_to_global_phase(post, bell_state(label)) > 1 - 1e-10
     # sampled runs land in every quadrant of the draw space
     seen = set()
     for d0, d1 in [(0.1, 0.1), (0.1, 0.9), (0.9, 0.1), (0.9, 0.9)]:
-        outcome = run_bell_qnd(state, "paper", (d0, d1))
+        outcome = run_bell_qnd(state, (d0, d1))
         seen.add((outcome.parity_bit, outcome.phase_bit))
         assert outcome.probability == pytest.approx(0.25, abs=1e-12)
     assert len(seen) == 4
@@ -219,13 +216,12 @@ def test_projection_oracle_basics():
 
 
 @pytest.mark.parametrize("norm", NORMS)
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_network_matches_projection_oracle(convention, norm):
+def test_network_matches_projection_oracle(norm):
     rng = np.random.default_rng(47)
     for _ in range(200):
         state = StateVector(2, random_state(2, rng).amplitudes * norm)
         oracle = {label: (p, post) for label, p, post in bell_projection_oracle(state)}
-        for bits, label, probability, post in bell_branch_table(state, convention):
+        for bits, label, probability, post in bell_branch_table(state):
             expected_p, expected_post = oracle[label]
             assert abs(probability - expected_p) < 1e-12
             if post is not None:
@@ -234,34 +230,23 @@ def test_network_matches_projection_oracle(convention, norm):
                 assert fidelity_up_to_global_phase(post, expected_post) > 1 - 1e-10
 
 
-def test_conventions_agree_on_outcomes():
-    rng = np.random.default_rng(53)
-    for _ in range(50):
-        state = random_state(2, rng)
-        paper = bell_branch_table(state, "paper")
-        standard = bell_branch_table(state, "standard")
-        for (bits_p, label_p, prob_p, _), (bits_s, label_s, prob_s, _) in zip(paper, standard):
-            assert bits_p == bits_s and label_p is label_s
-            assert abs(prob_p - prob_s) < 1e-10
-
-
 def test_global_phase_is_erased():
     rng = np.random.default_rng(61)
     state = random_state(2, rng)
-    base = [p for _, _, p, _ in bell_branch_table(state, "paper")]
+    base = [p for _, _, p, _ in bell_branch_table(state)]
     for theta in (0.3, 1.7, np.pi, 5.1):
         rotated = StateVector(2, state.amplitudes * np.exp(1j * theta))
-        probs = [p for _, _, p, _ in bell_branch_table(rotated, "paper")]
+        probs = [p for _, _, p, _ in bell_branch_table(rotated)]
         np.testing.assert_allclose(probs, base, atol=1e-12)
 
 
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        run_bell_qnd(StateVector(2, np.array([1.0, 1.0, 0, 0])), "paper", (0.1, 0.2))
+        run_bell_qnd(StateVector(2, np.array([1.0, 1.0, 0, 0])), (0.1, 0.2))
     with pytest.raises(ValueError):
-        run_bell_qnd(make_basis_state(3, "000"), "paper", (0.1, 0.2))
+        run_bell_qnd(make_basis_state(3, "000"), (0.1, 0.2))
     with pytest.raises(ValueError):
-        run_bell_qnd(bell_state(BellLabel.PHI_PLUS), "paper", (0.1,))
+        run_bell_qnd(bell_state(BellLabel.PHI_PLUS), (0.1,))
     with pytest.raises(ValueError):
         bell_premeasurement_state(bell_state(BellLabel.PHI_PLUS), "sideways")
 
@@ -270,67 +255,61 @@ def test_rejects_bad_inputs():
 def test_rejects_draws_outside_unit_interval(draws):
     # a draw of 1.0 used to select a zero-probability branch and renormalize rounding noise
     with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
-        run_bell_qnd(bell_state(BellLabel.PHI_PLUS), "paper", draws)
+        run_bell_qnd(bell_state(BellLabel.PHI_PLUS), draws)
 
 
 @pytest.mark.parametrize("draw", [0.0, float(np.nextafter(1.0, 0.0))])
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_extreme_draws_never_select_a_zero_probability_branch(convention, draw):
+def test_extreme_draws_never_select_a_zero_probability_branch(draw):
     # the largest Generator.random() value used to read psi- at probability 7.8e-16
     for label in BellLabel:
-        outcome = run_bell_qnd(bell_state(label), convention, (draw, draw))
+        outcome = run_bell_qnd(bell_state(label), (draw, draw))
         assert outcome.label is label
         assert outcome.probability == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_bell_is_the_n2_case_of_ghz(convention):
+def test_bell_is_the_n2_case_of_ghz():
     # same input and draws: equal bits, == probabilities, equal post states, row by row
     rng = np.random.default_rng(77)
     states = [bell_state(label) for label in BellLabel] + [random_state(2, rng) for _ in range(20)]
     for state in states:
         twin = StateVector(2, state.amplitudes)  # its own memo slot: the GHZ side reruns the network
         for draws in rng.random((4, 2)):
-            bell = run_bell_qnd(state, convention, draws)
-            ghz = run_ghz_qnd(twin, convention, draws)
+            bell = run_bell_qnd(state, draws)
+            ghz = run_ghz_qnd(twin, draws)
             assert (bell.parity_bit, bell.phase_bit) == ghz.part_parity_bits + (ghz.global_parity_bit,)
             assert np.array_equal(bell_state(bell.label).amplitudes, ghz_state(ghz.label).amplitudes)
             assert bell.probability == ghz.probability
             assert np.array_equal(bell.post_state.amplitudes, ghz.post_state.amplitudes)
         for (bits, label, prob, post), (g_bits, g_label, g_prob, g_post) in zip(
-            bell_branch_table(state, convention), ghz_branch_table(twin, convention), strict=True
+            bell_branch_table(state), ghz_branch_table(twin), strict=True
         ):
             assert bits == g_bits and prob == g_prob
             assert np.array_equal(bell_state(label).amplitudes, ghz_state(g_label).amplitudes)
             assert (post is None) == (g_post is None)
             assert post is None or np.array_equal(post.amplitudes, g_post.amplitudes)
     # one schedule: Bell and n = 2 GHZ, with staged= given or not, share one schedule, so one
-    # memo slot: their shots keep its (state, convention token), and the repeat's table stays put
-    run_bell_qnd(states[-1], convention)
-    state, token, _ = ghz_module._last_table
-    assert token is CONVENTIONS[CONVENTIONS.index(convention)]
-    tables = []
+    # memo slot: their shots keep its state, and its table stays put
+    run_bell_qnd(states[-1])
+    state, table = ghz_module._last_table
+    assert state is states[-1] and table is not None
     for staged in (None, False):
-        run_ghz_qnd(states[-1], convention, (0.0, 0.0), staged=staged)
-        assert ghz_module._last_table[0] is state and ghz_module._last_table[1] is token
-        tables.append(ghz_module._last_table[2])
-    assert tables[0] is not None and tables[1] is tables[0]
+        run_ghz_qnd(states[-1], (0.0, 0.0), staged=staged)
+        assert ghz_module._last_table[0] is state and ghz_module._last_table[1] is table
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_a_table_row_agrees_with_the_shot_that_reaches_it(convention):
+def test_a_table_row_agrees_with_the_shot_that_reaches_it():
     # Psi- lives on every level (1e-8 at parity 1, then 1e-8 of that) but jointly weighs 1e-16: a shot
     # reaches it (draw 0.0 picks bit 0, the largest draw below 1 bit 1), so its row carries the shot's post
     # state, not None
     weights = {BellLabel.PHI_PLUS: 1 - 1e-8 - 1e-16, BellLabel.PSI_PLUS: 1e-8, BellLabel.PSI_MINUS: 1e-16}
     state = StateVector(2, sum(np.sqrt(w) * bell_state(label).amplitudes for label, w in weights.items()))
-    rows = bell_branch_table(state, convention)
+    rows = bell_branch_table(state)
     assert rows[3][1] is BellLabel.PSI_MINUS and 0.0 < rows[3][2] < 1e-15 and rows[3][3] is not None
     for leaf, (bits, label, prob, post) in enumerate(rows):
         assert (post is None) == (prob == 0.0)
         if post is not None:
             draws = [float(np.nextafter(1.0, 0.0)) if leaf >> (1 - k) & 1 else 0.0 for k in range(2)]
-            shot = run_bell_qnd(StateVector(2, state.amplitudes), convention, draws)
+            shot = run_bell_qnd(StateVector(2, state.amplitudes), draws)
             assert (shot.parity_bit, shot.phase_bit, shot.label) == (*bits, label)
             assert shot.probability.hex() == prob.hex()
             assert shot.post_state.amplitudes.tobytes() == post.amplitudes.tobytes()

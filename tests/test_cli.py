@@ -215,6 +215,9 @@ def test_auth_flag_validation(monkeypatch):
         (["auth", "simulate", "--pairs", "1", "--trials", "10", "--p", "1.5"], "usage: qnd auth simulate"),
         (["auth", "simulate", "--pairs", "1", "--trials", "10", "--threshold", "2"], "usage: qnd auth simulate"),
         (["ghz", "--n", "3", "--label", "+:10"], "usage: qnd ghz"),
+        # the flag left shots: an unknown flag is refused under the subcommand's usage line
+        (["bell", "--input", "phi+", "--convention", "paper"], "usage: qnd bell"),
+        (["ghz", "--n", "3", "--random-input", "--convention", "standard"], "usage: qnd ghz"),
     ],
 )
 def test_value_errors_print_the_subcommand_usage(capsys, argv, usage):
@@ -234,7 +237,7 @@ def test_unknown_flag_exits_2():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bell", "--input", "psi-", "--convention", "standard", "--seed", "7"],
+        ["bell", "--input", "psi-", "--seed", "7"],
         ["ghz", "--n", "5", "--random-input", "--seed", "21"],
         ["bellop", "--n", "3", "--eigen"],
         ["auth", "simulate", "--pairs", "1,2", "--trials", "300", "--attacker", "guess", "--seed", "5"],
@@ -249,8 +252,8 @@ def test_repeated_invocations_are_byte_identical(capsys, argv):
 
 # golden flag inventory: every flag the dispatcher accepts appears in help
 EXPECTED_FLAGS = {
-    "bell": {"--input", "--convention", "--seed"},
-    "ghz": {"--n", "--label", "--random-input", "--convention", "--seed"},
+    "bell": {"--input", "--seed"},
+    "ghz": {"--n", "--label", "--random-input", "--seed"},
     "bellop": {"--n", "--spec", "--eigen"},
     ("auth", "simulate"): {
         "--pairs", "--trials", "--attacker", "--noise", "--p", "--threshold", "--seed", "--out",
@@ -293,7 +296,7 @@ def test_golden_stdout_is_byte_identical(tmp_path, capsys):
     golden = json.loads(GOLDEN_CLI.read_text())
     dump = tmp_path / "state.json"
     dump.write_text(json.dumps(golden["dump"]))
-    assert len(golden["runs"]) == 77
+    assert len(golden["runs"]) == 40
     for run in golden["runs"]:
         argv = [str(dump) if arg == "{dump}" else arg for arg in run["argv"]]
         code, out, err = run_cli(capsys, *argv)
@@ -321,4 +324,4 @@ def test_golden_probabilities_match_the_projection_oracles(tmp_path):
         printed = json.loads(run["stdout"])
         assert abs(printed["probability"] - oracle[printed["label"]]) <= 1e-12, run["argv"]
         checked += 1
-    assert checked == 74
+    assert checked == 37

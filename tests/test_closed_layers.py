@@ -1,4 +1,4 @@
-"""The GHZ register's closed-form Hadamard layers against the dense steps, byte for byte."""
+"""The GHZ register's closed-form Hadamard layers against the paper's dense steps, byte for byte."""
 
 import contextlib
 
@@ -20,22 +20,20 @@ from qndnet.ghz import (
 )
 from qndnet.statevector import StateVector, _split_rows, random_state
 
-CONVENTIONS = ("paper", "standard")
 SUBNORMAL = (5e-324, 3e-310, 1e-308)
 
 
-def sign_matrix(n: int, convention: str) -> np.ndarray:
-    """S[y, z], the sign of the n-qubit layer's entry from ket z to ket y, from the bits of y and z:
-    (-1)^|y & z| for the standard Hadamard, (-1)^|~y & ~z| for the paper one ([[-1, 1], [1, 1]])."""
+def sign_matrix(n: int) -> np.ndarray:
+    """S[y, z], the sign of the n-qubit paper layer's entry from ket z to ket y, from the bits of y and z:
+    (-1)^|~y & ~z|, since the paper Hadamard is [[-1, 1], [1, 1]]."""
     y, z = np.arange(1 << n)[:, None], np.arange(1 << n)[None, :]
-    both = y & z if convention == "standard" else ~y & ~z & ((1 << n) - 1)
-    ones = sum((both >> k) & 1 for k in range(n))
+    ones = sum(((~y & ~z & ((1 << n) - 1)) >> k) & 1 for k in range(n))
     return 1 - 2 * (ones & 1)
 
 
-def canonical_x(n: int, convention: str) -> np.ndarray:
+def canonical_x(n: int) -> np.ndarray:
     """The canonical bitstring of each parity prefix, from the label table's bits."""
-    return np.array([int(label.bits, 2) for _, _, label in _ghz_labels(n, convention)[::2]])
+    return np.array([int(label.bits, 2) for _, _, label in _ghz_labels(n)[::2]])
 
 
 def interleaved_kets(n: int) -> np.ndarray:
@@ -45,7 +43,7 @@ def interleaved_kets(n: int) -> np.ndarray:
     return np.stack((kets[parity == 0], kets[parity == 1]), axis=1).reshape(-1)
 
 
-def layer_steps(n: int, convention: str) -> tuple:
+def layer_steps(n: int) -> tuple:
     """(closed first, closed second, dense first, dense second) layer steps of the GHZ register, each
     called as step(rows) on one row per prefix (first) or leaf (second), dead ones zeroed.
 
@@ -53,13 +51,13 @@ def layer_steps(n: int, convention: str) -> tuple:
     dense layer takes and gives: the first reads each row's support (a_x_bar, a_x) and puts its
     interleaved outputs back in ket order; the second reads each branch at ket g, the one value its
     compact row keeps.  Each wrapper checks that the dense rows hold nothing off what it reads."""
-    closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), convention)
+    closed, dense = _ghz_network(n), _dense_network(tuple(range(n)), "paper")
     (first, _), (second, _) = dense[n - 1], dense[n + 1]
     (closed_first, _), (closed_second, _) = closed[n - 1], closed[n + 1]
     full, order = (1 << n) - 1, interleaved_kets(n)
 
     def dense_first(rows: np.ndarray) -> np.ndarray:
-        at = np.arange(len(rows))[:, None], canonical_x(n, convention)[:, None] ^ [full, 0]
+        at = np.arange(len(rows))[:, None], canonical_x(n)[:, None] ^ [full, 0]
         pair = rows[at].copy()
         rows[at] = 0.0
         assert not rows.any()
@@ -98,11 +96,11 @@ def pair_values(rng, n: int, count: int) -> list:
     return cases
 
 
-def first_layer_rows(n: int, convention: str, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def first_layer_rows(n: int, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows as the parity steps leave them, one per prefix: a live one holds a_x at x and a_x_bar at
     x_bar, a dead one nothing, and every other part is +0.0."""
-    x = canonical_x(n, convention)[live]
-    rows = np.zeros((len(canonical_x(n, convention)), 1 << n), complex)
+    x = canonical_x(n)[live]
+    rows = np.zeros((len(canonical_x(n)), 1 << n), complex)
     rows[live, x] = a[: len(live)]
     rows[live, ((1 << n) - 1) ^ x] = b[: len(live)]
     return rows + 0.0  # as a dense step hands them on (x + 0.0): no -0.0 part
@@ -114,39 +112,37 @@ def live_sets(rng, count: int) -> list:
     return [np.arange(count), np.array([count - 1]), subset]
 
 
-@pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_first_layer_equals_the_dense_layer(n, convention):
+def test_first_layer_equals_the_dense_layer(n):
     rng = np.random.default_rng(1300 + n)
-    closed, _, dense, _ = layer_steps(n, convention)
+    closed, _, dense, _ = layer_steps(n)
     prefixes = 1 << (n - 1)
     for a, b in pair_values(rng, n, prefixes):
         for live in live_sets(rng, prefixes):
-            rows = first_layer_rows(n, convention, live, a, b)
+            rows = first_layer_rows(n, live, a, b)
             want = dense(rows.copy())
             got = closed(rows.copy())
             assert got.tobytes() == want.tobytes(), (live, a[0], b[0])
 
 
-def second_layer_input(n: int, convention: str, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def second_layer_input(n: int, live: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The rows, one per leaf, as the dense global-parity step leaves them after the dense first layer:
     a dead branch zeroed by the split, as in the level builder."""
-    _, _, first, _ = layer_steps(n, convention)
-    rows = first(first_layer_rows(n, convention, live, a, b))
-    global_parity, _ = _dense_network(tuple(range(n)), convention)[n]
+    _, _, first, _ = layer_steps(n)
+    rows = first(first_layer_rows(n, live, a, b))
+    global_parity, _ = _dense_network(tuple(range(n)), "paper")[n]
     w, split = _split_rows(global_parity(rows))
     return split.reshape(w.size, -1)
 
 
-@pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_second_layer_equals_the_dense_layer(n, convention):
+def test_second_layer_equals_the_dense_layer(n):
     rng = np.random.default_rng(1400 + n)
-    _, closed, _, dense = layer_steps(n, convention)
+    _, closed, _, dense = layer_steps(n)
     prefixes = 1 << (n - 1)
     for a, b in pair_values(rng, n, prefixes):
         for live in live_sets(rng, prefixes):
-            rows = second_layer_input(n, convention, live, a, b)
+            rows = second_layer_input(n, live, a, b)
             want = dense(rows.copy())
             got = closed(rows.copy())
             assert got.tobytes() == want.tobytes(), (live, a[0], b[0])
@@ -161,11 +157,11 @@ def local_table(flat: np.ndarray, width: int) -> np.ndarray:
     return local
 
 
-def prefix_kets(n: int, convention: str) -> list:
+def prefix_kets(n: int) -> list:
     """Each depth's kets by prefix, as the parity gathers lay them out: depth 0 holds every ket
     in ket order, and branch b of a prefix's interleaved row is row[b::2]."""
     depths = [[np.arange(1 << n)]]
-    for step, _ in _ghz_network(n, convention)[: n - 1]:
+    for step, _ in _ghz_network(n)[: n - 1]:
         width = 1 << (n + 1 - len(depths))
         local = local_table(step.keywords["gather"], width)
         assert local.shape == (len(depths[-1]), width)
@@ -173,26 +169,25 @@ def prefix_kets(n: int, convention: str) -> list:
     return depths
 
 
-@pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_layer_tables_follow_the_hadamard_signs(n, convention):
-    # against S from the bits of each convention's matrix, not the Kronecker product the module takes
-    s, full = sign_matrix(n, convention), (1 << n) - 1
-    x = canonical_x(n, convention)
-    assert [label.bits[0] for _, _, label in _ghz_labels(n, convention)] == ["1"] * (1 << n)
+def test_layer_tables_follow_the_hadamard_signs(n):
+    # against S from the bits of the paper matrix, not the Kronecker product the module takes
+    s, full = sign_matrix(n), (1 << n) - 1
+    x = canonical_x(n)
+    assert [label.bits[0] for _, _, label in _ghz_labels(n)] == ["1"] * (1 << n)
 
     def bit(q: int, i: int) -> int:
         return (q >> (n - 1 - i)) & 1
 
     # the parity gathers: each depth's rows are their prefix's support in ket order, and the
     # first layer reads (a_x_bar, a_x)
-    for k, rows in enumerate(prefix_kets(n, convention)):
+    for k, rows in enumerate(prefix_kets(n)):
         for p, kets in enumerate(rows):
             want = [q for q in range(1 << n) if all(bit(q, i) ^ bit(q, i + 1) == (p >> (k - 1 - i)) & 1 for i in range(k))]
             assert list(kets) == want, (k, p)
         if k == n - 1:
             assert np.array_equal(np.array(rows), np.stack((full ^ x, x), axis=1))
-    first = _ghz_network(n, convention)[n - 1][0]
+    first = _ghz_network(n)[n - 1][0]
     select = local_table(first.keywords["select"], 4)
     assert select.shape == (1 << (n - 1), 1 << n)
     order = interleaved_kets(n)
@@ -203,7 +198,7 @@ def test_layer_tables_follow_the_hadamard_signs(n, convention):
             alpha, beta = s[y, xp], s[y, full ^ xp]  # output y = s^n * (alpha a_x + beta a_x_bar)
             assert select[p, i] == {(1, 1): 0, (1, -1): 1, (-1, -1): 2, (-1, 1): 3}[alpha, beta]
     assert list(order[:2]) == [0, 1]  # the value each global-parity branch keeps is its ket g
-    second = _ghz_network(n, convention)[n + 1][0]
+    second = _ghz_network(n)[n + 1][0]
     assert set(second.keywords) == {"n", "write", "signs"}
     write = local_table(second.keywords["write"], 1 << n)
     signs = local_table(second.keywords["signs"], 2)
@@ -217,16 +212,15 @@ def test_compact_schedule_mirrors_the_dense_schedule():
     # step for step: n - 1 parity gathers, the first layer, the global-parity split that keeps one
     # value per branch, the second layer; the same ancillas in the same places
     for n in range(2, 9):
-        for convention in CONVENTIONS:
-            closed, dense = _ghz_network(n, convention), _dense_network(tuple(range(n)), convention)
-            assert len(closed) == len(dense) == n + 2
-            assert [step[1] for step in closed] == [ancillas for _, ancillas in dense] == [1] * (n - 1) + [0, 1, 0]
-            names = ["_parity_step"] * (n - 1) + ["_first_layer", None, "_second_layer"]
-            for step, name in zip(closed, names):
-                if name is None:
-                    assert step == ((), 1, 1)
-                else:
-                    assert len(step) == 2 and step[0].func.__name__ == name
+        closed, dense = _ghz_network(n), _dense_network(tuple(range(n)), "paper")
+        assert len(closed) == len(dense) == n + 2
+        assert [step[1] for step in closed] == [ancillas for _, ancillas in dense] == [1] * (n - 1) + [0, 1, 0]
+        names = ["_parity_step"] * (n - 1) + ["_first_layer", None, "_second_layer"]
+        for step, name in zip(closed, names):
+            if name is None:
+                assert step == ((), 1, 1)
+            else:
+                assert len(step) == 2 and step[0].func.__name__ == name
 
 
 @contextlib.contextmanager
@@ -255,10 +249,9 @@ def test_ghz_and_bell_measurements_never_run_a_dense_step():
     draws = rng.random(8)
     with counted_dense_steps() as calls:
         for n, group in states.items():
-            for convention in CONVENTIONS:
-                for state in group:
-                    ghz_branch_table(StateVector(n, state.amplitudes), convention)
-                    run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws[:n])
+            for state in group:
+                ghz_branch_table(StateVector(n, state.amplitudes))
+                run_ghz_qnd(StateVector(n, state.amplitudes), draws[:n])
         for label in BellLabel:
             bell_branch_table(StateVector(2, bell_state(label).amplitudes))
             run_bell_qnd(StateVector(2, bell_state(label).amplitudes), draws=draws[:2])

@@ -4,7 +4,9 @@ The GHZ schedule runs on compact rows: each prefix's row holds only the kets its
 in ket order.  Expanding both schedules once with the one level builder, each step recording the rows
 it receives, one per prefix, pins each compact step to its dense twin: the same weights at every
 level, the same rows after every step, dead prefixes' zeroed rows included, and each compact row the
-dense row's support in the compact row's order, with the dense row zero everywhere else."""
+dense row's support in the compact row's order, with the dense row zero everywhere else.  The textbook
+Hadamard's dense schedule is held to the same weights and leaves, up to the order of each last-level
+pair at odd n."""
 
 import tracemalloc
 from functools import lru_cache
@@ -22,8 +24,6 @@ from qndnet.ghz import (
     ghz_state,
 )
 from qndnet.statevector import ZERO_BRANCH_PROB, StateVector, random_state
-
-CONVENTIONS = ("paper", "standard")
 
 
 def prefix_support(n: int, prefix: int, depth: int) -> np.ndarray:
@@ -82,11 +82,12 @@ def assert_same_table(got: tuple, want: tuple) -> None:
     assert leaves.tobytes() == want_leaves.tobytes()
 
 
-def assert_steps_match(amps: np.ndarray, n: int, convention: str) -> None:
-    """One expansion per schedule: the rows every step receives, which are the rows after the steps
-    before it, then the leaves after the last step, with the weights of every level."""
-    compact, got = recorded(_ghz_network(n, convention))
-    dense, want = recorded(_dense_network(tuple(range(n)), convention))
+def assert_steps_match(amps: np.ndarray, n: int) -> None:
+    """One expansion per schedule, compact and the paper's dense one: the rows every step receives,
+    which are the rows after the steps before it, then the leaves after the last step, with the
+    weights of every level."""
+    compact, got = recorded(_ghz_network(n))
+    dense, want = recorded(_dense_network(tuple(range(n)), "paper"))
     assert_same_table(_branches(amps, compact), _branches(amps, dense))
     for steps, (rows, want_rows) in enumerate(zip(got, want, strict=True)):
         kept, off = layout(n, steps)
@@ -149,26 +150,24 @@ def dead_prefix_states(rng, n: int) -> list:
 
 
 @pytest.mark.parametrize("seed", [2300, 1500])
-@pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_each_compact_step_equals_its_dense_step(n, convention, seed):
+def test_each_compact_step_equals_its_dense_step(n, seed):
     # seed 1500 + n draws the whole-table inputs; 2300 + n draws them and the dead-prefix states
     rng = np.random.default_rng(seed + n)
     states = table_states(rng, n) + ([amps for amps, _, _ in dead_prefix_states(rng, n)] if seed == 2300 else [])
     for amps in states:
-        assert_steps_match(amps, n, convention)
+        assert_steps_match(amps, n)
 
 
-@pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_everything_under_a_dead_prefix_weighs_exactly_zero(n, convention):
+def test_everything_under_a_dead_prefix_weighs_exactly_zero(n):
     # the split zeroes a dead branch's row, so every level below it weighs 0.0 and no leaf under it
     # carries a register; near-dead prefixes, whose support weighs (0, ZERO_BRANCH_PROB], included
     rng = np.random.default_rng(2600 + n)
-    schedule, near = _ghz_network(n, convention), []
+    schedule, near = _ghz_network(n), []
     for amps, depth, dead in dead_prefix_states(rng, n):
         weights, _ = _branches(amps, schedule)
-        rows = ghz_branch_table(StateVector(n, amps), convention)
+        rows = ghz_branch_table(StateVector(n, amps))
         for prefix in dead:  # the input is what it claims: at most ZERO_BRANCH_PROB of the parent's weight
             own, parent = (prefix_support(n, p, d) for p, d in ((prefix, depth), (prefix >> 1, depth - 1)))
             weight = np.vdot(amps[own], amps[own]).real
@@ -182,26 +181,49 @@ def test_everything_under_a_dead_prefix_weighs_exactly_zero(n, convention):
     assert near == [depth for depth in range(1, n) for _ in NEAR_DEAD]
 
 
+def negative_zero_twins(rng, n: int) -> list:
+    """A random state with about 40 % of its parts set to -0.0, and its twin with those parts +0.0."""
+    parts = random_state(n, rng).amplitudes.view(np.float64).copy()
+    parts[rng.random(parts.size) < 0.4] = -0.0
+    parts /= np.linalg.norm(parts)
+    return [parts.view(np.complex128), (parts + 0.0).view(np.complex128)]
+
+
 @pytest.mark.parametrize("seed", [2400, 1600])
-@pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_compact_steps_on_negative_zero_twins(n, convention, seed):
+def test_compact_steps_on_negative_zero_twins(n, seed):
     # an input's -0.0 parts enter as +0.0 in the first parity gather, as in the first dense step's x + 0.0
     rng = np.random.default_rng(seed + n)
     for _ in range(3):
-        parts = random_state(n, rng).amplitudes.view(np.float64).copy()
-        parts[rng.random(parts.size) < 0.4] = -0.0
-        parts /= np.linalg.norm(parts)
-        for amps in (parts.view(np.complex128), (parts + 0.0).view(np.complex128)):
-            assert_steps_match(amps, n, convention)
+        for amps in negative_zero_twins(rng, n):
+            assert_steps_match(amps, n)
 
 
-@pytest.mark.parametrize("convention", CONVENTIONS)
-def test_compact_steps_on_every_ghz_basis_state(convention):
-    # 508 inputs per convention, 1016 in all: a basis state leaves one live prefix at every depth
+def test_compact_steps_on_every_ghz_basis_state():
+    # 508 inputs: a basis state leaves one live prefix at every depth
     for n in range(2, 9):
         for label in all_canonical_labels(n):
-            assert_steps_match(ghz_state(label).amplitudes, n, convention)
+            assert_steps_match(ghz_state(label).amplitudes, n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_standard_network_measures_what_the_engine_measures(n):
+    # the textbook Hadamard's dense schedule gives every level's weights and every leaf the engine's
+    # bytes; at odd n it reads the raw phase bit the other way round (the engine's labels XOR it with
+    # n mod 2), so its last level lists each pair of weights, and of leaves, swapped.  This is why
+    # shots and branch tables take no Hadamard convention.
+    rng = np.random.default_rng(3700 + n)
+    states = table_states(rng, n) + negative_zero_twins(rng, n)
+    # the last parity depth's dead and near-dead prefixes: the states dead_prefix_states lists last
+    states += [amps for amps, _, _ in dead_prefix_states(rng, n)[-5:]]
+    for amps in states:
+        weights, leaves = _branches(amps, _dense_network(tuple(range(n)), "standard"))
+        want_weights, want_leaves = _branches(amps, _ghz_network(n))
+        if n & 1:
+            want_weights = want_weights[:-1] + [[want_weights[-1][i ^ 1] for i in range(1 << n)]]
+            want_leaves = want_leaves.reshape(-1, 2, want_leaves.shape[1])[:, ::-1].reshape(want_leaves.shape)
+        assert repr(weights) == repr(want_weights)
+        assert leaves.tobytes() == want_leaves.tobytes()
 
 
 @pytest.mark.parametrize(("n", "limit_mib"), [(7, 0.5), (8, 1.8)])

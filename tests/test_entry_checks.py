@@ -1,5 +1,5 @@
-"""Conventions, labels, label tokens, bits, noise arguments, seeds and operator arguments are checked at every
-public entry, before any cache or draw: whatever their type, a bad one raises ValueError, never TypeError or
+"""Conventions, gates, labels, label tokens, bits, noise arguments, seeds and operator arguments are checked at
+every public entry, before any cache or draw: whatever their type, a bad one raises ValueError, never TypeError or
 AttributeError."""
 
 import dataclasses
@@ -20,36 +20,38 @@ from qndnet.bell_operator import (
 from qndnet.bell import (
     BellLabel,
     bell_bits,
-    bell_branch_table,
+    bell_network_unitary_steps,
     bell_premeasurement_state,
     bell_state,
     parse_bell_label,
-    run_bell_qnd,
 )
 from qndnet.ghz import (
     decode_ghz,
     ghz_bits,
-    ghz_branch_table,
     ghz_network_gate_list,
     ghz_state,
     hadamard_layer,
     parse_ghz_label,
-    run_ghz_qnd,
 )
-from qndnet.statevector import cnot, make_basis_state, random_state
+from qndnet.statevector import (
+    GateKind,
+    apply_gate,
+    apply_gates,
+    cnot,
+    gates_to_matrix,
+    hadamard,
+    make_basis_state,
+    random_state,
+)
 
 PAIR = random_state(2, np.random.default_rng(2900))
 TRIPLE = random_state(3, np.random.default_rng(2901))
 
-# name: a call with the convention argument
+# name: a call with the convention argument (only what defines gates takes one)
 ENTRIES = {
-    "run_ghz_qnd": lambda c: run_ghz_qnd(random_state(3, np.random.default_rng(1)), c, (0.5,) * 3),
-    "run_ghz_qnd.slot": lambda c: run_ghz_qnd(TRIPLE, c, (0.5,) * 3),
-    "run_bell_qnd": lambda c: run_bell_qnd(random_state(2, np.random.default_rng(1)), c, (0.5, 0.5)),
-    "run_bell_qnd.slot": lambda c: run_bell_qnd(PAIR, c, (0.5, 0.5)),
-    "ghz_branch_table": lambda c: ghz_branch_table(TRIPLE, c),
-    "bell_branch_table": lambda c: bell_branch_table(PAIR, c),
+    "hadamard": lambda c: hadamard(0, c),
     "ghz_network_gate_list": lambda c: ghz_network_gate_list(3, c),
+    "bell_network_unitary_steps": bell_network_unitary_steps,
     "bell_premeasurement_state": lambda c: bell_premeasurement_state(PAIR, c),
     "hadamard_layer": lambda c: hadamard_layer(PAIR, c),
 }
@@ -58,10 +60,25 @@ ENTRIES = {
 @pytest.mark.parametrize("convention", [["paper"], "bogus", None], ids=["list", "bogus", "none"])
 @pytest.mark.parametrize("name", ENTRIES)
 def test_a_bad_convention_raises_value_error(name, convention):
-    # the ".slot" entries hold the memo slot under "paper" first, so the bad convention misses it
     ENTRIES[name]("paper")
     with pytest.raises(ValueError, match=r"unknown Hadamard convention"):
         ENTRIES[name](convention)
+
+
+# name: a call with one gate, alone or after a valid one in a gate list
+GATE_ENTRIES = {
+    "apply_gate": lambda gate: apply_gate(PAIR, gate),
+    "apply_gates": lambda gate: apply_gates(PAIR, [cnot(0, 1), gate]),
+    "gates_to_matrix": lambda gate: gates_to_matrix([cnot(0, 1), gate], 2),
+}
+
+
+@pytest.mark.parametrize("gate", [1, None, "h", GateKind.CNOT], ids=["int", "none", "str", "kind"])
+@pytest.mark.parametrize("name", GATE_ENTRIES)
+def test_a_gate_that_is_no_gate_op_raises_value_error_naming_it(name, gate):
+    GATE_ENTRIES[name](hadamard(1))
+    with pytest.raises(ValueError, match=re.escape(f"gate must be a GateOp, got {gate!r}")):
+        GATE_ENTRIES[name](gate)
 
 
 @pytest.mark.parametrize(
@@ -192,6 +209,12 @@ COLLECTIONS = {
         True,
     ),
     "security_sweep.n_range": (lambda items: security_sweep(items, AttackerModel.FRESH_ZERO, 5, 1), (1, 3), True),
+    "apply_gates.gates": (
+        lambda items: apply_gates(TRIPLE, items),
+        (hadamard(0), cnot(0, 1), cnot(1, 2), hadamard(2, "standard")),
+        True,
+    ),
+    "gates_to_matrix.gates": (lambda items: gates_to_matrix(items, 4).tobytes(), NETWORK, True),
     "qnd_compatibility_check.network": (lambda items: qnd_compatibility_check(OBSERVABLE, items), NETWORK, True),
     # None is the default: check the observable's own eigenvectors
     "qnd_compatibility_check.eigenstates": (

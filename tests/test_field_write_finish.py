@@ -19,14 +19,14 @@ KINDS = [("bell", 2, run_bell_qnd, bell_branch_table, BellQndOutcome)] + [
 ]
 
 
-def _shots(kind, convention, seed):
+def _shots(kind, seed):
     """Distinct finished outcomes of one random state's shots, each the first to reach its leaf."""
     _, n, shot, _, _ = kind
     rng = np.random.default_rng(seed)
     state = random_state(n, rng)
     outcomes = {}
     for draws in rng.random((48, n)):
-        outcome = shot(state, convention, draws.tolist())
+        outcome = shot(state, draws.tolist())
         outcomes[id(outcome)] = outcome
     return list(outcomes.values())
 
@@ -54,10 +54,9 @@ def _check_post_state(post):
     assert list(vars(post)) == ["num_qubits", "amplitudes", "_norm"]
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("kind", KINDS, ids=[k[0] for k in KINDS])
-def test_a_finished_shot_is_its_constructed_twin(kind, convention):
-    outcomes = _shots(kind, convention, 2800 + kind[1])
+def test_a_finished_shot_is_its_constructed_twin(kind):
+    outcomes = _shots(kind, 2800 + kind[1])
     assert len(outcomes) > 1
     for outcome in outcomes:
         twin = _twin(outcome)
@@ -77,14 +76,13 @@ def test_a_finished_shot_is_its_constructed_twin(kind, convention):
         assert outcome == twin  # the refused assignments changed nothing
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("kind", KINDS, ids=[k[0] for k in KINDS])
-def test_an_adopted_post_state_holds_only_its_fields(kind, convention):
-    for outcome in _shots(kind, convention, 2900 + kind[1]):
+def test_an_adopted_post_state_holds_only_its_fields(kind):
+    for outcome in _shots(kind, 2900 + kind[1]):
         _check_post_state(outcome.post_state)
         assert outcome.post_state == StateVector(outcome.post_state.num_qubits, outcome.post_state.amplitudes)
     _, n, _, table, _ = kind
-    rows = table(random_state(n, np.random.default_rng(3000 + n)), convention)
+    rows = table(random_state(n, np.random.default_rng(3000 + n)))
     live = [post for _, _, _, post in rows if post is not None]
     assert live
     for post in live:

@@ -201,19 +201,18 @@ def test_hadamard_layer_weight_support_paper_shifts_with_n():
 # -- running the network --
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_run_examples(convention):
+def test_run_examples():
     rng = np.random.default_rng(9)
-    out = run_ghz_qnd(ghz_state(GhzLabel("-", "101")), convention, rng.random(3))
+    out = run_ghz_qnd(ghz_state(GhzLabel("-", "101")), rng.random(3))
     assert out.part_parity_bits == (1, 1)
     assert out.global_parity_bit == 1
     assert out.label == GhzLabel("-", "101")
     assert out.probability == pytest.approx(1.0, abs=1e-12)
 
-    out = run_ghz_qnd(ghz_state(GhzLabel("+", "111")), convention, rng.random(3))
+    out = run_ghz_qnd(ghz_state(GhzLabel("+", "111")), rng.random(3))
     assert out.part_parity_bits == (0, 0) and out.global_parity_bit == 0
 
-    out = run_ghz_qnd(bell_state(BellLabel.PHI_MINUS), convention, rng.random(2))
+    out = run_ghz_qnd(bell_state(BellLabel.PHI_MINUS), rng.random(2))
     assert out.part_parity_bits == (0,) and out.global_parity_bit == 1
 
 
@@ -224,7 +223,7 @@ def test_nondemolition_all_labels(n):
         state = ghz_state(label)
         first = None
         for _ in range(5):
-            out = run_ghz_qnd(state, "paper", rng.random(n))
+            out = run_ghz_qnd(state, rng.random(n))
             bits = out.part_parity_bits + (out.global_parity_bit,)
             if first is None:
                 first = bits
@@ -253,14 +252,13 @@ NORMS = [1.0, 1.0 - 9e-9, 1.0 + 9e-9]
 
 
 @pytest.mark.parametrize("norm", NORMS)
-@pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_branch_table_matches_oracle(convention, n, norm):
+def test_branch_table_matches_oracle(n, norm):
     rng = np.random.default_rng(1000 * n)
     for _ in range(50 if n <= 4 else 3):
         state = StateVector(n, random_state(n, rng).amplitudes * norm)
         oracle = dict(ghz_projection_oracle(state))
-        for bits, label, probability, post in ghz_branch_table(state, convention):
+        for bits, label, probability, post in ghz_branch_table(state):
             assert abs(probability - oracle[label]) < 1e-12
             if post is not None:
                 assert abs(post.norm() - 1.0) <= (1e-14 if norm == 1.0 else 1e-12)
@@ -269,49 +267,46 @@ def test_branch_table_matches_oracle(convention, n, norm):
 
 
 @pytest.mark.parametrize("norm", NORMS)
-@pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_repeat_on_post_state_gives_the_same_label(convention, n, norm):
+def test_repeat_on_post_state_gives_the_same_label(n, norm):
     rng = np.random.default_rng(700 + n)
     for _ in range(10):
-        out = run_ghz_qnd(StateVector(n, random_state(n, rng).amplitudes * norm), convention, rng.random(n))
+        out = run_ghz_qnd(StateVector(n, random_state(n, rng).amplitudes * norm), rng.random(n))
         for _ in range(3):
             assert abs(out.post_state.norm() - 1.0) <= 1e-12
-            again = run_ghz_qnd(out.post_state, convention, rng.random(n))
+            again = run_ghz_qnd(out.post_state, rng.random(n))
             assert again.label == out.label
             assert again.probability == pytest.approx(1.0, abs=1e-12)
             out = again
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_sampled_probability_equals_its_table_row(convention):
+def test_sampled_probability_equals_its_table_row():
     # the walker (run_ghz_qnd) against the expander (ghz_branch_table) on one schedule
     rng = np.random.default_rng(2718)
     for n in range(2, 9):
         for _ in range(3):
             state = random_state(n, rng)
-            rows = {label: probability for _, label, probability, _ in ghz_branch_table(state, convention)}
+            rows = {label: probability for _, label, probability, _ in ghz_branch_table(state)}
             for _ in range(5):
-                out = run_ghz_qnd(state, convention, rng.random(n))
+                out = run_ghz_qnd(state, rng.random(n))
                 assert abs(out.probability - rows[out.label]) < 1e-12, n
 
 
 @pytest.mark.parametrize("staged", [None, False, True])
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_staged_keyword_is_ignored(convention, staged):
+def test_staged_keyword_is_ignored(staged):
     # every schedule is staged: each value, by keyword or by position, gives the default's outcome;
     # under each value a draw out of range raises and an extreme draw reads a basis state's label
     rng = np.random.default_rng(322)
     for n in range(2, 9):
         state = random_state(n, rng)
         for draws in rng.random((3, n)):
-            default = run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws)
-            assert run_ghz_qnd(state, convention, draws, staged=staged) == default
-            assert run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws, staged) == default
+            default = run_ghz_qnd(StateVector(n, state.amplitudes), draws)
+            assert run_ghz_qnd(state, draws, staged=staged) == default
+            assert run_ghz_qnd(StateVector(n, state.amplitudes), draws, staged) == default
     label, top = GhzLabel("-", "1011"), float(np.nextafter(1.0, 0.0))
     with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
-        run_ghz_qnd(ghz_state(GhzLabel("+", "101")), convention, [0.5, 1.0, 0.5], staged=staged)
-    assert run_ghz_qnd(ghz_state(label), convention, (top,) * 4, staged=staged).label == label
+        run_ghz_qnd(ghz_state(GhzLabel("+", "101")), [0.5, 1.0, 0.5], staged=staged)
+    assert run_ghz_qnd(ghz_state(label), (top,) * 4, staged=staged).label == label
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -319,7 +314,7 @@ def test_large_registers_run_staged(n):
     rng = np.random.default_rng(n)
     labels = all_canonical_labels(n)
     for label in (labels[0], labels[3], labels[-1]):
-        out = run_ghz_qnd(ghz_state(label), "paper", rng.random(n))
+        out = run_ghz_qnd(ghz_state(label), rng.random(n))
         assert out.label == label
         assert out.probability == pytest.approx(1.0, abs=1e-10)
         assert fidelity_up_to_global_phase(out.post_state, ghz_state(label)) > 1 - 1e-9
@@ -333,7 +328,7 @@ def test_monte_carlo_frequencies_match_oracle():
     rng = np.random.default_rng(496)
     counts: dict[str, int] = {}
     for _ in range(trials):
-        out = run_ghz_qnd(state, "paper", rng.random(n))
+        out = run_ghz_qnd(state, rng.random(n))
         counts[out.label.token] = counts.get(out.label.token, 0) + 1
     for token, p in expected.items():
         se = np.sqrt(max(p * (1 - p), 1e-12) / trials)
@@ -342,11 +337,11 @@ def test_monte_carlo_frequencies_match_oracle():
 
 def test_run_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        run_ghz_qnd(make_basis_state(1, "0"), "paper", (0.1,))
+        run_ghz_qnd(make_basis_state(1, "0"), (0.1,))
     with pytest.raises(ValueError):
-        run_ghz_qnd(ghz_state(GhzLabel("+", "111")), "paper", (0.1, 0.2))
+        run_ghz_qnd(ghz_state(GhzLabel("+", "111")), (0.1, 0.2))
     with pytest.raises(ValueError):
-        run_ghz_qnd(StateVector(2, np.array([1.0, 1.0, 0, 0])), "paper", (0.1, 0.2))
+        run_ghz_qnd(StateVector(2, np.array([1.0, 1.0, 0, 0])), (0.1, 0.2))
     with pytest.raises(ValueError):
         ghz_network_gate_list(9)
     for n in (1, 9):
@@ -360,17 +355,16 @@ def test_run_rejects_draws_outside_unit_interval(bad, position):
     draws = [0.5, 0.5, 0.5]
     draws[position] = bad
     with pytest.raises(ValueError, match=r"random draw must lie in \[0, 1\)"):
-        run_ghz_qnd(ghz_state(GhzLabel("+", "101")), "paper", draws)
+        run_ghz_qnd(ghz_state(GhzLabel("+", "101")), draws)
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_extreme_draws_never_select_a_zero_probability_branch(convention):
+def test_extreme_draws_never_select_a_zero_probability_branch():
     # rounding residue in a dead branch grows with n; it must never be sampled
     top = float(np.nextafter(1.0, 0.0))
     for n in range(2, 9):
         for label in all_canonical_labels(n):
             for draw in (0.0, top):
-                out = run_ghz_qnd(ghz_state(label), convention, (draw,) * n)
+                out = run_ghz_qnd(ghz_state(label), (draw,) * n)
                 assert out.label == label, (n, draw)
                 assert out.probability == pytest.approx(1.0, abs=1e-12)
 
@@ -391,40 +385,38 @@ def reference_walk(amps, steps, draws):
     return bits, probability, amps
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_shots_equal_the_flat_gate_list_walk(convention):
+def test_shots_equal_the_flat_gate_list_walk():
     # the staged engine against the public all-live gate list run as one step, to rounding:
     # this ties ghz_network_gate_list to the schedule every shot runs
     rng = np.random.default_rng(321)
     for n in range(2, MAX_QUBITS // 2 + 1):  # all 2n qubits live at once
-        flat = ((ghz_network_gate_list(n, convention), n),)
+        flat = ((ghz_network_gate_list(n, "paper"), n),)
         for _ in range(10):
             state = random_state(n, rng)
             draws = rng.random(n)
-            out = run_ghz_qnd(state, convention, draws)
+            out = run_ghz_qnd(state, draws)
             bits, probability, amps = reference_walk(state.amplitudes, flat, draws)
-            phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
+            phase = bits[-1] ^ (n & 1)
             assert out.part_parity_bits + (out.global_parity_bit,) == tuple(bits[:-1]) + (phase,)
             assert abs(out.probability - probability) < 1e-12
             assert fidelity_up_to_global_phase(out.post_state, StateVector(n, amps)) > 1 - 1e-10
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_tree_shots_equal_reference_walker(n, convention):
+def test_tree_shots_equal_reference_walker(n):
     rng = np.random.default_rng(4000 + n)
     states = [random_state(n, rng) for _ in range(3)]
     tables = [
-        {bits: (probability, post) for bits, _, probability, post in ghz_branch_table(s, convention)}
+        {bits: (probability, post) for bits, _, probability, post in ghz_branch_table(s)}
         for s in states
     ]
-    steps = _parity_network(tuple(range(n)), convention)
+    steps = _parity_network(tuple(range(n)), "paper")
     # repeated shots of one state, then shots interleaved across three (each evicts the slot)
     for k in [0] * 12 + [0, 1, 2] * 8:
         draws = rng.random(n)
-        out = run_ghz_qnd(states[k], convention, draws)
+        out = run_ghz_qnd(states[k], draws)
         bits, probability, amps = reference_walk(states[k].amplitudes, steps, draws)
-        phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
+        phase = bits[-1] ^ (n & 1)
         assert out.part_parity_bits + (out.global_parity_bit,) == tuple(bits[:-1]) + (phase,)
         assert out.probability == probability
         assert np.array_equal(out.post_state.amplitudes, amps)
@@ -433,14 +425,13 @@ def test_tree_shots_equal_reference_walker(n, convention):
         assert np.array_equal(out.post_state.amplitudes, row_post.amplitudes)
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_shot_first_and_table_first_equal_reference_walker(n, convention):
+def test_shot_first_and_table_first_equal_reference_walker(n):
     # shot -> table -> shots and table -> shots on one state: the table the first call expands
     # and the walks on it; GHZ basis states carry their dead branches through both orders
     # under both extreme draws
     rng = np.random.default_rng(5000 + n)
-    steps = _parity_network(tuple(range(n)), convention)
+    steps = _parity_network(tuple(range(n)), "paper")
     labels = all_canonical_labels(n)
     top = float(np.nextafter(1.0, 0.0))
     cases = [(random_state(n, rng).amplitudes, None, None) for _ in range(2)]
@@ -450,12 +441,12 @@ def test_shot_first_and_table_first_equal_reference_walker(n, convention):
         for table_first in (False, True):
             state = StateVector(n, amps)  # a new object: the memo slot starts over
             shots = [rng.random(n) if draw is None else np.full(n, draw) for _ in range(3)]
-            outs = [] if table_first else [run_ghz_qnd(state, convention, shots[0])]
-            table = {bits: (prob, post) for bits, _, prob, post in ghz_branch_table(state, convention)}
-            outs += [run_ghz_qnd(state, convention, d) for d in shots[len(outs):]]
+            outs = [] if table_first else [run_ghz_qnd(state, shots[0])]
+            table = {bits: (prob, post) for bits, _, prob, post in ghz_branch_table(state)}
+            outs += [run_ghz_qnd(state, d) for d in shots[len(outs):]]
             for out, d in zip(outs, shots, strict=True):
                 bits, probability, post = reference_walk(amps, steps, d)
-                phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
+                phase = bits[-1] ^ (n & 1)
                 key = tuple(bits[:-1]) + (phase,)
                 assert out.part_parity_bits + (out.global_parity_bit,) == key
                 assert out.probability == probability == table[key][0]
@@ -469,21 +460,20 @@ def test_repeat_visits_return_the_first_visits_outcome(n):
     # the same draws twice over: the table finishes a leaf on its first visit, and every
     # repeat visit returns that outcome, which equals the reference walker's shot
     rng = np.random.default_rng(6000 + n)
-    for convention in ("paper", "standard"):
-        steps = _parity_network(tuple(range(n)), convention)
-        state = random_state(n, rng)
-        shots = rng.random((12, n))
-        finished = {}
-        for k, draws in enumerate(np.concatenate([shots, shots])):
-            out = run_ghz_qnd(state, convention, draws)
-            bits, probability, post = reference_walk(state.amplitudes, steps, draws)
-            phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
-            assert out.part_parity_bits + (out.global_parity_bit,) == tuple(bits[:-1]) + (phase,)
-            assert out.label == decode_ghz(bits[:-1], phase, n)
-            assert out.probability == probability
-            assert out.post_state.amplitudes.tobytes() == post.tobytes()
-            assert finished.setdefault(tuple(bits), out) is out  # shot 0 expands the table and keeps its leaf
-        assert len(finished) < 2 * len(shots) - 1
+    steps = _parity_network(tuple(range(n)), "paper")
+    state = random_state(n, rng)
+    shots = rng.random((12, n))
+    finished = {}
+    for k, draws in enumerate(np.concatenate([shots, shots])):
+        out = run_ghz_qnd(state, draws)
+        bits, probability, post = reference_walk(state.amplitudes, steps, draws)
+        phase = bits[-1] ^ (n & 1)
+        assert out.part_parity_bits + (out.global_parity_bit,) == tuple(bits[:-1]) + (phase,)
+        assert out.label == decode_ghz(bits[:-1], phase, n)
+        assert out.probability == probability
+        assert out.post_state.amplitudes.tobytes() == post.tobytes()
+        assert finished.setdefault(tuple(bits), out) is out  # shot 0 expands the table and keeps its leaf
+    assert len(finished) < 2 * len(shots) - 1
 
 
 def test_finished_n8_leaves_stay_under_3_2_mib():
@@ -492,12 +482,12 @@ def test_finished_n8_leaves_stay_under_3_2_mib():
     rng = np.random.default_rng(90)
     top = float(np.nextafter(1.0, 0.0))
     shots = [np.array(d) for d in product((0.0, top), repeat=8)]
-    run_ghz_qnd(random_state(8, rng), "paper", shots[0])  # fills the schedule and kernel caches
+    run_ghz_qnd(random_state(8, rng), shots[0])  # fills the schedule and kernel caches
     state = random_state(8, rng)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        labels = {run_ghz_qnd(state, "paper", d).label for d in shots + shots[:1]}
+        labels = {run_ghz_qnd(state, d).label for d in shots + shots[:1]}
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -510,13 +500,13 @@ def test_branch_tree_memo_holds_one_tree():
     rng = np.random.default_rng(88)
     states = [random_state(8, rng) for _ in range(8)]
     shots = rng.random((8, 80, 8))
-    run_ghz_qnd(random_state(8, rng), "paper", shots[0, 0])  # fills the schedule and kernel caches
+    run_ghz_qnd(random_state(8, rng), shots[0, 0])  # fills the schedule and kernel caches
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for state, draws in zip(states, shots):
             for d in draws:
-                run_ghz_qnd(state, "paper", d)
+                run_ghz_qnd(state, d)
         ghz_branch_table(states[0])
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -529,7 +519,7 @@ def test_cold_n8_table_peaks_under_3_mib():
     # the memoized table and the returned rows stay under 3 MiB at once
     rng = np.random.default_rng(89)
     ghz_branch_table(random_state(8, rng))  # fills the schedule and kernel caches
-    run_ghz_qnd(random_state(2, rng), "paper", (0.5, 0.5))  # the slot lets go of that table
+    run_ghz_qnd(random_state(2, rng), (0.5, 0.5))  # the slot lets go of that table
     state = random_state(8, rng)
     tracemalloc.start()
     try:
@@ -552,7 +542,7 @@ def test_threads_sharing_the_tree_slot_match_single_threaded():
         for d in draws:
             if lockstep is not None:
                 lockstep.wait(timeout=60)
-            out.append(run_ghz_qnd(state, "paper", d))
+            out.append(run_ghz_qnd(state, d))
         return out
 
     reference = [measure(*job) for job in jobs]
@@ -573,21 +563,20 @@ def test_threads_sharing_the_tree_slot_match_single_threaded():
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_a_table_row_agrees_with_the_shot_that_reaches_it(convention, n):
+def test_a_table_row_agrees_with_the_shot_that_reaches_it(n):
     # -:10..0 lives on every level (1e-8 on its first parity, then 1e-8 of that on the phase) but jointly
     # weighs 1e-16: a shot reaches it, so its row carries the shot's post state, not None
     small, tiny = GhzLabel("+", "1" + "0" * (n - 1)), GhzLabel("-", "1" + "0" * (n - 1))
     weights = {GhzLabel("+", "1" * n): 1 - 1e-8 - 1e-16, small: 1e-8, tiny: 1e-16}
     state = StateVector(n, sum(np.sqrt(w) * ghz_state(label).amplitudes for label, w in weights.items()))
-    rows = ghz_branch_table(state, convention)
+    rows = ghz_branch_table(state)
     (prob,) = [row[2] for row in rows if row[1] == tiny]
     assert 0.0 < prob < 1e-15
     for leaf, (bits, label, prob, post) in enumerate(rows):
         assert (post is None) == (prob == 0.0)
         if post is not None:
             draws = [float(np.nextafter(1.0, 0.0)) if leaf >> (n - 1 - k) & 1 else 0.0 for k in range(n)]
-            shot = run_ghz_qnd(StateVector(n, state.amplitudes), convention, draws)
+            shot = run_ghz_qnd(StateVector(n, state.amplitudes), draws)
             assert (shot.part_parity_bits + (shot.global_parity_bit,), shot.label) == (bits, label)
             assert shot.probability.hex() == prob.hex()
             assert shot.post_state.amplitudes.tobytes() == post.amplitudes.tobytes()

@@ -64,7 +64,7 @@ def test_stacked_level_weights_equal_split_raw_row_by_row():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_every_step_measures_at_most_one_ancilla(n, convention):
     # the level builder splits each step's rows once, at their last qubit, so no step may measure two
-    schedules = [_ghz_network(n, convention)]
+    schedules = [_ghz_network(n)]
     schedules += [_dense_network(data, convention) for data in (tuple(range(n)), (0, n - 1))]
     for schedule in schedules:
         assert [step[1] for step in schedule if step[1] not in (0, 1)] == []
@@ -96,36 +96,34 @@ def list_product(weights: list) -> list:
 def test_table_probabilities_equal_the_list_product(n):
     rng = np.random.default_rng(1000 + n)
     labels = all_canonical_labels(n)
-    for convention in ("paper", "standard"):
-        schedule = _ghz_network(n, convention)
-        states = [random_state(n, rng)] + [ghz_state(labels[k]) for k in rng.choice(len(labels), 3)]
-        for state in states:
-            weights, leaves = _branches(state.amplitudes, schedule)
-            rows = _table_rows(weights, leaves)
-            assert np.array([p for p, _ in rows]).tobytes() == np.array(list_product(weights)).tobytes()
-            assert all((post is None) == (p == 0.0) for p, post in rows)
+    schedule = _ghz_network(n)
+    states = [random_state(n, rng)] + [ghz_state(labels[k]) for k in rng.choice(len(labels), 3)]
+    for state in states:
+        weights, leaves = _branches(state.amplitudes, schedule)
+        rows = _table_rows(weights, leaves)
+        assert np.array([p for p, _ in rows]).tobytes() == np.array(list_product(weights)).tobytes()
+        assert all((post is None) == (p == 0.0) for p, post in rows)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 8])
 def test_negative_zero_parts_measure_as_their_positive_zero_twin(n):
     # an input's -0.0 enters the register as +0.0, so the sign of a zero never reaches an outcome
     rng = np.random.default_rng(1100 + n)
-    for convention in ("paper", "standard"):
-        for k in range(4):
-            parts = random_state(n, rng).amplitudes.view(np.float64).copy()
-            parts[rng.random(parts.size) < 0.4] = -0.0
-            parts /= np.linalg.norm(parts)
-            twin = parts + 0.0
-            assert np.signbit(parts[parts == 0]).all() and not np.signbit(twin[twin == 0]).any()
-            state, twin_state = StateVector(n, parts.view(np.complex128)), StateVector(n, twin.view(np.complex128))
-            for draws in rng.random((3, n)):
-                got, want = run_ghz_qnd(state, convention, draws), run_ghz_qnd(twin_state, convention, draws)
-                assert (got.label, got.probability) == (want.label, want.probability)
-                assert got.post_state.amplitudes.tobytes() == want.post_state.amplitudes.tobytes()
-            got = ghz_branch_table(StateVector(n, parts.view(np.complex128)), convention)
-            for (_, _, p, post), (_, _, q, twin_post) in zip(got, ghz_branch_table(twin_state, convention), strict=True):
-                assert p == q
-                assert (post is None and twin_post is None) or post.amplitudes.tobytes() == twin_post.amplitudes.tobytes()
+    for k in range(4):
+        parts = random_state(n, rng).amplitudes.view(np.float64).copy()
+        parts[rng.random(parts.size) < 0.4] = -0.0
+        parts /= np.linalg.norm(parts)
+        twin = parts + 0.0
+        assert np.signbit(parts[parts == 0]).all() and not np.signbit(twin[twin == 0]).any()
+        state, twin_state = StateVector(n, parts.view(np.complex128)), StateVector(n, twin.view(np.complex128))
+        for draws in rng.random((3, n)):
+            got, want = run_ghz_qnd(state, draws), run_ghz_qnd(twin_state, draws)
+            assert (got.label, got.probability) == (want.label, want.probability)
+            assert got.post_state.amplitudes.tobytes() == want.post_state.amplitudes.tobytes()
+        got = ghz_branch_table(StateVector(n, parts.view(np.complex128)))
+        for (_, _, p, post), (_, _, q, twin_post) in zip(got, ghz_branch_table(twin_state), strict=True):
+            assert p == q
+            assert (post is None and twin_post is None) or post.amplitudes.tobytes() == twin_post.amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -157,8 +155,8 @@ def test_states_and_outcomes_compare_by_value():
     with pytest.raises(TypeError, match="unhashable"):
         hash(StateVector(3, a))
     for draws in product((0.1, 0.9), repeat=3):
-        first = run_ghz_qnd(StateVector(3, a), "paper", draws)  # fresh objects: no memo is shared
-        second = run_ghz_qnd(StateVector(3, a), "paper", draws)
+        first = run_ghz_qnd(StateVector(3, a), draws)  # fresh objects: no memo is shared
+        second = run_ghz_qnd(StateVector(3, a), draws)
         assert isinstance(first, GhzQndOutcome) and first is not second and first == second
     pair = random_state(2, rng).amplitudes
     bell = [run_bell_qnd(StateVector(2, pair), draws=(0.3, 0.6)) for _ in range(2)]

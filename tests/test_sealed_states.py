@@ -17,7 +17,7 @@ from qndnet.auth import (
 )
 from qndnet.bell import (
     BellLabel,
-    _bell_labels,
+    _BELL_LABELS,
     bell_branch_table,
     bell_premeasurement_state,
     bell_projection_oracle,
@@ -77,16 +77,14 @@ def _public_states():
     yield "pickle", pickle.loads(pickle.dumps(triple))
     yield "ghz_state", ghz_state(GhzLabel("-", "101"))
     yield "hadamard_layer", hadamard_layer(triple)
-    yield "run_ghz_qnd.paper", run_ghz_qnd(random_state(4, rng), "paper", (0.2, 0.4, 0.6, 0.8)).post_state
-    yield "run_ghz_qnd.standard", run_ghz_qnd(triple, "standard", (0.1, 0.5, 0.9)).post_state
+    yield "run_ghz_qnd", run_ghz_qnd(random_state(4, rng), (0.2, 0.4, 0.6, 0.8)).post_state
     for n in (3, 7):  # a shallow and a deep staged table
         for k, (_, _, _, post) in enumerate(ghz_branch_table(random_state(n, rng))):
             if post is not None and k % 5 == 0:
                 yield f"ghz_branch_table.n{n}.{k}", post
     yield "bell_state", bell_state(BellLabel.PSI_MINUS)
     yield "bell_premeasurement_state", bell_premeasurement_state(pair)
-    yield "run_bell_qnd.paper", run_bell_qnd(random_state(2, rng), "paper", (0.3, 0.7)).post_state
-    yield "run_bell_qnd.standard", run_bell_qnd(pair, "standard", (0.6, 0.2)).post_state
+    yield "run_bell_qnd", run_bell_qnd(random_state(2, rng), (0.3, 0.7)).post_state
     for k, (_, _, _, post) in enumerate(bell_branch_table(pair)):
         yield f"bell_branch_table.{k}", post
     for k, (_, _, basis) in enumerate(bell_projection_oracle(pair)):
@@ -123,14 +121,14 @@ def test_overwriting_a_memoized_state_is_refused():
     rng = np.random.default_rng(2)
     state = random_state(3, rng)
     draws = rng.random((3, 3))
-    run_ghz_qnd(state, "paper", draws[0])
-    run_ghz_qnd(state, "paper", draws[1])
+    run_ghz_qnd(state, draws[0])
+    run_ghz_qnd(state, draws[1])
     with pytest.raises(ValueError):
         state.amplitudes.flags.writeable = True
     with pytest.raises(ValueError):
         state.amplitudes[:] = make_basis_state(3, "000").amplitudes
-    out = run_ghz_qnd(state, "paper", draws[2])
-    fresh = run_ghz_qnd(StateVector(3, state.amplitudes), "paper", draws[2])
+    out = run_ghz_qnd(state, draws[2])
+    fresh = run_ghz_qnd(StateVector(3, state.amplitudes), draws[2])
     assert (out.label, out.probability) == (fresh.label, fresh.probability)
     assert out.post_state.amplitudes.tobytes() == fresh.post_state.amplitudes.tobytes()
 
@@ -168,15 +166,15 @@ def test_overwriting_a_memoized_state_through_its_base_is_refused():
     rng = np.random.default_rng(2)
     state = random_state(3, rng)
     draws = rng.random((3, 3))
-    run_ghz_qnd(state, "paper", draws[0])
-    run_ghz_qnd(state, "paper", draws[1])
+    run_ghz_qnd(state, draws[0])
+    run_ghz_qnd(state, draws[1])
     base = state.amplitudes.base
     with pytest.raises(ValueError):
         base.flags.writeable = True
     with pytest.raises(ValueError):
         base[:] = make_basis_state(3, "000").amplitudes
-    out = run_ghz_qnd(state, "paper", draws[2])
-    fresh = run_ghz_qnd(StateVector(3, state.amplitudes), "paper", draws[2])
+    out = run_ghz_qnd(state, draws[2])
+    fresh = run_ghz_qnd(StateVector(3, state.amplitudes), draws[2])
     assert (out.label, out.probability) == (fresh.label, fresh.probability)
     assert out.post_state.amplitudes.tobytes() == fresh.post_state.amplitudes.tobytes()
 
@@ -194,7 +192,7 @@ def test_norm_is_taken_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", lambda a: calls.append(a.size) or real_norm(a))
     state = StateVector(3, np.full(8, np.sqrt(1 / 8)))
     for draws in ((0.1, 0.2, 0.3), (0.9, 0.8, 0.7), (0.1, 0.2, 0.3)):
-        run_ghz_qnd(state, "paper", draws)
+        run_ghz_qnd(state, draws)
     ghz_branch_table(state)
     assert calls == [8]
 
@@ -206,30 +204,27 @@ def test_a_bad_cached_norm_is_rejected_on_every_shot(amplitudes):
     state = StateVector(3, amplitudes)
     for _ in range(3):
         with pytest.raises(ValueError, match="not normalized"):
-            run_ghz_qnd(state, "paper", (0.5, 0.5, 0.5))
+            run_ghz_qnd(state, (0.5, 0.5, 0.5))
         with pytest.raises(ValueError, match="not normalized"):
             ghz_branch_table(state)
     pair = StateVector(2, np.asarray(amplitudes)[:4])
     for _ in range(3):
         with pytest.raises(ValueError, match="not normalized"):
-            run_bell_qnd(pair, "paper", (0.5, 0.5))
+            run_bell_qnd(pair, (0.5, 0.5))
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_label_table_equals_the_public_decoders(n, convention):
-    table = _ghz_labels(n, convention)
+def test_label_table_equals_the_public_decoders(n):
+    table = _ghz_labels(n)
     assert len(table) == 1 << n
     for leaf, (parities, g, label) in enumerate(table):
         raw = tuple(int(c) for c in format(leaf, f"0{n}b"))
         assert parities == raw[:-1]
-        assert g == (raw[-1] ^ (n & 1) if convention == "paper" else raw[-1])
+        assert g == raw[-1] ^ (n & 1)
         assert label == decode_ghz(parities, g, n)
         assert ghz_bits(label) == (parities, g)
     if n == 2:
-        assert _bell_labels(convention) == tuple(
-            (leaf >> 1, leaf & 1, decode_bell(leaf >> 1, leaf & 1)) for leaf in range(4)
-        )
+        assert _BELL_LABELS == {2: tuple((leaf >> 1, leaf & 1, decode_bell(leaf >> 1, leaf & 1)) for leaf in range(4))}
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
@@ -237,27 +232,27 @@ def test_ndarray_and_list_draws_give_the_same_outcome_objects(n):
     rng = np.random.default_rng(300 + n)
     state = random_state(n, rng)
     shots = rng.random((6, n))
-    twin = run_ghz_qnd(StateVector(n, state.amplitudes), "paper", shots[0].tolist())
-    first = run_ghz_qnd(state, "paper", shots[0])  # each a fresh state's first shot, on its own table
+    twin = run_ghz_qnd(StateVector(n, state.amplitudes), shots[0].tolist())
+    first = run_ghz_qnd(state, shots[0])  # each a fresh state's first shot, on its own table
     assert (first.label, first.global_parity_bit, first.probability) == (
         twin.label, twin.global_parity_bit, twin.probability
     )
     assert first.post_state.amplitudes.tobytes() == twin.post_state.amplitudes.tobytes()
     for draws in shots:  # the first shot's table, and one outcome per leaf
-        assert run_ghz_qnd(state, "paper", draws) is run_ghz_qnd(state, "paper", draws.tolist())
+        assert run_ghz_qnd(state, draws) is run_ghz_qnd(state, draws.tolist())
     if n == 2:
         pair = random_state(2, rng)
-        run_bell_qnd(pair, "paper", shots[0])  # the first shot expands the table; later shots read it
+        run_bell_qnd(pair, shots[0])  # the first shot expands the table; later shots read it
         for draws in shots:
-            assert run_bell_qnd(pair, "paper", draws) is run_bell_qnd(pair, "paper", draws.tolist())
+            assert run_bell_qnd(pair, draws) is run_bell_qnd(pair, draws.tolist())
 
 
 def test_ndarray_draws_are_still_range_checked():
     state = random_state(3, np.random.default_rng(8))
     for _ in range(2):  # a fresh state's first shot, then a shot on its kept table
         with pytest.raises(ValueError, match="random draw"):
-            run_ghz_qnd(state, "paper", np.array([0.5, 1.0, 0.5]))
-        run_ghz_qnd(state, "paper", np.array([0.5, 0.5, 0.5]))
+            run_ghz_qnd(state, np.array([0.5, 1.0, 0.5]))
+        run_ghz_qnd(state, np.array([0.5, 0.5, 0.5]))
 
 
 # -- seeds and decoded bits at the library boundary --

@@ -104,27 +104,27 @@ def time_layers(qn, kind: str, n: int, amps: np.ndarray, draws: np.ndarray, bloc
     best = dict.fromkeys(LAYERS, np.inf)
     faults = []
 
-    def timed(layer: str, call, *args) -> None:
+    def timed(layer: str, call, *args, **kwargs) -> None:
         start = time.perf_counter()
-        call(*args)
+        call(*args, **kwargs)
         best[layer] = min(best[layer], time.perf_counter() - start)
 
     def pair(state) -> None:
-        run(state, "paper", draws[0])
-        run(state, "paper", draws[1])
+        run(state, draws=draws[0])
+        run(state, draws=draws[1])
 
     def shots(state) -> None:
         for d in block:
-            run(state, "paper", d)
+            run(state, draws=d)
 
     for _ in range(ROW_REPEATS):  # every call measures a state built for it
         state = qn.StateVector(n, amps)
         before = minor_faults()
         timed("cold_table", table, state)
         faults.append(minor_faults() - before)
-        timed("warm_shot", run, state, "paper", draws[0])
-        timed("repeat_shot", run, state, "paper", draws[0])
-        timed("fresh_shot", run, qn.StateVector(n, amps), "paper", draws[1])
+        timed("warm_shot", run, state, draws=draws[0])
+        timed("repeat_shot", run, state, draws=draws[0])
+        timed("fresh_shot", run, qn.StateVector(n, amps), draws=draws[1])
         timed("fresh_pair", pair, qn.StateVector(n, amps))
         state = qn.StateVector(n, amps)
         table(state)
