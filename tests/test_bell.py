@@ -6,6 +6,7 @@ import pytest
 from qndnet.bell import (
     BELL_DECODE_ORDER,
     BellLabel,
+    BellQndOutcome,
     bell_bits,
     bell_branch_table,
     bell_network_unitary_steps,
@@ -27,6 +28,7 @@ from qndnet.statevector import (
     make_basis_state,
     random_state,
 )
+from test_ghz import standard_branch_table, standard_shot
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -133,7 +135,26 @@ def test_hadamard_pair_basis_rotation():
         )
 
 
-def test_bell_inputs_reproduce_decoding_table():
+def standard_bell_shot(state: StateVector, draws) -> BellQndOutcome:
+    """run_bell_qnd's outcome from the textbook Hadamard's dense schedule, which no shot runs."""
+    out = standard_shot(state, draws)
+    (parity,), phase = out.part_parity_bits, out.global_parity_bit
+    return BellQndOutcome(parity, phase, decode_bell(parity, phase), out.probability, out.post_state)
+
+
+def standard_bell_table(state: StateVector) -> list:
+    """bell_branch_table's rows from the same schedule."""
+    return [(bits, decode_bell(*bits), p, post) for bits, _, p, post in standard_branch_table(state)]
+
+
+#: Each convention's shot and branch table, as in test_ghz: the textbook schedule through the helpers.
+SHOTS = {"paper": run_bell_qnd, "standard": standard_bell_shot}
+TABLES = {"paper": bell_branch_table, "standard": standard_bell_table}
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_bell_inputs_reproduce_decoding_table(convention):
+    run_bell_qnd = SHOTS[convention]
     for label, bits in TABLE_1.items():
         outcome = run_bell_qnd(bell_state(label), (0.42, 0.77))
         assert (outcome.parity_bit, outcome.phase_bit) == bits
@@ -157,7 +178,9 @@ def test_repeated_measurement_is_nondemolition():
 
 
 @pytest.mark.parametrize("norm", NORMS)
-def test_repeat_on_random_post_state_gives_the_same_label(norm):
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_repeat_on_random_post_state_gives_the_same_label(convention, norm):
+    run_bell_qnd = SHOTS[convention]
     rng = np.random.default_rng(19)
     for _ in range(50):
         out = run_bell_qnd(StateVector(2, random_state(2, rng).amplitudes * norm), rng.random(2))
@@ -216,7 +239,9 @@ def test_projection_oracle_basics():
 
 
 @pytest.mark.parametrize("norm", NORMS)
-def test_network_matches_projection_oracle(norm):
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_network_matches_projection_oracle(convention, norm):
+    bell_branch_table = TABLES[convention]
     rng = np.random.default_rng(47)
     for _ in range(200):
         state = StateVector(2, random_state(2, rng).amplitudes * norm)
@@ -259,8 +284,10 @@ def test_rejects_draws_outside_unit_interval(draws):
 
 
 @pytest.mark.parametrize("draw", [0.0, float(np.nextafter(1.0, 0.0))])
-def test_extreme_draws_never_select_a_zero_probability_branch(draw):
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_extreme_draws_never_select_a_zero_probability_branch(convention, draw):
     # the largest Generator.random() value used to read psi- at probability 7.8e-16
+    run_bell_qnd = SHOTS[convention]
     for label in BellLabel:
         outcome = run_bell_qnd(bell_state(label), (draw, draw))
         assert outcome.label is label

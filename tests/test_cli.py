@@ -290,38 +290,46 @@ def test_help_lists_every_flag():
 # stdout of seeded bell/ghz/bellop runs; seeded output must stay byte-identical, and a
 # re-recording is a documented break named in its "source"
 GOLDEN_CLI = Path(__file__).parent / "data" / "golden_cli.json"
+GOLDEN = json.loads(GOLDEN_CLI.read_text())
+#: one case a run, named by its argv, so a changed run does not hide the runs after it
+GOLDEN_IDS = ["_".join(arg.lstrip("-") for arg in run["argv"]) for run in GOLDEN["runs"]]
+#: the bell and ghz runs, which print a measured probability
+MEASURED = [(run, name) for run, name in zip(GOLDEN["runs"], GOLDEN_IDS) if run["argv"][0] in ("bell", "ghz")]
 
 
-def test_golden_stdout_is_byte_identical(tmp_path, capsys):
-    golden = json.loads(GOLDEN_CLI.read_text())
+@pytest.fixture
+def golden_dump(tmp_path):
     dump = tmp_path / "state.json"
-    dump.write_text(json.dumps(golden["dump"]))
-    assert len(golden["runs"]) == 40
-    for run in golden["runs"]:
-        argv = [str(dump) if arg == "{dump}" else arg for arg in run["argv"]]
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, err) == (0, "")
-        assert out == run["stdout"], run["argv"]
+    dump.write_text(json.dumps(GOLDEN["dump"]))
+    return dump
 
 
-def test_golden_probabilities_match_the_projection_oracles(tmp_path):
+def golden_argv(run, dump):
+    return [str(dump) if arg == "{dump}" else arg for arg in run["argv"]]
+
+
+def test_golden_file_holds_every_run():
+    assert len(GOLDEN["runs"]) == 40 and len(MEASURED) == 37
+    assert len(set(GOLDEN_IDS)) == 40
+
+
+@pytest.mark.parametrize("run", GOLDEN["runs"], ids=GOLDEN_IDS)
+def test_golden_stdout_is_byte_identical(run, golden_dump, capsys):
+    code, out, err = run_cli(capsys, *golden_argv(run, golden_dump))
+    assert (code, err) == (0, "")
+    assert out == run["stdout"]
+
+
+@pytest.mark.parametrize("run", [run for run, _ in MEASURED], ids=[name for _, name in MEASURED])
+def test_golden_probabilities_match_the_projection_oracles(run, golden_dump):
     # each bell/ghz input rebuilt from its argv: a recording is checked against the oracle, not the engine
-    golden = json.loads(GOLDEN_CLI.read_text())
-    dump = tmp_path / "state.json"
-    dump.write_text(json.dumps(golden["dump"]))
-    checked = 0
-    for run in golden["runs"]:
-        args = build_parser().parse_args([str(dump) if arg == "{dump}" else arg for arg in run["argv"]])
-        if args.command == "bell":
-            state = load_dump(args.input) if isinstance(args.input, Path) else bell_state(args.input)
-            oracle = {label.token: p for label, p, _ in bell_projection_oracle(state)}
-        elif args.command == "ghz":
-            rng = np.random.default_rng(args.seed)
-            state = random_state(args.n, rng) if args.random_input else ghz_state(args.label)
-            oracle = {label.token: p for label, p in ghz_projection_oracle(state)}
-        else:
-            continue
-        printed = json.loads(run["stdout"])
-        assert abs(printed["probability"] - oracle[printed["label"]]) <= 1e-12, run["argv"]
-        checked += 1
-    assert checked == 37
+    args = build_parser().parse_args(golden_argv(run, golden_dump))
+    if args.command == "bell":
+        state = load_dump(args.input) if isinstance(args.input, Path) else bell_state(args.input)
+        oracle = {label.token: p for label, p, _ in bell_projection_oracle(state)}
+    else:
+        rng = np.random.default_rng(args.seed)
+        state = random_state(args.n, rng) if args.random_input else ghz_state(args.label)
+        oracle = {label.token: p for label, p in ghz_projection_oracle(state)}
+    printed = json.loads(run["stdout"])
+    assert abs(printed["probability"] - oracle[printed["label"]]) <= 1e-12

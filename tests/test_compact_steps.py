@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from test_closed_layers import SUBNORMAL, interleaved_kets
+from test_ghz import standard_branch_table
 
 from qndnet.ghz import (
     _branches,
@@ -96,6 +97,32 @@ def assert_steps_match(amps: np.ndarray, n: int) -> None:
         assert not want_rows[off].any(), steps
 
 
+def assert_standard_matches(amps: np.ndarray, n: int) -> None:
+    """The textbook Hadamard's dense schedule against the engine's compact one.  Its parity steps are
+    the paper's, so up to the first layer every step receives the compact rows, laid out as
+    assert_steps_match checks them.  After the layers it gives every level's weights and every leaf the
+    engine's bytes, but at odd n it reads the raw phase bit the other way round (the engine's labels
+    XOR it with n mod 2), so its last level lists each pair of weights, and of leaves, swapped."""
+    compact, got = recorded(_ghz_network(n))
+    dense, want = recorded(_dense_network(tuple(range(n)), "standard"))
+    weights, leaves = _branches(amps, dense)
+    want_weights, want_leaves = _branches(amps, compact)
+    for steps, (rows, want_rows) in enumerate(zip(got[:n], want[:n], strict=True)):
+        kept, off = layout(n, steps)
+        assert rows.tobytes() == want_rows[np.arange(len(rows))[:, None], kept].tobytes(), steps
+        assert not want_rows[off].any(), steps
+    if n & 1:
+        want_weights = want_weights[:-1] + [[want_weights[-1][i ^ 1] for i in range(1 << n)]]
+        want_leaves = want_leaves.reshape(-1, 2, want_leaves.shape[1])[:, ::-1].reshape(want_leaves.shape)
+    assert repr(weights) == repr(want_weights)
+    assert leaves.tobytes() == want_leaves.tobytes()
+
+
+#: Each convention's check of an input: the paper's dense schedule step for step, the textbook one as far
+#: as it runs the same steps and then leaf for leaf.
+CHECKS = {"paper": assert_steps_match, "standard": assert_standard_matches}
+
+
 def table_states(rng, n: int) -> list:
     """Random, basis, GHZ, real, zero-laced, subnormal-laced and slightly unnormalized states, and GHZ
     states with their twin mixed in at weight (0, ZERO_BRANCH_PROB]: the split zeroes that global-parity
@@ -150,24 +177,31 @@ def dead_prefix_states(rng, n: int) -> list:
 
 
 @pytest.mark.parametrize("seed", [2300, 1500])
+@pytest.mark.parametrize("convention", CHECKS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_each_compact_step_equals_its_dense_step(n, seed):
+def test_each_compact_step_equals_its_dense_step(n, convention, seed):
     # seed 1500 + n draws the whole-table inputs; 2300 + n draws them and the dead-prefix states
     rng = np.random.default_rng(seed + n)
     states = table_states(rng, n) + ([amps for amps, _, _ in dead_prefix_states(rng, n)] if seed == 2300 else [])
     for amps in states:
-        assert_steps_match(amps, n)
+        CHECKS[convention](amps, n)
 
 
+@pytest.mark.parametrize("convention", CHECKS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_everything_under_a_dead_prefix_weighs_exactly_zero(n):
+def test_everything_under_a_dead_prefix_weighs_exactly_zero(n, convention):
     # the split zeroes a dead branch's row, so every level below it weighs 0.0 and no leaf under it
-    # carries a register; near-dead prefixes, whose support weighs (0, ZERO_BRANCH_PROB], included
+    # carries a register; near-dead prefixes, whose support weighs (0, ZERO_BRANCH_PROB], included.  The
+    # textbook dense schedule, which no table runs, does the same
     rng = np.random.default_rng(2600 + n)
-    schedule, near = _ghz_network(n), []
+    if convention == "paper":
+        schedule, table = _ghz_network(n), ghz_branch_table
+    else:
+        schedule, table = _dense_network(tuple(range(n)), convention), standard_branch_table
+    near = []
     for amps, depth, dead in dead_prefix_states(rng, n):
         weights, _ = _branches(amps, schedule)
-        rows = ghz_branch_table(StateVector(n, amps))
+        rows = table(StateVector(n, amps))
         for prefix in dead:  # the input is what it claims: at most ZERO_BRANCH_PROB of the parent's weight
             own, parent = (prefix_support(n, p, d) for p, d in ((prefix, depth), (prefix >> 1, depth - 1)))
             weight = np.vdot(amps[own], amps[own]).real
@@ -190,40 +224,35 @@ def negative_zero_twins(rng, n: int) -> list:
 
 
 @pytest.mark.parametrize("seed", [2400, 1600])
+@pytest.mark.parametrize("convention", CHECKS)
 @pytest.mark.parametrize("n", range(2, 9))
-def test_compact_steps_on_negative_zero_twins(n, seed):
+def test_compact_steps_on_negative_zero_twins(n, convention, seed):
     # an input's -0.0 parts enter as +0.0 in the first parity gather, as in the first dense step's x + 0.0
     rng = np.random.default_rng(seed + n)
     for _ in range(3):
         for amps in negative_zero_twins(rng, n):
-            assert_steps_match(amps, n)
+            CHECKS[convention](amps, n)
 
 
-def test_compact_steps_on_every_ghz_basis_state():
-    # 508 inputs: a basis state leaves one live prefix at every depth
+@pytest.mark.parametrize("convention", CHECKS)
+def test_compact_steps_on_every_ghz_basis_state(convention):
+    # 508 inputs per convention, 1016 in all: a basis state leaves one live prefix at every depth
     for n in range(2, 9):
         for label in all_canonical_labels(n):
-            assert_steps_match(ghz_state(label).amplitudes, n)
+            CHECKS[convention](ghz_state(label).amplitudes, n)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_the_standard_network_measures_what_the_engine_measures(n):
     # the textbook Hadamard's dense schedule gives every level's weights and every leaf the engine's
-    # bytes; at odd n it reads the raw phase bit the other way round (the engine's labels XOR it with
-    # n mod 2), so its last level lists each pair of weights, and of leaves, swapped.  This is why
+    # bytes, up to the order of each last-level pair at odd n (assert_standard_matches).  This is why
     # shots and branch tables take no Hadamard convention.
     rng = np.random.default_rng(3700 + n)
     states = table_states(rng, n) + negative_zero_twins(rng, n)
     # the last parity depth's dead and near-dead prefixes: the states dead_prefix_states lists last
     states += [amps for amps, _, _ in dead_prefix_states(rng, n)[-5:]]
     for amps in states:
-        weights, leaves = _branches(amps, _dense_network(tuple(range(n)), "standard"))
-        want_weights, want_leaves = _branches(amps, _ghz_network(n))
-        if n & 1:
-            want_weights = want_weights[:-1] + [[want_weights[-1][i ^ 1] for i in range(1 << n)]]
-            want_leaves = want_leaves.reshape(-1, 2, want_leaves.shape[1])[:, ::-1].reshape(want_leaves.shape)
-        assert repr(weights) == repr(want_weights)
-        assert leaves.tobytes() == want_leaves.tobytes()
+        assert_standard_matches(amps, n)
 
 
 @pytest.mark.parametrize(("n", "limit_mib"), [(7, 0.5), (8, 1.8)])

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -13,7 +14,11 @@ from hypothesis import given, settings, strategies as st
 from qndnet.bell import BellLabel, bell_network_unitary_steps, bell_state
 from qndnet.ghz import (
     GhzLabel,
+    GhzQndOutcome,
+    _branches,
+    _dense_network,
     _parity_network,
+    _table_rows,
     all_canonical_labels,
     decode_ghz,
     ghz_bits,
@@ -31,6 +36,7 @@ from qndnet.statevector import (
     StateVector,
     _apply_network_raw,
     _measure_drop_raw,
+    _walk,
     apply_gates,
     cnot,
     fidelity_up_to_global_phase,
@@ -201,7 +207,52 @@ def test_hadamard_layer_weight_support_paper_shifts_with_n():
 # -- running the network --
 
 
-def test_run_examples():
+def standard_branches(state: StateVector) -> tuple:
+    """(weights, leaves) of the textbook Hadamard's dense schedule on ``state``, which no shot or table
+    runs.  Its last bit is the phase bit as it is: the textbook layers leave the weight parity alone, so
+    no n mod 2 is undone."""
+    return _standard_expansion(state.amplitudes.tobytes(), state.num_qubits)
+
+
+@lru_cache(maxsize=1)
+def _standard_expansion(amplitudes: bytes, n: int) -> tuple:
+    """standard_branches by the input's bytes: the last one is kept, as a shot keeps its state's table,
+    so shots of equal inputs in a row expand it once (its leaves are sealed)."""
+    return _branches(np.frombuffer(amplitudes, np.complex128), _dense_network(tuple(range(n)), "standard"))
+
+
+def leaf_bits(leaf: int, n: int) -> tuple:
+    return tuple(int(c) for c in format(leaf, f"0{n}b"))
+
+
+def standard_branch_table(state: StateVector) -> list:
+    """ghz_branch_table's rows from the textbook schedule."""
+    n, rows = state.num_qubits, []
+    for leaf, (p, post) in enumerate(_table_rows(*standard_branches(state))):
+        bits = leaf_bits(leaf, n)
+        rows.append((bits, decode_ghz(bits[:-1], bits[-1], n), p, None if post is None else StateVector(n, post)))
+    return rows
+
+
+def standard_shot(state: StateVector, draws) -> GhzQndOutcome:
+    """run_ghz_qnd's outcome from the textbook schedule, its weights walked as a shot walks the engine's."""
+    n = state.num_qubits
+    weights, leaves = standard_branches(state)
+    probability, leaf = _walk(weights, [float(d) for d in draws])
+    bits = leaf_bits(leaf, n)
+    label = decode_ghz(bits[:-1], bits[-1], n)
+    return GhzQndOutcome(bits[:-1], bits[-1], label, probability, StateVector(n, leaves[leaf]))
+
+
+#: Each convention's shot and branch table.  Shots and tables run the paper's schedule; the textbook
+#: one, which gate lists still build, is held to the same checks through the helpers above.
+SHOTS = {"paper": run_ghz_qnd, "standard": standard_shot}
+TABLES = {"paper": ghz_branch_table, "standard": standard_branch_table}
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_run_examples(convention):
+    run_ghz_qnd = SHOTS[convention]
     rng = np.random.default_rng(9)
     out = run_ghz_qnd(ghz_state(GhzLabel("-", "101")), rng.random(3))
     assert out.part_parity_bits == (1, 1)
@@ -252,8 +303,10 @@ NORMS = [1.0, 1.0 - 9e-9, 1.0 + 9e-9]
 
 
 @pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_branch_table_matches_oracle(n, norm):
+def test_branch_table_matches_oracle(convention, n, norm):
+    ghz_branch_table = TABLES[convention]
     rng = np.random.default_rng(1000 * n)
     for _ in range(50 if n <= 4 else 3):
         state = StateVector(n, random_state(n, rng).amplitudes * norm)
@@ -267,8 +320,10 @@ def test_branch_table_matches_oracle(n, norm):
 
 
 @pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_repeat_on_post_state_gives_the_same_label(n, norm):
+def test_repeat_on_post_state_gives_the_same_label(convention, n, norm):
+    run_ghz_qnd = SHOTS[convention]
     rng = np.random.default_rng(700 + n)
     for _ in range(10):
         out = run_ghz_qnd(StateVector(n, random_state(n, rng).amplitudes * norm), rng.random(n))
@@ -280,8 +335,10 @@ def test_repeat_on_post_state_gives_the_same_label(n, norm):
             out = again
 
 
-def test_sampled_probability_equals_its_table_row():
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_sampled_probability_equals_its_table_row(convention):
     # the walker (run_ghz_qnd) against the expander (ghz_branch_table) on one schedule
+    run_ghz_qnd, ghz_branch_table = SHOTS[convention], TABLES[convention]
     rng = np.random.default_rng(2718)
     for n in range(2, 9):
         for _ in range(3):
@@ -358,8 +415,10 @@ def test_run_rejects_draws_outside_unit_interval(bad, position):
         run_ghz_qnd(ghz_state(GhzLabel("+", "101")), draws)
 
 
-def test_extreme_draws_never_select_a_zero_probability_branch():
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_extreme_draws_never_select_a_zero_probability_branch(convention):
     # rounding residue in a dead branch grows with n; it must never be sampled
+    run_ghz_qnd = SHOTS[convention]
     top = float(np.nextafter(1.0, 0.0))
     for n in range(2, 9):
         for label in all_canonical_labels(n):
@@ -385,38 +444,42 @@ def reference_walk(amps, steps, draws):
     return bits, probability, amps
 
 
-def test_shots_equal_the_flat_gate_list_walk():
-    # the staged engine against the public all-live gate list run as one step, to rounding:
-    # this ties ghz_network_gate_list to the schedule every shot runs
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_shots_equal_the_flat_gate_list_walk(convention):
+    # the staged engine (or the textbook staged schedule) against the public all-live gate list run as
+    # one step, to rounding: this ties ghz_network_gate_list to the schedule every shot runs
+    run_ghz_qnd = SHOTS[convention]
     rng = np.random.default_rng(321)
     for n in range(2, MAX_QUBITS // 2 + 1):  # all 2n qubits live at once
-        flat = ((ghz_network_gate_list(n, "paper"), n),)
+        flat = ((ghz_network_gate_list(n, convention), n),)
         for _ in range(10):
             state = random_state(n, rng)
             draws = rng.random(n)
             out = run_ghz_qnd(state, draws)
             bits, probability, amps = reference_walk(state.amplitudes, flat, draws)
-            phase = bits[-1] ^ (n & 1)
+            phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
             assert out.part_parity_bits + (out.global_parity_bit,) == tuple(bits[:-1]) + (phase,)
             assert abs(out.probability - probability) < 1e-12
             assert fidelity_up_to_global_phase(out.post_state, StateVector(n, amps)) > 1 - 1e-10
 
 
+@pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_tree_shots_equal_reference_walker(n):
+def test_tree_shots_equal_reference_walker(n, convention):
+    run_ghz_qnd, ghz_branch_table = SHOTS[convention], TABLES[convention]
     rng = np.random.default_rng(4000 + n)
     states = [random_state(n, rng) for _ in range(3)]
     tables = [
         {bits: (probability, post) for bits, _, probability, post in ghz_branch_table(s)}
         for s in states
     ]
-    steps = _parity_network(tuple(range(n)), "paper")
+    steps = _parity_network(tuple(range(n)), convention)
     # repeated shots of one state, then shots interleaved across three (each evicts the slot)
     for k in [0] * 12 + [0, 1, 2] * 8:
         draws = rng.random(n)
         out = run_ghz_qnd(states[k], draws)
         bits, probability, amps = reference_walk(states[k].amplitudes, steps, draws)
-        phase = bits[-1] ^ (n & 1)
+        phase = bits[-1] ^ (n & 1) if convention == "paper" else bits[-1]
         assert out.part_parity_bits + (out.global_parity_bit,) == tuple(bits[:-1]) + (phase,)
         assert out.probability == probability
         assert np.array_equal(out.post_state.amplitudes, amps)

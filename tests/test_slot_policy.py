@@ -225,19 +225,25 @@ def test_an_entry_checks_the_size_then_the_norm(name, n, call, held, counts, mon
     assert ghz_module._last_table is slot
 
 
-def test_a_positional_convention_is_refused():
-    # the convention left shots and tables: passed where the draws go it is refused as draws (five
-    # letters, so at n = 5 the first letter is refused as a draw), and a table, or a Bell shot with its
-    # draws after it, takes no further argument
-    for n in (2, 3):
-        with pytest.raises(ValueError, match=rf"^run_ghz_qnd needs {n} draws, got 5$"):
-            run_ghz_qnd(random_state(n, n), "paper")
-    with pytest.raises(ValueError, match="^random draw must be a real number, got 'p'$"):
-        run_ghz_qnd(random_state(5, 5), "paper")
-    with pytest.raises(ValueError, match="^run_bell_qnd needs 2 draws, got 5$"):
-        run_bell_qnd(random_state(2, 2), "paper")
-    for call in (lambda: run_bell_qnd(random_state(2, 2), "paper", (0.5, 0.5)),
-                 lambda: bell_branch_table(random_state(2, 2), "paper"),
-                 lambda: ghz_branch_table(random_state(3, 3), "paper")):
-        with pytest.raises(TypeError):
-            call()
+#: name: (entry, n, the arguments after a random n-qubit state, what that call raises, its message).  Passed
+#: as the draws, a convention is refused as draws: five letters, or eight, so at n = 5 (n = 8) its first
+#: letter is refused as a draw.  A table, or a Bell shot with its draws after it, takes no further argument.
+POSITIONAL = {
+    "run_ghz_qnd.n2": (run_ghz_qnd, 2, ("paper",), ValueError, "^run_ghz_qnd needs 2 draws, got 5$"),
+    "run_ghz_qnd.n3": (run_ghz_qnd, 3, ("paper",), ValueError, "^run_ghz_qnd needs 3 draws, got 5$"),
+    "run_ghz_qnd.n5": (run_ghz_qnd, 5, ("paper",), ValueError, "^random draw must be a real number, got 'p'$"),
+    "run_ghz_qnd.n8": (run_ghz_qnd, 8, ("standard",), ValueError, "^random draw must be a real number, got 's'$"),
+    "run_bell_qnd": (run_bell_qnd, 2, ("paper",), ValueError, "^run_bell_qnd needs 2 draws, got 5$"),
+    "run_bell_qnd.standard": (run_bell_qnd, 2, ("standard",), ValueError, "^run_bell_qnd needs 2 draws, got 8$"),
+    "run_bell_qnd.draws": (run_bell_qnd, 2, ("paper", (0.5, 0.5)), TypeError, "3 were given"),
+    "bell_branch_table": (bell_branch_table, 2, ("paper",), TypeError, "2 were given"),
+    "ghz_branch_table": (ghz_branch_table, 3, ("paper",), TypeError, "2 were given"),
+}
+
+
+@pytest.mark.parametrize("name", POSITIONAL)
+def test_a_positional_convention_is_refused(name):
+    # the convention left shots and tables
+    entry, n, args, error, match = POSITIONAL[name]
+    with pytest.raises(error, match=match):
+        entry(random_state(n, n), *args)
